@@ -1,7 +1,7 @@
 """Borel closures, sorted factorizations, and quadratic Gröbner certificates
 for the toric rings of principal (support-restricted) Borel ideals."""
 
-from .borel import (borel_closure, borel_compare, borel_member, factors_exist,
+from .borel import (borel_closure, borel_compare, borel_member,
                     factorization_step, min_borel_divisor,
                     min_borel_divisor_bruteforce, reverse_step_toward)
 from .families import (BiAdjacency, FamilyEntry, IdealFamily, LinearPoset,

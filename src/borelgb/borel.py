@@ -47,17 +47,12 @@ def borel_closure(m, support=None):
 
 
 def borel_member(m, M, k=1):
-    """Whether m lies in Borel(M^k), by the suffix-sum characterization."""
+    """Whether m lies in Borel(M^k), the products of k members of Borel(M)."""
     if m.n != M.n:
         raise ValueError("ambient mismatch in membership test")
     if m.deg != k * M.deg:
         return False
     return all(a <= k * b for a, b in zip(m.sigma_vector(), M.sigma_vector()))
-
-
-def factors_exist(N, M, k):
-    """Whether N factors as a product of k members of Borel(M)."""
-    return borel_member(N, M, k)
 
 
 def borel_compare(m1, m2):

@@ -223,12 +223,22 @@ def _add_single_flags(sub, with_form=True):
                          help="single-mode quadric set (default: exchange)")
 
 
+def _int_at_least(low):
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
+
+
 def _add_limit_flags(sub):
-    sub.add_argument("--max-vertices", type=int, default=100_000,
+    budget = _int_at_least(0)
+    sub.add_argument("--max-vertices", type=budget, default=100_000,
                      help="per-fiber vertex budget (default 100000)")
-    sub.add_argument("--max-checks", type=int, default=10_000_000,
+    sub.add_argument("--max-checks", type=budget, default=10_000_000,
                      help="divisibility-check budget (default 10^7)")
-    sub.add_argument("--max-steps", type=int, default=100_000,
+    sub.add_argument("--max-steps", type=budget, default=100_000,
                      help="rewrite-step budget (default 100000)")
 
 
@@ -278,7 +288,7 @@ def build_parser():
     p.add_argument("--method", choices=("fibers", "spairs"), default="fibers")
     p.add_argument("--bound", type=int, default=3,
                    help="total T-degree bound for the fiber sweep (default 3)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for the fiber sweep (default 1)")
     _add_limit_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -32,10 +32,6 @@ class LinearPoset:
     def positions(self):
         return tuple(sorted(self.support))
 
-    def allows_move(self, i, j):
-        """Whether the exchange move x_j -> x_i is inside the poset."""
-        return i < j and i in self.support and j in self.support
-
     def __eq__(self, other):
         return (isinstance(other, LinearPoset)
                 and self.n == other.n and self.support == other.support)
@@ -195,13 +191,6 @@ class BiAdjacency:
         return BiAdjacency(self.n,
                            tuple(self.col_names[j] for j in order),
                            tuple(tuple(row[j] for j in order) for row in self.rows))
-
-    def permute_rows(self, order):
-        order = tuple(order)
-        if sorted(order) != list(range(self.n)):
-            raise ValueError("not a row permutation")
-        return BiAdjacency(self.n, self.col_names,
-                           tuple(self.rows[i] for i in order))
 
     def to_lines(self, base=1):
         return [f"x{i - 1 + base}: " + " ".join(str(v) for v in self.rows[i - 1])

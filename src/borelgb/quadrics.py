@@ -24,7 +24,7 @@ def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
     gens = borel_closure(M)
     gset = set(gens)
-    order = TermOrder("single")
+    order = TermOrder()
     unit = Monomial.unit(M.n)
     out = set()
     for m in gens:
@@ -42,7 +42,7 @@ def quadrics_single(M):
                     if u == v:
                         continue
                     out.add(Binomial.make(u, v, order))
-    return sort_binomials(out, order)
+    return sort_binomials(out)
 
 
 def quadrics_bs_form(M):
@@ -53,7 +53,7 @@ def quadrics_bs_form(M):
     degree-two relations as `quadrics_single`.
     """
     gens = borel_closure(M)
-    order = TermOrder("single")
+    order = TermOrder()
     unit = Monomial.unit(M.n)
     out = set()
     for m, n in itertools.combinations_with_replacement(gens, 2):
@@ -63,7 +63,7 @@ def quadrics_bs_form(M):
         if u == v:
             continue
         out.add(Binomial.make(u, v, order))
-    return sort_binomials(out, order)
+    return sort_binomials(out)
 
 
 class MultiQuadrics:
@@ -89,7 +89,7 @@ def quadrics_multi(family):
     """All three quadric shapes for a reduced family."""
     if not family.is_reduced():
         raise ValueError("quadrics need a reduced family (apply reduce first)")
-    order = TermOrder("multi")
+    order = TermOrder()
     n = family.n
     unit = Monomial.unit(n)
     closures = family.closures()
@@ -159,9 +159,9 @@ def quadrics_multi(family):
                         continue
                     fiber_biprincipal.add(Binomial.make(u, v, order))
 
-    return MultiQuadrics(sort_binomials(symmetric, order),
-                         sort_binomials(fiber_principal, order),
-                         sort_binomials(fiber_biprincipal, order))
+    return MultiQuadrics(sort_binomials(symmetric),
+                         sort_binomials(fiber_principal),
+                         sort_binomials(fiber_biprincipal))
 
 
 def first_non_squarefree_lead(binomials):

@@ -11,7 +11,7 @@ against truncated pivot monomials built by `split_monomial`.
 
 from __future__ import annotations
 
-from .borel import factors_exist, min_borel_divisor
+from .borel import borel_member, min_borel_divisor
 from .monomials import Monomial
 
 
@@ -50,7 +50,7 @@ def borel_sort(M, mu, k):
         raise ValueError("ambient mismatch in sorted factorization")
     if k < 1:
         raise ValueError("need at least one factor")
-    if not factors_exist(mu, M, k):
+    if not borel_member(mu, M, k):
         raise ValueError(f"{mu} is not a product of {k} members of Borel({M})")
     return _bs(M, mu, k)
 

@@ -15,12 +15,12 @@ support-restricted closures, fiber points carry an x cofactor).
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .borel import borel_closure, factors_exist, min_borel_divisor
+from .borel import borel_closure, borel_member, min_borel_divisor
 from .monomials import Monomial, lcm, restrict
 from .monomials import expand as expand_monomial
 from .sorting import borel_sort
@@ -53,17 +53,14 @@ class _Budget:
         self.checks = 0
         self.steps = 0
 
-    def start_fiber(self):
-        self.vertices = 0
-
     def count_vertex(self):
         self.vertices += 1
         if self.vertices > self.limits.max_vertices:
             raise ResourceLimitError(
                 f"fiber exceeded {self.limits.max_vertices} vertices")
 
-    def count_check(self):
-        self.checks += 1
+    def count_check(self, n=1):
+        self.checks += n
         if self.checks > self.limits.max_checks:
             raise ResourceLimitError(
                 f"run exceeded {self.limits.max_checks} divisibility checks")
@@ -75,19 +72,22 @@ class _Budget:
                 f"reduction exceeded {self.limits.max_steps} rewrite steps")
 
 
+_key = operator.attrgetter("key")
+
+
 class GeneratorVar:
     """One T variable: a chosen generator of one block."""
 
-    __slots__ = ("block", "gen", "rank")
+    __slots__ = ("block", "gen", "key")
 
     def __init__(self, block, gen):
         if block < 0:
             raise ValueError("block id must be nonnegative")
         self.block = block
         self.gen = gen
-        # Ascending rank = descending variable: blocks first, then the
-        # grevlex-larger generator makes the larger variable.
-        self.rank = (block, -gen.deg, tuple(reversed(gen.exps)))
+        # Ascending key = ascending variable: earlier blocks are larger, then
+        # the grevlex-larger generator makes the larger variable.
+        self.key = (-block, gen.deg) + tuple(-e for e in reversed(gen.exps))
 
     def text(self, base=1, tagged=True):
         body = self.gen.text(base)
@@ -107,16 +107,17 @@ class GeneratorVar:
 class TProduct:
     """An x-monomial cofactor times a multiset of T variables (kept sorted)."""
 
-    __slots__ = ("xpart", "tvars", "ranks")
+    __slots__ = ("xpart", "tvars", "key")
 
     def __init__(self, xpart, tvars):
-        tvars = tuple(sorted(tvars, key=lambda t: t.rank))
+        tvars = tuple(sorted(tvars, key=_key, reverse=True))
         for t in tvars:
             if t.gen.n != xpart.n:
                 raise ValueError("ambient mismatch inside T-product")
         self.xpart = xpart
         self.tvars = tvars
-        self.ranks = tuple(t.rank for t in tvars)
+        # Ascending key = ascending term order (see TermOrder).
+        self.key = (tuple(t.key for t in tvars), xpart.exps)
 
     @property
     def tdegree(self):
@@ -180,11 +181,10 @@ class TProduct:
         return "*".join(parts) if parts else "1"
 
     def __eq__(self, other):
-        return (isinstance(other, TProduct)
-                and self.xpart == other.xpart and self.tvars == other.tvars)
+        return isinstance(other, TProduct) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.xpart, self.tvars))
+        return hash(self.key)
 
     def __repr__(self):
         return f"TProduct({self.label()!r})"
@@ -196,32 +196,18 @@ class TermOrder:
     Any T variable beats every x variable; T variables compare by block
     (earlier blocks larger), then by the grevlex order on their generators;
     x parts tie-break by pure lexicographic order with x1 largest.  The
-    'single' and 'multi' modes use the same comparisons; the mode records
-    which setup the order belongs to.
+    T-product key encodes exactly this: its T variables listed largest
+    first, then the x exponents.
     """
 
-    __slots__ = ("mode",)
-
-    def __init__(self, mode):
-        if mode not in ("single", "multi"):
-            raise ValueError(f"unknown order mode {mode!r}")
-        self.mode = mode
+    __slots__ = ()
 
     def compare(self, a, b):
         """-1/0/+1 with +1 meaning a is larger."""
-        for ra, rb in zip(a.ranks, b.ranks):
-            if ra != rb:
-                return 1 if ra < rb else -1
-        if len(a.ranks) != len(b.ranks):
-            return 1 if len(a.ranks) > len(b.ranks) else -1
-        ka, kb = a.xpart.lex_key(), b.xpart.lex_key()
-        return (ka > kb) - (ka < kb)
-
-    def ascending_key(self):
-        return functools.cmp_to_key(self.compare)
+        return (a.key > b.key) - (a.key < b.key)
 
     def sort(self, tproducts):
-        return tuple(sorted(tproducts, key=self.ascending_key()))
+        return tuple(sorted(tproducts, key=_key))
 
 
 class Binomial:
@@ -257,18 +243,16 @@ class Binomial:
         return f"Binomial({self.text()!r})"
 
 
-def sort_binomials(binomials, order):
+def sort_binomials(binomials):
     """Ascending by lead, then tail, under the term order; duplicates dropped."""
-    def cmp(a, b):
-        c = order.compare(a.lead, b.lead)
-        return c if c else order.compare(a.tail, b.tail)
-    return tuple(sorted(set(binomials), key=functools.cmp_to_key(cmp)))
+    return tuple(sorted(set(binomials), key=lambda b: (b.lead.key, b.tail.key)))
 
 
 class _Block:
     """One block of a fiber setup: a generator list closed under its moves."""
 
-    __slots__ = ("block_id", "pivot", "support", "gens_desc", "gens_set")
+    __slots__ = ("block_id", "pivot", "support", "gens_desc", "gens_set",
+                 "tvars")
 
     def __init__(self, block_id, pivot, support, gens_asc):
         self.block_id = block_id
@@ -276,6 +260,7 @@ class _Block:
         self.support = support  # None means all positions
         self.gens_desc = tuple(reversed(gens_asc))
         self.gens_set = frozenset(gens_asc)
+        self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
 
 
 class FiberSetup:
@@ -300,8 +285,7 @@ class FiberSetup:
         if M.is_unit:
             raise ValueError("need a nonunit generator")
         gens = borel_closure(M)
-        return cls("single", M.n, (_Block(0, M, None, gens),),
-                   TermOrder("single"), base)
+        return cls("single", M.n, (_Block(0, M, None, gens),), TermOrder(), base)
 
     @classmethod
     def for_family(cls, family):
@@ -311,17 +295,20 @@ class FiberSetup:
         for idx, e in enumerate(family.entries, start=1):
             blocks.append(_Block(idx, e.gen, tuple(e.poset.positions()),
                                  e.closure()))
-        return cls("multi", family.n, tuple(blocks), TermOrder("multi"),
-                   family.base)
+        return cls("multi", family.n, tuple(blocks), TermOrder(), family.base)
 
     def beta_tuple(self, beta):
         if self.kind == "single":
             if not isinstance(beta, int):
                 raise ValueError("single setup takes an integer T-degree")
+            if beta < 1:
+                raise ValueError(f"need at least one factor, got {beta}")
             return (beta,)
         beta = tuple(beta)
         if len(beta) != len(self.blocks):
             raise ValueError(f"need {len(self.blocks)} block degrees, got {len(beta)}")
+        if any(c < 0 for c in beta):
+            raise ValueError(f"negative block degree in {beta}")
         return beta
 
 
@@ -330,7 +317,7 @@ def _block_fits(block, rem, quotient, exact):
     if rem == 0:
         return True
     if exact:
-        return factors_exist(quotient, block.pivot, rem)
+        return borel_member(quotient, block.pivot, rem)
     return min_borel_divisor(block.pivot, rem, quotient,
                              support=block.support) is not None
 
@@ -344,7 +331,6 @@ def enumerate_fiber(setup, mu, beta, limits=None):
     with the leftover of mu as x part.
     """
     budget = _Budget(limits or Limits())
-    budget.start_fiber()
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
 
 
@@ -379,7 +365,7 @@ def _enumerate(setup, mu, beta, budget):
                 q2 = quotient / g
                 if not _block_fits(block, rem - 1, q2, exact):
                     continue
-                chosen.append(GeneratorVar(block.block_id, g))
+                chosen.append(block.tvars[gi])
                 rec_pick(gi, rem - 1, q2)
                 chosen.pop()
 
@@ -404,7 +390,6 @@ class FiberGraph:
 def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable quadric."""
     budget = _Budget(limits or Limits())
-    budget.start_fiber()
     beta = setup.beta_tuple(beta)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
@@ -459,26 +444,18 @@ def _weak_compositions(total, parts):
 def iterate_images(setup, bound):
     """The images to examine up to the total T-degree bound, deterministically.
 
-    Single setup: every product of at most `bound` closure members (paired
-    with its factor count).  Multi setup: for every block-degree vector beta
+    Single setup: every product of k <= `bound` closure members, that is
+    Borel(M^k), paired with k.  Multi setup: for every block-degree vector beta
     with 1 <= |beta| <= bound, every least common multiple of two products of
     beta-many generators; a binomial of T-degree beta with coprime x parts has
     exactly such an lcm as its image, so unique sinks on these fibers decide
     all binomials up to the bound.
     """
-    images = []
     if setup.kind == "single":
-        gens = setup.blocks[0].gens_desc
-        for k in range(1, bound + 1):
-            prods = set()
-            for combo in itertools.combinations_with_replacement(gens, k):
-                p = combo[0]
-                for g in combo[1:]:
-                    p = p * g
-                prods.add(p)
-            images.extend((m, k) for m in prods)
-        images.sort(key=lambda it: (it[1], it[0].grevlex_key()))
-        return tuple(images)
+        M = setup.blocks[0].pivot
+        return tuple((m, k) for k in range(1, bound + 1)
+                     for m in borel_closure(M.pow(k)))
+    images = []
     r = len(setup.blocks)
     for total in range(1, bound + 1):
         for beta in _weak_compositions(total, r):
@@ -542,16 +519,30 @@ def _beta_text(beta):
     return "*".join(parts) if parts else "1"
 
 
+def _check_quadrics(setup, quadrics):
+    """Reject quadrics that could rewrite a fiber point out of its fiber or up
+    the order: only generators of the setup's blocks, one image and block
+    count for both sides (checked by `Binomial.make`), lead above tail."""
+    gens = {b.block_id: b.gens_set for b in setup.blocks}
+    for q in quadrics:
+        if any(t.gen not in gens.get(t.block, ()) for t in q.lead.tvars + q.tail.tvars):
+            raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
+                             "a generator of its block")
+        if Binomial.make(q.lead, q.tail, setup.order) != q:
+            raise ValueError(f"quadric {q.text()} has its lead below its tail")
+
+
 def _examine_image(task):
+    # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
+    # points, those no lead divides: `_check_quadrics` makes every other point
+    # the source of an edge.  A fiber with two or more sinks fails.
     setup, quadrics, mu, beta, limits = task
-    budget = _Budget(limits)
-    budget.start_fiber()
-    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
+    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), _Budget(limits))
     if len(vertices) <= 1:
-        return (mu, beta, vertices, True)
-    graph = fiber_graph(setup, mu, beta, quadrics, limits, vertices=vertices)
-    _, sinks = certify(graph)
-    return (mu, beta, sinks, len(sinks) == 1)
+        return (mu, beta, vertices)
+    _Budget(limits).count_check(len(vertices) * len(quadrics))
+    return (mu, beta, tuple(u for u in vertices
+                            if not any(q.lead.divides(u) for q in quadrics)))
 
 
 def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
@@ -562,21 +553,20 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
     zero by the quadrics.  With jobs > 1 the images are examined in worker
     processes (resource budgets then apply per worker).
     """
+    if bound < 1:
+        raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
+    _check_quadrics(setup, quadrics)
     limits = limits or Limits()
     images = iterate_images(setup, bound)
     tasks = [(setup, quadrics, mu, beta, limits) for mu, beta in images]
-    failures = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_examine_image, tasks, chunksize=8))
     else:
         results = [_examine_image(t) for t in tasks]
-    for mu, beta, sinks, ok in results:
-        if not ok:
-            failures.append((mu, beta if setup.kind == "multi" else None, sinks))
-    passed = not failures
-    return VerifyReport(passed, tuple(failures), f"fibers bound={bound}",
-                        len(images))
+    failures = tuple((mu, beta if setup.kind == "multi" else None, sinks)
+                     for mu, beta, sinks in results if len(sinks) > 1)
+    return VerifyReport(not failures, failures, f"fibers bound={bound}", len(images))
 
 
 class SpairReport:
@@ -613,7 +603,7 @@ def spair_certificate(quadrics, order, limits=None):
     S-binomials always reduce to zero).  Independent of the fiber-graph route.
     """
     budget = _Budget(limits or Limits())
-    basis = sort_binomials(quadrics, order)
+    basis = sort_binomials(quadrics)
     checked = skipped = 0
     for ai in range(len(basis)):
         for bi in range(ai + 1, len(basis)):

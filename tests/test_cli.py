@@ -222,6 +222,23 @@ def test_input_errors(capsys, tmp_path):
     assert rc == 2 and "not reduced" in err
 
 
+def test_out_of_range_numbers_exit_2(capsys):
+    for argv in (("verify", "--single", "x2", "-n", "2", "--bound", "0"),
+                 ("verify", "--single", "x2", "-n", "2", "--bound", "-3"),
+                 ("fiber-graph", "--single", "x2^2", "-n", "2",
+                  "--mu", "x1^2*x2^2", "-k", "0"),
+                 ("fiber-graph", "--single", "x2^2", "-n", "2",
+                  "--mu", "x1^2*x2^2", "-k", "-1")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and err.startswith("error:")
+    for flag, value in (("--jobs", "0"), ("--max-vertices", "-1"),
+                        ("--max-checks", "-1"), ("--max-steps", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--single", "x2", "-n", "2", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
 def test_resource_limit_exit_code(capsys):
     rc, _, err = run(capsys, "fiber-graph", "--single", "x2^2", "-n", "2",
                      "--mu", "x1^2*x2^2", "-k", "2", "--max-vertices", "1")

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from borelgb.borel import borel_closure, borel_member, factors_exist
+from borelgb.borel import borel_closure, borel_member
 from borelgb.monomials import Monomial, compare, parse_monomial
 from borelgb.sorting import borel_sort, split_monomial
 
@@ -88,7 +88,7 @@ def test_borel_sort_invariants_small_sweep():
                 for k in (1, 2, 3):
                     seen = 0
                     for mu in all_monomials(n, k * deg):
-                        if not factors_exist(mu, Mm, k):
+                        if not borel_member(mu, Mm, k):
                             continue
                         seen += 1
                         factors = borel_sort(Mm, mu, k)

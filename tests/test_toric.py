@@ -1,11 +1,14 @@
 """T-products, the eliminating term order, fiber graphs, and the two
 independent certification routes (unique sinks and S-pair reduction)."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from borelgb.families import parse_family
+from borelgb.borel import borel_closure
+from borelgb.families import parse_family, random_interval_family
 from borelgb.monomials import Monomial, parse_monomial
 from borelgb.quadrics import quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
@@ -38,11 +41,11 @@ def tp(xtext, n, *gens):
                     [GeneratorVar(b, parse_monomial(g, n)) for b, g in gens])
 
 
-def test_generator_var_rank_and_text():
+def test_generator_var_key_and_text():
     a = GeneratorVar(1, M("x3*x4"))
     b = GeneratorVar(1, M("x4^2"))
     c = GeneratorVar(2, M("x3*x4"))
-    assert a.rank < b.rank < c.rank  # smaller rank = larger variable
+    assert a.key > b.key > c.key  # larger key = larger variable
     assert a.text() == "t1:x3*x4"
     assert a.text(tagged=False) == "x3*x4"
     assert a.text(base=0) == "t1:x2*x3"
@@ -80,7 +83,7 @@ def test_tproduct_arithmetic():
 
 
 def test_term_order_goldens():
-    order = TermOrder("single")
+    order = TermOrder()
     n = 2
     big = tp("1", n, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", n, (0, "x1*x2"), (0, "x1*x2"))
@@ -92,18 +95,15 @@ def test_term_order_goldens():
     # more T factors beat fewer when one list prefixes the other
     assert order.compare(big, tp("1", n, (0, "x1^2"))) == 1
     # earlier blocks are larger
-    morder = TermOrder("multi")
-    assert morder.compare(tp("1", 4, (1, "x4")), tp("1", 4, (2, "x3*x4"))) == 1
+    assert order.compare(tp("1", 4, (1, "x4")), tp("1", 4, (2, "x3*x4"))) == 1
     # x parts tie-break lexicographically with x1 largest
     g = (1, "x4")
-    assert morder.compare(tp("x1", 4, g), tp("x2^3", 4, g)) == 1
-    with pytest.raises(ValueError):
-        TermOrder("weird")
+    assert order.compare(tp("x1", 4, g), tp("x2^3", 4, g)) == 1
 
 
 def test_term_order_is_multiplicative():
     rng = random.Random(11)
-    order = TermOrder("multi")
+    order = TermOrder()
     pool = [GeneratorVar(b, Monomial(tuple(rng.randint(0, 2) for _ in range(3))))
             for b in (1, 2) for _ in range(4)]
 
@@ -119,8 +119,39 @@ def test_term_order_is_multiplicative():
         assert order.compare(a.times(c), b.times(c)) == s
 
 
+def _rank_compare(a, b):
+    """The term order as a comparator on generator ranks (block, -deg,
+    reversed exponents), smaller rank meaning the larger variable."""
+    ra = sorted((t.block, -t.gen.deg, tuple(reversed(t.gen.exps))) for t in a.tvars)
+    rb = sorted((t.block, -t.gen.deg, tuple(reversed(t.gen.exps))) for t in b.tvars)
+    for x, y in zip(ra, rb):
+        if x != y:
+            return 1 if x < y else -1
+    if len(ra) != len(rb):
+        return 1 if len(ra) > len(rb) else -1
+    ka, kb = a.xpart.exps, b.xpart.exps
+    return (ka > kb) - (ka < kb)
+
+
+def test_term_order_key_matches_rank_comparator():
+    rng = random.Random(5)
+    order = TermOrder()
+
+    def rand_tp():
+        tvars = [GeneratorVar(rng.randint(0, 2), Monomial(
+            tuple(rng.randint(0, 2) for _ in range(3))))
+            for _ in range(rng.randint(0, 3))]
+        return TProduct(Monomial(tuple(rng.randint(0, 2) for _ in range(3))), tvars)
+
+    pts = [rand_tp() for _ in range(200)]
+    pts += [TProduct(p.xpart, reversed(p.tvars)) for p in pts[:20]]
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        assert order.compare(a, b) == _rank_compare(a, b)
+    assert order.sort(pts) == tuple(sorted(pts, key=functools.cmp_to_key(_rank_compare)))
+
+
 def test_binomial_make_orients_and_validates():
-    order = TermOrder("single")
+    order = TermOrder()
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
     assert Binomial.make(small, big, order) == Binomial(big, small)
@@ -131,17 +162,16 @@ def test_binomial_make_orients_and_validates():
         Binomial.make(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")), order)
     with pytest.raises(ValueError):  # same image, different block counts
         Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")),
-                      TermOrder("multi"))
+                      TermOrder())
     b = Binomial(big, small)
     assert b.text(tagged=False) == "T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2]"
 
 
 def test_sort_binomials_dedupes():
-    order = TermOrder("single")
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
     b = Binomial(big, small)
-    assert sort_binomials([b, b], order) == (b,)
+    assert sort_binomials([b, b]) == (b,)
 
 
 def test_enumerate_fiber_single():
@@ -157,6 +187,16 @@ def test_enumerate_fiber_single():
         enumerate_fiber(setup, parse_monomial("x1", 1), 1)
     with pytest.raises(ValueError):
         enumerate_fiber(setup, parse_monomial("x1*x2", 2), (1, 1))
+
+
+def test_fiber_degrees_must_be_in_range():
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least one factor"):
+            enumerate_fiber(setup, parse_monomial("x1^2*x2^2", 2), k)
+    tsetup = FiberSetup.for_family(parse_family(TRIANGLE))
+    with pytest.raises(ValueError, match="negative block degree"):
+        enumerate_fiber(tsetup, parse_monomial("x1*x2", 3), (1, -1, 1))
 
 
 def test_enumerate_fiber_multi():
@@ -227,6 +267,33 @@ def test_iterate_images_single():
     assert imgs == iterate_images(setup, 2)  # deterministic
 
 
+def _product_images(setup, bound):
+    """Single-setup images as products of k closure members, k = 1..bound."""
+    gens = setup.blocks[0].gens_desc
+    images = []
+    for k in range(1, bound + 1):
+        prods = set()
+        for combo in itertools.combinations_with_replacement(gens, k):
+            p = combo[0]
+            for g in combo[1:]:
+                p = p * g
+            prods.add(p)
+        images.extend((m, k) for m in prods)
+    images.sort(key=lambda it: (it[1], it[0].grevlex_key()))
+    return tuple(images)
+
+
+def test_iterate_images_single_matches_products():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for deg in (1, 2, 3):
+            for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
+                setup = FiberSetup.single(M)
+                assert iterate_images(setup, 3) == _product_images(setup, 3)
+                checked += 1
+    assert checked == 65
+
+
 def test_iterate_images_multi_includes_lcms():
     tri = parse_family(TRIANGLE)
     setup = FiberSetup.for_family(tri)
@@ -237,6 +304,62 @@ def test_iterate_images_multi_includes_lcms():
     assert ("x1", (0, 1, 0)) in seen
     assert ("x1*x3", (0, 1, 0)) in seen
     assert all(sum(beta) <= 2 and sum(beta) >= 1 for _, beta in imgs)
+
+
+def _graph_failures(setup, quads, bound):
+    """Verify's failures recomputed from fiber graphs and their sinks."""
+    out = []
+    for mu, beta in iterate_images(setup, bound):
+        graph = fiber_graph(setup, mu, beta, quads)
+        _, sinks = certify(graph)
+        if len(graph.vertices) > 1 and len(sinks) != 1:
+            out.append((mu, beta if setup.kind == "multi" else None, sinks))
+    return tuple(out)
+
+
+def test_sweep_failures_match_graph_sinks():
+    rng = random.Random(31)
+    singles, families = [], []
+    while len(singles) < 6:
+        exps = [0, 0, 1]
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.randrange(3)] += 1
+        M = Monomial(tuple(exps))
+        if len(quadrics_single(M)) >= 3:
+            singles.append((FiberSetup.single(M), quadrics_single(M), 3))
+    while len(families) < 6:
+        fam = random_interval_family(rng, rng.randint(3, 4), rng.randint(2, 3))
+        if 3 <= len(quadrics_multi(fam).all()) <= 20:
+            families.append((FiberSetup.for_family(fam),
+                             quadrics_multi(fam).all(), 2))
+    failing = 0
+    for setup, quads, bound in singles + families:
+        for subset in (quads, tuple(q for q in quads if rng.random() < 0.5)):
+            rep = verify_groebner_by_fibers(setup, subset, bound)
+            assert rep.failures == _graph_failures(setup, subset, bound)
+            failing += not rep.passed
+    assert failing >= 8
+
+
+def test_verify_rejects_bad_quadrics():
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
+    small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
+    with pytest.raises(ValueError, match="lead below its tail"):
+        verify_groebner_by_fibers(setup, [Binomial(small, big)], 2)
+    with pytest.raises(ValueError, match="different images"):
+        verify_groebner_by_fibers(setup, [Binomial(tp("1", 2, (0, "x1^2")),
+                                                   tp("1", 2, (0, "x1*x2")))], 2)
+    # quadrics of Borel(x2^2) use x2^2, which Borel(x1*x2) lacks
+    other = FiberSetup.single(parse_monomial("x1*x2", 2))
+    with pytest.raises(ValueError, match="not a generator of its block"):
+        verify_groebner_by_fibers(other, quadrics_single(parse_monomial("x2^2", 2)), 2)
+    # block-0 quadrics against a family's blocks 1..3
+    tri = FiberSetup.for_family(parse_family(TRIANGLE))
+    with pytest.raises(ValueError, match="not a generator of its block"):
+        verify_groebner_by_fibers(tri, quadrics_single(parse_monomial("x2*x3", 3)), 2)
+    with pytest.raises(ValueError, match="bound of at least 1"):
+        verify_groebner_by_fibers(setup, quadrics_single(parse_monomial("x2^2", 2)), 0)
 
 
 def test_verify_pass_single():
@@ -348,7 +471,7 @@ def test_resource_limits_trip():
                     limits=Limits(max_checks=1))
     M4 = parse_monomial("x2^2*x4", 4)
     with pytest.raises(ResourceLimitError):
-        spair_certificate(quadrics_single(M4), TermOrder("single"),
+        spair_certificate(quadrics_single(M4), TermOrder(),
                           limits=Limits(max_steps=1))
     with pytest.raises(ResourceLimitError):
         verify_groebner_by_fibers(setup, quadrics_single(
