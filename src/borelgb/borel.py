@@ -21,7 +21,12 @@ from .monomials import Monomial, apply_move, expand, restrict
 def borel_closure(m, support=None):
     """All monomials reachable from m by Borel moves, ascending grevlex.
 
-    With `support`, only moves between positions inside `support` are allowed.
+    With `support`, only moves between positions inside `support` are allowed;
+    the other positions keep m's exponents.  The members are the exponent
+    vectors whose suffix sums over the movable positions stay within m's.
+    Walking those positions from last to first, each takes every exponent its
+    suffix cap allows, largest first, and the first movable position takes the
+    remainder: an odometer that lists the closure in ascending grevlex.
     """
     if support is None:
         allowed = tuple(range(1, m.n + 1))
@@ -29,21 +34,24 @@ def borel_closure(m, support=None):
         allowed = tuple(sorted(set(support)))
         if allowed and not (1 <= allowed[0] and allowed[-1] <= m.n):
             raise ValueError(f"support {allowed} outside 1..{m.n}")
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for jpos, j in enumerate(allowed):
-                if cur.exps[j - 1] == 0:
-                    continue
-                for i in allowed[:jpos]:
-                    child = apply_move(cur, i, j)
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-        frontier = nxt
-    return tuple(sorted(seen, key=Monomial.grevlex_key))
+    slots = [p - 1 for p in reversed(allowed)]
+    caps = list(itertools.accumulate(m.exps[i] for i in slots))
+    exps = list(m.exps)
+    out = [m]
+    while True:
+        # Slots run from the last movable position to the first; the first
+        # position only takes the remainder, so it never gives up a unit.
+        r = len(slots) - 2
+        while r >= 0 and not exps[slots[r]]:
+            r -= 1
+        if r < 0:
+            return tuple(out)
+        exps[slots[r]] -= 1
+        taken = sum(exps[i] for i in slots[:r + 1])
+        for u in range(r + 1, len(slots)):
+            exps[slots[u]] = caps[u] - taken
+            taken = caps[u]
+        out.append(Monomial(exps))
 
 
 def borel_member(m, M, k=1):

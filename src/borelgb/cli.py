@@ -237,9 +237,11 @@ def _add_limit_flags(sub):
     sub.add_argument("--max-vertices", type=budget, default=100_000,
                      help="per-fiber vertex budget (default 100000)")
     sub.add_argument("--max-checks", type=budget, default=10_000_000,
-                     help="divisibility-check budget (default 10^7)")
+                     help="per-fiber divisibility-check budget for the fiber "
+                          "route (default 10^7)")
     sub.add_argument("--max-steps", type=budget, default=100_000,
-                     help="rewrite-step budget (default 100000)")
+                     help="rewrite-step budget for the S-pair route "
+                          "(default 100000)")
 
 
 def build_parser():

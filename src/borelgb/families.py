@@ -181,9 +181,6 @@ class BiAdjacency:
     def r(self):
         return len(self.col_names)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
     def permute_columns(self, order):
         order = tuple(order)
         if sorted(order) != list(range(self.r)):

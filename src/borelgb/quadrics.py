@@ -23,26 +23,36 @@ from .toric import Binomial, GeneratorVar, TermOrder, TProduct, sort_binomials
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
     gens = borel_closure(M)
-    gset = set(gens)
-    order = TermOrder()
-    unit = Monomial.unit(M.n)
+    return sort_binomials(_exchanges(0, gens, 0, gens, range(1, M.n + 1),
+                                     TermOrder()))
+
+
+def _exchanges(ia, gens_a, ib, gens_b, positions, order):
+    """The quadrics trading one move between a block-ia and a block-ib generator.
+
+    For s < t in `positions`, m in `gens_a` with x_s | m and n in `gens_b`
+    with x_t | n: T_m T_n - T_{(x_t/x_s)m} T_{(x_s/x_t)n}, whenever (x_t/x_s)m
+    stays in its closure and the two sides differ.  `positions` lie in both
+    blocks' supports, so the upward move (x_s/x_t)n never leaves its closure.
+    Within one block this one direction is enough: the other starts from the
+    moved pair and gives the same binomial once `Binomial.make` orients it.
+    """
+    set_a = set(gens_a)
+    unit = Monomial.unit(gens_a[0].n)
     out = set()
-    for m in gens:
-        for n in gens:
-            for j in m.support():
-                for i in n.support():
-                    if i >= j:
-                        continue
-                    m2 = apply_move(m, i, j)
-                    n2 = apply_move(n, j, i)
-                    if n2 not in gset:
-                        continue
-                    u = TProduct(unit, (GeneratorVar(0, m), GeneratorVar(0, n)))
-                    v = TProduct(unit, (GeneratorVar(0, m2), GeneratorVar(0, n2)))
-                    if u == v:
-                        continue
+    for s, t in itertools.combinations(sorted(positions), 2):
+        moved_a = [(m, apply_move(m, t, s)) for m in gens_a if m.exps[s - 1]]
+        moved_a = [(m, m2) for m, m2 in moved_a if m2 in set_a]
+        for n in gens_b:
+            if not n.exps[t - 1]:
+                continue
+            n2 = apply_move(n, s, t)
+            for m, m2 in moved_a:
+                u = TProduct(unit, (GeneratorVar(ia, m), GeneratorVar(ib, n)))
+                v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
+                if u != v:
                     out.add(Binomial.make(u, v, order))
-    return sort_binomials(out)
+    return out
 
 
 def quadrics_bs_form(M):
@@ -91,7 +101,6 @@ def quadrics_multi(family):
         raise ValueError("quadrics need a reduced family (apply reduce first)")
     order = TermOrder()
     n = family.n
-    unit = Monomial.unit(n)
     closures = family.closures()
     supports = [e.poset.positions() for e in family.entries]
 
@@ -110,58 +119,16 @@ def quadrics_multi(family):
                     v = TProduct(Monomial.variable(t, n), (GeneratorVar(idx, m2),))
                     symmetric.add(Binomial.make(u, v, order))
 
-    fiber_principal = set()
-    for idx, e in enumerate(family.entries, start=1):
-        gset = set(closures[idx - 1])
-        for m in closures[idx - 1]:
-            for n_ in closures[idx - 1]:
-                for j in m.support():
-                    if j not in e.poset.support:
-                        continue
-                    for i in n_.support():
-                        if i >= j or i not in e.poset.support:
-                            continue
-                        m2 = apply_move(m, i, j)
-                        n2 = apply_move(n_, j, i)
-                        if m2 not in gset or n2 not in gset:
-                            continue
-                        u = TProduct(unit, (GeneratorVar(idx, m),
-                                            GeneratorVar(idx, n_)))
-                        v = TProduct(unit, (GeneratorVar(idx, m2),
-                                            GeneratorVar(idx, n2)))
-                        if u == v:
-                            continue
-                        fiber_principal.add(Binomial.make(u, v, order))
+    fiber_principal = sort_binomials(
+        b for i, gens in enumerate(closures, start=1)
+        for b in _exchanges(i, gens, i, gens, supports[i - 1], order))
+    fiber_biprincipal = sort_binomials(
+        b for ia, ib in itertools.combinations(range(1, family.r + 1), 2)
+        for b in _exchanges(ia, closures[ia - 1], ib, closures[ib - 1],
+                            set(supports[ia - 1]) & set(supports[ib - 1]), order))
 
-    fiber_biprincipal = set()
-    for ia, ib in itertools.combinations(range(1, family.r + 1), 2):
-        shared = sorted(set(supports[ia - 1]) & set(supports[ib - 1]))
-        if len(shared) < 2:
-            continue
-        set_a = set(closures[ia - 1])
-        set_b = set(closures[ib - 1])
-        for s, t in itertools.combinations(shared, 2):
-            for m in closures[ia - 1]:
-                if m.exps[s - 1] == 0:
-                    continue
-                m2 = apply_move(m, t, s)
-                if m2 not in set_a:
-                    continue
-                for n_ in closures[ib - 1]:
-                    if n_.exps[t - 1] == 0:
-                        continue
-                    n2 = apply_move(n_, s, t)
-                    if n2 not in set_b:
-                        continue
-                    u = TProduct(unit, (GeneratorVar(ia, m), GeneratorVar(ib, n_)))
-                    v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
-                    if u == v:
-                        continue
-                    fiber_biprincipal.add(Binomial.make(u, v, order))
-
-    return MultiQuadrics(sort_binomials(symmetric),
-                         sort_binomials(fiber_principal),
-                         sort_binomials(fiber_biprincipal))
+    return MultiQuadrics(sort_binomials(symmetric), fiber_principal,
+                         fiber_biprincipal)
 
 
 def first_non_squarefree_lead(binomials):

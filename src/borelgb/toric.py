@@ -63,7 +63,7 @@ class _Budget:
         self.checks += n
         if self.checks > self.limits.max_checks:
             raise ResourceLimitError(
-                f"run exceeded {self.limits.max_checks} divisibility checks")
+                f"fiber exceeded {self.limits.max_checks} divisibility checks")
 
     def count_step(self):
         self.steps += 1
@@ -291,6 +291,8 @@ class FiberSetup:
     def for_family(cls, family):
         if not family.is_reduced():
             raise ValueError("setup needs a reduced family (apply reduce first)")
+        if not family.entries:
+            raise ValueError("setup needs a family with at least one ideal")
         blocks = []
         for idx, e in enumerate(family.entries, start=1):
             blocks.append(_Block(idx, e.gen, tuple(e.poset.positions()),
@@ -537,10 +539,11 @@ def _examine_image(task):
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.
     setup, quadrics, mu, beta, limits = task
-    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), _Budget(limits))
+    budget = _Budget(limits)
+    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
     if len(vertices) <= 1:
         return (mu, beta, vertices)
-    _Budget(limits).count_check(len(vertices) * len(quadrics))
+    budget.count_check(len(vertices) * len(quadrics))
     return (mu, beta, tuple(u for u in vertices
                             if not any(q.lead.divides(u) for q in quadrics)))
 

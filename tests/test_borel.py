@@ -2,7 +2,8 @@
 
 The two routes to the minimal divisor (greedy suffix-sum filling vs. a direct
 scan over all divisors) are kept independent and compared; likewise the
-sigma-characterized membership vs. literal BFS closure membership.
+sigma-built closure and sigma-characterized membership vs. a closure found
+literally by Borel moves (`closure_by_moves`).
 """
 
 import itertools
@@ -14,7 +15,7 @@ from borelgb.borel import (borel_closure, borel_compare, borel_member,
                            factorization_step,
                            min_borel_divisor, min_borel_divisor_bruteforce,
                            reverse_step_toward)
-from borelgb.monomials import Monomial, compare, parse_monomial
+from borelgb.monomials import Monomial, apply_move, compare, parse_monomial
 
 
 def M(text, n=4, base=1):
@@ -25,6 +26,55 @@ def all_monomials(n, deg):
     for exps in itertools.product(range(deg + 1), repeat=n):
         if sum(exps) == deg:
             yield Monomial(exps)
+
+
+def closure_by_moves(m, support=None):
+    """Oracle for `borel_closure`: breadth-first search over Borel moves."""
+    allowed = sorted(set(range(1, m.n + 1) if support is None else support))
+    seen = {m}
+    frontier = [m]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for jpos, j in enumerate(allowed):
+                if cur.exps[j - 1] == 0:
+                    continue
+                for i in allowed[:jpos]:
+                    child = apply_move(cur, i, j)
+                    if child not in seen:
+                        seen.add(child)
+                        nxt.append(child)
+        frontier = nxt
+    return tuple(sorted(seen, key=Monomial.grevlex_key))
+
+
+def test_closure_matches_moves_exhaustively():
+    rng = random.Random(41)
+    checked = 0
+    for n in range(0, 5):
+        for deg in range(0, 6):
+            for Mm in all_monomials(n, deg):
+                supports = [None] + [
+                    rng.sample(range(1, n + 1), rng.randint(0, n))
+                    for _ in range(3)]
+                for support in supports:
+                    assert borel_closure(Mm, support) == \
+                        closure_by_moves(Mm, support), (Mm, support)
+                    checked += 1
+    assert checked == 4 * 210
+
+
+def test_closure_of_a_last_variable_walks_every_position():
+    # one member per position: the walk must not recurse with n
+    got = borel_closure(Monomial.variable(1100, 1100))
+    assert got == tuple(Monomial.variable(p, 1100) for p in range(1100, 0, -1))
+
+
+def test_closure_rejects_support_outside_ambient():
+    with pytest.raises(ValueError):
+        borel_closure(M("x2"), support=(0, 2))
+    with pytest.raises(ValueError):
+        borel_closure(M("x2"), support=(2, 5))
 
 
 def test_closure_golden_x2sq_x4():
@@ -52,7 +102,7 @@ def test_member_matches_bfs_closure_exhaustively():
     for n in (1, 2, 3):
         for deg in range(0, 5):
             for Mm in all_monomials(n, deg):
-                closure = set(borel_closure(Mm))
+                closure = set(closure_by_moves(Mm))
                 for m in all_monomials(n, deg):
                     assert borel_member(m, Mm) == (m in closure)
 

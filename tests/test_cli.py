@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from borelgb.cli import main
+from borelgb.monomials import parse_monomial
+from borelgb.quadrics import quadrics_single
+from borelgb.toric import FiberSetup, Limits, ResourceLimitError, enumerate_fiber
 
 TRIANGLE = """vars = 3
 ideal I1: support = x1,x2 ; generator = x2
@@ -222,6 +225,17 @@ def test_input_errors(capsys, tmp_path):
     assert rc == 2 and "not reduced" in err
 
 
+def test_family_without_ideals_exits_2(capsys, tmp_path):
+    p = tmp_path / "empty.fam"
+    p.write_text("vars = 2\n")
+    for argv in (("verify", str(p)), ("verify", str(p), "--method", "spairs"),
+                 ("quadrics", str(p)), ("tmin", str(p), "x1", "1"),
+                 ("fiber-graph", str(p), "x1", "1")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: setup needs a family with at least one ideal\n"
+
+
 def test_out_of_range_numbers_exit_2(capsys):
     for argv in (("verify", "--single", "x2", "-n", "2", "--bound", "0"),
                  ("verify", "--single", "x2", "-n", "2", "--bound", "-3"),
@@ -244,6 +258,34 @@ def test_resource_limit_exit_code(capsys):
                      "--mu", "x1^2*x2^2", "-k", "2", "--max-vertices", "1")
     assert rc == 3
     assert err == "error: fiber exceeded 1 vertices\n"
+
+
+def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
+    """A cap that covers enumeration and the lead tests separately, but not
+    together, trips on both routes through the fiber."""
+    M, mu = parse_monomial("x2^2", 2), parse_monomial("x1^2*x2^2", 2)
+    setup = FiberSetup.single(M)
+    enumeration = next(c for c in range(100) if _enumerates_within(setup, mu, c))
+    lead_tests = len(enumerate_fiber(setup, mu, 2)) * len(quadrics_single(M))
+    assert (enumeration, lead_tests) == (9, 2)
+    cap = max(enumeration, lead_tests)
+    assert cap < enumeration + lead_tests
+    for argv in (("verify", "--single", "x2^2", "-n", "2", "--bound", "2"),
+                 ("fiber-graph", "--single", "x2^2", "-n", "2",
+                  "--mu", "x1^2*x2^2", "-k", "2")):
+        rc, out, err = run(capsys, *argv, "--max-checks", str(cap))
+        assert (rc, out) == (3, "")
+        assert err == f"error: fiber exceeded {cap} divisibility checks\n"
+        rc, _, _ = run(capsys, *argv, "--max-checks", str(cap + lead_tests))
+        assert rc == 0
+
+
+def _enumerates_within(setup, mu, cap):
+    try:
+        enumerate_fiber(setup, mu, 2, limits=Limits(max_checks=cap))
+    except ResourceLimitError:
+        return False
+    return True
 
 
 def test_base_zero_round_trip(capsys):

@@ -1,18 +1,21 @@
 """The quadratic generating sets: exchange and sorted forms for one closure,
 the three shapes for a reduced family, and squarefreeness of every lead."""
 
+import itertools
 import random
 
 import pytest
 
 from borelgb.borel import borel_closure
-from borelgb.families import parse_family, random_interval_family
-from borelgb.monomials import parse_monomial
+from borelgb.families import (parse_family, random_interval_family,
+                              random_principal_borel_family, reduce_family)
+from borelgb.monomials import Monomial, apply_move, parse_monomial
 from borelgb.quadrics import (first_non_squarefree_lead, quadrics_bs_form,
                               quadrics_multi, quadrics_single)
 from borelgb.sorting import borel_sort
-from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct,
-                           certify, fiber_graph, iterate_images)
+from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TermOrder,
+                           TProduct, certify, fiber_graph, iterate_images,
+                           sort_binomials)
 
 TRIANGLE = """vars = 3
 ideal I1: support = x1,x2 ; generator = x2
@@ -164,3 +167,117 @@ def test_first_non_squarefree_lead_detects():
                       GeneratorVar(0, parse_monomial("x2^2", n))))
     bad = Binomial(sq, other)
     assert first_non_squarefree_lead([bad]) is bad
+
+
+# Oracles for the exchange quadrics: one hand-written loop per shape, each
+# moving both generators in both directions where the library moves one.
+
+def exchanges_single_by_loops(M):
+    gens = borel_closure(M)
+    gset = set(gens)
+    order = TermOrder()
+    unit = Monomial.unit(M.n)
+    out = set()
+    for m in gens:
+        for n in gens:
+            for j in m.support():
+                for i in n.support():
+                    if i >= j:
+                        continue
+                    m2 = apply_move(m, i, j)
+                    n2 = apply_move(n, j, i)
+                    if n2 not in gset:
+                        continue
+                    u = TProduct(unit, (GeneratorVar(0, m), GeneratorVar(0, n)))
+                    v = TProduct(unit, (GeneratorVar(0, m2), GeneratorVar(0, n2)))
+                    if u == v:
+                        continue
+                    out.add(Binomial.make(u, v, order))
+    return sort_binomials(out)
+
+
+def exchanges_multi_by_loops(family):
+    """(within-block, cross-block) exchange quadrics of a reduced family."""
+    order = TermOrder()
+    unit = Monomial.unit(family.n)
+    closures = family.closures()
+    supports = [e.poset.positions() for e in family.entries]
+
+    fiber_principal = set()
+    for idx, e in enumerate(family.entries, start=1):
+        gset = set(closures[idx - 1])
+        for m in closures[idx - 1]:
+            for n_ in closures[idx - 1]:
+                for j in m.support():
+                    if j not in e.poset.support:
+                        continue
+                    for i in n_.support():
+                        if i >= j or i not in e.poset.support:
+                            continue
+                        m2 = apply_move(m, i, j)
+                        n2 = apply_move(n_, j, i)
+                        if m2 not in gset or n2 not in gset:
+                            continue
+                        u = TProduct(unit, (GeneratorVar(idx, m),
+                                            GeneratorVar(idx, n_)))
+                        v = TProduct(unit, (GeneratorVar(idx, m2),
+                                            GeneratorVar(idx, n2)))
+                        if u == v:
+                            continue
+                        fiber_principal.add(Binomial.make(u, v, order))
+
+    fiber_biprincipal = set()
+    for ia, ib in itertools.combinations(range(1, family.r + 1), 2):
+        shared = sorted(set(supports[ia - 1]) & set(supports[ib - 1]))
+        set_a = set(closures[ia - 1])
+        set_b = set(closures[ib - 1])
+        for s, t in itertools.combinations(shared, 2):
+            for m in closures[ia - 1]:
+                if m.exps[s - 1] == 0:
+                    continue
+                m2 = apply_move(m, t, s)
+                if m2 not in set_a:
+                    continue
+                for n_ in closures[ib - 1]:
+                    if n_.exps[t - 1] == 0:
+                        continue
+                    n2 = apply_move(n_, s, t)
+                    if n2 not in set_b:
+                        continue
+                    u = TProduct(unit, (GeneratorVar(ia, m), GeneratorVar(ib, n_)))
+                    v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
+                    if u == v:
+                        continue
+                    fiber_biprincipal.add(Binomial.make(u, v, order))
+    return sort_binomials(fiber_principal), sort_binomials(fiber_biprincipal)
+
+
+def texts(binomials):
+    return [b.text() for b in binomials]
+
+
+def test_single_exchanges_match_loops_on_every_small_closure():
+    closures = 0
+    for n in range(1, 5):
+        for exps in itertools.product(range(4), repeat=n):
+            if not 1 <= sum(exps) <= 3:
+                continue
+            M = Monomial(exps)
+            assert texts(quadrics_single(M)) == \
+                texts(exchanges_single_by_loops(M)), M
+            closures += 1
+    assert closures == 3 + 9 + 19 + 34
+
+
+def test_family_exchanges_match_loops_on_random_families():
+    rng = random.Random(59)
+    seen_cross = 0
+    for i in range(80):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fam, _ = reduce_family(draw(rng, rng.randint(2, 5), rng.randint(1, 4)))
+        q = quadrics_multi(fam)
+        principal, biprincipal = exchanges_multi_by_loops(fam)
+        assert texts(q.fiber_principal) == texts(principal)
+        assert texts(q.fiber_biprincipal) == texts(biprincipal)
+        seen_cross += bool(biprincipal)
+    assert seen_cross > 10

@@ -294,6 +294,11 @@ def test_iterate_images_single_matches_products():
     assert checked == 65
 
 
+def test_setup_needs_an_ideal():
+    with pytest.raises(ValueError, match="at least one ideal"):
+        FiberSetup.for_family(parse_family("vars = 2\n"))
+
+
 def test_iterate_images_multi_includes_lcms():
     tri = parse_family(TRIANGLE)
     setup = FiberSetup.for_family(tri)
