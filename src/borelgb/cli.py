@@ -18,8 +18,8 @@ from .families import (incidence_matrix, find_lfree_column_order,
 from .monomials import AmbientMismatch, ParseError, parse_monomial, parse_power_product
 from .quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from .sorting import borel_sort
-from .toric import (FiberSetup, Limits, ResourceLimitError, certify,
-                    fiber_graph, spair_certificate, t_min, to_dot,
+from .toric import (FiberSetup, Limits, ResourceLimitError, SpairLimitError,
+                    certify, fiber_graph, spair_certificate, t_min, to_dot,
                     verify_groebner_by_fibers)
 
 
@@ -150,7 +150,10 @@ def cmd_verify(args):
         report = verify_groebner_by_fibers(setup, quads, args.bound,
                                            limits=_limits(args), jobs=args.jobs)
     else:
-        report = spair_certificate(quads, setup.order, limits=_limits(args))
+        try:
+            report = spair_certificate(quads, setup.order, limits=_limits(args))
+        except SpairLimitError as exc:  # name the pair as the FAIL line would
+            raise ResourceLimitError(exc.text(base, tagged)) from None
     for line in report.lines(base, tagged):
         print(line)
     return 0 if report.passed else 1
@@ -240,8 +243,8 @@ def _add_limit_flags(sub):
                      help="per-fiber divisibility-check budget for the fiber "
                           "route (default 10^7)")
     sub.add_argument("--max-steps", type=budget, default=100_000,
-                     help="rewrite-step budget for the S-pair route "
-                          "(default 100000)")
+                     help="rewrite-step budget for the whole S-pair run, "
+                          "all pairs together (default 100000)")
 
 
 def build_parser():

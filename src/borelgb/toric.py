@@ -21,13 +21,27 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .borel import borel_closure, borel_member, min_borel_divisor
-from .monomials import Monomial, lcm, restrict
+from .monomials import AmbientMismatch, Monomial, _check_ambient, lcm, restrict
 from .monomials import expand as expand_monomial
 from .sorting import borel_sort
 
 
 class ResourceLimitError(RuntimeError):
     """A run exceeded its configured resource budget."""
+
+
+class SpairLimitError(ResourceLimitError):
+    """The S-pair route used up its rewrite steps while reducing `pair`."""
+
+    def __init__(self, max_steps, pair):
+        self.max_steps = max_steps
+        self.pair = pair
+        super().__init__(self.text())
+
+    def text(self, base=1, tagged=True):
+        a, b = self.pair
+        return (f"S-pair route exceeded {self.max_steps} rewrite steps at spair "
+                f"[{a.text(base, tagged)}] [{b.text(base, tagged)}]")
 
 
 class Limits:
@@ -65,11 +79,10 @@ class _Budget:
             raise ResourceLimitError(
                 f"fiber exceeded {self.limits.max_checks} divisibility checks")
 
-    def count_step(self):
+    def count_step(self, pair):
         self.steps += 1
         if self.steps > self.limits.max_steps:
-            raise ResourceLimitError(
-                f"reduction exceeded {self.limits.max_steps} rewrite steps")
+            raise SpairLimitError(self.limits.max_steps, pair)
 
 
 _key = operator.attrgetter("key")
@@ -119,6 +132,16 @@ class TProduct:
         # Ascending key = ascending term order (see TermOrder).
         self.key = (tuple(t.key for t in tvars), xpart.exps)
 
+    @classmethod
+    def _sorted(cls, xpart, tvars):
+        """A T-product from T-variables already in descending key order and
+        already checked against the ambient ring of `xpart`."""
+        out = cls.__new__(cls)
+        out.xpart = xpart
+        out.tvars = tvars
+        out.key = (tuple(t.key for t in tvars), xpart.exps)
+        return out
+
     @property
     def tdegree(self):
         return len(self.tvars)
@@ -137,29 +160,57 @@ class TProduct:
         return out
 
     def times(self, other):
-        return TProduct(self.xpart * other.xpart, self.tvars + other.tvars)
+        return TProduct._sorted(self.xpart * other.xpart, tuple(
+            sorted(self.tvars + other.tvars, key=_key, reverse=True)))
+
+    # divides, quotient and lcm_with merge the two T-variable lists, which
+    # both run in descending key order and keys name variables uniquely.
 
     def divides(self, other):
-        if not self.xpart.divides(other.xpart):
-            return False
-        have = Counter(other.tvars)
+        _check_ambient(self.xpart, other.xpart)
+        theirs = other.tvars
+        j, end = 0, len(theirs)
         for t in self.tvars:
-            if have[t] == 0:
+            k = t.key
+            while j < end and theirs[j].key > k:
+                j += 1
+            if j == end or theirs[j].key != k:
                 return False
-            have[t] -= 1
-        return True
+            j += 1
+        return self.xpart.divides(other.xpart)
 
     def quotient(self, other):
         """Exact division by `other`; raises ValueError when it does not divide."""
-        left = Counter(self.tvars)
-        left.subtract(Counter(other.tvars))
-        if any(c < 0 for c in left.values()):
-            raise ValueError(f"{other} does not divide {self}")
-        return TProduct(self.xpart / other.xpart, tuple(left.elements()))
+        mine = self.tvars
+        i, end = 0, len(mine)
+        left = []
+        for t in other.tvars:
+            k = t.key
+            while i < end and mine[i].key > k:
+                left.append(mine[i])
+                i += 1
+            if i == end or mine[i].key != k:
+                raise ValueError(f"{other} does not divide {self}")
+            i += 1
+        left.extend(mine[i:])
+        return TProduct._sorted(self.xpart / other.xpart, tuple(left))
 
     def lcm_with(self, other):
-        tv = Counter(self.tvars) | Counter(other.tvars)
-        return TProduct(lcm(self.xpart, other.xpart), tuple(tv.elements()))
+        a, b = self.tvars, other.tvars
+        i = j = 0
+        out = []
+        while i < len(a) and j < len(b):
+            ka, kb = a[i].key, b[j].key
+            if ka >= kb:
+                out.append(a[i])
+                i += 1
+                j += ka == kb
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return TProduct._sorted(lcm(self.xpart, other.xpart), tuple(out))
 
     def is_squarefree(self):
         return (all(e <= 1 for e in self.xpart.exps)
@@ -603,51 +654,85 @@ def spair_certificate(quadrics, order, limits=None):
     The S-binomial of two pure differences is the pure difference of the two
     lcm-completions; it reduces to zero iff rewriting larger sides by matching
     leads reaches equality.  Pairs with coprime leads are skipped (their
-    S-binomials always reduce to zero).  Independent of the fiber-graph route.
+    S-binomials always reduce to zero): they are counted but never formed.
+    Pairs run in basis order, (a, b) with a before b, and each rewrite uses
+    the first basis element whose lead divides the term, so the first
+    survivor and the step count do not depend on the indexes used to find
+    them.  `limits.max_steps` caps the rewrite steps of the whole run.
+    Independent of the fiber-graph route.
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
+    if len({g.lead.xpart.n for g in basis}) > 1:
+        # Coprime pairs are never formed, so no lcm would catch this.
+        raise AmbientMismatch("quadrics live in different ambient rings")
+    # Leads are coprime exactly when they share no atom: no T-variable and
+    # no x-position (T-variable keys are tuples, positions ints).
+    atoms = [{t.key for t in g.lead.tvars} | set(g.lead.xpart.support())
+             for g in basis]
+    holders = {}
+    for i, held in enumerate(atoms):
+        for atom in held:
+            holders.setdefault(atom, []).append(i)
+    # Each lead under its largest T-variable (None when it has none).
+    buckets = {}
+    for i, g in enumerate(basis):
+        tvars = g.lead.tvars
+        buckets.setdefault(tvars[0].key if tvars else None, []).append(i)
     checked = skipped = 0
-    for ai in range(len(basis)):
-        for bi in range(ai + 1, len(basis)):
-            a, b = basis[ai], basis[bi]
-            top = a.lead.lcm_with(b.lead)
-            if top == a.lead.times(b.lead):
-                skipped += 1
-                continue
+    for ai, a in enumerate(basis):
+        partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
+                           if bi > ai})
+        for pos, bi in enumerate(partners):
+            b = basis[bi]
             checked += 1
+            top = a.lead.lcm_with(b.lead)
             u = top.quotient(a.lead).times(a.tail)
             v = top.quotient(b.lead).times(b.tail)
-            nf = _reduce_difference(u, v, basis, order, budget)
+            nf = _reduce_difference(u, v, (a, b), basis, buckets, order, budget)
             if nf is not None:
+                # The coprime pairs before b in a's row were skipped too.
+                skipped += bi - ai - 1 - pos
                 return SpairReport(False, (a, b), nf, checked, skipped)
+        skipped += len(basis) - 1 - ai - len(partners)
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _reduce_difference(u, v, basis, order, budget):
+def _reduce_difference(u, v, pair, basis, buckets, order, budget):
     """Full normal form of u - v under the basis; None when it reaches zero."""
     while True:
         if u == v:
             return None
         if order.compare(u, v) < 0:
             u, v = v, u
-        budget.count_step()
-        step = _rewrite_once(u, basis)
+        budget.count_step(pair)
+        step = _rewrite_once(u, basis, buckets)
         if step is not None:
             u = step
             continue
-        step = _rewrite_once(v, basis)
+        step = _rewrite_once(v, basis, buckets)
         if step is not None:
             v = step
             continue
         return (u, v)
 
 
-def _rewrite_once(term, basis):
-    for g in basis:
-        if g.lead.divides(term):
-            return term.quotient(g.lead).times(g.tail)
-    return None
+def _rewrite_once(term, basis, buckets):
+    """term / lead * tail for the first basis element whose lead divides the
+    term, or None.  Such a lead's largest T-variable is one of the term's, so
+    only those buckets and the T-free one can hold it."""
+    best = len(basis)
+    for k in {None, *term.key[0]}:
+        for i in buckets.get(k, ()):
+            if i >= best:
+                break
+            if basis[i].lead.divides(term):
+                best = i
+                break
+    if best == len(basis):
+        return None
+    g = basis[best]
+    return term.quotient(g.lead).times(g.tail)
 
 
 def t_min(family, mu, beta):

@@ -260,6 +260,34 @@ def test_resource_limit_exit_code(capsys):
     assert err == "error: fiber exceeded 1 vertices\n"
 
 
+def test_spair_budget_names_route_and_pair(capsys):
+    """--max-steps binds the whole S-pair run; its trip names the pair being
+    reduced the way a FAIL line would, in the command's variable names."""
+    pair = ("[T[x1^2*x4]*T[x2^2*x4] - T[x1*x2*x4]*T[x1*x2*x4]] "
+            "[T[x1^2*x3]*T[x2^2*x4] - T[x2^2*x3]*T[x1^2*x4]]")
+    rc, out, err = run(capsys, "verify", "--single", "x2^2*x4", "-n", "4",
+                       "--method", "spairs", "--max-steps", "1")
+    assert (rc, out) == (3, "")
+    assert err == f"error: S-pair route exceeded 1 rewrite steps at spair {pair}\n"
+    rc, _, err = run(capsys, "verify", "--single", "x1^2*x3", "-n", "4", "--base",
+                     "0", "--method", "spairs", "--max-steps", "1")
+    shifted = pair.replace("x1", "x0").replace("x2", "x1").replace(
+        "x3", "x2").replace("x4", "x3")
+    assert (rc, err) == (3, f"error: S-pair route exceeded 1 rewrite steps "
+                            f"at spair {shifted}\n")
+
+
+def test_spair_budget_names_tagged_pair_of_a_family(capsys, tmp_path):
+    p = tmp_path / "chain.txt"
+    p.write_text(EX_FAMILY)
+    rc, out, err = run(capsys, "verify", str(p), "--method", "spairs",
+                       "--max-steps", "3")
+    assert (rc, out) == (3, "")
+    assert err == ("error: S-pair route exceeded 3 rewrite steps at spair "
+                   "[x2*T[t5:x1^2*x2] - x1*T[t5:x1*x2^2]] "
+                   "[T[t4:x1^2*x3]*T[t5:x1^2*x2] - T[t4:x1*x2*x3]*T[t5:x1^3]]\n")
+
+
 def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     """A cap that covers enumeration and the lead tests separately, but not
     together, trips on both routes through the fiber."""

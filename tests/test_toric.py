@@ -4,17 +4,20 @@ independent certification routes (unique sinks and S-pair reduction)."""
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from borelgb.borel import borel_closure
-from borelgb.families import parse_family, random_interval_family
-from borelgb.monomials import Monomial, parse_monomial
-from borelgb.quadrics import quadrics_multi, quadrics_single
+from borelgb.families import (parse_family, random_interval_family,
+                              random_principal_borel_family, reduce_family)
+from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
+from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
-                           ResourceLimitError, TermOrder, TProduct, certify,
-                           enumerate_fiber, fiber_graph, iterate_images,
-                           sort_binomials, spair_certificate, t_min, to_dot,
+                           ResourceLimitError, SpairLimitError, SpairReport,
+                           TermOrder, TProduct, certify, enumerate_fiber,
+                           fiber_graph, iterate_images, sort_binomials,
+                           spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
 TRIANGLE = """vars = 3
@@ -245,6 +248,18 @@ def test_fiber_graph_rejects_bad_quadrics():
                     [Binomial(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))])
 
 
+def test_mixed_ambients_are_rejected():
+    """Lead tests and S-pairs across ambient rings raise, as the Counter
+    arithmetic did, instead of reading as coprime or non-dividing."""
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    other = quadrics_single(parse_monomial("x2*x3", 3))
+    with pytest.raises(AmbientMismatch):
+        fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2, other)
+    with pytest.raises(AmbientMismatch):
+        spair_certificate(quadrics_single(parse_monomial("x2^2", 2)) + other,
+                          TermOrder())
+
+
 def test_to_dot_golden():
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     g = fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
@@ -410,6 +425,16 @@ def test_spair_pass_single():
     assert rep.lines() == ["PASS", "certificate: spairs"]
 
 
+def test_spair_pair_counts_pinned():
+    """Coprime pairs are counted, not formed; these counts pin the pruning."""
+    M5 = parse_monomial("x2*x3*x5", 5)
+    rep = spair_certificate(quadrics_single(M5), TermOrder())
+    assert (rep.passed, rep.pairs_checked, rep.pairs_skipped) == (True, 2451, 8280)
+    chain = parse_family(EX_FAMILY)
+    rep = spair_certificate(quadrics_multi(chain).all(), TermOrder())
+    assert (rep.passed, rep.pairs_checked, rep.pairs_skipped) == (True, 151, 552)
+
+
 def test_spair_fail_triangle():
     tri = parse_family(TRIANGLE)
     setup = FiberSetup.for_family(tri)
@@ -481,3 +506,202 @@ def test_resource_limits_trip():
     with pytest.raises(ResourceLimitError):
         verify_groebner_by_fibers(setup, quadrics_single(
             parse_monomial("x2^2", 2)), 2, limits=Limits(max_checks=1))
+
+
+# --- The S-pair route before its indexes, kept as an oracle -------------------
+#
+# Every pair is formed and its lcm built to detect coprime leads, every
+# rewrite scans the whole basis, and T-product arithmetic counts T-variables
+# with `Counter`s or re-sorts them in the constructor.
+
+
+def _counter_divides(a, b):
+    if not a.xpart.divides(b.xpart):
+        return False
+    have = Counter(b.tvars)
+    for t in a.tvars:
+        if have[t] == 0:
+            return False
+        have[t] -= 1
+    return True
+
+
+def _counter_quotient(a, b):
+    left = Counter(a.tvars)
+    left.subtract(Counter(b.tvars))
+    if any(c < 0 for c in left.values()):
+        raise ValueError(f"{b} does not divide {a}")
+    return TProduct(a.xpart / b.xpart, tuple(left.elements()))
+
+
+def _counter_lcm(a, b):
+    tv = Counter(a.tvars) | Counter(b.tvars)
+    return TProduct(lcm(a.xpart, b.xpart), tuple(tv.elements()))
+
+
+def _times_by_sorting(a, b):
+    return TProduct(a.xpart * b.xpart, a.tvars + b.tvars)
+
+
+def _tvar_pools():
+    """(n, GeneratorVars) from single closures and from family blocks."""
+    for text, n in (("x2*x3^2", 3), ("x2*x4", 4), ("x3^2", 3)):
+        yield n, [GeneratorVar(0, g) for g in borel_closure(parse_monomial(text, n))]
+    rng = random.Random(73)
+    for _ in range(4):
+        fam = random_interval_family(rng, 4, 3)
+        yield 4, [t for b in FiberSetup.for_family(fam).blocks for t in b.tvars]
+
+
+def test_merge_arithmetic_matches_counter_oracles():
+    """divides, quotient, lcm_with and times against the Counter and
+    sorting versions, with repeated T-variables, non-divisors and T-parts
+    that divide over x parts that do not."""
+    rng = random.Random(79)
+    cases = Counter()
+
+    def draw(n, pool, most):
+        tvars = [rng.choice(pool) for _ in range(rng.randint(0, most))]
+        return TProduct(Monomial(tuple(rng.randint(0, 2) for _ in range(n))), tvars)
+
+    for n, pool in _tvar_pools():
+        for _ in range(400):
+            a = draw(n, pool, 3)
+            kind = rng.randrange(3)
+            if kind == 0:  # an unrelated T-product
+                b = draw(n, pool, 4)
+            elif kind == 1:  # a multiple of a
+                b = a.times(draw(n, pool, 2))
+            else:  # a's T-part times more, over an x part a's need not divide
+                b = TProduct(draw(n, pool, 0).xpart, a.tvars).times(
+                    TProduct(Monomial.unit(n), [rng.choice(pool)]))
+            divides = _counter_divides(a, b)
+            assert a.divides(b) == divides
+            if divides:
+                assert b.quotient(a) == _counter_quotient(b, a)
+            else:
+                with pytest.raises(ValueError):
+                    b.quotient(a)
+                with pytest.raises(ValueError):
+                    _counter_quotient(b, a)
+            assert a.times(b) == _times_by_sorting(a, b)
+            assert a.lcm_with(b) == _counter_lcm(a, b)
+            assert b.lcm_with(a) == _counter_lcm(b, a)
+            cases["divides" if divides else "not"] += 1
+            cases["repeated"] += len(set(b.tvars)) < len(b.tvars)
+            cases["x mismatch"] += (not divides and _counter_divides(
+                TProduct(b.xpart, a.tvars), b))
+    assert min(cases.values()) > 200, cases
+
+
+class _OracleSteps:
+    """Rewrite steps of the oracle route and the pair of the last one: a
+    budget one step smaller trips while reducing that pair."""
+
+    def __init__(self):
+        self.steps = 0
+        self.last_pair = None
+
+    def count_step(self, pair):
+        self.steps += 1
+        self.last_pair = pair
+
+
+def _spairs_by_scanning(quadrics, order):
+    """(SpairReport, _OracleSteps) of the unindexed S-pair route."""
+    budget = _OracleSteps()
+    basis = sort_binomials(quadrics)
+    checked = skipped = 0
+    for ai in range(len(basis)):
+        for bi in range(ai + 1, len(basis)):
+            a, b = basis[ai], basis[bi]
+            top = _counter_lcm(a.lead, b.lead)
+            if top == _times_by_sorting(a.lead, b.lead):
+                skipped += 1
+                continue
+            checked += 1
+            u = _times_by_sorting(_counter_quotient(top, a.lead), a.tail)
+            v = _times_by_sorting(_counter_quotient(top, b.lead), b.tail)
+            nf = _reduce_by_scanning(u, v, (a, b), basis, order, budget)
+            if nf is not None:
+                return SpairReport(False, (a, b), nf, checked, skipped), budget
+    return SpairReport(True, None, None, checked, skipped), budget
+
+
+def _reduce_by_scanning(u, v, pair, basis, order, budget):
+    while True:
+        if u == v:
+            return None
+        if order.compare(u, v) < 0:
+            u, v = v, u
+        budget.count_step(pair)
+        step = _rewrite_by_scanning(u, basis)
+        if step is not None:
+            u = step
+            continue
+        step = _rewrite_by_scanning(v, basis)
+        if step is not None:
+            v = step
+            continue
+        return (u, v)
+
+
+def _rewrite_by_scanning(term, basis):
+    for g in basis:
+        if _counter_divides(g.lead, term):
+            return _times_by_sorting(_counter_quotient(term, g.lead), g.tail)
+    return None
+
+
+def _report_fields(rep):
+    return (rep.passed, rep.pair, rep.normal_form, rep.pairs_checked,
+            rep.pairs_skipped)
+
+
+def _spair_inputs():
+    """Quadric sets: every single closure with n <= 4, deg <= 3 in both
+    forms, seeded random families and the triangle family."""
+    for n in (1, 2, 3, 4):
+        for deg in (1, 2, 3):
+            for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
+                yield f"{M} exchange", quadrics_single(M)
+                yield f"{M} sorted", quadrics_bs_form(M)
+    rng = random.Random(67)
+    for i in range(40):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fam, _ = reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))
+        yield f"family draw {i}", quadrics_multi(fam).all()
+    yield "triangle", quadrics_multi(parse_family(TRIANGLE)).all()
+    # The route validates nothing, so a lead without T-variables (here the
+    # x-rule x1 -> x2) is rewritten with too.
+    yield "chain with an x-rule", quadrics_multi(parse_family(EX_FAMILY)).all() + (
+        Binomial(tp("x1", 4), tp("x2", 4)),)
+
+
+def test_spair_route_matches_scanning_oracle():
+    """Same report and same rewrite steps on every input, and on every
+    passing input with one quadric dropped, so FAIL paths are compared too;
+    a step budget one short trips on both routes while reducing the same
+    pair."""
+    order = TermOrder()
+    rng = random.Random(71)
+    compared = failing = tripped = 0
+    for label, quads in _spair_inputs():
+        pending = [quads]
+        while pending:
+            qs = pending.pop()
+            want, run = _spairs_by_scanning(qs, order)
+            if qs is quads and want.passed and len(quads) > 1:
+                drop = rng.randrange(len(quads))
+                pending.append(quads[:drop] + quads[drop + 1:])
+            got = spair_certificate(qs, order, Limits(max_steps=run.steps))
+            assert _report_fields(got) == _report_fields(want), label
+            compared += 1
+            failing += not want.passed
+            if run.steps == 0:
+                continue
+            with pytest.raises(SpairLimitError) as trip:
+                spair_certificate(qs, order, Limits(max_steps=run.steps - 1))
+            assert trip.value.pair == run.last_pair, label
+            tripped += 1
+    assert compared > 200 and failing > 40 and tripped > 100
