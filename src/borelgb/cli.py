@@ -129,8 +129,8 @@ def cmd_fiber_graph(args):
         print(f"v{i}: {v.label(base, tagged)}")
     for u, v, qi in graph.edges:
         print(f"v{u} -> v{v} [q{qi}]")
-    _, sinks = certify(graph)
-    sink_ids = [i for i, v in enumerate(graph.vertices) if v in set(sinks)]
+    sinks = set(certify(graph)[1])
+    sink_ids = [i for i, v in enumerate(graph.vertices) if v in sinks]
     print("sinks: " + " ".join(f"v{i}" for i in sink_ids))
     return 0
 
@@ -217,7 +217,8 @@ def cmd_quadrics(args):
 def _add_single_flags(sub, with_form=True):
     sub.add_argument("--single", metavar="MONOMIAL",
                      help="single-closure mode: the principal generator")
-    sub.add_argument("-n", type=int, help="ambient variable count (single mode)")
+    sub.add_argument("-n", type=_int_at_least(1),
+                     help="ambient variable count (single mode)")
     sub.add_argument("--base", type=int, choices=(0, 1), default=1,
                      help="first variable name is x{base} (single mode; default 1)")
     if with_form:
@@ -256,7 +257,8 @@ def build_parser():
 
     p = subs.add_parser("closure", help="list a (support-restricted) Borel closure")
     p.add_argument("monomial")
-    p.add_argument("-n", type=int, required=True, help="ambient variable count")
+    p.add_argument("-n", type=_int_at_least(1), required=True,
+                   help="ambient variable count")
     p.add_argument("--base", type=int, choices=(0, 1), default=1)
     p.add_argument("--support", help="comma-separated variables, e.g. x3,x4")
     p.set_defaults(func=cmd_closure)
@@ -265,7 +267,7 @@ def build_parser():
     p.add_argument("generator", help="the principal generator M")
     p.add_argument("product", help="the monomial to factor")
     p.add_argument("k", type=int, help="number of factors")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_at_least(1), required=True)
     p.add_argument("--base", type=int, choices=(0, 1), default=1)
     p.set_defaults(func=cmd_sort)
 

@@ -20,7 +20,7 @@ import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
-from .borel import borel_closure, borel_member, min_borel_divisor
+from .borel import borel_closure, min_borel_divisor
 from .monomials import AmbientMismatch, Monomial, _check_ambient, lcm, restrict
 from .monomials import expand as expand_monomial
 from .sorting import borel_sort
@@ -300,10 +300,16 @@ def sort_binomials(binomials):
 
 
 class _Block:
-    """One block of a fiber setup: a generator list closed under its moves."""
+    """One block of a fiber setup: a generator list closed under its moves.
+
+    Generators are numbered by their index in `gens_desc`.  `masks[i][e]` is
+    the bitset of those whose exponent at 0-based position i is at most e,
+    for e below the largest such exponent.  `caps` are the pivot's suffix
+    sums over its support positions `slots`, listed last first.
+    """
 
     __slots__ = ("block_id", "pivot", "support", "gens_desc", "gens_set",
-                 "tvars")
+                 "tvars", "exps", "masks", "slots", "caps")
 
     def __init__(self, block_id, pivot, support, gens_asc):
         self.block_id = block_id
@@ -312,6 +318,14 @@ class _Block:
         self.gens_desc = tuple(reversed(gens_asc))
         self.gens_set = frozenset(gens_asc)
         self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
+        self.exps = tuple(g.exps for g in self.gens_desc)
+        self.masks = tuple(
+            tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
+                  for e in range(max(column)))
+            for column in zip(*self.exps))
+        self.slots = tuple(sorted(range(pivot.n) if support is None
+                                  else {p - 1 for p in support}, reverse=True))
+        self.caps = tuple(itertools.accumulate(pivot.exps[i] for i in self.slots))
 
 
 class FiberSetup:
@@ -365,14 +379,20 @@ class FiberSetup:
         return beta
 
 
-def _block_fits(block, rem, quotient, exact):
-    """Whether `rem` generators of the block can still divide `quotient`."""
-    if rem == 0:
+def _block_fits(block, cap, q, exact):
+    """Whether the block can still divide the exponent tuple q with rem more
+    generators, `cap` being rem times its `caps` (empty when rem is 0): q in
+    Borel(pivot^rem) for exact blocks (single setups, all positions), else a
+    divisor found by the greedy of `min_borel_divisor` over the support."""
+    if not cap:
         return True
     if exact:
-        return borel_member(quotient, block.pivot, rem)
-    return min_borel_divisor(block.pivot, rem, quotient,
-                             support=block.support) is not None
+        sums = tuple(itertools.accumulate(reversed(q)))
+        return sums[-1] == cap[-1] and all(map(operator.le, sums, cap))
+    taken = 0
+    for i, c in zip(block.slots, cap):
+        taken = min(taken + q[i], c)
+    return taken == cap[-1]
 
 
 def enumerate_fiber(setup, mu, beta, limits=None):
@@ -391,40 +411,56 @@ def _enumerate(setup, mu, beta, budget):
     if mu.n != setup.n:
         raise ValueError("ambient mismatch between image and setup")
     exact = setup.kind == "single"
+    # bounds[bi][rem]: rem times block bi's pivot suffix sums over its slots.
+    bounds = [[tuple(rem * c for c in block.caps) if rem else ()
+               for rem in range(k + 1)] for block, k in zip(setup.blocks, beta)]
     out = []
     chosen = []
 
-    def rec_block(bi, quotient):
+    def rec_block(bi, q):
         if bi == len(setup.blocks):
-            if exact and not quotient.is_unit:
+            if exact and any(q):
                 raise AssertionError("exact enumeration left a remainder")
             budget.count_vertex()
-            out.append(TProduct(quotient, tuple(chosen)))
+            out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
             return
-        block = setup.blocks[bi]
-        if not _block_fits(block, beta[bi], quotient, exact):
+        block, caps = setup.blocks[bi], bounds[bi]
+        if not _block_fits(block, caps[beta[bi]], q, exact):
             return
-        gens = block.gens_desc
+        exps, masks, tvars = block.exps, block.masks, block.tvars
+        end = len(exps)
+        full = (1 << end) - 1
 
-        def rec_pick(start, rem, quotient):
+        def rec_pick(start, rem, q):
             if rem == 0:
-                rec_block(bi + 1, quotient)
+                rec_block(bi + 1, q)
                 return
-            for gi in range(start, len(gens)):
-                g = gens[gi]
-                budget.count_check()
-                if not g.divides(quotient):
+            # The generators from `start` on that divide q.  Every generator
+            # from `start` on costs one check, charged up to each candidate
+            # before it is tried, so a budget trips where a one-by-one
+            # charge would.
+            fits = full >> start << start
+            for e, m in zip(q, masks):
+                if e < len(m):
+                    fits &= m[e]
+            charged = start
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                gi = low.bit_length() - 1
+                budget.count_check(gi + 1 - charged)
+                charged = gi + 1
+                q2 = tuple(map(operator.sub, q, exps[gi]))
+                if not _block_fits(block, caps[rem - 1], q2, exact):
                     continue
-                q2 = quotient / g
-                if not _block_fits(block, rem - 1, q2, exact):
-                    continue
-                chosen.append(block.tvars[gi])
+                chosen.append(tvars[gi])
                 rec_pick(gi, rem - 1, q2)
                 chosen.pop()
+            budget.count_check(end - charged)
 
-        rec_pick(0, beta[bi], quotient)
+        rec_pick(0, beta[bi], q)
 
-    rec_block(0, mu)
+    rec_block(0, mu.exps)
     return setup.order.sort(out)
 
 
@@ -585,11 +621,10 @@ def _check_quadrics(setup, quadrics):
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
 
 
-def _examine_image(task):
+def _examine_image(setup, quadrics, limits, mu, beta):
     # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.
-    setup, quadrics, mu, beta, limits = task
     budget = _Budget(limits)
     vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
     if len(vertices) <= 1:
@@ -597,6 +632,20 @@ def _examine_image(task):
     budget.count_check(len(vertices) * len(quadrics))
     return (mu, beta, tuple(u for u in vertices
                             if not any(q.lead.divides(u) for q in quadrics)))
+
+
+# (setup, quadrics, limits) of a pool worker's sweep, sent once per worker
+# so that each task carries only its image.
+_worker_sweep = None
+
+
+def _start_worker(*sweep):
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _examine_in_worker(image):
+    return _examine_image(*_worker_sweep, *image)
 
 
 def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
@@ -612,12 +661,13 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
     _check_quadrics(setup, quadrics)
     limits = limits or Limits()
     images = iterate_images(setup, bound)
-    tasks = [(setup, quadrics, mu, beta, limits) for mu, beta in images]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_examine_image, tasks, chunksize=8))
+    if jobs > 1 and len(images) > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(setup, quadrics, limits)) as pool:
+            results = list(pool.map(_examine_in_worker, images, chunksize=8))
     else:
-        results = [_examine_image(t) for t in tasks]
+        results = [_examine_image(setup, quadrics, limits, mu, beta)
+                   for mu, beta in images]
     failures = tuple((mu, beta if setup.kind == "multi" else None, sinks)
                      for mu, beta, sinks in results if len(sinks) > 1)
     return VerifyReport(not failures, failures, f"fibers bound={bound}", len(images))

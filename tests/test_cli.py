@@ -253,6 +253,22 @@ def test_out_of_range_numbers_exit_2(capsys):
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
+def test_ambient_count_below_one_exits_2(capsys):
+    for n in ("0", "-1"):
+        for argv in (("closure", "x1", "-n", n), ("closure", "1", "-n", n),
+                     ("sort", "x1", "x1", "1", "-n", n),
+                     ("fiber-graph", "--single", "x1", "-n", n,
+                      "--mu", "x1", "-k", "1"),
+                     ("verify", "--single", "x1", "-n", n),
+                     ("quadrics", "--single", "x1", "-n", n)):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument -n: must be at least 1, got {n}" in captured.err
+
+
 def test_resource_limit_exit_code(capsys):
     rc, _, err = run(capsys, "fiber-graph", "--single", "x2^2", "-n", "2",
                      "--mu", "x1^2*x2^2", "-k", "2", "--max-vertices", "1")

@@ -8,16 +8,16 @@ from collections import Counter
 
 import pytest
 
-from borelgb.borel import borel_closure
+from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.families import (parse_family, random_interval_family,
                               random_principal_borel_family, reduce_family)
 from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TermOrder, TProduct, certify, enumerate_fiber,
-                           fiber_graph, iterate_images, sort_binomials,
-                           spair_certificate, t_min, to_dot,
+                           TermOrder, TProduct, _Budget, _enumerate, certify,
+                           enumerate_fiber, fiber_graph, iterate_images,
+                           sort_binomials, spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
 TRIANGLE = """vars = 3
@@ -401,6 +401,17 @@ def test_verify_jobs_match():
     assert seq.images_checked == par.images_checked
 
 
+def test_verify_jobs_match_on_a_failing_family():
+    tri = parse_family(TRIANGLE)
+    setup = FiberSetup.for_family(tri)
+    qs = quadrics_multi(tri).all()
+    seq = verify_groebner_by_fibers(setup, qs, 3)
+    par = verify_groebner_by_fibers(setup, qs, 3, jobs=2)
+    assert not seq.passed
+    assert par.failures == seq.failures
+    assert par.lines() == seq.lines()
+
+
 def test_verify_fail_triangle():
     tri = parse_family(TRIANGLE)
     setup = FiberSetup.for_family(tri)
@@ -506,6 +517,117 @@ def test_resource_limits_trip():
     with pytest.raises(ResourceLimitError):
         verify_groebner_by_fibers(setup, quadrics_single(
             parse_monomial("x2^2", 2)), 2, limits=Limits(max_checks=1))
+
+
+# --- Fiber enumeration before its divisibility bitsets, kept as an oracle ----
+#
+# Every generator from the pick position on is tested against the quotient
+# monomial in turn, one divisibility check each, and the pruning goes through
+# `borel_member` and `min_borel_divisor`.
+
+
+def _fits_by_scanning(block, rem, quotient, exact):
+    if rem == 0:
+        return True
+    if exact:
+        return borel_member(quotient, block.pivot, rem)
+    return min_borel_divisor(block.pivot, rem, quotient,
+                             support=block.support) is not None
+
+
+def _enumerate_by_scanning(setup, mu, beta, budget):
+    exact = setup.kind == "single"
+    out = []
+    chosen = []
+
+    def rec_block(bi, quotient):
+        if bi == len(setup.blocks):
+            assert not exact or quotient.is_unit
+            budget.count_vertex()
+            out.append(TProduct(quotient, tuple(chosen)))
+            return
+        block = setup.blocks[bi]
+        if not _fits_by_scanning(block, beta[bi], quotient, exact):
+            return
+        gens = block.gens_desc
+
+        def rec_pick(start, rem, quotient):
+            if rem == 0:
+                rec_block(bi + 1, quotient)
+                return
+            for gi in range(start, len(gens)):
+                budget.count_check()
+                if not gens[gi].divides(quotient):
+                    continue
+                q2 = quotient / gens[gi]
+                if _fits_by_scanning(block, rem - 1, q2, exact):
+                    chosen.append(block.tvars[gi])
+                    rec_pick(gi, rem - 1, q2)
+                    chosen.pop()
+
+        rec_pick(0, beta[bi], quotient)
+
+    rec_block(0, mu)
+    return TermOrder().sort(out)
+
+
+def _fiber_inputs():
+    """(label, setup, mu, beta): every image up to bound 3 of every single
+    closure with n <= 4, deg <= 3; every image up to bound 2 of seeded family
+    draws, the triangle and the chain family; and the C2 fiber."""
+    for n in (1, 2, 3, 4):
+        for deg in (1, 2, 3):
+            for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
+                setup = FiberSetup.single(M)
+                for mu, k in iterate_images(setup, 3):
+                    yield f"{M} {mu} k={k}", setup, mu, (k,)
+    rng = random.Random(79)
+    families = [("triangle", parse_family(TRIANGLE)),
+                ("chain", parse_family(EX_FAMILY))]
+    for i in range(20):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fam, _ = reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))
+        families.append((f"family draw {i}", fam))
+    for label, fam in families:
+        setup = FiberSetup.for_family(fam)
+        for mu, beta in iterate_images(setup, 2):
+            yield f"{label} {mu} {beta}", setup, mu, beta
+    C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
+    yield "C2", FiberSetup.single(C2, base=0), parse_monomial(
+        "x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0), (6,)
+
+
+def _trip(route, setup, mu, beta, limits):
+    with pytest.raises(ResourceLimitError) as trip:
+        route(setup, mu, beta, _Budget(limits))
+    return str(trip.value)
+
+
+def test_enumeration_matches_scanning_oracle():
+    """The same points in the same order, the same checks and vertices, and
+    budgets one short of either total trip with the same message."""
+    compared = multi = tripped = 0
+    for label, setup, mu, beta in _fiber_inputs():
+        want_budget, got_budget = _Budget(Limits()), _Budget(Limits())
+        want = _enumerate_by_scanning(setup, mu, beta, want_budget)
+        got = _enumerate(setup, mu, beta, got_budget)
+        assert got == want, label
+        assert ((got_budget.checks, got_budget.vertices)
+                == (want_budget.checks, want_budget.vertices)), label
+        compared += 1
+        multi += len(want) > 1
+        if want_budget.checks == 0:
+            continue
+        vertices, checks = want_budget.vertices - 1, want_budget.checks - 1
+        for limits in (Limits(max_checks=checks),
+                       Limits(max_vertices=vertices, max_checks=checks),
+                       Limits(max_vertices=vertices)):
+            if limits.max_vertices < 0:
+                continue
+            assert (_trip(_enumerate, setup, mu, beta, limits)
+                    == _trip(_enumerate_by_scanning, setup, mu, beta, limits)), label
+            tripped += 1
+    assert compared > 4000 and multi > 2500 and tripped > 12000
 
 
 # --- The S-pair route before its indexes, kept as an oracle -------------------
