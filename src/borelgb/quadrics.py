@@ -8,51 +8,110 @@ reduced family, three shapes appear: symmetric quadrics trading an x variable
 against a move inside one block, within-block exchange quadrics, and
 cross-block exchange quadrics trading a move between two blocks that share
 the two positions.  Every lead term produced here is squarefree.
+
+Each call builds one T-variable per closure member and finds moved partners
+by looking up their exponent tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .borel import borel_closure
-from .monomials import Monomial, apply_move
+from .monomials import Monomial
 from .sorting import borel_sort
-from .toric import Binomial, GeneratorVar, TermOrder, TProduct, sort_binomials
+from .toric import Binomial, GeneratorVar, TProduct, sort_binomials
+
+
+class _Vars:
+    """The T-variables of one block, ascending, and their indices by exponent tuple."""
+
+    __slots__ = ("tvars", "index")
+
+    def __init__(self, block, gens):
+        self.tvars = tuple(GeneratorVar(block, g) for g in gens)
+        self.index = {g.exps: i for i, g in enumerate(gens)}
+
+    def __getitem__(self, exps):
+        return self.tvars[self.index[exps]]
+
+
+def _moved(exps, i, j):
+    """`exps` with one unit moved from 0-based position j to position i."""
+    out = list(exps)
+    out[j] -= 1
+    out[i] += 1
+    return tuple(out)
+
+
+def _image(p):
+    """The exponents of a T-product's image, summed without building monomials."""
+    out = list(p.xpart.exps)
+    for t in p.tvars:
+        out = list(map(operator.add, out, t.gen.exps))
+    return out
+
+
+def _pair(unit, a, b):
+    """T_a T_b, its two T-variables ordered by key without the constructor."""
+    return TProduct._sorted(unit, (a, b) if a.key >= b.key else (b, a))
+
+
+def _binomial(u, v):
+    """u - v with the larger side leading.  Raises ValueError when the sides
+    coincide or differ in image (summed exponents) or in blocks (T-variables
+    run in key order, so their block lists compare as multisets)."""
+    if u == v:
+        raise ValueError("zero binomial")
+    if (_image(u) != _image(v)
+            or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
+        raise ValueError(
+            f"sides have different images: {u.label()} vs {v.label()}")
+    return Binomial(u, v) if u.key > v.key else Binomial(v, u)
 
 
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
-    gens = borel_closure(M)
-    return sort_binomials(_exchanges(0, gens, 0, gens, range(1, M.n + 1),
-                                     TermOrder()))
+    tv = _Vars(0, borel_closure(M))
+    return sort_binomials(_exchanges(tv, tv, range(1, M.n + 1)))
 
 
-def _exchanges(ia, gens_a, ib, gens_b, positions, order):
-    """The quadrics trading one move between a block-ia and a block-ib generator.
+def _exchanges(va, vb, positions):
+    """The quadrics trading one move between a generator of `va` and one of `vb`.
 
-    For s < t in `positions`, m in `gens_a` with x_s | m and n in `gens_b`
-    with x_t | n: T_m T_n - T_{(x_t/x_s)m} T_{(x_s/x_t)n}, whenever (x_t/x_s)m
+    For s < t in `positions`, m in `va` with x_s | m and n in `vb` with
+    x_t | n: T_m T_n - T_{(x_t/x_s)m} T_{(x_s/x_t)n}, whenever (x_t/x_s)m
     stays in its closure and the two sides differ.  `positions` lie in both
     blocks' supports, so the upward move (x_s/x_t)n never leaves its closure.
     Within one block this one direction is enough: the other starts from the
-    moved pair and gives the same binomial once `Binomial.make` orients it.
+    moved pair and gives the same binomial, which is built only once.
     """
-    set_a = set(gens_a)
-    unit = Monomial.unit(gens_a[0].n)
-    out = set()
-    for s, t in itertools.combinations(sorted(positions), 2):
-        moved_a = [(m, apply_move(m, t, s)) for m in gens_a if m.exps[s - 1]]
-        moved_a = [(m, m2) for m, m2 in moved_a if m2 in set_a]
-        for n in gens_b:
-            if not n.exps[t - 1]:
+    same = va is vb
+    unit = Monomial.unit(va.tvars[0].gen.n)
+    pairs = set()
+    for s, t in itertools.combinations(sorted(p - 1 for p in positions), 2):
+        moved_a = []
+        for i, m in enumerate(va.tvars):
+            if m.gen.exps[s]:
+                j = va.index.get(_moved(m.gen.exps, t, s))
+                if j is not None:
+                    moved_a.append((i, j))
+        for k, n in enumerate(vb.tvars):
+            if not n.gen.exps[t]:
                 continue
-            n2 = apply_move(n, s, t)
-            for m, m2 in moved_a:
-                u = TProduct(unit, (GeneratorVar(ia, m), GeneratorVar(ib, n)))
-                v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
+            l = vb.index[_moved(n.gen.exps, s, t)]
+            for i, j in moved_a:
+                # Index pairs name the two sides; within one block a side
+                # is an unordered pair.
+                u, v = (i, k), (j, l)
+                if same:
+                    u, v = (max(u), min(u)), (max(v), min(v))
                 if u != v:
-                    out.add(Binomial.make(u, v, order))
-    return out
+                    pairs.add(u + v if u > v else v + u)
+    return [_binomial(_pair(unit, va.tvars[i], vb.tvars[k]),
+                      _pair(unit, va.tvars[j], vb.tvars[l]))
+            for i, k, j, l in pairs]
 
 
 def quadrics_bs_form(M):
@@ -60,19 +119,23 @@ def quadrics_bs_form(M):
 
     One binomial T_m T_n - T_{f1} T_{f2} per unordered pair whose sorted
     two-factor factorization (f1, f2) differs from (m, n).  Spans the same
-    degree-two relations as `quadrics_single`.
+    degree-two relations as `quadrics_single`.  The pairs are grouped by
+    product, so each product is sorted once.
     """
-    gens = borel_closure(M)
-    order = TermOrder()
+    tv = _Vars(0, borel_closure(M))
     unit = Monomial.unit(M.n)
-    out = set()
-    for m, n in itertools.combinations_with_replacement(gens, 2):
-        f1, f2 = borel_sort(M, m * n, 2)
-        u = TProduct(unit, (GeneratorVar(0, m), GeneratorVar(0, n)))
-        v = TProduct(unit, (GeneratorVar(0, f1), GeneratorVar(0, f2)))
-        if u == v:
-            continue
-        out.add(Binomial.make(u, v, order))
+    by_product = {}
+    for a, b in itertools.combinations_with_replacement(tv.tvars, 2):
+        mu = tuple(map(operator.add, a.gen.exps, b.gen.exps))
+        by_product.setdefault(mu, []).append((a, b))
+    out = []
+    for mu, pairs in by_product.items():
+        f1, f2 = borel_sort(M, Monomial(mu), 2)
+        v = _pair(unit, tv[f1.exps], tv[f2.exps])
+        for a, b in pairs:
+            u = _pair(unit, a, b)
+            if u != v:
+                out.append(_binomial(u, v))
     return sort_binomials(out)
 
 
@@ -99,33 +162,31 @@ def quadrics_multi(family):
     """All three quadric shapes for a reduced family."""
     if not family.is_reduced():
         raise ValueError("quadrics need a reduced family (apply reduce first)")
-    order = TermOrder()
     n = family.n
-    closures = family.closures()
+    xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
+    blocks = [_Vars(i, c) for i, c in enumerate(family.closures(), start=1)]
     supports = [e.poset.positions() for e in family.entries]
 
-    symmetric = set()
-    for idx, e in enumerate(family.entries, start=1):
-        sup = supports[idx - 1]
-        for m in closures[idx - 1]:
-            for t in m.support():
-                if t not in e.poset.support:
+    symmetric = []
+    for vs, sup in zip(blocks, supports):
+        for m in vs.tvars:
+            for t in sup:
+                if not m.gen.exps[t - 1]:
                     continue
                 for s in sup:
                     if s >= t:
                         break
-                    m2 = apply_move(m, s, t)
-                    u = TProduct(Monomial.variable(s, n), (GeneratorVar(idx, m),))
-                    v = TProduct(Monomial.variable(t, n), (GeneratorVar(idx, m2),))
-                    symmetric.add(Binomial.make(u, v, order))
+                    m2 = vs[_moved(m.gen.exps, s - 1, t - 1)]
+                    symmetric.append(_binomial(TProduct._sorted(xs[s - 1], (m,)),
+                                               TProduct._sorted(xs[t - 1], (m2,))))
 
     fiber_principal = sort_binomials(
-        b for i, gens in enumerate(closures, start=1)
-        for b in _exchanges(i, gens, i, gens, supports[i - 1], order))
+        b for vs, sup in zip(blocks, supports)
+        for b in _exchanges(vs, vs, sup))
     fiber_biprincipal = sort_binomials(
-        b for ia, ib in itertools.combinations(range(1, family.r + 1), 2)
-        for b in _exchanges(ia, closures[ia - 1], ib, closures[ib - 1],
-                            set(supports[ia - 1]) & set(supports[ib - 1]), order))
+        b for ia, ib in itertools.combinations(range(family.r), 2)
+        for b in _exchanges(blocks[ia], blocks[ib],
+                            set(supports[ia]) & set(supports[ib])))
 
     return MultiQuadrics(sort_binomials(symmetric), fiber_principal,
                          fiber_biprincipal)

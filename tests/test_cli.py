@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: golden stdout, stderr, and exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import borelgb
 from borelgb.cli import main
 from borelgb.monomials import parse_monomial
 from borelgb.quadrics import quadrics_single
@@ -335,6 +337,20 @@ def _enumerates_within(setup, mu, cap):
 def test_base_zero_round_trip(capsys):
     rc, out, _ = run(capsys, "closure", "x1^2", "-n", "2", "--base", "0")
     assert (rc, out) == (0, "x1^2\nx0*x1\nx0^2\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m borelgb` runs `cli.main` and passes its exit code through."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(borelgb.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "borelgb", "closure", "x2^2", "-n", "2"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "x2^2\nx1*x2\nx1^2\n", "")
+    proc = subprocess.run([sys.executable, "-m", "borelgb", "closure", "x3", "-n", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
 
 
 def test_console_script_entry_point():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from borelgb import quadrics
 from borelgb.borel import borel_closure
 from borelgb.families import (parse_family, random_interval_family,
                               random_principal_borel_family, reduce_family)
@@ -267,6 +268,8 @@ def test_single_exchanges_match_loops_on_every_small_closure():
                 texts(exchanges_single_by_loops(M)), M
             closures += 1
     assert closures == 3 + 9 + 19 + 34
+    M = parse_monomial("x3^2*x5^2", 5)
+    assert texts(quadrics_single(M)) == texts(exchanges_single_by_loops(M))
 
 
 def test_family_exchanges_match_loops_on_random_families():
@@ -281,3 +284,102 @@ def test_family_exchanges_match_loops_on_random_families():
         assert texts(q.fiber_biprincipal) == texts(biprincipal)
         seen_cross += bool(biprincipal)
     assert seen_cross > 10
+
+
+# Oracles for the sorted form and the symmetric shape: the per-pair and
+# per-move loops, each side built by the generic constructors and oriented
+# by `Binomial.make`.
+
+def bs_form_by_pairs(M):
+    """One `borel_sort` and one `Binomial.make` per unordered pair."""
+    gens = borel_closure(M)
+    order = TermOrder()
+    unit = Monomial.unit(M.n)
+    out = set()
+    for m, n in itertools.combinations_with_replacement(gens, 2):
+        f1, f2 = borel_sort(M, m * n, 2)
+        u = TProduct(unit, (GeneratorVar(0, m), GeneratorVar(0, n)))
+        v = TProduct(unit, (GeneratorVar(0, f1), GeneratorVar(0, f2)))
+        if u == v:
+            continue
+        out.add(Binomial.make(u, v, order))
+    return sort_binomials(out)
+
+
+def symmetric_by_loops(family):
+    order = TermOrder()
+    n = family.n
+    out = set()
+    for idx, e in enumerate(family.entries, start=1):
+        sup = e.poset.positions()
+        for m in e.closure():
+            for t in m.support():
+                if t not in e.poset.support:
+                    continue
+                for s in sup:
+                    if s >= t:
+                        break
+                    u = TProduct(Monomial.variable(s, n), (GeneratorVar(idx, m),))
+                    v = TProduct(Monomial.variable(t, n),
+                                 (GeneratorVar(idx, apply_move(m, s, t)),))
+                    out.add(Binomial.make(u, v, order))
+    return sort_binomials(out)
+
+
+LARGER_CLOSURES = ("x3^2*x5^2", "x2*x4*x5", "x2*x3*x5")
+
+
+def test_sorted_form_matches_pairs_on_every_small_closure():
+    closures = 0
+    for n in range(1, 5):
+        for exps in itertools.product(range(4), repeat=n):
+            if not 1 <= sum(exps) <= 3:
+                continue
+            M = Monomial(exps)
+            assert texts(quadrics_bs_form(M)) == texts(bs_form_by_pairs(M)), M
+            closures += 1
+    assert closures == 65
+    for text in LARGER_CLOSURES:
+        M = parse_monomial(text, 5)
+        assert texts(quadrics_bs_form(M)) == texts(bs_form_by_pairs(M)), text
+
+
+def test_symmetric_shape_matches_loops_on_families():
+    rng = random.Random(61)
+    fams = [parse_family(t) for t in (TRIANGLE, EX_FAMILY, NESTED_FAMILY)]
+    for i in range(60):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fams.append(reduce_family(draw(rng, rng.randint(2, 5), rng.randint(1, 4)))[0])
+    for fam in fams:
+        assert texts(quadrics_multi(fam).symmetric) == texts(symmetric_by_loops(fam))
+
+
+def test_quadric_sides_must_share_image_and_blocks():
+    """The exponent-tuple check rejects sides that differ in image or in
+    blocks, each with the other agreeing, and a zero binomial."""
+    n = 3
+
+    def side(x, *pairs):
+        return TProduct(parse_monomial(x, n),
+                        [GeneratorVar(b, parse_monomial(g, n)) for b, g in pairs])
+
+    lead = side("1", (0, "x1^2"), (0, "x2^2"))
+    assert quadrics._binomial(side("1", (0, "x1*x2"), (0, "x1*x2")), lead) == \
+        Binomial(lead, side("1", (0, "x1*x2"), (0, "x1*x2")))
+    other_image = side("1", (0, "x1*x2"), (0, "x1*x3"))
+    other_blocks = side("1", (1, "x1*x2"), (0, "x1*x2"))
+    for bad in (other_image, other_blocks):
+        with pytest.raises(ValueError, match="different images"):
+            quadrics._binomial(lead, bad)
+        with pytest.raises(ValueError, match="different images"):
+            quadrics._binomial(bad, lead)
+    # One T-variable with an x part, as in the symmetric shape.
+    x_lead = side("x3", (1, "x1"))
+    with pytest.raises(ValueError, match="different images"):
+        quadrics._binomial(x_lead, side("x2", (1, "x1")))
+    with pytest.raises(ValueError, match="different images"):
+        quadrics._binomial(x_lead, side("x1", (2, "x3")))
+    assert quadrics._binomial(side("x1", (1, "x3")), x_lead) == \
+        Binomial(x_lead, side("x1", (1, "x3")))
+    with pytest.raises(ValueError, match="zero binomial"):
+        quadrics._binomial(lead, side("1", (0, "x2^2"), (0, "x1^2")))
