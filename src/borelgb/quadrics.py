@@ -45,30 +45,9 @@ def _moved(exps, i, j):
     return tuple(out)
 
 
-def _image(p):
-    """The exponents of a T-product's image, summed without building monomials."""
-    out = list(p.xpart.exps)
-    for t in p.tvars:
-        out = list(map(operator.add, out, t.gen.exps))
-    return out
-
-
 def _pair(unit, a, b):
     """T_a T_b, its two T-variables ordered by key without the constructor."""
     return TProduct._sorted(unit, (a, b) if a.key >= b.key else (b, a))
-
-
-def _binomial(u, v):
-    """u - v with the larger side leading.  Raises ValueError when the sides
-    coincide or differ in image (summed exponents) or in blocks (T-variables
-    run in key order, so their block lists compare as multisets)."""
-    if u == v:
-        raise ValueError("zero binomial")
-    if (_image(u) != _image(v)
-            or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
-        raise ValueError(
-            f"sides have different images: {u.label()} vs {v.label()}")
-    return Binomial(u, v) if u.key > v.key else Binomial(v, u)
 
 
 def quadrics_single(M):
@@ -109,8 +88,8 @@ def _exchanges(va, vb, positions):
                     u, v = (max(u), min(u)), (max(v), min(v))
                 if u != v:
                     pairs.add(u + v if u > v else v + u)
-    return [_binomial(_pair(unit, va.tvars[i], vb.tvars[k]),
-                      _pair(unit, va.tvars[j], vb.tvars[l]))
+    return [Binomial.make(_pair(unit, va.tvars[i], vb.tvars[k]),
+                          _pair(unit, va.tvars[j], vb.tvars[l]))
             for i, k, j, l in pairs]
 
 
@@ -135,7 +114,7 @@ def quadrics_bs_form(M):
         for a, b in pairs:
             u = _pair(unit, a, b)
             if u != v:
-                out.append(_binomial(u, v))
+                out.append(Binomial.make(u, v))
     return sort_binomials(out)
 
 
@@ -177,8 +156,9 @@ def quadrics_multi(family):
                     if s >= t:
                         break
                     m2 = vs[_moved(m.gen.exps, s - 1, t - 1)]
-                    symmetric.append(_binomial(TProduct._sorted(xs[s - 1], (m,)),
-                                               TProduct._sorted(xs[t - 1], (m2,))))
+                    symmetric.append(Binomial.make(
+                        TProduct._sorted(xs[s - 1], (m,)),
+                        TProduct._sorted(xs[t - 1], (m2,))))
 
     fiber_principal = sort_binomials(
         b for vs, sup in zip(blocks, supports)

@@ -153,11 +153,13 @@ class TProduct:
         counts = self.block_counts()
         return tuple(counts.get(i, 0) for i in range(1, r + 1))
 
+    def image_exps(self):
+        """The exponent tuple of the image, summed without building monomials."""
+        return tuple(map(sum, zip(self.xpart.exps,
+                                  *(t.gen.exps for t in self.tvars))))
+
     def image(self):
-        out = self.xpart
-        for t in self.tvars:
-            out = out * t.gen
-        return out
+        return Monomial(self.image_exps())
 
     def times(self, other):
         return TProduct._sorted(self.xpart * other.xpart, tuple(
@@ -271,11 +273,15 @@ class Binomial:
         self.tail = tail
 
     @classmethod
-    def make(cls, u, v, order):
-        """Orient u - v by the order; rejects zero or inhomogeneous input."""
+    def make(cls, u, v, order=TermOrder()):
+        """Orient u - v by the order; rejects zero or inhomogeneous input.
+
+        Both sides keep their T-variables in key order, which starts with
+        the negated block, so their block lists compare as multisets."""
         if u == v:
             raise ValueError("zero binomial")
-        if u.image() != v.image() or u.block_counts() != v.block_counts():
+        if (u.image_exps() != v.image_exps()
+                or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
             raise ValueError(
                 f"sides have different images: {u.label()} vs {v.label()}")
         return cls(u, v) if order.compare(u, v) > 0 else cls(v, u)

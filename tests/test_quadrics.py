@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from borelgb import quadrics
 from borelgb.borel import borel_closure
 from borelgb.families import (parse_family, random_interval_family,
                               random_principal_borel_family, reduce_family)
@@ -355,8 +354,8 @@ def test_symmetric_shape_matches_loops_on_families():
 
 
 def test_quadric_sides_must_share_image_and_blocks():
-    """The exponent-tuple check rejects sides that differ in image or in
-    blocks, each with the other agreeing, and a zero binomial."""
+    """`Binomial.make` rejects sides that differ in image or in blocks, each
+    with the other agreeing, and a zero binomial."""
     n = 3
 
     def side(x, *pairs):
@@ -364,22 +363,22 @@ def test_quadric_sides_must_share_image_and_blocks():
                         [GeneratorVar(b, parse_monomial(g, n)) for b, g in pairs])
 
     lead = side("1", (0, "x1^2"), (0, "x2^2"))
-    assert quadrics._binomial(side("1", (0, "x1*x2"), (0, "x1*x2")), lead) == \
+    assert Binomial.make(side("1", (0, "x1*x2"), (0, "x1*x2")), lead) == \
         Binomial(lead, side("1", (0, "x1*x2"), (0, "x1*x2")))
     other_image = side("1", (0, "x1*x2"), (0, "x1*x3"))
     other_blocks = side("1", (1, "x1*x2"), (0, "x1*x2"))
     for bad in (other_image, other_blocks):
         with pytest.raises(ValueError, match="different images"):
-            quadrics._binomial(lead, bad)
+            Binomial.make(lead, bad)
         with pytest.raises(ValueError, match="different images"):
-            quadrics._binomial(bad, lead)
+            Binomial.make(bad, lead)
     # One T-variable with an x part, as in the symmetric shape.
     x_lead = side("x3", (1, "x1"))
     with pytest.raises(ValueError, match="different images"):
-        quadrics._binomial(x_lead, side("x2", (1, "x1")))
+        Binomial.make(x_lead, side("x2", (1, "x1")))
     with pytest.raises(ValueError, match="different images"):
-        quadrics._binomial(x_lead, side("x1", (2, "x3")))
-    assert quadrics._binomial(side("x1", (1, "x3")), x_lead) == \
+        Binomial.make(x_lead, side("x1", (2, "x3")))
+    assert Binomial.make(side("x1", (1, "x3")), x_lead) == \
         Binomial(x_lead, side("x1", (1, "x3")))
     with pytest.raises(ValueError, match="zero binomial"):
-        quadrics._binomial(lead, side("1", (0, "x2^2"), (0, "x1^2")))
+        Binomial.make(lead, side("1", (0, "x2^2"), (0, "x1^2")))
