@@ -1,24 +1,19 @@
 """Borel closures, sorted factorizations, and quadratic Gröbner certificates
 for the toric rings of principal (support-restricted) Borel ideals."""
 
-from .borel import (borel_closure, borel_compare, borel_member,
-                    factorization_step, min_borel_divisor,
-                    min_borel_divisor_bruteforce, reverse_step_toward)
+from .borel import borel_closure, borel_member, min_borel_divisor
 from .families import (BiAdjacency, FamilyEntry, IdealFamily, LinearPoset,
-                       essential_variables, find_lfree_column_order,
-                       has_long_induced_cycle, incidence_matrix,
-                       is_chordal_bipartite, is_lfree, lborel_closure,
-                       lfree_witness, parse_family, reduce_family,
-                       serialize_family)
+                       find_lfree_column_order, incidence_matrix,
+                       is_chordal_bipartite, lfree_witness, parse_family,
+                       reduce_family, serialize_family)
 from .monomials import (AmbientMismatch, Monomial, ParseError, apply_move,
-                        compare, gcd, lcm, parse_monomial)
+                        compare, lcm, parse_monomial)
 from .quadrics import (MultiQuadrics, first_non_squarefree_lead,
                        quadrics_bs_form, quadrics_multi, quadrics_single)
 from .sorting import borel_sort, split_monomial
 from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar, Limits,
-                    ResourceLimitError, TermOrder, TProduct, certify,
-                    enumerate_fiber, fiber_graph, iterate_images,
-                    spair_certificate, t_min, to_dot,
+                    ResourceLimitError, TProduct, enumerate_fiber, fiber_graph,
+                    iterate_images, spair_certificate, t_min, to_dot,
                     verify_groebner_by_fibers)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .monomials import AmbientMismatch, ParseError, parse_monomial, parse_power_
 from .quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from .sorting import borel_sort
 from .toric import (FiberSetup, Limits, ResourceLimitError, SpairLimitError,
-                    certify, fiber_graph, spair_certificate, t_min, to_dot,
+                    fiber_graph, spair_certificate, t_min, to_dot,
                     verify_groebner_by_fibers)
 
 
@@ -129,7 +129,7 @@ def cmd_fiber_graph(args):
         print(f"v{i}: {v.label(base, tagged)}")
     for u, v, qi in graph.edges:
         print(f"v{u} -> v{v} [q{qi}]")
-    sinks = set(certify(graph)[1])
+    sinks = set(graph.sinks())
     sink_ids = [i for i, v in enumerate(graph.vertices) if v in sinks]
     print("sinks: " + " ".join(f"v{i}" for i in sink_ids))
     return 0
@@ -151,7 +151,7 @@ def cmd_verify(args):
                                            limits=_limits(args), jobs=args.jobs)
     else:
         try:
-            report = spair_certificate(quads, setup.order, limits=_limits(args))
+            report = spair_certificate(quads, limits=_limits(args))
         except SpairLimitError as exc:  # name the pair as the FAIL line would
             raise ResourceLimitError(exc.text(base, tagged)) from None
     for line in report.lines(base, tagged):
@@ -162,9 +162,13 @@ def cmd_verify(args):
 def cmd_lfree(args):
     family = _read_family(args.family)
     matrix = incidence_matrix(family)
+    witness = lfree_witness(matrix)
+    # The searches can reject an oversized matrix, so they run before
+    # anything is printed.
+    order = find_lfree_column_order(matrix) if args.find_order else None
+    chordal = is_chordal_bipartite(matrix) if args.chordal else None
     for line in matrix.to_lines(family.base):
         print(line)
-    witness = lfree_witness(matrix)
     if witness is None:
         print("LFREE")
     else:
@@ -172,7 +176,6 @@ def cmd_lfree(args):
         print(f"NOT-LFREE rows {family.var_name(h)},{family.var_name(j)} "
               f"cols {matrix.col_names[u - 1]},{matrix.col_names[v - 1]}")
     if args.find_order:
-        order = find_lfree_column_order(matrix)
         if order is None:
             print("no-order")
         else:
@@ -181,7 +184,7 @@ def cmd_lfree(args):
     else:
         failed = witness is not None
     if args.chordal:
-        if is_chordal_bipartite(matrix):
+        if chordal:
             print("CHORDAL-BIPARTITE")
         else:
             print("NOT-CHORDAL-BIPARTITE")
@@ -214,17 +217,15 @@ def cmd_quadrics(args):
     return 0
 
 
-def _add_single_flags(sub, with_form=True):
+def _add_single_flags(sub):
     sub.add_argument("--single", metavar="MONOMIAL",
                      help="single-closure mode: the principal generator")
     sub.add_argument("-n", type=_int_at_least(1),
                      help="ambient variable count (single mode)")
     sub.add_argument("--base", type=int, choices=(0, 1), default=1,
                      help="first variable name is x{base} (single mode; default 1)")
-    if with_form:
-        sub.add_argument("--form", choices=("exchange", "sorted"),
-                         default="exchange",
-                         help="single-mode quadric set (default: exchange)")
+    sub.add_argument("--form", choices=("exchange", "sorted"), default="exchange",
+                     help="single-mode quadric set (default: exchange)")
 
 
 def _int_at_least(low):

@@ -10,7 +10,6 @@ bipartiteness) govern when the family's toric relations behave well.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .borel import borel_closure
@@ -43,13 +42,6 @@ class LinearPoset:
         return f"LinearPoset({self.n}, {self.positions()!r})"
 
 
-def lborel_closure(poset, m):
-    """All monomials reachable from m by moves inside the poset's support."""
-    if m.n != poset.n:
-        raise ValueError("ambient mismatch between poset and monomial")
-    return borel_closure(m, support=poset.support)
-
-
 class FamilyEntry:
     """One named ideal of a family: a linear poset plus a principal generator."""
 
@@ -65,7 +57,7 @@ class FamilyEntry:
 
     def closure(self):
         if self._closure is None:
-            self._closure = lborel_closure(self.poset, self.gen)
+            self._closure = borel_closure(self.gen, support=self.poset.support)
         return self._closure
 
     def effective_support(self):
@@ -124,24 +116,6 @@ class IdealFamily:
 
     def __repr__(self):
         return f"IdealFamily(n={self.n}, entries={[e.name for e in self.entries]})"
-
-
-def essential_variables(gens):
-    """Positions whose exponent varies across an equigenerated list of monomials."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("empty generating set")
-    deg = gens[0].deg
-    if any(g.deg != deg for g in gens):
-        raise ValueError("generating set is not equigenerated")
-    if any(g.n != gens[0].n for g in gens):
-        raise ValueError("ambient mismatch in generating set")
-    out = set()
-    for p in range(1, gens[0].n + 1):
-        vals = {g.exps[p - 1] for g in gens}
-        if len(vals) > 1:
-            out.add(p)
-    return frozenset(out)
 
 
 def reduce_family(family):
@@ -226,10 +200,6 @@ def lfree_witness(matrix):
     return None
 
 
-def is_lfree(matrix):
-    return lfree_witness(matrix) is None
-
-
 def _column_masks(matrix):
     """Each column as a bitmask over rows (row i -> bit i, top row = bit 0)."""
     masks = []
@@ -255,17 +225,21 @@ def _ordered_pair_ok(cu, cv):
     return (only_u & -only_u).bit_length() >= both.bit_length()
 
 
-def find_lfree_column_order(matrix, cap=10):
+# Size caps that keep the two staircase searches at desk scale.
+ORDER_SEARCH_CAP = 10
+CHORDAL_SEARCH_CAP = 8
+
+
+def find_lfree_column_order(matrix):
     """Lexicographically first column permutation making the matrix L-free, or None.
 
     Depth-first search over prefixes: a column may be appended only when it
     forms no L-configuration with any earlier column, which prunes exactly the
-    dead branches.  Column count is capped (default 10) to keep the search at
-    desk scale.
+    dead branches.  Column count is capped at `ORDER_SEARCH_CAP`.
     """
     r = matrix.r
-    if r > cap:
-        raise ValueError(f"column count {r} exceeds search cap {cap}")
+    if r > ORDER_SEARCH_CAP:
+        raise ValueError(f"column count {r} exceeds search cap {ORDER_SEARCH_CAP}")
     masks = _column_masks(matrix)
     prefix = []
     used = [False] * r
@@ -309,17 +283,18 @@ def _acyclic(nodes, edges):
     return seen == len(nodes)
 
 
-def is_chordal_bipartite(matrix, cap=8):
+def is_chordal_bipartite(matrix):
     """Whether some row and column permutation makes the matrix L-free.
 
     Searches column orders depth-first; for each ordered column pair the rows
     split into "must come later" constraints (row b forces row a below it when
     placing a above b would create an L), and a compatible row order exists
-    precisely when the forced-precedence digraph is acyclic.  Capped at 8 rows
-    and 8 columns.
+    precisely when the forced-precedence digraph is acyclic.  Rows and columns
+    are capped at `CHORDAL_SEARCH_CAP`.
     """
-    if matrix.n > cap or matrix.r > cap:
-        raise ValueError(f"matrix {matrix.n}x{matrix.r} exceeds search cap {cap}")
+    if max(matrix.n, matrix.r) > CHORDAL_SEARCH_CAP:
+        raise ValueError(f"matrix {matrix.n}x{matrix.r} exceeds search cap "
+                         f"{CHORDAL_SEARCH_CAP}")
     masks = _column_masks(matrix)
     r = matrix.r
     nodes = tuple(range(matrix.n))
@@ -367,44 +342,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def has_long_induced_cycle(matrix):
-    """Whether the bipartite graph of the matrix has an induced cycle of length >= 6.
-
-    Definition-level cross-check for `is_chordal_bipartite`: vertices are the
-    n rows and r columns, edges the 1-entries; an induced cycle is a vertex
-    subset whose induced subgraph is connected and 2-regular.
-    """
-    total = matrix.n + matrix.r
-    adj = [0] * total
-    for i in range(matrix.n):
-        for j in range(matrix.r):
-            if matrix.rows[i][j]:
-                adj[i] |= 1 << (matrix.n + j)
-                adj[matrix.n + j] |= 1 << i
-    for subset in range(1 << total):
-        if bin(subset).count("1") < 6:
-            continue
-        degs_ok = True
-        for v in _bits(subset):
-            if bin(adj[v] & subset).count("1") != 2:
-                degs_ok = False
-                break
-        if not degs_ok:
-            continue
-        start = (subset & -subset).bit_length() - 1
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v] & subset & ~comp
-            comp |= nxt
-            frontier = nxt
-        if comp == subset:
-            return True
-    return False
 
 
 _VARS_RE = re.compile(r"vars\s*=\s*(\d+)\s*\Z")
@@ -495,37 +432,3 @@ def serialize_family(family):
         seg = f"support = {sup} " if sup else "support = "
         lines.append(f"ideal {e.name}: {seg}; generator = {e.gen.text(family.base)}")
     return "\n".join(lines) + "\n"
-
-
-def random_principal_borel_family(rng, n, r, max_deg=3):
-    """A random family of full-support principal Borel ideals (for testing)."""
-    entries = []
-    for idx in range(1, r + 1):
-        deg = rng.randint(1, max_deg)
-        exps = [0] * n
-        for _ in range(deg):
-            exps[rng.randrange(n)] += 1
-        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(1, n + 1)),
-                                   Monomial(exps)))
-    return IdealFamily(n, entries)
-
-
-def random_interval_family(rng, n, r, max_deg=3):
-    """A random reduced family whose incidence columns are nested-start intervals.
-
-    Supports are intervals [a_j, b_j] with both endpoint sequences
-    nonincreasing in j; such a matrix is always L-free in the given order.
-    Each generator uses its interval's top position, so the family is reduced.
-    """
-    a = sorted((rng.randint(1, n) for _ in range(r)), reverse=True)
-    b = sorted((rng.randint(1, n) for _ in range(r)), reverse=True)
-    entries = []
-    for idx in range(1, r + 1):
-        lo, hi = a[idx - 1], max(a[idx - 1], b[idx - 1])
-        exps = [0] * n
-        exps[hi - 1] = 1
-        for _ in range(rng.randint(0, max_deg - 1)):
-            exps[rng.randint(lo, hi) - 1] += 1
-        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(lo, hi + 1)),
-                                   Monomial(exps)))
-    return IdealFamily(n, entries)

@@ -92,9 +92,6 @@ class Monomial:
                 return p
         return 0
 
-    def exponent(self, i):
-        return self.exps[i - 1]
-
     def divides(self, other):
         _check_ambient(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
@@ -169,11 +166,6 @@ def compare(m1, m2, order="grevlex"):
 def lcm(m1, m2):
     _check_ambient(m1, m2)
     return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
-
-
-def gcd(m1, m2):
-    _check_ambient(m1, m2)
-    return Monomial(tuple(min(a, b) for a, b in zip(m1.exps, m2.exps)))
 
 
 def apply_move(m, i, j):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from .borel import borel_closure, min_borel_divisor
@@ -118,7 +117,15 @@ class GeneratorVar:
 
 
 class TProduct:
-    """An x-monomial cofactor times a multiset of T variables (kept sorted)."""
+    """An x-monomial cofactor times a multiset of T variables (kept sorted).
+
+    `key` is the term order: lexicographic, eliminating the T variables.  Any
+    T variable beats every x variable; T variables compare by block (earlier
+    blocks larger), then by the grevlex order on their generators; x parts
+    tie-break by pure lexicographic order with x1 largest.  The key lists the
+    T variables largest first, then the x exponents, so ascending key is
+    ascending term order.
+    """
 
     __slots__ = ("xpart", "tvars", "key")
 
@@ -129,7 +136,6 @@ class TProduct:
                 raise ValueError("ambient mismatch inside T-product")
         self.xpart = xpart
         self.tvars = tvars
-        # Ascending key = ascending term order (see TermOrder).
         self.key = (tuple(t.key for t in tvars), xpart.exps)
 
     @classmethod
@@ -145,13 +151,6 @@ class TProduct:
     @property
     def tdegree(self):
         return len(self.tvars)
-
-    def block_counts(self):
-        return Counter(t.block for t in self.tvars)
-
-    def beta(self, r):
-        counts = self.block_counts()
-        return tuple(counts.get(i, 0) for i in range(1, r + 1))
 
     def image_exps(self):
         """The exponent tuple of the image, summed without building monomials."""
@@ -243,26 +242,6 @@ class TProduct:
         return f"TProduct({self.label()!r})"
 
 
-class TermOrder:
-    """Lexicographic order eliminating the T variables.
-
-    Any T variable beats every x variable; T variables compare by block
-    (earlier blocks larger), then by the grevlex order on their generators;
-    x parts tie-break by pure lexicographic order with x1 largest.  The
-    T-product key encodes exactly this: its T variables listed largest
-    first, then the x exponents.
-    """
-
-    __slots__ = ()
-
-    def compare(self, a, b):
-        """-1/0/+1 with +1 meaning a is larger."""
-        return (a.key > b.key) - (a.key < b.key)
-
-    def sort(self, tproducts):
-        return tuple(sorted(tproducts, key=_key))
-
-
 class Binomial:
     """A pure difference lead - tail of two T-products with equal image."""
 
@@ -273,8 +252,8 @@ class Binomial:
         self.tail = tail
 
     @classmethod
-    def make(cls, u, v, order=TermOrder()):
-        """Orient u - v by the order; rejects zero or inhomogeneous input.
+    def make(cls, u, v):
+        """Orient u - v by the term order; rejects zero or inhomogeneous input.
 
         Both sides keep their T-variables in key order, which starts with
         the negated block, so their block lists compare as multisets."""
@@ -284,7 +263,7 @@ class Binomial:
                 or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
             raise ValueError(
                 f"sides have different images: {u.label()} vs {v.label()}")
-        return cls(u, v) if order.compare(u, v) > 0 else cls(v, u)
+        return cls(u, v) if u.key > v.key else cls(v, u)
 
     def text(self, base=1, tagged=True):
         return f"{self.lead.term_text(base, tagged)} - {self.tail.term_text(base, tagged)}"
@@ -342,13 +321,12 @@ class FiberSetup:
     family, fiber points are divisors with an x-monomial making up the rest.
     """
 
-    __slots__ = ("kind", "n", "blocks", "order", "base")
+    __slots__ = ("kind", "n", "blocks", "base")
 
-    def __init__(self, kind, n, blocks, order, base=1):
+    def __init__(self, kind, n, blocks, base=1):
         self.kind = kind
         self.n = n
         self.blocks = blocks
-        self.order = order
         self.base = base
 
     @classmethod
@@ -356,7 +334,7 @@ class FiberSetup:
         if M.is_unit:
             raise ValueError("need a nonunit generator")
         gens = borel_closure(M)
-        return cls("single", M.n, (_Block(0, M, None, gens),), TermOrder(), base)
+        return cls("single", M.n, (_Block(0, M, None, gens),), base)
 
     @classmethod
     def for_family(cls, family):
@@ -368,7 +346,7 @@ class FiberSetup:
         for idx, e in enumerate(family.entries, start=1):
             blocks.append(_Block(idx, e.gen, tuple(e.poset.positions()),
                                  e.closure()))
-        return cls("multi", family.n, tuple(blocks), TermOrder(), family.base)
+        return cls("multi", family.n, tuple(blocks), family.base)
 
     def beta_tuple(self, beta):
         if self.kind == "single":
@@ -402,7 +380,7 @@ def _block_fits(block, cap, q, exact):
 
 
 def enumerate_fiber(setup, mu, beta, limits=None):
-    """All fiber points over the image, ascending in the setup's term order.
+    """All fiber points over the image, ascending in the term order.
 
     Single setup: beta is an integer k; points are the factorizations of mu
     into k closure members.  Multi setup: beta gives each block's T-degree;
@@ -467,7 +445,7 @@ def _enumerate(setup, mu, beta, budget):
         rec_pick(0, beta[bi], q)
 
     rec_block(0, mu.exps)
-    return setup.order.sort(out)
+    return tuple(sorted(out, key=_key))
 
 
 class FiberGraph:
@@ -480,6 +458,11 @@ class FiberGraph:
         self.edges = edges  # (from_index, to_index, quadric_index)
         self.mu = mu
         self.beta = beta
+
+    def sinks(self):
+        """The vertices with no outgoing edge, listed ascending."""
+        sources = {u for u, _, _ in self.edges}
+        return tuple(v for i, v in enumerate(self.vertices) if i not in sources)
 
 
 def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
@@ -503,28 +486,6 @@ def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
                     raise AssertionError("rewrite did not decrease the term order")
                 edges.append((ui, vi, qi))
     return FiberGraph(vertices, tuple(edges), mu, beta)
-
-
-def certify(graph):
-    """(connected, sinks): sinks have no outgoing edge; listed ascending."""
-    n = len(graph.vertices)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    has_out = [False] * n
-    for u, v, _ in graph.edges:
-        has_out[u] = True
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
-    connected = n <= 1 or len({find(i) for i in range(n)}) == 1
-    sinks = tuple(graph.vertices[i] for i in range(n) if not has_out[i])
-    return connected, sinks
 
 
 def _weak_compositions(total, parts):
@@ -623,7 +584,7 @@ def _check_quadrics(setup, quadrics):
         if any(t.gen not in gens.get(t.block, ()) for t in q.lead.tvars + q.tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
                              "a generator of its block")
-        if Binomial.make(q.lead, q.tail, setup.order) != q:
+        if Binomial.make(q.lead, q.tail) != q:
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
 
 
@@ -704,7 +665,7 @@ class SpairReport:
         return out
 
 
-def spair_certificate(quadrics, order, limits=None):
+def spair_certificate(quadrics, limits=None):
     """Reduce every S-binomial of the set by the set; report the first survivor.
 
     The S-binomial of two pure differences is the pure difference of the two
@@ -745,7 +706,7 @@ def spair_certificate(quadrics, order, limits=None):
             top = a.lead.lcm_with(b.lead)
             u = top.quotient(a.lead).times(a.tail)
             v = top.quotient(b.lead).times(b.tail)
-            nf = _reduce_difference(u, v, (a, b), basis, buckets, order, budget)
+            nf = _reduce_difference(u, v, (a, b), basis, buckets, budget)
             if nf is not None:
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
@@ -754,12 +715,12 @@ def spair_certificate(quadrics, order, limits=None):
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _reduce_difference(u, v, pair, basis, buckets, order, budget):
+def _reduce_difference(u, v, pair, basis, buckets, budget):
     """Full normal form of u - v under the basis; None when it reaches zero."""
     while True:
         if u == v:
             return None
-        if order.compare(u, v) < 0:
+        if u.key < v.key:
             u, v = v, u
         budget.count_step(pair)
         step = _rewrite_once(u, basis, buckets)

@@ -1,0 +1,260 @@
+"""Oracles and random inputs shared by the tests.
+
+None of this is called by the library or the CLI: the brute-force and
+definition-level checks are independent implementations the fast code is
+compared against, the proof-step helpers replay the reverse moves of the
+sorting argument, and the random families feed the property tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from borelgb.borel import borel_member, min_borel_divisor
+from borelgb.families import (FamilyEntry, IdealFamily, LinearPoset, _bits,
+                              lfree_witness)
+from borelgb.monomials import Monomial, apply_move, expand, restrict
+
+# Family files shared by the tests: a five-ideal chain that is L-free and
+# passes, a nested family, and the triangle that both routes reject.
+
+EX_FAMILY = """vars = 4
+ideal I1: support = x4 ; generator = x4
+ideal I2: support = x3,x4 ; generator = x3*x4
+ideal I3: support = x2,x3,x4 ; generator = x3*x4
+ideal I4: support = x1,x2,x3 ; generator = x1*x2*x3
+ideal I5: support = x1,x2 ; generator = x1*x2^2
+"""
+
+NESTED_FAMILY = """vars = 4
+ideal I1: support = x3,x4 ; generator = x3*x4^2
+ideal I2: support = x3,x4 ; generator = x3*x4
+ideal I3: support = x2,x3,x4 ; generator = x2*x3*x4
+ideal I4: support = x1,x2,x3 ; generator = x3^2
+"""
+
+TRIANGLE = """vars = 3
+ideal I1: support = x1,x2 ; generator = x2
+ideal I2: support = x1,x3 ; generator = x3
+ideal I3: support = x2,x3 ; generator = x3
+"""
+
+
+def borel_compare(m1, m2):
+    """Compare in the Borel order: 'less' means m2 is reachable upward from m1.
+
+    Returns one of 'less', 'greater', 'equal', 'incomparable'.  Monomials of
+    different degrees are always incomparable.
+    """
+    if m1.n != m2.n:
+        raise ValueError("ambient mismatch in Borel comparison")
+    if m1 == m2:
+        return "equal"
+    if m1.deg != m2.deg:
+        return "incomparable"
+    s1, s2 = m1.sigma_vector(), m2.sigma_vector()
+    if all(b <= a for a, b in zip(s1, s2)):
+        return "less"
+    if all(a <= b for a, b in zip(s1, s2)):
+        return "greater"
+    return "incomparable"
+
+
+def min_borel_divisor_bruteforce(M, k, mu, support=None):
+    """Oracle for `min_borel_divisor`: scan every divisor of mu directly.
+
+    Enumerates the divisors of mu of degree k*deg(M), keeps those in
+    Borel(M^k), and returns the one whose suffix-sum vector dominates all
+    others (its existence is part of the structure theory; the scan checks it
+    rather than assuming it).
+    """
+    if support is not None:
+        positions = sorted(set(support))
+        comp = min_borel_divisor_bruteforce(restrict(M, positions), k, restrict(mu, positions))
+        return None if comp is None else expand(comp, positions, M.n)
+    target = k * M.deg
+    candidates = []
+    for exps in itertools.product(*(range(e + 1) for e in mu.exps)):
+        if sum(exps) != target:
+            continue
+        d = Monomial(exps)
+        if borel_member(d, M, k):
+            candidates.append(d)
+    if not candidates:
+        return None
+    best = max(candidates, key=lambda d: d.sigma_vector())
+    bs = best.sigma_vector()
+    for d in candidates:
+        if any(a < b for a, b in zip(bs, d.sigma_vector())):
+            raise AssertionError(f"no Borel-least divisor of {mu} in Borel({M}^{k})")
+    return best
+
+
+def reverse_step_toward(m, M, mu):
+    """One reverse move pulling m strictly down toward the least divisor.
+
+    Given m in Borel(M) dividing mu with m != M' = min_borel_divisor(M, 1, mu),
+    returns positions (i, j) with i < j such that (x_j / x_i) * m still lies in
+    Borel(M), still divides mu, and is strictly smaller in grevlex.  j is the
+    largest position where m's suffix sum falls short of M''s, and i is the
+    largest admissible position below it (the grevlex-smallest single step).
+    """
+    Mp = min_borel_divisor(M, 1, mu)
+    if Mp is None:
+        raise ValueError(f"{mu} has no divisor in Borel({M})")
+    if not borel_member(m, M):
+        raise ValueError(f"{m} is not in Borel({M})")
+    if not m.divides(mu):
+        raise ValueError(f"{m} does not divide {mu}")
+    if m == Mp:
+        raise ValueError(f"{m} is already the least divisor")
+    sm, sp, sM = m.sigma_vector(), Mp.sigma_vector(), M.sigma_vector()
+    j = max(p for p in range(1, m.n + 1) if sm[p - 1] < sp[p - 1])
+    for i in range(j - 1, 0, -1):
+        if m.exps[i - 1] == 0:
+            continue
+        if all(sm[u - 1] + 1 <= sM[u - 1] for u in range(i + 1, j + 1)):
+            moved = apply_move(m, j, i)
+            if not moved.divides(mu):  # cannot happen: e_j(m) < e_j(M') <= e_j(mu)
+                continue
+            return (i, j)
+    raise AssertionError(f"no reverse move from {m} toward {Mp}")
+
+
+def factorization_step(factors, M, mu):
+    """One reverse move pulling a factorization down toward the sorted one.
+
+    `factors` multiply to some P in Borel(M^k) dividing mu with P != the least
+    divisor.  Returns (ell, i, j), 1-based: apply the reverse move (x_j / x_i)
+    to factors[ell - 1].  The move keeps every factor in Borel(M), keeps the
+    product a divisor of mu, and strictly decreases the product in grevlex.
+    Deterministic choice: largest deficient position j, then the first factor
+    (smallest ell) admitting a move into j, then the largest admissible i.
+    """
+    if not factors:
+        raise ValueError("empty factorization")
+    k = len(factors)
+    P = factors[0]
+    for f in factors[1:]:
+        P = P * f
+    for f in factors:
+        if not borel_member(f, M):
+            raise ValueError(f"factor {f} is not in Borel({M})")
+    if not P.divides(mu):
+        raise ValueError(f"product {P} does not divide {mu}")
+    Pmin = min_borel_divisor(M, k, mu)
+    if Pmin is None:
+        raise AssertionError("factorization exists yet no minimal divisor")
+    if P == Pmin:
+        raise ValueError("factorization already multiplies to the least divisor")
+    sP, sMin, sM = P.sigma_vector(), Pmin.sigma_vector(), M.sigma_vector()
+    j = max(p for p in range(1, M.n + 1) if sP[p - 1] < sMin[p - 1])
+    for ell in range(1, k + 1):
+        f = factors[ell - 1]
+        sf = f.sigma_vector()
+        if sf[j - 1] >= sM[j - 1]:
+            continue
+        for i in range(j - 1, 0, -1):
+            if f.exps[i - 1] == 0:
+                continue
+            if all(sf[u - 1] + 1 <= sM[u - 1] for u in range(i + 1, j + 1)):
+                return (ell, i, j)
+    raise AssertionError(f"no factorization step from {P} toward {Pmin}")
+
+
+def is_lfree(matrix):
+    return lfree_witness(matrix) is None
+
+
+def has_long_induced_cycle(matrix):
+    """Whether the bipartite graph of the matrix has an induced cycle of length >= 6.
+
+    Definition-level cross-check for `is_chordal_bipartite`: vertices are the
+    n rows and r columns, edges the 1-entries; an induced cycle is a vertex
+    subset whose induced subgraph is connected and 2-regular.
+    """
+    total = matrix.n + matrix.r
+    adj = [0] * total
+    for i in range(matrix.n):
+        for j in range(matrix.r):
+            if matrix.rows[i][j]:
+                adj[i] |= 1 << (matrix.n + j)
+                adj[matrix.n + j] |= 1 << i
+    for subset in range(1 << total):
+        if bin(subset).count("1") < 6:
+            continue
+        degs_ok = True
+        for v in _bits(subset):
+            if bin(adj[v] & subset).count("1") != 2:
+                degs_ok = False
+                break
+        if not degs_ok:
+            continue
+        start = (subset & -subset).bit_length() - 1
+        comp = 1 << start
+        frontier = 1 << start
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= adj[v] & subset & ~comp
+            comp |= nxt
+            frontier = nxt
+        if comp == subset:
+            return True
+    return False
+
+
+def random_principal_borel_family(rng, n, r, max_deg=3):
+    """A random family of full-support principal Borel ideals (for testing)."""
+    entries = []
+    for idx in range(1, r + 1):
+        deg = rng.randint(1, max_deg)
+        exps = [0] * n
+        for _ in range(deg):
+            exps[rng.randrange(n)] += 1
+        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(1, n + 1)),
+                                   Monomial(exps)))
+    return IdealFamily(n, entries)
+
+
+def random_interval_family(rng, n, r, max_deg=3):
+    """A random reduced family whose incidence columns are nested-start intervals.
+
+    Supports are intervals [a_j, b_j] with both endpoint sequences
+    nonincreasing in j; such a matrix is always L-free in the given order.
+    Each generator uses its interval's top position, so the family is reduced.
+    """
+    a = sorted((rng.randint(1, n) for _ in range(r)), reverse=True)
+    b = sorted((rng.randint(1, n) for _ in range(r)), reverse=True)
+    entries = []
+    for idx in range(1, r + 1):
+        lo, hi = a[idx - 1], max(a[idx - 1], b[idx - 1])
+        exps = [0] * n
+        exps[hi - 1] = 1
+        for _ in range(rng.randint(0, max_deg - 1)):
+            exps[rng.randint(lo, hi) - 1] += 1
+        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(lo, hi + 1)),
+                                   Monomial(exps)))
+    return IdealFamily(n, entries)
+
+
+def certify(graph):
+    """(connected, sinks): sinks have no outgoing edge; listed ascending."""
+    n = len(graph.vertices)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    has_out = [False] * n
+    for u, v, _ in graph.edges:
+        has_out[u] = True
+        ra, rb = find(u), find(v)
+        if ra != rb:
+            parent[ra] = rb
+    connected = n <= 1 or len({find(i) for i in range(n)}) == 1
+    sinks = tuple(graph.vertices[i] for i in range(n) if not has_out[i])
+    return connected, sinks

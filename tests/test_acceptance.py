@@ -9,19 +9,20 @@ import itertools
 import random
 import time
 
-from borelgb.borel import (borel_closure, borel_member, min_borel_divisor,
-                           min_borel_divisor_bruteforce)
+from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.families import (find_lfree_column_order, incidence_matrix,
-                              is_chordal_bipartite, is_lfree, lfree_witness,
-                              parse_family, random_interval_family,
-                              random_principal_borel_family)
+                              is_chordal_bipartite, lfree_witness,
+                              parse_family)
 from borelgb.monomials import Monomial, apply_move, parse_monomial
 from borelgb.quadrics import (first_non_squarefree_lead, quadrics_multi,
                               quadrics_single)
 from borelgb.sorting import borel_sort
-from borelgb.toric import (FiberSetup, certify, enumerate_fiber, fiber_graph,
+from borelgb.toric import (FiberSetup, enumerate_fiber, fiber_graph,
                            spair_certificate, t_min,
                            verify_groebner_by_fibers)
+
+from helpers import (certify, is_lfree, min_borel_divisor_bruteforce,
+                     random_interval_family, random_principal_borel_family)
 
 CHAIN_FAMILY = """vars = 4
 ideal I1: support = x4 ; generator = x4
@@ -116,7 +117,7 @@ def test_c4_unique_sink_and_spair_certificates(capsys):
     setup = FiberSetup.single(M)
     quads = quadrics_single(M)
     fibers = verify_groebner_by_fibers(setup, quads, 3)
-    spairs = spair_certificate(quads, setup.order)
+    spairs = spair_certificate(quads)
     elapsed = time.monotonic() - t0
     ok = fibers.passed and spairs.passed and elapsed < 120.0
     report(capsys, "C4", ok,
@@ -159,7 +160,7 @@ def test_c6_negative_control_four_ways(capsys):
     rep = verify_groebner_by_fibers(setup, quads, 3)
     sweep_fails_there = (not rep.passed) and any(
         m == mu and b == beta for m, b, _ in rep.failures)
-    sp = spair_certificate(quads, setup.order)
+    sp = spair_certificate(quads)
     cubic = False
     if not sp.passed:
         u, v = sp.normal_form

@@ -11,11 +11,11 @@ import random
 
 import pytest
 
-from borelgb.borel import (borel_closure, borel_compare, borel_member,
-                           factorization_step,
-                           min_borel_divisor, min_borel_divisor_bruteforce,
-                           reverse_step_toward)
+from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.monomials import Monomial, apply_move, compare, parse_monomial
+
+from helpers import (borel_compare, factorization_step,
+                     min_borel_divisor_bruteforce, reverse_step_toward)
 
 
 def M(text, n=4, base=1):

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: golden stdout, stderr, and exit codes."""
 
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -12,19 +14,7 @@ from borelgb.monomials import parse_monomial
 from borelgb.quadrics import quadrics_single
 from borelgb.toric import FiberSetup, Limits, ResourceLimitError, enumerate_fiber
 
-TRIANGLE = """vars = 3
-ideal I1: support = x1,x2 ; generator = x2
-ideal I2: support = x1,x3 ; generator = x3
-ideal I3: support = x2,x3 ; generator = x3
-"""
-
-EX_FAMILY = """vars = 4
-ideal I1: support = x4 ; generator = x4
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x1*x2*x3
-ideal I5: support = x1,x2 ; generator = x1*x2^2
-"""
+from helpers import EX_FAMILY, TRIANGLE
 
 NONREDUCED = """vars = 4
 ideal I1: support = x3,x4 ; generator = x2*x4
@@ -174,6 +164,20 @@ def test_lfree(capsys, tri_file, ex_file):
                    "LFREE\n"
                    "order: I1,I2,I3,I4,I5\n"
                    "CHORDAL-BIPARTITE\n")
+
+
+def test_lfree_over_a_search_cap_prints_nothing(capsys, tmp_path):
+    """A matrix too large for a search is rejected before any output."""
+    wide = tmp_path / "wide.fam"
+    wide.write_text("vars = 1\n" + "".join(
+        f"ideal I{j}: support = x1 ; generator = x1\n" for j in range(1, 12)))
+    assert run(capsys, "lfree", str(wide), "--find-order") == \
+        (2, "", "error: column count 11 exceeds search cap 10\n")
+    tall = tmp_path / "tall.fam"
+    support = ",".join(f"x{p}" for p in range(1, 10))
+    tall.write_text(f"vars = 9\nideal I1: support = {support} ; generator = x9\n")
+    assert run(capsys, "lfree", str(tall), "--chordal") == \
+        (2, "", "error: matrix 9x1 exceeds search cap 8\n")
 
 
 def test_reduce(capsys, tmp_path):
@@ -337,6 +341,40 @@ def _enumerates_within(setup, mu, cap):
 def test_base_zero_round_trip(capsys):
     rc, out, _ = run(capsys, "closure", "x1^2", "-n", "2", "--base", "0")
     assert (rc, out) == (0, "x1^2\nx0*x1\nx0^2\n")
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """README.md's family file, and (argv, stdout) for every `$ borelgb`
+    line of its shell blocks that is followed by output."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    family, examples = None, []
+    for lang, _, body in (b.partition("\n") for b in blocks):
+        if lang == "" and body.startswith("vars ="):
+            family = body
+        if lang != "sh":
+            continue
+        argv, out = None, []
+        for line in body.splitlines() + [""]:
+            if argv is not None and line and not line.startswith(("$", "#")):
+                out.append(line + "\n")
+                continue
+            if argv is not None and out:
+                examples.append((argv, "".join(out)))
+            argv = shlex.split(line[2:])[1:] if line.startswith("$ borelgb ") else None
+            out = []
+    return family, examples
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    family, examples = readme_examples()
+    (tmp_path / "family.txt").write_text(family)
+    monkeypatch.chdir(tmp_path)
+    assert len(examples) == 8
+    for argv, want in examples:
+        assert run(capsys, *argv) == (0, want, ""), argv
 
 
 def test_python_dash_m_runs_the_cli():

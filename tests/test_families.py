@@ -6,36 +6,17 @@ import random
 
 import pytest
 
+from borelgb.borel import borel_closure
 from borelgb.families import (BiAdjacency, FamilyEntry, IdealFamily,
-                              LinearPoset, essential_variables,
-                              find_lfree_column_order, has_long_induced_cycle,
+                              LinearPoset, find_lfree_column_order,
                               incidence_matrix, is_chordal_bipartite,
-                              is_lfree, lborel_closure, lfree_witness,
-                              parse_family, random_interval_family,
-                              random_principal_borel_family, reduce_family,
+                              lfree_witness, parse_family, reduce_family,
                               serialize_family)
 from borelgb.monomials import Monomial, ParseError, parse_monomial
 
-EX_FAMILY = """vars = 4
-ideal I1: support = x4 ; generator = x4
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x1*x2*x3
-ideal I5: support = x1,x2 ; generator = x1*x2^2
-"""
-
-NESTED_FAMILY = """vars = 4
-ideal I1: support = x3,x4 ; generator = x3*x4^2
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x2*x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x3^2
-"""
-
-TRIANGLE = """vars = 3
-ideal I1: support = x1,x2 ; generator = x2
-ideal I2: support = x1,x3 ; generator = x3
-ideal I3: support = x2,x3 ; generator = x3
-"""
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, has_long_induced_cycle,
+                     is_lfree, random_interval_family,
+                     random_principal_borel_family)
 
 
 def M(text, n=4):
@@ -44,24 +25,13 @@ def M(text, n=4):
 
 def test_lborel_closure():
     poset = LinearPoset(4, (3, 4))
-    got = [m.text() for m in lborel_closure(poset, M("x2*x4"))]
+    got = [m.text() for m in borel_closure(M("x2*x4"), support=poset.support)]
     assert got == ["x2*x4", "x2*x3"]
     # closure factors through the support part: m = m1 * m2 with m2 inert
-    full = lborel_closure(poset, M("x1*x3*x4^2"))
+    full = borel_closure(M("x1*x3*x4^2"), support=poset.support)
     inert = M("x1")
-    part = lborel_closure(poset, M("x3*x4^2"))
+    part = borel_closure(M("x3*x4^2"), support=poset.support)
     assert set(full) == {inert * m for m in part}
-
-
-def test_essential_variables():
-    gens = [M("x3*x4^2"), M("x3^2*x4"), M("x3^3")]
-    assert sorted(essential_variables(gens)) == [3, 4]
-    assert essential_variables([M("x4")]) == frozenset()
-    assert essential_variables([M("x1*x2^2")]) == frozenset()
-    with pytest.raises(ValueError):
-        essential_variables([M("x1"), M("x1*x2")])
-    with pytest.raises(ValueError):
-        essential_variables([])
 
 
 def test_effective_support_examples():

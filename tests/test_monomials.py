@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from borelgb.monomials import (AmbientMismatch, Monomial, ParseError,
-                               apply_move, compare, expand, gcd, lcm,
+                               apply_move, compare, expand, lcm,
                                parse_monomial, restrict)
 
 
@@ -71,7 +71,6 @@ def test_mul_div_divides():
         a * parse_monomial("x1", 3)
     assert M("x2").pow(3).text() == "x2^3"
     assert lcm(a, b).text() == "x1*x2*x3"
-    assert gcd(a, b).text() == "x2"
 
 
 def test_grevlex_examples():

@@ -7,36 +7,16 @@ import random
 import pytest
 
 from borelgb.borel import borel_closure
-from borelgb.families import (parse_family, random_interval_family,
-                              random_principal_borel_family, reduce_family)
+from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import Monomial, apply_move, parse_monomial
 from borelgb.quadrics import (first_non_squarefree_lead, quadrics_bs_form,
                               quadrics_multi, quadrics_single)
 from borelgb.sorting import borel_sort
-from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TermOrder,
-                           TProduct, certify, fiber_graph, iterate_images,
-                           sort_binomials)
+from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct,
+                           fiber_graph, iterate_images, sort_binomials)
 
-TRIANGLE = """vars = 3
-ideal I1: support = x1,x2 ; generator = x2
-ideal I2: support = x1,x3 ; generator = x3
-ideal I3: support = x2,x3 ; generator = x3
-"""
-
-EX_FAMILY = """vars = 4
-ideal I1: support = x4 ; generator = x4
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x1*x2*x3
-ideal I5: support = x1,x2 ; generator = x1*x2^2
-"""
-
-NESTED_FAMILY = """vars = 4
-ideal I1: support = x3,x4 ; generator = x3*x4^2
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x2*x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x3^2
-"""
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
+                     random_interval_family, random_principal_borel_family)
 
 
 def test_smallest_nontrivial_closure():
@@ -97,6 +77,7 @@ def test_both_forms_certify_identically_in_degree_two():
         gb = fiber_graph(setup, mu, 2, bs)
         ce, se = certify(ge)
         cb, sb = certify(gb)
+        assert ge.sinks() == se and gb.sinks() == sb
         assert ce and cb and len(se) == len(sb) == 1
         assert se == sb
         assert [t.gen for t in se[0].tvars] == list(borel_sort(M, mu, 2))
@@ -175,7 +156,6 @@ def test_first_non_squarefree_lead_detects():
 def exchanges_single_by_loops(M):
     gens = borel_closure(M)
     gset = set(gens)
-    order = TermOrder()
     unit = Monomial.unit(M.n)
     out = set()
     for m in gens:
@@ -192,13 +172,12 @@ def exchanges_single_by_loops(M):
                     v = TProduct(unit, (GeneratorVar(0, m2), GeneratorVar(0, n2)))
                     if u == v:
                         continue
-                    out.add(Binomial.make(u, v, order))
+                    out.add(Binomial.make(u, v))
     return sort_binomials(out)
 
 
 def exchanges_multi_by_loops(family):
     """(within-block, cross-block) exchange quadrics of a reduced family."""
-    order = TermOrder()
     unit = Monomial.unit(family.n)
     closures = family.closures()
     supports = [e.poset.positions() for e in family.entries]
@@ -224,7 +203,7 @@ def exchanges_multi_by_loops(family):
                                             GeneratorVar(idx, n2)))
                         if u == v:
                             continue
-                        fiber_principal.add(Binomial.make(u, v, order))
+                        fiber_principal.add(Binomial.make(u, v))
 
     fiber_biprincipal = set()
     for ia, ib in itertools.combinations(range(1, family.r + 1), 2):
@@ -248,7 +227,7 @@ def exchanges_multi_by_loops(family):
                     v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
                     if u == v:
                         continue
-                    fiber_biprincipal.add(Binomial.make(u, v, order))
+                    fiber_biprincipal.add(Binomial.make(u, v))
     return sort_binomials(fiber_principal), sort_binomials(fiber_biprincipal)
 
 
@@ -292,7 +271,6 @@ def test_family_exchanges_match_loops_on_random_families():
 def bs_form_by_pairs(M):
     """One `borel_sort` and one `Binomial.make` per unordered pair."""
     gens = borel_closure(M)
-    order = TermOrder()
     unit = Monomial.unit(M.n)
     out = set()
     for m, n in itertools.combinations_with_replacement(gens, 2):
@@ -301,12 +279,11 @@ def bs_form_by_pairs(M):
         v = TProduct(unit, (GeneratorVar(0, f1), GeneratorVar(0, f2)))
         if u == v:
             continue
-        out.add(Binomial.make(u, v, order))
+        out.add(Binomial.make(u, v))
     return sort_binomials(out)
 
 
 def symmetric_by_loops(family):
-    order = TermOrder()
     n = family.n
     out = set()
     for idx, e in enumerate(family.entries, start=1):
@@ -321,7 +298,7 @@ def symmetric_by_loops(family):
                     u = TProduct(Monomial.variable(s, n), (GeneratorVar(idx, m),))
                     v = TProduct(Monomial.variable(t, n),
                                  (GeneratorVar(idx, apply_move(m, s, t)),))
-                    out.add(Binomial.make(u, v, order))
+                    out.add(Binomial.make(u, v))
     return sort_binomials(out)
 
 

@@ -9,30 +9,18 @@ from collections import Counter
 import pytest
 
 from borelgb.borel import borel_closure, borel_member, min_borel_divisor
-from borelgb.families import (parse_family, random_interval_family,
-                              random_principal_borel_family, reduce_family)
+from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TermOrder, TProduct, _Budget, _enumerate, certify,
+                           TProduct, _Budget, _enumerate,
                            enumerate_fiber, fiber_graph, iterate_images,
                            sort_binomials, spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
-TRIANGLE = """vars = 3
-ideal I1: support = x1,x2 ; generator = x2
-ideal I2: support = x1,x3 ; generator = x3
-ideal I3: support = x2,x3 ; generator = x3
-"""
-
-EX_FAMILY = """vars = 4
-ideal I1: support = x4 ; generator = x4
-ideal I2: support = x3,x4 ; generator = x3*x4
-ideal I3: support = x2,x3,x4 ; generator = x3*x4
-ideal I4: support = x1,x2,x3 ; generator = x1*x2*x3
-ideal I5: support = x1,x2 ; generator = x1*x2^2
-"""
+from helpers import (EX_FAMILY, TRIANGLE, certify, random_interval_family,
+                     random_principal_borel_family)
 
 
 def M(text, n=4):
@@ -63,7 +51,7 @@ def test_tproduct_canonical_sorting():
     assert t.term_text() == "x1*T[t1:x4]*T[t2:x3^2]*T[t2:x3*x4]"
     assert tp("1", 4).term_text() == "1"
     assert t.tdegree == 3
-    assert t.beta(3) == (1, 2, 0)
+    assert [x.block for x in t.tvars] == [1, 2, 2]
     assert t.image() == M("x1*x3^3*x4^2")
 
 
@@ -85,28 +73,31 @@ def test_tproduct_arithmetic():
     assert ab.is_squarefree()
 
 
+def _sign(a, b):
+    """-1/0/+1 comparing T-products by key, +1 meaning a is larger."""
+    return (a.key > b.key) - (a.key < b.key)
+
+
 def test_term_order_goldens():
-    order = TermOrder()
     n = 2
     big = tp("1", n, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", n, (0, "x1*x2"), (0, "x1*x2"))
-    assert order.compare(big, small) == 1
-    assert order.compare(small, big) == -1
-    assert order.compare(big, big) == 0
+    assert _sign(big, small) == 1
+    assert _sign(small, big) == -1
+    assert _sign(big, big) == 0
     # any T variable beats any x part
-    assert order.compare(tp("1", n, (0, "x2^2")), tp("x1^5", n)) == 1
+    assert _sign(tp("1", n, (0, "x2^2")), tp("x1^5", n)) == 1
     # more T factors beat fewer when one list prefixes the other
-    assert order.compare(big, tp("1", n, (0, "x1^2"))) == 1
+    assert _sign(big, tp("1", n, (0, "x1^2"))) == 1
     # earlier blocks are larger
-    assert order.compare(tp("1", 4, (1, "x4")), tp("1", 4, (2, "x3*x4"))) == 1
+    assert _sign(tp("1", 4, (1, "x4")), tp("1", 4, (2, "x3*x4"))) == 1
     # x parts tie-break lexicographically with x1 largest
     g = (1, "x4")
-    assert order.compare(tp("x1", 4, g), tp("x2^3", 4, g)) == 1
+    assert _sign(tp("x1", 4, g), tp("x2^3", 4, g)) == 1
 
 
 def test_term_order_is_multiplicative():
     rng = random.Random(11)
-    order = TermOrder()
     pool = [GeneratorVar(b, Monomial(tuple(rng.randint(0, 2) for _ in range(3))))
             for b in (1, 2) for _ in range(4)]
 
@@ -117,9 +108,9 @@ def test_term_order_is_multiplicative():
 
     for _ in range(300):
         a, b, c = rand_tp(), rand_tp(), rand_tp()
-        s = order.compare(a, b)
-        assert s == -order.compare(b, a)
-        assert order.compare(a.times(c), b.times(c)) == s
+        s = _sign(a, b)
+        assert s == -_sign(b, a)
+        assert _sign(a.times(c), b.times(c)) == s
 
 
 def _rank_compare(a, b):
@@ -138,7 +129,6 @@ def _rank_compare(a, b):
 
 def test_term_order_key_matches_rank_comparator():
     rng = random.Random(5)
-    order = TermOrder()
 
     def rand_tp():
         tvars = [GeneratorVar(rng.randint(0, 2), Monomial(
@@ -149,23 +139,22 @@ def test_term_order_key_matches_rank_comparator():
     pts = [rand_tp() for _ in range(200)]
     pts += [TProduct(p.xpart, reversed(p.tvars)) for p in pts[:20]]
     for a, b in zip(pts, pts[1:] + pts[:1]):
-        assert order.compare(a, b) == _rank_compare(a, b)
-    assert order.sort(pts) == tuple(sorted(pts, key=functools.cmp_to_key(_rank_compare)))
+        assert _sign(a, b) == _rank_compare(a, b)
+    by_rank = sorted(pts, key=functools.cmp_to_key(_rank_compare))
+    assert sorted(pts, key=lambda p: p.key) == by_rank
 
 
 def test_binomial_make_orients_and_validates():
-    order = TermOrder()
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
-    assert Binomial.make(small, big, order) == Binomial(big, small)
-    assert Binomial.make(big, small, order) == Binomial(big, small)
+    assert Binomial.make(small, big) == Binomial(big, small)
+    assert Binomial.make(big, small) == Binomial(big, small)
     with pytest.raises(ValueError):
-        Binomial.make(big, big, order)
+        Binomial.make(big, big)
     with pytest.raises(ValueError):  # images differ
-        Binomial.make(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")), order)
+        Binomial.make(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))
     with pytest.raises(ValueError):  # same image, different block counts
-        Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")),
-                      TermOrder())
+        Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")))
     b = Binomial(big, small)
     assert b.text(tagged=False) == "T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2]"
 
@@ -224,6 +213,7 @@ def test_fiber_graph_and_certify():
     assert g.edges == ((1, 0, 0),)
     assert g.beta == (2,)
     connected, sinks = certify(g)
+    assert g.sinks() == sinks
     assert connected and [s.label(tagged=False) for s in sinks] == [
         "1 | x1*x2, x1*x2"]
     # triangle (1,1,1)-fiber: no quadric applies, two isolated points
@@ -233,6 +223,7 @@ def test_fiber_graph_and_certify():
                      (1, 1, 1), quadrics_multi(tri).all())
     assert tg.edges == ()
     connected, sinks = certify(tg)
+    assert tg.sinks() == sinks
     assert not connected and len(sinks) == 2
 
 
@@ -256,8 +247,7 @@ def test_mixed_ambients_are_rejected():
     with pytest.raises(AmbientMismatch):
         fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2, other)
     with pytest.raises(AmbientMismatch):
-        spair_certificate(quadrics_single(parse_monomial("x2^2", 2)) + other,
-                          TermOrder())
+        spair_certificate(quadrics_single(parse_monomial("x2^2", 2)) + other)
 
 
 def test_to_dot_golden():
@@ -332,6 +322,7 @@ def _graph_failures(setup, quads, bound):
     for mu, beta in iterate_images(setup, bound):
         graph = fiber_graph(setup, mu, beta, quads)
         _, sinks = certify(graph)
+        assert graph.sinks() == sinks
         if len(graph.vertices) > 1 and len(sinks) != 1:
             out.append((mu, beta if setup.kind == "multi" else None, sinks))
     return tuple(out)
@@ -428,8 +419,7 @@ def test_verify_fail_triangle():
 
 def test_spair_pass_single():
     M4 = parse_monomial("x2^2*x4", 4)
-    setup = FiberSetup.single(M4)
-    rep = spair_certificate(quadrics_single(M4), setup.order)
+    rep = spair_certificate(quadrics_single(M4))
     assert rep.passed
     assert rep.pairs_checked == 132
     assert rep.pairs_skipped == 193
@@ -439,17 +429,16 @@ def test_spair_pass_single():
 def test_spair_pair_counts_pinned():
     """Coprime pairs are counted, not formed; these counts pin the pruning."""
     M5 = parse_monomial("x2*x3*x5", 5)
-    rep = spair_certificate(quadrics_single(M5), TermOrder())
+    rep = spair_certificate(quadrics_single(M5))
     assert (rep.passed, rep.pairs_checked, rep.pairs_skipped) == (True, 2451, 8280)
     chain = parse_family(EX_FAMILY)
-    rep = spair_certificate(quadrics_multi(chain).all(), TermOrder())
+    rep = spair_certificate(quadrics_multi(chain).all())
     assert (rep.passed, rep.pairs_checked, rep.pairs_skipped) == (True, 151, 552)
 
 
 def test_spair_fail_triangle():
     tri = parse_family(TRIANGLE)
-    setup = FiberSetup.for_family(tri)
-    rep = spair_certificate(quadrics_multi(tri).all(), setup.order)
+    rep = spair_certificate(quadrics_multi(tri).all())
     assert not rep.passed
     assert rep.lines()[0] == (
         "FAIL spair [x3*T[t3:x2] - x2*T[t3:x3]] [x3*T[t2:x1] - x1*T[t2:x3]] "
@@ -512,8 +501,7 @@ def test_resource_limits_trip():
                     limits=Limits(max_checks=1))
     M4 = parse_monomial("x2^2*x4", 4)
     with pytest.raises(ResourceLimitError):
-        spair_certificate(quadrics_single(M4), TermOrder(),
-                          limits=Limits(max_steps=1))
+        spair_certificate(quadrics_single(M4), limits=Limits(max_steps=1))
     with pytest.raises(ResourceLimitError):
         verify_groebner_by_fibers(setup, quadrics_single(
             parse_monomial("x2^2", 2)), 2, limits=Limits(max_checks=1))
@@ -568,7 +556,7 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
         rec_pick(0, beta[bi], quotient)
 
     rec_block(0, mu)
-    return TermOrder().sort(out)
+    return tuple(sorted(out, key=lambda p: p.key))
 
 
 def _fiber_inputs():
@@ -729,7 +717,7 @@ class _OracleSteps:
         self.last_pair = pair
 
 
-def _spairs_by_scanning(quadrics, order):
+def _spairs_by_scanning(quadrics):
     """(SpairReport, _OracleSteps) of the unindexed S-pair route."""
     budget = _OracleSteps()
     basis = sort_binomials(quadrics)
@@ -744,17 +732,17 @@ def _spairs_by_scanning(quadrics, order):
             checked += 1
             u = _times_by_sorting(_counter_quotient(top, a.lead), a.tail)
             v = _times_by_sorting(_counter_quotient(top, b.lead), b.tail)
-            nf = _reduce_by_scanning(u, v, (a, b), basis, order, budget)
+            nf = _reduce_by_scanning(u, v, (a, b), basis, budget)
             if nf is not None:
                 return SpairReport(False, (a, b), nf, checked, skipped), budget
     return SpairReport(True, None, None, checked, skipped), budget
 
 
-def _reduce_by_scanning(u, v, pair, basis, order, budget):
+def _reduce_by_scanning(u, v, pair, basis, budget):
     while True:
         if u == v:
             return None
-        if order.compare(u, v) < 0:
+        if u.key < v.key:
             u, v = v, u
         budget.count_step(pair)
         step = _rewrite_by_scanning(u, basis)
@@ -805,25 +793,24 @@ def test_spair_route_matches_scanning_oracle():
     passing input with one quadric dropped, so FAIL paths are compared too;
     a step budget one short trips on both routes while reducing the same
     pair."""
-    order = TermOrder()
     rng = random.Random(71)
     compared = failing = tripped = 0
     for label, quads in _spair_inputs():
         pending = [quads]
         while pending:
             qs = pending.pop()
-            want, run = _spairs_by_scanning(qs, order)
+            want, run = _spairs_by_scanning(qs)
             if qs is quads and want.passed and len(quads) > 1:
                 drop = rng.randrange(len(quads))
                 pending.append(quads[:drop] + quads[drop + 1:])
-            got = spair_certificate(qs, order, Limits(max_steps=run.steps))
+            got = spair_certificate(qs, Limits(max_steps=run.steps))
             assert _report_fields(got) == _report_fields(want), label
             compared += 1
             failing += not want.passed
             if run.steps == 0:
                 continue
             with pytest.raises(SpairLimitError) as trip:
-                spair_certificate(qs, order, Limits(max_steps=run.steps - 1))
+                spair_certificate(qs, Limits(max_steps=run.steps - 1))
             assert trip.value.pair == run.last_pair, label
             tripped += 1
     assert compared > 200 and failing > 40 and tripped > 100
