@@ -395,16 +395,21 @@ def parse_family(text):
         support = set()
         sup_text = msup.group(1)
         if sup_text:
-            for tokpos, tok in enumerate(sup_text.split(",")):
-                tok = tok.strip()
+            # 0-based position in `line` of the support text, then of each token
+            at = len(line) - len(line.lstrip()) + m.start(2) + msup.start(1)
+            for raw_tok in sup_text.split(","):
+                tok = raw_tok.strip()
+                column = at + len(raw_tok) - len(raw_tok.lstrip()) + 1
+                at += len(raw_tok) + 1
                 mv = _VARNAME_RE.match(tok)
                 if mv is None:
-                    raise ParseError(f"malformed support variable {tok!r}", lineno, 1)
+                    raise ParseError(f"malformed support variable {tok!r}",
+                                     lineno, column)
                 p = int(mv.group(1)) - base + 1
                 if not 1 <= p <= n:
                     raise ParseError(
                         f"support variable {tok} outside x{base}..x{n - 1 + base}",
-                        lineno, 1)
+                        lineno, column)
                 support.add(p)
         semi = line.find(";")
         mgen = _GEN_RE.match(line[semi + 1:])

@@ -78,6 +78,17 @@ class _Budget:
             raise ResourceLimitError(
                 f"fiber exceeded {self.limits.max_checks} divisibility checks")
 
+    def charge(self, checks, vertices):
+        """Add both counts at once when that passes neither limit, and say
+        whether it did.  The counts only grow, so such a bulk add is what
+        charging one by one would have done."""
+        if (self.checks + checks > self.limits.max_checks
+                or self.vertices + vertices > self.limits.max_vertices):
+            return False
+        self.checks += checks
+        self.vertices += vertices
+        return True
+
     def count_step(self, pair):
         self.steps += 1
         if self.steps > self.limits.max_steps:
@@ -395,30 +406,47 @@ def _enumerate(setup, mu, beta, budget):
     if mu.n != setup.n:
         raise ValueError("ambient mismatch between image and setup")
     exact = setup.kind == "single"
+    blocks = setup.blocks
     # bounds[bi][rem]: rem times block bi's pivot suffix sums over its slots.
     bounds = [[tuple(rem * c for c in block.caps) if rem else ()
-               for rem in range(k + 1)] for block, k in zip(setup.blocks, beta)]
-    out = []
-    chosen = []
+               for rem in range(k + 1)] for block, k in zip(blocks, beta)]
+    # The points below a search node form a DAG: a node is a list of
+    # (T-variable, child) pairs, a child is a node or, past the last block,
+    # the leftover as a Monomial, and None stands for no points.  A pick
+    # subtree depends only on (bi, start, rem, q), so `memo` keeps each one
+    # with the checks and vertices it charged.  Equal leftovers share one
+    # Monomial in `leaves`.
+    memo, leaves = {}, {}
 
     def rec_block(bi, q):
-        if bi == len(setup.blocks):
+        if bi == len(blocks):
             if exact and any(q):
                 raise AssertionError("exact enumeration left a remainder")
             budget.count_vertex()
-            out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
-            return
-        block, caps = setup.blocks[bi], bounds[bi]
+            leaf = leaves.get(q)
+            if leaf is None:
+                leaf = leaves[q] = Monomial(q)
+            return leaf
+        block, caps = blocks[bi], bounds[bi]
         if not _block_fits(block, caps[beta[bi]], q, exact):
-            return
+            return None
         exps, masks, tvars = block.exps, block.masks, block.tvars
         end = len(exps)
         full = (1 << end) - 1
 
         def rec_pick(start, rem, q):
             if rem == 0:
-                rec_block(bi + 1, q)
-                return
+                return rec_block(bi + 1, q)
+            # A subtree reached again is charged again, in bulk when that
+            # passes neither limit; otherwise it is searched again so that
+            # the budget trips where the first search would have.  A single
+            # pick is one bitset test, cheaper than the lookup.
+            if rem > 1:
+                key = (bi, start, rem, q)
+                hit = memo.get(key)
+                if hit is not None and budget.charge(hit[1], hit[2]):
+                    return hit[0]
+                checks, vertices = budget.checks, budget.vertices
             # The generators from `start` on that divide q.  Every generator
             # from `start` on costs one check, charged up to each candidate
             # before it is tried, so a budget trips where a one-by-one
@@ -427,6 +455,7 @@ def _enumerate(setup, mu, beta, budget):
             for e, m in zip(q, masks):
                 if e < len(m):
                     fits &= m[e]
+            node = []
             charged = start
             while fits:
                 low = fits & -fits
@@ -437,14 +466,32 @@ def _enumerate(setup, mu, beta, budget):
                 q2 = tuple(map(operator.sub, q, exps[gi]))
                 if not _block_fits(block, caps[rem - 1], q2, exact):
                     continue
-                chosen.append(tvars[gi])
-                rec_pick(gi, rem - 1, q2)
-                chosen.pop()
+                child = rec_pick(gi, rem - 1, q2)
+                if child is not None:
+                    node.append((tvars[gi], child))
             budget.count_check(end - charged)
+            node = node or None
+            if rem > 1:
+                memo[key] = (node, budget.checks - checks,
+                             budget.vertices - vertices)
+            return node
 
-        rec_pick(0, beta[bi], q)
+        return rec_pick(0, beta[bi], q)
 
-    rec_block(0, mu.exps)
+    root = rec_block(0, mu.exps)
+    memo.clear()  # for peak memory: building the points needs only the DAG
+    out = []
+
+    def walk(child, chosen):
+        if child.__class__ is list:
+            for tvar, below in child:
+                walk(below, chosen + (tvar,))
+        else:
+            out.append(TProduct._sorted(child, chosen))
+
+    if root is not None:
+        walk(root, ())
+    del root  # and sorting them needs no DAG
     return tuple(sorted(out, key=_key))
 
 
@@ -588,7 +635,25 @@ def _check_quadrics(setup, quadrics):
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
 
 
-def _examine_image(setup, quadrics, limits, mu, beta):
+def _lead_buckets(leads):
+    """The positions of the leads under the key of each one's largest
+    T-variable, or None when it has none.  A lead divides a term only when
+    that T-variable is one of the term's, so the term's buckets and the None
+    bucket hold every lead that can divide it."""
+    buckets = {}
+    for i, lead in enumerate(leads):
+        tvars = lead.tvars
+        buckets.setdefault(tvars[0].key if tvars else None, []).append(i)
+    return buckets
+
+
+def _sweep(setup, quadrics, limits):
+    """The arguments `_examine_image` takes before the image."""
+    leads = tuple(q.lead for q in quadrics)
+    return setup, leads, _lead_buckets(leads), limits
+
+
+def _examine_image(setup, leads, buckets, limits, mu, beta):
     # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.
@@ -596,19 +661,21 @@ def _examine_image(setup, quadrics, limits, mu, beta):
     vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
     if len(vertices) <= 1:
         return (mu, beta, vertices)
-    budget.count_check(len(vertices) * len(quadrics))
-    return (mu, beta, tuple(u for u in vertices
-                            if not any(q.lead.divides(u) for q in quadrics)))
+    budget.count_check(len(vertices) * len(leads))
+    return (mu, beta, tuple(
+        u for u in vertices
+        if not any(leads[i].divides(u)
+                   for k in {None, *u.key[0]} for i in buckets.get(k, ()))))
 
 
-# (setup, quadrics, limits) of a pool worker's sweep, sent once per worker
-# so that each task carries only its image.
+# The `_sweep` of a pool worker, built once per worker so that each task
+# carries only its image.
 _worker_sweep = None
 
 
-def _start_worker(*sweep):
+def _start_worker(setup, quadrics, limits):
     global _worker_sweep
-    _worker_sweep = sweep
+    _worker_sweep = _sweep(setup, quadrics, limits)
 
 
 def _examine_in_worker(image):
@@ -633,8 +700,8 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
                                  initargs=(setup, quadrics, limits)) as pool:
             results = list(pool.map(_examine_in_worker, images, chunksize=8))
     else:
-        results = [_examine_image(setup, quadrics, limits, mu, beta)
-                   for mu, beta in images]
+        sweep = _sweep(setup, quadrics, limits)
+        results = [_examine_image(*sweep, mu, beta) for mu, beta in images]
     failures = tuple((mu, beta if setup.kind == "multi" else None, sinks)
                      for mu, beta, sinks in results if len(sinks) > 1)
     return VerifyReport(not failures, failures, f"fibers bound={bound}", len(images))
@@ -691,11 +758,7 @@ def spair_certificate(quadrics, limits=None):
     for i, held in enumerate(atoms):
         for atom in held:
             holders.setdefault(atom, []).append(i)
-    # Each lead under its largest T-variable (None when it has none).
-    buckets = {}
-    for i, g in enumerate(basis):
-        tvars = g.lead.tvars
-        buckets.setdefault(tvars[0].key if tvars else None, []).append(i)
+    buckets = _lead_buckets(g.lead for g in basis)
     checked = skipped = 0
     for ai, a in enumerate(basis):
         partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
@@ -736,8 +799,7 @@ def _reduce_difference(u, v, pair, basis, buckets, budget):
 
 def _rewrite_once(term, basis, buckets):
     """term / lead * tail for the first basis element whose lead divides the
-    term, or None.  Such a lead's largest T-variable is one of the term's, so
-    only those buckets and the T-free one can hold it."""
+    term, or None; only the buckets `_lead_buckets` names can hold it."""
     best = len(basis)
     for k in {None, *term.key[0]}:
         for i in buckets.get(k, ()):

@@ -14,6 +14,7 @@ from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (FamilyEntry, IdealFamily, LinearPoset, _bits,
                               lfree_witness)
 from borelgb.monomials import Monomial, apply_move, expand, restrict
+from borelgb.toric import _Budget, _enumerate
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -258,3 +259,18 @@ def certify(graph):
     connected = n <= 1 or len({find(i) for i in range(n)}) == 1
     sinks = tuple(graph.vertices[i] for i in range(n) if not has_out[i])
     return connected, sinks
+
+
+def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
+    """Oracle for the sweep's `_examine_image`: every lead is tested against
+    every fiber point, with no index."""
+    # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
+    # points, those no lead divides: `_check_quadrics` makes every other point
+    # the source of an edge.  A fiber with two or more sinks fails.
+    budget = _Budget(limits)
+    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
+    if len(vertices) <= 1:
+        return (mu, beta, vertices)
+    budget.count_check(len(vertices) * len(quadrics))
+    return (mu, beta, tuple(u for u in vertices
+                            if not any(q.lead.divides(u) for q in quadrics)))

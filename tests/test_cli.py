@@ -231,6 +231,14 @@ def test_input_errors(capsys, tmp_path):
     assert rc == 2 and "not reduced" in err
 
 
+def test_family_support_errors_name_their_column(capsys, tmp_path):
+    p = tmp_path / "bad.fam"
+    for support, want in (("x1, y", "column 24: malformed support variable 'y'"),
+                          ("x1, x7", "column 24: support variable x7 outside x1..x2")):
+        p.write_text(f"vars = 2\nideal A: support = {support} ; generator = x1\n")
+        assert run(capsys, "verify", str(p)) == (2, "", f"error: line 2, {want}\n")
+
+
 def test_family_without_ideals_exits_2(capsys, tmp_path):
     p = tmp_path / "empty.fam"
     p.write_text("vars = 2\n")

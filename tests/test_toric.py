@@ -14,12 +14,14 @@ from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TProduct, _Budget, _enumerate,
+                           TProduct, _Budget, _enumerate, _examine_image,
+                           _sweep,
                            enumerate_fiber, fiber_graph, iterate_images,
                            sort_binomials, spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
-from helpers import (EX_FAMILY, TRIANGLE, certify, random_interval_family,
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
+                     examine_image_by_scanning, random_interval_family,
                      random_principal_borel_family)
 
 
@@ -328,7 +330,9 @@ def _graph_failures(setup, quads, bound):
     return tuple(out)
 
 
-def test_sweep_failures_match_graph_sinks():
+def _sweep_inputs():
+    """(setup, quadrics, bound): seeded single closures and interval
+    families, each with its full quadric set and with a random half."""
     rng = random.Random(31)
     singles, families = [], []
     while len(singles) < 6:
@@ -343,13 +347,33 @@ def test_sweep_failures_match_graph_sinks():
         if 3 <= len(quadrics_multi(fam).all()) <= 20:
             families.append((FiberSetup.for_family(fam),
                              quadrics_multi(fam).all(), 2))
-    failing = 0
     for setup, quads, bound in singles + families:
         for subset in (quads, tuple(q for q in quads if rng.random() < 0.5)):
-            rep = verify_groebner_by_fibers(setup, subset, bound)
-            assert rep.failures == _graph_failures(setup, subset, bound)
-            failing += not rep.passed
+            yield setup, subset, bound
+
+
+def test_sweep_failures_match_graph_sinks():
+    failing = 0
+    for setup, quads, bound in _sweep_inputs():
+        rep = verify_groebner_by_fibers(setup, quads, bound)
+        assert rep.failures == _graph_failures(setup, quads, bound)
+        failing += not rep.passed
     assert failing >= 8
+
+
+def test_indexed_sweep_matches_scanning_filter():
+    """The standard points of every image, found through the lead buckets,
+    are those the full scan of the leads finds."""
+    filtered = multi_sink = 0
+    for setup, quads, bound in _sweep_inputs():
+        sweep = _sweep(setup, quads, Limits())
+        for mu, beta in iterate_images(setup, bound):
+            want = examine_image_by_scanning(setup, quads, Limits(), mu, beta)
+            got = _examine_image(*sweep, mu, beta)
+            assert got == want, (mu, beta)
+            filtered += len(enumerate_fiber(setup, mu, beta)) > len(want[2]) > 0
+            multi_sink += len(want[2]) > 1
+    assert filtered > 400 and multi_sink > 100
 
 
 def test_verify_rejects_bad_quadrics():
@@ -398,8 +422,11 @@ def test_verify_jobs_match_on_a_failing_family():
     qs = quadrics_multi(tri).all()
     seq = verify_groebner_by_fibers(setup, qs, 3)
     par = verify_groebner_by_fibers(setup, qs, 3, jobs=2)
+    scanned = (examine_image_by_scanning(setup, qs, Limits(), mu, beta)
+               for mu, beta in iterate_images(setup, 3))
     assert not seq.passed
-    assert par.failures == seq.failures
+    assert par.failures == seq.failures == tuple(
+        image for image in scanned if len(image[2]) > 1)
     assert par.lines() == seq.lines()
 
 
@@ -616,6 +643,65 @@ def test_enumeration_matches_scanning_oracle():
                     == _trip(_enumerate_by_scanning, setup, mu, beta, limits)), label
             tripped += 1
     assert compared > 4000 and multi > 2500 and tripped > 12000
+
+
+class _RefusalBudget(_Budget):
+    """A budget that records which limit refused each bulk charge."""
+
+    def __init__(self, limits):
+        super().__init__(limits)
+        self.refused = []
+
+    def charge(self, checks, vertices):
+        if super().charge(checks, vertices):
+            return True
+        self.refused.append("vertices" if self.vertices + vertices
+                            > self.limits.max_vertices else "checks")
+        return False
+
+
+def _outcome(route, setup, mu, beta, budget):
+    """The points, or the trip message with the vertices and (capped at the
+    first check past the limit) checks charged when it tripped.  A chunk of
+    checks charged at once may overshoot the check limit, nothing else may."""
+    try:
+        return route(setup, mu, beta, budget)
+    except ResourceLimitError as trip:
+        return (str(trip), budget.vertices,
+                min(budget.checks, budget.limits.max_checks + 1))
+
+
+def test_memo_hits_replay_the_budget():
+    """A subtree reached again charges what searching it would, so budgets
+    at fractions of the totals trip at the same point with the same message
+    as the oracle, also when the limit falls inside a subtree reached again.
+    The totals themselves are compared in the test above."""
+    nested = FiberSetup.for_family(parse_family(NESTED_FAMILY))
+    chain = FiberSetup.for_family(parse_family(EX_FAMILY))
+    C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
+    fibers = [(nested, M("x1^2*x2^5*x3^6*x4^5"), (1, 1, 2, 2)),
+              (nested, M("x1^3*x2^4*x3^7*x4^6"), (1, 1, 1, 3)),
+              (chain, M("x1^4*x2^6*x3^4*x4^3"), (1, 1, 1, 1, 2)),
+              (FiberSetup.single(C2, base=0),
+               parse_monomial("x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0), (6,))]
+    refused = Counter()
+    for setup, mu, beta in fibers:
+        totals = _Budget(Limits())
+        _enumerate(setup, mu, beta, totals)
+        for f in (0.1, 0.4, 0.7):
+            checks = int(f * totals.checks)
+            vertices, others = (int(g * totals.vertices) for g in (f, 1 - f))
+            for kind, limits in (
+                    ("checks", Limits(max_checks=checks)),
+                    ("vertices", Limits(max_vertices=vertices)),
+                    ("both", Limits(max_vertices=others, max_checks=checks))):
+                budget = _RefusalBudget(limits)
+                got = _outcome(_enumerate, setup, mu, beta, budget)
+                assert got == _outcome(_enumerate_by_scanning, setup, mu, beta,
+                                       _Budget(limits)), (mu, beta, kind, f)
+                refused.update((kind, limit) for limit in budget.refused)
+    assert all(refused[kind, kind] for kind in ("checks", "vertices"))
+    assert refused["both", "checks"] and refused["both", "vertices"]
 
 
 # --- The S-pair route before its indexes, kept as an oracle -------------------
