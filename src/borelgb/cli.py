@@ -15,7 +15,7 @@ from .borel import borel_closure
 from .families import (incidence_matrix, find_lfree_column_order,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        reduce_family, serialize_family)
-from .monomials import AmbientMismatch, ParseError, parse_monomial, parse_power_product
+from .monomials import ParseError, parse_monomial, parse_power_product
 from .quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from .sorting import borel_sort
 from .toric import (FiberSetup, Limits, ResourceLimitError, SpairLimitError,
@@ -328,10 +328,7 @@ def main(argv=None):
         if getattr(args, "single", None) is not None and args.n is None:
             raise ParseError("--single requires -n")
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AmbientMismatch, ValueError) as exc:
+    except ValueError as exc:  # ParseError and AmbientMismatch among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

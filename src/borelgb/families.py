@@ -225,7 +225,9 @@ def _ordered_pair_ok(cu, cv):
     return (only_u & -only_u).bit_length() >= both.bit_length()
 
 
-# Size caps that keep the two staircase searches at desk scale.
+# Size caps on the two staircase decisions.  Neither needs them any more;
+# they stay so that an oversized matrix still exits 2 with the same message,
+# and lifting them would change the CLI's exit codes.
 ORDER_SEARCH_CAP = 10
 CHORDAL_SEARCH_CAP = 8
 
@@ -233,115 +235,54 @@ CHORDAL_SEARCH_CAP = 8
 def find_lfree_column_order(matrix):
     """Lexicographically first column permutation making the matrix L-free, or None.
 
-    Depth-first search over prefixes: a column may be appended only when it
-    forms no L-configuration with any earlier column, which prunes exactly the
-    dead branches.  Column count is capped at `ORDER_SEARCH_CAP`.
+    Greedy: the next column is the least unplaced one that forms no
+    L-configuration with any other unplaced column.  Dropping a column from
+    a valid order leaves a valid order, so any column that qualifies starts a
+    completion whenever one exists.  Column count is capped at
+    `ORDER_SEARCH_CAP`.
     """
     r = matrix.r
     if r > ORDER_SEARCH_CAP:
         raise ValueError(f"column count {r} exceeds search cap {ORDER_SEARCH_CAP}")
     masks = _column_masks(matrix)
-    prefix = []
-    used = [False] * r
-
-    def extend():
-        if len(prefix) == r:
-            return True
-        for c in range(r):
-            if used[c]:
-                continue
-            if all(_ordered_pair_ok(masks[u], masks[c]) for u in prefix):
-                used[c] = True
-                prefix.append(c)
-                if extend():
-                    return True
-                prefix.pop()
-                used[c] = False
-        return False
-
-    if extend():
-        return tuple(prefix)
-    return None
-
-
-def _acyclic(nodes, edges):
-    """Kahn's algorithm on a small digraph given as a set of (a, b) pairs."""
-    indeg = {v: 0 for v in nodes}
-    out = {v: [] for v in nodes}
-    for a, b in edges:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(nodes)
+    left = list(range(r))
+    order = []
+    while left:
+        for c in left:
+            if all(_ordered_pair_ok(masks[c], masks[d]) for d in left if d != c):
+                break
+        else:
+            return None
+        left.remove(c)
+        order.append(c)
+    return tuple(order)
 
 
 def is_chordal_bipartite(matrix):
     """Whether some row and column permutation makes the matrix L-free.
 
-    Searches column orders depth-first; for each ordered column pair the rows
-    split into "must come later" constraints (row b forces row a below it when
-    placing a above b would create an L), and a compatible row order exists
-    precisely when the forced-precedence digraph is acyclic.  Rows and columns
-    are capped at `CHORDAL_SEARCH_CAP`.
+    Such a permutation exists exactly when the matrix is totally balanced,
+    and then a doubly lexical ordering, with its column order reversed, is
+    one (Hoffman, Kolen & Sakarovitch 1985; Lubiw 1987).  The ordering comes
+    from sorting rows and columns in turn, each descending by its entries in
+    the other's current order, until neither sort moves anything; each sort
+    that moves something makes the column-major reading strictly larger, so
+    this ends.  Rows and columns are capped at `CHORDAL_SEARCH_CAP`.
     """
     if max(matrix.n, matrix.r) > CHORDAL_SEARCH_CAP:
         raise ValueError(f"matrix {matrix.n}x{matrix.r} exceeds search cap "
                          f"{CHORDAL_SEARCH_CAP}")
-    masks = _column_masks(matrix)
-    r = matrix.r
-    nodes = tuple(range(matrix.n))
-    prefix = []
-    used = [False] * r
-    # edge (b, a): row b must be placed above row a
-    edge_stack = [set()]
-
-    def forced_edges(cu, cv):
-        only_u = cu & ~cv
-        both = cu & cv
-        edges = set()
-        for a in _bits(only_u):
-            for b in _bits(both):
-                if a != b:
-                    edges.add((b, a))
-        return edges
-
-    def extend():
-        if len(prefix) == r:
-            return True
-        for c in range(r):
-            if used[c]:
-                continue
-            new_edges = set(edge_stack[-1])
-            for u in prefix:
-                new_edges |= forced_edges(masks[u], masks[c])
-            if not _acyclic(nodes, new_edges):
-                continue
-            used[c] = True
-            prefix.append(c)
-            edge_stack.append(new_edges)
-            if extend():
-                return True
-            edge_stack.pop()
-            prefix.pop()
-            used[c] = False
-        return False
-
-    return extend()
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    a = matrix.rows
+    rows, cols = list(range(matrix.n)), list(range(matrix.r))
+    while True:
+        new_rows = sorted(rows, key=lambda i: [a[i][j] for j in cols], reverse=True)
+        new_cols = sorted(cols, key=lambda j: [a[i][j] for i in new_rows],
+                          reverse=True)
+        if new_rows == rows and new_cols == cols:
+            break
+        rows, cols = new_rows, new_cols
+    ordered = BiAdjacency(matrix.n, matrix.col_names, [a[i] for i in rows])
+    return lfree_witness(ordered.permute_columns(reversed(cols))) is None
 
 
 _VARS_RE = re.compile(r"vars\s*=\s*(\d+)\s*\Z")
@@ -392,11 +333,14 @@ def parse_family(text):
         msup = _SUPPORT_RE.match(pieces[0])
         if msup is None:
             raise ParseError("missing 'support =' clause", lineno, 1)
+        # 0-based positions in `line` of `rest` and of the ';' that splits it
+        at_rest = len(line) - len(line.lstrip()) + m.start(2)
+        semi = at_rest + len(pieces[0])
         support = set()
         sup_text = msup.group(1)
         if sup_text:
             # 0-based position in `line` of the support text, then of each token
-            at = len(line) - len(line.lstrip()) + m.start(2) + msup.start(1)
+            at = at_rest + msup.start(1)
             for raw_tok in sup_text.split(","):
                 tok = raw_tok.strip()
                 column = at + len(raw_tok) - len(raw_tok.lstrip()) + 1
@@ -411,7 +355,6 @@ def parse_family(text):
                         f"support variable {tok} outside x{base}..x{n - 1 + base}",
                         lineno, column)
                 support.add(p)
-        semi = line.find(";")
         mgen = _GEN_RE.match(line[semi + 1:])
         if mgen is None:
             raise ParseError("missing 'generator =' clause", lineno, 1)

@@ -189,7 +189,7 @@ class TProduct:
             if j == end or theirs[j].key != k:
                 return False
             j += 1
-        return self.xpart.divides(other.xpart)
+        return all(map(operator.le, self.xpart.exps, other.xpart.exps))
 
     def quotient(self, other):
         """Exact division by `other`; raises ValueError when it does not divide."""
@@ -491,8 +491,11 @@ def _enumerate(setup, mu, beta, budget):
 
     if root is not None:
         walk(root, ())
-    del root  # and sorting them needs no DAG
-    return tuple(sorted(out, key=_key))
+    del root  # for peak memory: the points need no DAG
+    # The walk emits the points in descending key order: picks run in
+    # ascending `gens_desc` index, which is descending T-variable key, blocks
+    # are walked in order, and a point's leftover is fixed by its T-variables.
+    return tuple(reversed(out))
 
 
 class FiberGraph:

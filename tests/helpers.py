@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 
 from borelgb.borel import borel_member, min_borel_divisor
-from borelgb.families import (FamilyEntry, IdealFamily, LinearPoset, _bits,
-                              lfree_witness)
+from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
+                              FamilyEntry, IdealFamily, LinearPoset,
+                              _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, apply_move, expand, restrict
 from borelgb.toric import _Budget, _enumerate
 
@@ -165,6 +166,120 @@ def factorization_step(factors, M, mu):
 
 def is_lfree(matrix):
     return lfree_witness(matrix) is None
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def find_lfree_column_order_by_search(matrix):
+    """Oracle for `find_lfree_column_order`: backtracking over column prefixes.
+
+    Depth-first search over prefixes: a column may be appended only when it
+    forms no L-configuration with any earlier column, which prunes exactly the
+    dead branches.  Column count is capped at `ORDER_SEARCH_CAP`.
+    """
+    r = matrix.r
+    if r > ORDER_SEARCH_CAP:
+        raise ValueError(f"column count {r} exceeds search cap {ORDER_SEARCH_CAP}")
+    masks = _column_masks(matrix)
+    prefix = []
+    used = [False] * r
+
+    def extend():
+        if len(prefix) == r:
+            return True
+        for c in range(r):
+            if used[c]:
+                continue
+            if all(_ordered_pair_ok(masks[u], masks[c]) for u in prefix):
+                used[c] = True
+                prefix.append(c)
+                if extend():
+                    return True
+                prefix.pop()
+                used[c] = False
+        return False
+
+    if extend():
+        return tuple(prefix)
+    return None
+
+
+def _acyclic(nodes, edges):
+    """Kahn's algorithm on a small digraph given as a set of (a, b) pairs."""
+    indeg = {v: 0 for v in nodes}
+    out = {v: [] for v in nodes}
+    for a, b in edges:
+        out[a].append(b)
+        indeg[b] += 1
+    queue = [v for v in nodes if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(nodes)
+
+
+def is_chordal_bipartite_by_search(matrix):
+    """Oracle for `is_chordal_bipartite`: backtracking over column orders.
+
+    Searches column orders depth-first; for each ordered column pair the rows
+    split into "must come later" constraints (row b forces row a below it when
+    placing a above b would create an L), and a compatible row order exists
+    precisely when the forced-precedence digraph is acyclic.  Rows and columns
+    are capped at `CHORDAL_SEARCH_CAP`.
+    """
+    if max(matrix.n, matrix.r) > CHORDAL_SEARCH_CAP:
+        raise ValueError(f"matrix {matrix.n}x{matrix.r} exceeds search cap "
+                         f"{CHORDAL_SEARCH_CAP}")
+    masks = _column_masks(matrix)
+    r = matrix.r
+    nodes = tuple(range(matrix.n))
+    prefix = []
+    used = [False] * r
+    # edge (b, a): row b must be placed above row a
+    edge_stack = [set()]
+
+    def forced_edges(cu, cv):
+        only_u = cu & ~cv
+        both = cu & cv
+        edges = set()
+        for a in _bits(only_u):
+            for b in _bits(both):
+                if a != b:
+                    edges.add((b, a))
+        return edges
+
+    def extend():
+        if len(prefix) == r:
+            return True
+        for c in range(r):
+            if used[c]:
+                continue
+            new_edges = set(edge_stack[-1])
+            for u in prefix:
+                new_edges |= forced_edges(masks[u], masks[c])
+            if not _acyclic(nodes, new_edges):
+                continue
+            used[c] = True
+            prefix.append(c)
+            edge_stack.append(new_edges)
+            if extend():
+                return True
+            edge_stack.pop()
+            prefix.pop()
+            used[c] = False
+        return False
+
+    return extend()
 
 
 def has_long_induced_cycle(matrix):

@@ -239,6 +239,19 @@ def test_family_support_errors_name_their_column(capsys, tmp_path):
         assert run(capsys, "verify", str(p)) == (2, "", f"error: line 2, {want}\n")
 
 
+def test_family_name_with_a_semicolon(capsys, tmp_path):
+    """The generator clause follows the ';' that splits the clauses, not the
+    first ';' of the line, which may lie in the name."""
+    p = tmp_path / "semi.fam"
+    p.write_text("vars = 2\nideal A;B: support = x1 ; generator = x1\n")
+    assert run(capsys, "reduce", str(p)) == (
+        0, "vars = 2\nideal A;B: support = x1 ; generator = x1\n"
+           "# stripped A;B: 1\n", "")
+    p.write_text("vars = 2\nideal A;B: support = x1 ; generator = x1*y2\n")
+    assert run(capsys, "reduce", str(p)) == (
+        2, "", "error: line 2, column 42: expected 'x' variables, got 'y2'\n")
+
+
 def test_family_without_ideals_exits_2(capsys, tmp_path):
     p = tmp_path / "empty.fam"
     p.write_text("vars = 2\n")

@@ -7,16 +7,18 @@ import random
 import pytest
 
 from borelgb.borel import borel_closure
-from borelgb.families import (BiAdjacency, FamilyEntry, IdealFamily,
+from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
+                              BiAdjacency, FamilyEntry, IdealFamily,
                               LinearPoset, find_lfree_column_order,
                               incidence_matrix, is_chordal_bipartite,
                               lfree_witness, parse_family, reduce_family,
                               serialize_family)
 from borelgb.monomials import Monomial, ParseError, parse_monomial
 
-from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, has_long_induced_cycle,
-                     is_lfree, random_interval_family,
-                     random_principal_borel_family)
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE,
+                     find_lfree_column_order_by_search, has_long_induced_cycle,
+                     is_chordal_bipartite_by_search, is_lfree,
+                     random_interval_family, random_principal_borel_family)
 
 
 def M(text, n=4):
@@ -200,6 +202,74 @@ def test_chordal_bipartite_matches_induced_cycle_definition():
         else:
             agree_false += 1
     assert agree_true > 0 and agree_false > 0
+
+
+def _matrix(rows):
+    return BiAdjacency(len(rows), [f"c{j}" for j in range(len(rows[0]))], rows)
+
+
+def test_staircase_decisions_match_oracles_exhaustively():
+    """Every matrix up to 3x4 and 4x3: the greedy order and the doubly
+    lexical test against the backtracking searches and the definitions."""
+    seen = {False: 0, True: 0}
+    for n, r in itertools.product(range(1, 5), repeat=2):
+        if n * r > 12:
+            continue
+        for cells in itertools.product((0, 1), repeat=n * r):
+            mat = _matrix(tuple(cells[i * r:(i + 1) * r] for i in range(n)))
+            order = find_lfree_column_order(mat)
+            assert order == find_lfree_column_order_by_search(mat)
+            assert order == next(
+                (p for p in itertools.permutations(range(r))
+                 if is_lfree(mat.permute_columns(p))), None)
+            chordal = is_chordal_bipartite(mat)
+            assert chordal == is_chordal_bipartite_by_search(mat)
+            assert chordal == (not has_long_induced_cycle(mat))
+            seen[chordal] += 1
+    assert seen[False] and seen[True]
+
+
+def _shuffled_interval_matrix(rng, n, r, shuffle_rows):
+    """A matrix whose columns are nested-start intervals, with its columns
+    and optionally its rows shuffled.  Both keep it chordal bipartite; a
+    column shuffle keeps an L-free column order, which it hides."""
+    mat = incidence_matrix(random_interval_family(rng, n, r))
+    rows = list(mat.rows)
+    if shuffle_rows:
+        rng.shuffle(rows)
+    perm = list(range(r))
+    rng.shuffle(perm)
+    return BiAdjacency(n, mat.col_names, rows).permute_columns(perm)
+
+
+def _random_matrix(rng, n, r):
+    density = rng.random()
+    return _matrix(tuple(tuple(int(rng.random() < density) for _ in range(r))
+                         for _ in range(n)))
+
+
+def test_staircase_decisions_match_oracles_at_the_caps():
+    """Seeded matrices at the caps, 8x8 for chordality and 8 rows by 10
+    columns for the order: random ones of random density, and shuffled
+    interval matrices, which both decisions accept."""
+    rng = random.Random(83)
+    cap = CHORDAL_SEARCH_CAP
+    verdicts = set()
+    for _ in range(12):
+        for mat in (_random_matrix(rng, cap, cap),
+                    _shuffled_interval_matrix(rng, cap, cap, True)):
+            chordal = is_chordal_bipartite(mat)
+            assert chordal == is_chordal_bipartite_by_search(mat)
+            verdicts.add(chordal)
+    found = set()
+    for _ in range(15):
+        for mat in (_random_matrix(rng, cap, ORDER_SEARCH_CAP),
+                    _shuffled_interval_matrix(rng, rng.randint(2, cap),
+                                              ORDER_SEARCH_CAP, False)):
+            order = find_lfree_column_order(mat)
+            assert order == find_lfree_column_order_by_search(mat)
+            found.add(order is not None)
+    assert verdicts == found == {False, True}
 
 
 def test_family_file_round_trip():
