@@ -14,7 +14,7 @@ import sys
 from .borel import borel_closure
 from .families import (incidence_matrix, find_lfree_column_order,
                        is_chordal_bipartite, lfree_witness, parse_family,
-                       reduce_family, serialize_family)
+                       parse_support, reduce_family, serialize_family)
 from .monomials import ParseError, parse_monomial, parse_power_product
 from .quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from .sorting import borel_sort
@@ -29,19 +29,6 @@ def _read_family(path):
             return parse_family(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read family file {path}: {exc.strerror}")
-
-
-def _parse_support(text, n, base):
-    out = set()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok.startswith("x") or not tok[1:].isdigit():
-            raise ParseError(f"malformed support variable {tok!r}")
-        p = int(tok[1:]) - base + 1
-        if not 1 <= p <= n:
-            raise ParseError(f"support variable {tok} outside the ambient ring")
-        out.add(p)
-    return out
 
 
 def _parse_beta(text, r):
@@ -71,9 +58,8 @@ def _single_quadrics(M, form):
 
 def cmd_closure(args):
     M = parse_monomial(args.monomial, args.n, args.base)
-    support = None
-    if args.support is not None:
-        support = _parse_support(args.support, args.n, args.base)
+    support = (None if args.support is None
+               else parse_support(args.support, args.n, args.base))
     for m in borel_closure(M, support=support):
         print(m.text(args.base))
     return 0

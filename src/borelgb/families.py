@@ -293,6 +293,29 @@ _GEN_RE = re.compile(r"\s*generator\s*=")
 _VARNAME_RE = re.compile(r"x(\d+)\Z")
 
 
+def parse_support(text, n, base, line=None, column_offset=0):
+    """Parse 'x3,x4'-style support text (empty: no positions) into a set of
+    1-based positions; errors report 1-based columns, as `parse_monomial`."""
+    support = set()
+    if not text.strip():
+        return support
+    at = column_offset
+    for raw_tok in text.split(","):
+        tok = raw_tok.strip()
+        column = at + len(raw_tok) - len(raw_tok.lstrip()) + 1
+        at += len(raw_tok) + 1
+        mv = _VARNAME_RE.match(tok)
+        if mv is None:
+            raise ParseError(f"malformed support variable {tok!r}", line, column)
+        p = int(mv.group(1)) - base + 1
+        if not 1 <= p <= n:
+            raise ParseError(
+                f"support variable {tok} outside x{base}..x{n - 1 + base}",
+                line, column)
+        support.add(p)
+    return support
+
+
 def parse_family(text):
     """Parse the family file format into an IdealFamily.
 
@@ -336,25 +359,8 @@ def parse_family(text):
         # 0-based positions in `line` of `rest` and of the ';' that splits it
         at_rest = len(line) - len(line.lstrip()) + m.start(2)
         semi = at_rest + len(pieces[0])
-        support = set()
-        sup_text = msup.group(1)
-        if sup_text:
-            # 0-based position in `line` of the support text, then of each token
-            at = at_rest + msup.start(1)
-            for raw_tok in sup_text.split(","):
-                tok = raw_tok.strip()
-                column = at + len(raw_tok) - len(raw_tok.lstrip()) + 1
-                at += len(raw_tok) + 1
-                mv = _VARNAME_RE.match(tok)
-                if mv is None:
-                    raise ParseError(f"malformed support variable {tok!r}",
-                                     lineno, column)
-                p = int(mv.group(1)) - base + 1
-                if not 1 <= p <= n:
-                    raise ParseError(
-                        f"support variable {tok} outside x{base}..x{n - 1 + base}",
-                        lineno, column)
-                support.add(p)
+        support = parse_support(msup.group(1), n, base, line=lineno,
+                                column_offset=at_rest + msup.start(1))
         mgen = _GEN_RE.match(line[semi + 1:])
         if mgen is None:
             raise ParseError("missing 'generator =' clause", lineno, 1)

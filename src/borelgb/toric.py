@@ -20,7 +20,7 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 
 from .borel import borel_closure, min_borel_divisor
-from .monomials import AmbientMismatch, Monomial, _check_ambient, lcm, restrict
+from .monomials import AmbientMismatch, Monomial, lcm, restrict
 from .monomials import expand as expand_monomial
 from .sorting import borel_sort
 
@@ -175,21 +175,8 @@ class TProduct:
         return TProduct._sorted(self.xpart * other.xpart, tuple(
             sorted(self.tvars + other.tvars, key=_key, reverse=True)))
 
-    # divides, quotient and lcm_with merge the two T-variable lists, which
-    # both run in descending key order and keys name variables uniquely.
-
-    def divides(self, other):
-        _check_ambient(self.xpart, other.xpart)
-        theirs = other.tvars
-        j, end = 0, len(theirs)
-        for t in self.tvars:
-            k = t.key
-            while j < end and theirs[j].key > k:
-                j += 1
-            if j == end or theirs[j].key != k:
-                return False
-            j += 1
-        return all(map(operator.le, self.xpart.exps, other.xpart.exps))
+    # quotient and lcm_with merge the two T-variable lists, which both run
+    # in descending key order and keys name variables uniquely.
 
     def quotient(self, other):
         """Exact division by `other`; raises ValueError when it does not divide."""
@@ -515,26 +502,61 @@ class FiberGraph:
         return tuple(v for i, v in enumerate(self.vertices) if i not in sources)
 
 
+def _atoms(term):
+    """The term's atoms in a fixed order: its T-variable keys as in `tvars`,
+    then its x-positions ascending, each as often as its exponent but at most
+    twice (T-variable keys are tuples, positions ints)."""
+    atoms = [t.key for t in term.tvars]
+    for i, e in enumerate(term.xpart.exps):
+        if e:
+            atoms.append(i)
+            if e > 1:
+                atoms.append(i)
+    return atoms
+
+
+def _divisor_keys(term):
+    """The atom tuples of every lead of degree 1 or 2 that divides the term,
+    lazily: its atoms alone, then its pairs of atoms in atom order."""
+    atoms = _atoms(term)
+    return itertools.chain(zip(atoms), itertools.combinations(atoms, 2))
+
+
+def _lead_table(leads, n):
+    """Each lead's atom tuple mapped to the ascending indices of the leads
+    with it.  A lead of degree 1 or 2 divides a term exactly when its tuple is
+    one of the term's `_divisor_keys`; other degrees and ambients raise."""
+    table = {}
+    for i, lead in enumerate(leads):
+        if lead.xpart.n != n:
+            raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
+        if lead.tdegree + lead.xpart.deg not in (1, 2):
+            raise ValueError(f"lead {lead.term_text()} is not of degree 1 or 2")
+        table.setdefault(tuple(_atoms(lead)), []).append(i)
+    return table
+
+
 def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable quadric."""
     budget = _Budget(limits or Limits())
     beta = setup.beta_tuple(beta)
+    table = _lead_table((q.lead for q in quadrics), setup.n)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for ui, u in enumerate(vertices):
-        for qi, q in enumerate(quadrics):
-            budget.count_check()
-            if q.lead.divides(u):
-                w = u.quotient(q.lead).times(q.tail)
-                vi = index.get(w)
-                if vi is None:
-                    raise AssertionError(
-                        f"rewrite left the fiber: {u.label()} by {q.text()}")
-                if vi >= ui:
-                    raise AssertionError("rewrite did not decrease the term order")
-                edges.append((ui, vi, qi))
+        budget.count_check(len(quadrics))  # one check per (vertex, quadric)
+        for qi in sorted({qi for k in _divisor_keys(u) for qi in table.get(k, ())}):
+            q = quadrics[qi]
+            w = u.quotient(q.lead).times(q.tail)
+            vi = index.get(w)
+            if vi is None:
+                raise AssertionError(
+                    f"rewrite left the fiber: {u.label()} by {q.text()}")
+            if vi >= ui:
+                raise AssertionError("rewrite did not decrease the term order")
+            edges.append((ui, vi, qi))
     return FiberGraph(vertices, tuple(edges), mu, beta)
 
 
@@ -638,25 +660,13 @@ def _check_quadrics(setup, quadrics):
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
 
 
-def _lead_buckets(leads):
-    """The positions of the leads under the key of each one's largest
-    T-variable, or None when it has none.  A lead divides a term only when
-    that T-variable is one of the term's, so the term's buckets and the None
-    bucket hold every lead that can divide it."""
-    buckets = {}
-    for i, lead in enumerate(leads):
-        tvars = lead.tvars
-        buckets.setdefault(tvars[0].key if tvars else None, []).append(i)
-    return buckets
-
-
 def _sweep(setup, quadrics, limits):
     """The arguments `_examine_image` takes before the image."""
-    leads = tuple(q.lead for q in quadrics)
-    return setup, leads, _lead_buckets(leads), limits
+    return (setup, _lead_table((q.lead for q in quadrics), setup.n),
+            len(quadrics), limits)
 
 
-def _examine_image(setup, leads, buckets, limits, mu, beta):
+def _examine_image(setup, table, nquads, limits, mu, beta):
     # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.
@@ -664,11 +674,10 @@ def _examine_image(setup, leads, buckets, limits, mu, beta):
     vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
     if len(vertices) <= 1:
         return (mu, beta, vertices)
-    budget.count_check(len(vertices) * len(leads))
+    budget.count_check(len(vertices) * nquads)
     return (mu, beta, tuple(
         u for u in vertices
-        if not any(leads[i].divides(u)
-                   for k in {None, *u.key[0]} for i in buckets.get(k, ()))))
+        if not any(map(table.__contains__, _divisor_keys(u)))))
 
 
 # The `_sweep` of a pool worker, built once per worker so that each task
@@ -750,18 +759,15 @@ def spair_certificate(quadrics, limits=None):
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
-    if len({g.lead.xpart.n for g in basis}) > 1:
-        # Coprime pairs are never formed, so no lcm would catch this.
-        raise AmbientMismatch("quadrics live in different ambient rings")
-    # Leads are coprime exactly when they share no atom: no T-variable and
-    # no x-position (T-variable keys are tuples, positions ints).
-    atoms = [{t.key for t in g.lead.tvars} | set(g.lead.xpart.support())
-             for g in basis]
+    leads = [g.lead for g in basis]
+    # The table also rejects mixed ambients, as coprime pairs form no lcm.
+    table = _lead_table(leads, leads[0].xpart.n if leads else None)
+    # Leads are coprime exactly when they share no atom.
+    atoms = [set(_atoms(lead)) for lead in leads]
     holders = {}
     for i, held in enumerate(atoms):
         for atom in held:
             holders.setdefault(atom, []).append(i)
-    buckets = _lead_buckets(g.lead for g in basis)
     checked = skipped = 0
     for ai, a in enumerate(basis):
         partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
@@ -772,7 +778,7 @@ def spair_certificate(quadrics, limits=None):
             top = a.lead.lcm_with(b.lead)
             u = top.quotient(a.lead).times(a.tail)
             v = top.quotient(b.lead).times(b.tail)
-            nf = _reduce_difference(u, v, (a, b), basis, buckets, budget)
+            nf = _reduce_difference(u, v, (a, b), basis, table, budget)
             if nf is not None:
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
@@ -781,7 +787,7 @@ def spair_certificate(quadrics, limits=None):
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _reduce_difference(u, v, pair, basis, buckets, budget):
+def _reduce_difference(u, v, pair, basis, table, budget):
     """Full normal form of u - v under the basis; None when it reaches zero."""
     while True:
         if u == v:
@@ -789,29 +795,22 @@ def _reduce_difference(u, v, pair, basis, buckets, budget):
         if u.key < v.key:
             u, v = v, u
         budget.count_step(pair)
-        step = _rewrite_once(u, basis, buckets)
+        step = _rewrite_once(u, basis, table)
         if step is not None:
             u = step
             continue
-        step = _rewrite_once(v, basis, buckets)
+        step = _rewrite_once(v, basis, table)
         if step is not None:
             v = step
             continue
         return (u, v)
 
 
-def _rewrite_once(term, basis, buckets):
+def _rewrite_once(term, basis, table):
     """term / lead * tail for the first basis element whose lead divides the
-    term, or None; only the buckets `_lead_buckets` names can hold it."""
-    best = len(basis)
-    for k in {None, *term.key[0]}:
-        for i in buckets.get(k, ()):
-            if i >= best:
-                break
-            if basis[i].lead.divides(term):
-                best = i
-                break
-    if best == len(basis):
+    term, or None."""
+    best = min((table[k][0] for k in _divisor_keys(term) if k in table), default=None)
+    if best is None:
         return None
     g = basis[best]
     return term.quotient(g.lead).times(g.tail)

@@ -9,13 +9,15 @@ sorting argument, and the random families feed the property tests.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily, LinearPoset,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import Monomial, apply_move, expand, restrict
-from borelgb.toric import _Budget, _enumerate
+from borelgb.monomials import (Monomial, _check_ambient, apply_move, expand,
+                               restrict)
+from borelgb.toric import FiberGraph, Limits, _Budget, _enumerate
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -376,6 +378,47 @@ def certify(graph):
     return connected, sinks
 
 
+def divides(a, b):
+    """Oracle for the lead table: whether T-product a divides T-product b,
+    merging the two T-variable lists, which both run in descending key order
+    (keys name variables uniquely)."""
+    _check_ambient(a.xpart, b.xpart)
+    theirs = b.tvars
+    j, end = 0, len(theirs)
+    for t in a.tvars:
+        k = t.key
+        while j < end and theirs[j].key > k:
+            j += 1
+        if j == end or theirs[j].key != k:
+            return False
+        j += 1
+    return all(map(operator.le, a.xpart.exps, b.xpart.exps))
+
+
+def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=None):
+    """Oracle for `fiber_graph`: every quadric's lead is tested against every
+    vertex in turn, one divisibility check each."""
+    budget = _Budget(limits or Limits())
+    beta = setup.beta_tuple(beta)
+    if vertices is None:
+        vertices = _enumerate(setup, mu, beta, budget)
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for ui, u in enumerate(vertices):
+        for qi, q in enumerate(quadrics):
+            budget.count_check()
+            if divides(q.lead, u):
+                w = u.quotient(q.lead).times(q.tail)
+                vi = index.get(w)
+                if vi is None:
+                    raise AssertionError(
+                        f"rewrite left the fiber: {u.label()} by {q.text()}")
+                if vi >= ui:
+                    raise AssertionError("rewrite did not decrease the term order")
+                edges.append((ui, vi, qi))
+    return FiberGraph(vertices, tuple(edges), mu, beta)
+
+
 def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
     """Oracle for the sweep's `_examine_image`: every lead is tested against
     every fiber point, with no index."""
@@ -388,4 +431,4 @@ def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
         return (mu, beta, vertices)
     budget.count_check(len(vertices) * len(quadrics))
     return (mu, beta, tuple(u for u in vertices
-                            if not any(q.lead.divides(u) for q in quadrics)))
+                            if not any(divides(q.lead, u) for q in quadrics)))

@@ -11,8 +11,10 @@ import pytest
 import borelgb
 from borelgb.cli import main
 from borelgb.monomials import parse_monomial
-from borelgb.quadrics import quadrics_single
-from borelgb.toric import FiberSetup, Limits, ResourceLimitError, enumerate_fiber
+from borelgb.families import parse_family
+from borelgb.quadrics import quadrics_multi, quadrics_single
+from borelgb.toric import (FiberSetup, Limits, ResourceLimitError, _Budget,
+                           _enumerate, enumerate_fiber)
 
 from helpers import EX_FAMILY, TRIANGLE
 
@@ -231,6 +233,15 @@ def test_input_errors(capsys, tmp_path):
     assert rc == 2 and "not reduced" in err
 
 
+def test_closure_support_uses_the_family_parser(capsys):
+    """`--support` is read as a family file's support clause: empty text is
+    the empty support, and a bad token is reported at its column."""
+    assert run(capsys, "closure", "x2*x3", "-n", "3", "--support", "") == (
+        0, "x2*x3\n", "")
+    assert run(capsys, "closure", "x2*x3", "-n", "3", "--support", "x1,x7") == (
+        2, "", "error: column 4: support variable x7 outside x1..x3\n")
+
+
 def test_family_support_errors_name_their_column(capsys, tmp_path):
     p = tmp_path / "bad.fam"
     for support, want in (("x1, y", "column 24: malformed support variable 'y'"),
@@ -349,6 +360,28 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
         assert err == f"error: fiber exceeded {cap} divisibility checks\n"
         rc, _, _ = run(capsys, *argv, "--max-checks", str(cap + lead_tests))
         assert rc == 0
+
+
+def test_fiber_graph_check_budget_boundary(capsys, ex_file):
+    """`fiber-graph` charges the enumeration checks plus one check per vertex
+    and quadric: exactly that total passes, one less trips."""
+    M = parse_monomial("x2*x3*x5", 5)
+    chain = parse_family(EX_FAMILY)
+    for argv, setup, mu, beta, quads, pinned in (
+            (("--single", "x2*x3*x5", "-n", "5", "--mu", "x1*x2^2*x3^2*x5",
+              "-k", "2"), FiberSetup.single(M),
+             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 667),
+            ((ex_file, "x1^2*x2^3*x3^3*x4^2", "t2*t3*t4"),
+             FiberSetup.for_family(chain), parse_monomial("x1^2*x2^3*x3^3*x4^2", 4),
+             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 1121)):
+        budget = _Budget(Limits())
+        vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
+        total = budget.checks + len(vertices) * len(quads)
+        assert total == pinned
+        rc, _, err = run(capsys, "fiber-graph", *argv, "--max-checks", str(total))
+        assert (rc, err) == (0, "")
+        assert run(capsys, "fiber-graph", *argv, "--max-checks", str(total - 1)) == (
+            3, "", f"error: fiber exceeded {total - 1} divisibility checks\n")
 
 
 def _enumerates_within(setup, mu, cap):

@@ -14,15 +14,15 @@ from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TProduct, _Budget, _enumerate, _examine_image,
-                           _sweep,
+                           TProduct, _Budget, _atoms, _divisor_keys,
+                           _enumerate, _examine_image, _lead_table, _sweep,
                            enumerate_fiber, fiber_graph, iterate_images,
                            sort_binomials, spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
-from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
-                     examine_image_by_scanning, random_interval_family,
-                     random_principal_borel_family)
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify, divides,
+                     examine_image_by_scanning, fiber_graph_by_scanning,
+                     random_interval_family, random_principal_borel_family)
 
 
 def M(text, n=4):
@@ -62,9 +62,9 @@ def test_tproduct_arithmetic():
     b = tp("x2", 4, (2, "x3*x4"))
     ab = a.times(b)
     assert ab == tp("x1*x2", 4, (1, "x4"), (2, "x3*x4"))
-    assert a.divides(ab) and b.divides(ab)
+    assert divides(a, ab) and divides(b, ab)
     assert ab.quotient(a) == b
-    assert not ab.divides(a)
+    assert not divides(ab, a)
     with pytest.raises(ValueError):
         a.quotient(b)
     assert a.lcm_with(b) == ab
@@ -362,7 +362,7 @@ def test_sweep_failures_match_graph_sinks():
 
 
 def test_indexed_sweep_matches_scanning_filter():
-    """The standard points of every image, found through the lead buckets,
+    """The standard points of every image, found through the lead table,
     are those the full scan of the leads finds."""
     filtered = multi_sink = 0
     for setup, quads, bound in _sweep_inputs():
@@ -374,6 +374,36 @@ def test_indexed_sweep_matches_scanning_filter():
             filtered += len(enumerate_fiber(setup, mu, beta)) > len(want[2]) > 0
             multi_sink += len(want[2]) > 1
     assert filtered > 400 and multi_sink > 100
+
+
+def test_fiber_graph_matches_scanning_oracle():
+    """The same vertices and edges as testing every lead against every
+    vertex, and the same check total: a budget of exactly the total passes
+    and one short trips with the same message."""
+    compared = edged = tripped = 0
+    for setup, quads, bound in _sweep_inputs():
+        for mu, beta in iterate_images(setup, bound):
+            want = fiber_graph_by_scanning(setup, mu, beta, quads)
+            got = fiber_graph(setup, mu, beta, quads)
+            assert (got.vertices, got.edges, got.beta) == (
+                want.vertices, want.edges, want.beta), (mu, beta)
+            compared += 1
+            edged += bool(want.edges)
+            if len(want.vertices) < 2:
+                continue
+            totals = _Budget(Limits())
+            _enumerate(setup, mu, setup.beta_tuple(beta), totals)
+            total = totals.checks + len(want.vertices) * len(quads)
+            fiber_graph(setup, mu, beta, quads, Limits(max_checks=total))
+            short = Limits(max_checks=total - 1)
+            with pytest.raises(ResourceLimitError) as trip:
+                fiber_graph(setup, mu, beta, quads, short)
+            with pytest.raises(ResourceLimitError) as oracle_trip:
+                fiber_graph_by_scanning(setup, mu, beta, quads, short)
+            assert str(trip.value) == str(oracle_trip.value)
+            tripped += 1
+    assert compared > 1000 and edged > 400 and tripped > 500, (
+        compared, edged, tripped)
 
 
 def test_verify_rejects_bad_quadrics():
@@ -771,9 +801,9 @@ def test_merge_arithmetic_matches_counter_oracles():
             else:  # a's T-part times more, over an x part a's need not divide
                 b = TProduct(draw(n, pool, 0).xpart, a.tvars).times(
                     TProduct(Monomial.unit(n), [rng.choice(pool)]))
-            divides = _counter_divides(a, b)
-            assert a.divides(b) == divides
-            if divides:
+            divided = _counter_divides(a, b)
+            assert divides(a, b) == divided
+            if divided:
                 assert b.quotient(a) == _counter_quotient(b, a)
             else:
                 with pytest.raises(ValueError):
@@ -783,11 +813,94 @@ def test_merge_arithmetic_matches_counter_oracles():
             assert a.times(b) == _times_by_sorting(a, b)
             assert a.lcm_with(b) == _counter_lcm(a, b)
             assert b.lcm_with(a) == _counter_lcm(b, a)
-            cases["divides" if divides else "not"] += 1
+            cases["divides" if divided else "not"] += 1
             cases["repeated"] += len(set(b.tvars)) < len(b.tvars)
-            cases["x mismatch"] += (not divides and _counter_divides(
+            cases["x mismatch"] += (not divided and _counter_divides(
                 TProduct(b.xpart, a.tvars), b))
     assert min(cases.values()) > 200, cases
+
+
+def _shape(lead):
+    """A lead's shape: its T-degree, its x exponents largest first, and
+    whether it is the square of one T-variable."""
+    xs = sorted((e for e in lead.xpart.exps if e), reverse=True)
+    square = lead.tdegree == 2 and lead.tvars[0] == lead.tvars[1]
+    return (lead.tdegree, *xs, *(("square",) if square else ()))
+
+
+def test_lead_table_matches_divides_oracle():
+    """A lead divides a term exactly when the table lists it under one of
+    the term's divisor keys, for leads of every shape of degree 1 or 2: T
+    pairs, T squares, a T-variable times an x, x squares, x pairs, single T
+    and single x, over terms with repeated T-variables and x exponents up to
+    3."""
+    rng = random.Random(83)
+    shapes, hits = Counter(), Counter()
+    for n, pool in _tvar_pools():
+        for _ in range(30):
+            few = rng.sample(pool, min(4, len(pool)))
+            leads = []
+            for _ in range(12):
+                tdeg = rng.randint(0, 2)
+                exps = [0] * n
+                for _ in range(rng.randint(1 - min(tdeg, 1), 2 - tdeg)):
+                    exps[rng.randrange(n)] += 1
+                leads.append(TProduct(Monomial(tuple(exps)),
+                                      [rng.choice(few) for _ in range(tdeg)]))
+            table = _lead_table(leads, n)
+            assert sorted(i for held in table.values() for i in held) == list(
+                range(len(leads)))
+            assert all(held == sorted(held) for held in table.values())
+            for _ in range(20):
+                term = TProduct(
+                    Monomial(tuple(rng.randint(0, 3) for _ in range(n))),
+                    [rng.choice(few) for _ in range(rng.randint(0, 4))])
+                keys = set(_divisor_keys(term))
+                found = {i for k in keys for i in table.get(k, ())}
+                for i, lead in enumerate(leads):
+                    assert (i in found) == divides(lead, term), (lead, term)
+                    assert (tuple(_atoms(lead)) in keys) == (i in found)
+                    shapes[_shape(lead)] += 1
+                    hits[_shape(lead)] += i in found
+    want = {(2,), (2, "square"), (1, 1), (0, 2), (0, 1, 1), (1,), (0, 1)}
+    assert set(shapes) == want, shapes
+    assert all(hits[s] > 100 and shapes[s] - hits[s] > 100 for s in want), hits
+
+
+def test_lead_table_rejects_other_degrees_and_ambients():
+    ok = tp("x1", 2, (0, "x2^2"))
+    for bad in (tp("1", 2), tp("x1^3", 2), tp("x1*x2^2", 2),
+                tp("x1^2", 2, (0, "x2^2")), tp("x2", 2, (0, "x2^2"), (0, "x1^2")),
+                tp("1", 2, (0, "x2^2"), (0, "x1*x2"), (0, "x1^2"))):
+        with pytest.raises(ValueError, match="not of degree 1 or 2"):
+            _lead_table([ok, bad], 2)
+        with pytest.raises(ValueError, match="not of degree 1 or 2"):
+            spair_certificate([Binomial(ok, tp("x2", 2, (0, "x1^2"))),
+                               Binomial(bad, bad)])
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    with pytest.raises(ValueError, match="not of degree 1 or 2"):
+        fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
+                    [Binomial(tp("x1", 2, (0, "x2^2"), (0, "x1^2")), ok)])
+    with pytest.raises(AmbientMismatch):
+        _lead_table([ok, tp("x1", 3)], 2)
+    other = quadrics_single(parse_monomial("x2*x3", 3))
+    with pytest.raises(AmbientMismatch):
+        fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
+                    quadrics_single(parse_monomial("x2^2", 2)) + other)
+    with pytest.raises(AmbientMismatch):
+        spair_certificate(other + quadrics_single(parse_monomial("x2^2", 2)))
+
+
+def test_routes_without_quadrics():
+    assert _report_fields(spair_certificate([])) == (True, None, None, 0, 0)
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    assert fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2, ()).edges == ()
+    rep = verify_groebner_by_fibers(setup, (), 2)
+    scanned = (examine_image_by_scanning(setup, (), Limits(), mu, k)
+               for mu, k in iterate_images(setup, 2))
+    assert not rep.passed
+    assert rep.failures == tuple((mu, None, sinks) for mu, _, sinks in scanned
+                                 if len(sinks) > 1)
 
 
 class _OracleSteps:
