@@ -40,11 +40,6 @@ def _limits(args):
                   max_steps=args.max_steps)
 
 
-def _single_setup(args):
-    M = parse_monomial(args.single, args.n, args.base)
-    return FiberSetup.single(M, args.base)
-
-
 def _family_setup(path):
     family = _read_family(path)
     if not family.is_reduced():
@@ -54,6 +49,18 @@ def _family_setup(path):
 
 def _single_quadrics(M, form):
     return quadrics_single(M) if form == "exchange" else quadrics_bs_form(M)
+
+
+def _setup_and_quadrics(args):
+    """(setup, quadrics, base, tagged) of a single-closure or a family command."""
+    if args.single is not None:
+        M = parse_monomial(args.single, args.n, args.base)
+        return (FiberSetup.single(M, args.base), _single_quadrics(M, args.form),
+                args.base, False)
+    if args.family is None:
+        raise ParseError("need a family file or --single")
+    family, setup = _family_setup(args.family)
+    return setup, quadrics_multi(family).all(), family.base, True
 
 
 def cmd_closure(args):
@@ -91,22 +98,15 @@ def cmd_tmin(args):
 
 
 def cmd_fiber_graph(args):
-    if args.single is not None:
-        if args.mu is None or args.k is None:
-            raise ParseError("single mode needs --mu and -k")
-        setup = _single_setup(args)
-        mu = parse_monomial(args.mu, args.n, args.base)
-        beta = args.k
-        quads = _single_quadrics(setup.blocks[0].pivot, args.form)
-        base, tagged = args.base, False
-    else:
-        if args.family is None or args.mu_arg is None or args.tdegrees is None:
-            raise ParseError("need FAMILY IMAGE TDEGREES, or --single with --mu/-k")
-        family, setup = _family_setup(args.family)
-        mu = parse_monomial(args.mu_arg, family.n, family.base)
-        beta = _parse_beta(args.tdegrees, family.r)
-        quads = quadrics_multi(family).all()
-        base, tagged = family.base, True
+    single = args.single is not None
+    if single and (args.mu is None or args.k is None):
+        raise ParseError("single mode needs --mu and -k")
+    if not single and (args.family is None or args.mu_arg is None
+                       or args.tdegrees is None):
+        raise ParseError("need FAMILY IMAGE TDEGREES, or --single with --mu/-k")
+    setup, quads, base, tagged = _setup_and_quadrics(args)
+    mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, setup.base)
+    beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
     graph = fiber_graph(setup, mu, beta, quads, limits=_limits(args))
     if args.dot:
         sys.stdout.write(to_dot(graph, base, tagged))
@@ -122,16 +122,7 @@ def cmd_fiber_graph(args):
 
 
 def cmd_verify(args):
-    if args.single is not None:
-        setup = _single_setup(args)
-        quads = _single_quadrics(setup.blocks[0].pivot, args.form)
-        base, tagged = args.base, False
-    else:
-        if args.family is None:
-            raise ParseError("need a family file or --single")
-        family, setup = _family_setup(args.family)
-        quads = quadrics_multi(family).all()
-        base, tagged = family.base, True
+    setup, quads, base, tagged = _setup_and_quadrics(args)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
                                            limits=_limits(args), jobs=args.jobs)

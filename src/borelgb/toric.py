@@ -116,12 +116,13 @@ class GeneratorVar:
         body = self.gen.text(base)
         return f"t{self.block}:{body}" if tagged else body
 
+    # The key names the variable: it is injective in (block, exponents).
+
     def __eq__(self, other):
-        return (isinstance(other, GeneratorVar)
-                and self.block == other.block and self.gen == other.gen)
+        return isinstance(other, GeneratorVar) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.block, self.gen))
+        return hash(self.key)
 
     def __repr__(self):
         return f"GeneratorVar({self.block}, {self.gen!r})"
@@ -171,28 +172,33 @@ class TProduct:
     def image(self):
         return Monomial(self.image_exps())
 
-    def times(self, other):
-        return TProduct._sorted(self.xpart * other.xpart, tuple(
-            sorted(self.tvars + other.tvars, key=_key, reverse=True)))
+    # rewrite and lcm_with merge T-variable lists, which all run in
+    # descending key order and keys name variables uniquely.
 
-    # quotient and lcm_with merge the two T-variable lists, which both run
-    # in descending key order and keys name variables uniquely.
-
-    def quotient(self, other):
-        """Exact division by `other`; raises ValueError when it does not divide."""
-        mine = self.tvars
-        i, end = 0, len(mine)
-        left = []
-        for t in other.tvars:
-            k = t.key
-            while i < end and mine[i].key > k:
-                left.append(mine[i])
-                i += 1
-            if i == end or mine[i].key != k:
-                raise ValueError(f"{other} does not divide {self}")
-            i += 1
-        left.extend(mine[i:])
-        return TProduct._sorted(self.xpart / other.xpart, tuple(left))
+    def rewrite(self, binomial):
+        """self / lead * tail for the binomial lead - tail, in one pass;
+        raises ValueError when the lead does not divide."""
+        lead, tail = binomial.lead, binomial.tail
+        x, lx, tx = self.xpart.exps, lead.xpart.exps, tail.xpart.exps
+        if not len(x) == len(lx) == len(tx):
+            raise AmbientMismatch(f"ambient mismatch: {len(x)}, {len(lx)} and "
+                                  f"{len(tx)} variables")
+        # Each tail variable goes in before the first smaller one of self,
+        # and each lead variable takes out the next equal one.
+        drop, add, out = list(lead.tvars), list(tail.tvars), []
+        for t in self.tvars:
+            while add and add[0].key > t.key:
+                out.append(add.pop(0))
+            if drop and drop[0].key == t.key:
+                del drop[0]
+            else:
+                out.append(t)
+        if drop or lead.xpart.deg and not all(map(operator.ge, x, lx)):
+            raise ValueError(f"{lead} does not divide {self}")
+        xpart = self.xpart
+        if lead.xpart.deg or tail.xpart.deg:
+            xpart = Monomial(tuple(map(operator.add, map(operator.sub, x, lx), tx)))
+        return TProduct._sorted(xpart, tuple(out + add))
 
     def lcm_with(self, other):
         a, b = self.tvars, other.tvars
@@ -549,8 +555,7 @@ def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
         budget.count_check(len(quadrics))  # one check per (vertex, quadric)
         for qi in sorted({qi for k in _divisor_keys(u) for qi in table.get(k, ())}):
             q = quadrics[qi]
-            w = u.quotient(q.lead).times(q.tail)
-            vi = index.get(w)
+            vi = index.get(u.rewrite(q))
             if vi is None:
                 raise AssertionError(
                     f"rewrite left the fiber: {u.label()} by {q.text()}")
@@ -700,7 +705,7 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
     A pass means: every examined fiber's rewriting graph has exactly one sink,
     so every binomial of the ideal with total T-degree <= bound reduces to
     zero by the quadrics.  With jobs > 1 the images are examined in worker
-    processes (resource budgets then apply per worker).
+    processes; resource budgets apply per fiber either way.
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
@@ -776,9 +781,8 @@ def spair_certificate(quadrics, limits=None):
             b = basis[bi]
             checked += 1
             top = a.lead.lcm_with(b.lead)
-            u = top.quotient(a.lead).times(a.tail)
-            v = top.quotient(b.lead).times(b.tail)
-            nf = _reduce_difference(u, v, (a, b), basis, table, budget)
+            nf = _reduce_difference(top.rewrite(a), top.rewrite(b), (a, b),
+                                    basis, table, budget)
             if nf is not None:
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
@@ -812,8 +816,7 @@ def _rewrite_once(term, basis, table):
     best = min((table[k][0] for k in _divisor_keys(term) if k in table), default=None)
     if best is None:
         return None
-    g = basis[best]
-    return term.quotient(g.lead).times(g.tail)
+    return term.rewrite(basis[best])
 
 
 def t_min(family, mu, beta):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 
 from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
@@ -17,7 +18,7 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import (Monomial, _check_ambient, apply_move, expand,
                                restrict)
-from borelgb.toric import FiberGraph, Limits, _Budget, _enumerate
+from borelgb.toric import FiberGraph, Limits, TProduct, _Budget, _enumerate
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -395,6 +396,22 @@ def divides(a, b):
     return all(map(operator.le, a.xpart.exps, b.xpart.exps))
 
 
+def counter_quotient(a, b):
+    """Oracle for `TProduct.rewrite`'s division: a / b with the T-variables
+    counted in a `Counter`; raises ValueError when b does not divide a."""
+    left = Counter(a.tvars)
+    left.subtract(Counter(b.tvars))
+    if any(c < 0 for c in left.values()):
+        raise ValueError(f"{b} does not divide {a}")
+    return TProduct(a.xpart / b.xpart, tuple(left.elements()))
+
+
+def times_by_sorting(a, b):
+    """Oracle for `TProduct.rewrite`'s multiplication: a * b with the
+    T-variables re-sorted by the constructor."""
+    return TProduct(a.xpart * b.xpart, a.tvars + b.tvars)
+
+
 def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=None):
     """Oracle for `fiber_graph`: every quadric's lead is tested against every
     vertex in turn, one divisibility check each."""
@@ -408,8 +425,8 @@ def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=Non
         for qi, q in enumerate(quadrics):
             budget.count_check()
             if divides(q.lead, u):
-                w = u.quotient(q.lead).times(q.tail)
-                vi = index.get(w)
+                vi = index.get(times_by_sorting(counter_quotient(u, q.lead),
+                                                q.tail))
                 if vi is None:
                     raise AssertionError(
                         f"rewrite left the fiber: {u.label()} by {q.text()}")

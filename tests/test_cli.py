@@ -342,6 +342,17 @@ def test_spair_budget_names_tagged_pair_of_a_family(capsys, tmp_path):
                    "[T[t4:x1^2*x3]*T[t5:x1^2*x2] - T[t4:x1*x2*x3]*T[t5:x1^3]]\n")
 
 
+def test_spair_budget_trip_on_a_large_closure(capsys):
+    """The default step budget trips on x3^2*x5^2 (2,589 exchange quadrics),
+    and the message names the pair whose reduction took the last step."""
+    rc, out, err = run(capsys, "verify", "--single", "x3^2*x5^2", "-n", "5",
+                       "--method", "spairs")
+    assert (rc, out) == (3, "")
+    assert err == ("error: S-pair route exceeded 100000 rewrite steps at spair "
+                   "[T[x1^2*x3*x5]*T[x3^2*x4*x5] - T[x3^3*x5]*T[x1^2*x4*x5]] "
+                   "[T[x1^2*x2^2]*T[x3^2*x4*x5] - T[x1^2*x2*x3]*T[x2*x3*x4*x5]]\n")
+
+
 def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     """A cap that covers enumeration and the lead tests separately, but not
     together, trips on both routes through the fiber."""

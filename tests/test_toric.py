@@ -20,9 +20,10 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            sort_binomials, spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
-from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify, divides,
-                     examine_image_by_scanning, fiber_graph_by_scanning,
-                     random_interval_family, random_principal_borel_family)
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
+                     counter_quotient, divides, examine_image_by_scanning,
+                     fiber_graph_by_scanning, random_interval_family,
+                     random_principal_borel_family, times_by_sorting)
 
 
 def M(text, n=4):
@@ -60,18 +61,18 @@ def test_tproduct_canonical_sorting():
 def test_tproduct_arithmetic():
     a = tp("x1", 4, (1, "x4"))
     b = tp("x2", 4, (2, "x3*x4"))
-    ab = a.times(b)
+    ab = times_by_sorting(a, b)
     assert ab == tp("x1*x2", 4, (1, "x4"), (2, "x3*x4"))
     assert divides(a, ab) and divides(b, ab)
-    assert ab.quotient(a) == b
+    assert counter_quotient(ab, a) == b
     assert not divides(ab, a)
     with pytest.raises(ValueError):
-        a.quotient(b)
+        counter_quotient(a, b)
     assert a.lcm_with(b) == ab
     assert a.lcm_with(a) == a
     sq = tp("x1^2", 4, (1, "x4"))
     assert not sq.is_squarefree()
-    assert not a.times(a).is_squarefree()
+    assert not times_by_sorting(a, a).is_squarefree()
     assert ab.is_squarefree()
 
 
@@ -112,7 +113,7 @@ def test_term_order_is_multiplicative():
         a, b, c = rand_tp(), rand_tp(), rand_tp()
         s = _sign(a, b)
         assert s == -_sign(b, a)
-        assert _sign(a.times(c), b.times(c)) == s
+        assert _sign(times_by_sorting(a, c), times_by_sorting(b, c)) == s
 
 
 def _rank_compare(a, b):
@@ -752,21 +753,9 @@ def _counter_divides(a, b):
     return True
 
 
-def _counter_quotient(a, b):
-    left = Counter(a.tvars)
-    left.subtract(Counter(b.tvars))
-    if any(c < 0 for c in left.values()):
-        raise ValueError(f"{b} does not divide {a}")
-    return TProduct(a.xpart / b.xpart, tuple(left.elements()))
-
-
 def _counter_lcm(a, b):
     tv = Counter(a.tvars) | Counter(b.tvars)
     return TProduct(lcm(a.xpart, b.xpart), tuple(tv.elements()))
-
-
-def _times_by_sorting(a, b):
-    return TProduct(a.xpart * b.xpart, a.tvars + b.tvars)
 
 
 def _tvar_pools():
@@ -780,9 +769,11 @@ def _tvar_pools():
 
 
 def test_merge_arithmetic_matches_counter_oracles():
-    """divides, quotient, lcm_with and times against the Counter and
-    sorting versions, with repeated T-variables, non-divisors and T-parts
-    that divide over x parts that do not."""
+    """divides, rewrite and lcm_with against the Counter and sorting
+    versions, with repeated T-variables, non-divisors and T-parts that
+    divide over x parts that do not.  rewrite by lead - 1 is the quotient,
+    by 1 - tail the product; a lead or tail in another ambient ring raises
+    AmbientMismatch."""
     rng = random.Random(79)
     cases = Counter()
 
@@ -791,26 +782,37 @@ def test_merge_arithmetic_matches_counter_oracles():
         return TProduct(Monomial(tuple(rng.randint(0, 2) for _ in range(n))), tvars)
 
     for n, pool in _tvar_pools():
+        one = TProduct(Monomial.unit(n), ())
+        foreign = TProduct(Monomial.unit(n + 1), ())
         for _ in range(400):
             a = draw(n, pool, 3)
             kind = rng.randrange(3)
             if kind == 0:  # an unrelated T-product
                 b = draw(n, pool, 4)
             elif kind == 1:  # a multiple of a
-                b = a.times(draw(n, pool, 2))
+                b = times_by_sorting(a, draw(n, pool, 2))
             else:  # a's T-part times more, over an x part a's need not divide
-                b = TProduct(draw(n, pool, 0).xpart, a.tvars).times(
+                b = times_by_sorting(
+                    TProduct(draw(n, pool, 0).xpart, a.tvars),
                     TProduct(Monomial.unit(n), [rng.choice(pool)]))
+            c = draw(n, pool, 2)
             divided = _counter_divides(a, b)
             assert divides(a, b) == divided
             if divided:
-                assert b.quotient(a) == _counter_quotient(b, a)
+                assert b.rewrite(Binomial(a, one)) == counter_quotient(b, a)
+                assert b.rewrite(Binomial(a, c)) == times_by_sorting(
+                    counter_quotient(b, a), c)
             else:
                 with pytest.raises(ValueError):
-                    b.quotient(a)
+                    b.rewrite(Binomial(a, one))
                 with pytest.raises(ValueError):
-                    _counter_quotient(b, a)
-            assert a.times(b) == _times_by_sorting(a, b)
+                    b.rewrite(Binomial(a, c))
+                with pytest.raises(ValueError):
+                    counter_quotient(b, a)
+            assert a.rewrite(Binomial(one, b)) == times_by_sorting(a, b)
+            for lead, tail in ((foreign, c), (a, foreign)):
+                with pytest.raises(AmbientMismatch):
+                    b.rewrite(Binomial(lead, tail))
             assert a.lcm_with(b) == _counter_lcm(a, b)
             assert b.lcm_with(a) == _counter_lcm(b, a)
             cases["divides" if divided else "not"] += 1
@@ -925,12 +927,12 @@ def _spairs_by_scanning(quadrics):
         for bi in range(ai + 1, len(basis)):
             a, b = basis[ai], basis[bi]
             top = _counter_lcm(a.lead, b.lead)
-            if top == _times_by_sorting(a.lead, b.lead):
+            if top == times_by_sorting(a.lead, b.lead):
                 skipped += 1
                 continue
             checked += 1
-            u = _times_by_sorting(_counter_quotient(top, a.lead), a.tail)
-            v = _times_by_sorting(_counter_quotient(top, b.lead), b.tail)
+            u = times_by_sorting(counter_quotient(top, a.lead), a.tail)
+            v = times_by_sorting(counter_quotient(top, b.lead), b.tail)
             nf = _reduce_by_scanning(u, v, (a, b), basis, budget)
             if nf is not None:
                 return SpairReport(False, (a, b), nf, checked, skipped), budget
@@ -958,7 +960,7 @@ def _reduce_by_scanning(u, v, pair, basis, budget):
 def _rewrite_by_scanning(term, basis):
     for g in basis:
         if _counter_divides(g.lead, term):
-            return _times_by_sorting(_counter_quotient(term, g.lead), g.tail)
+            return times_by_sorting(counter_quotient(term, g.lead), g.tail)
     return None
 
 
