@@ -145,10 +145,10 @@ class TProduct:
         tvars = tuple(sorted(tvars, key=_key, reverse=True))
         for t in tvars:
             if t.gen.n != xpart.n:
-                raise ValueError("ambient mismatch inside T-product")
+                raise AmbientMismatch("ambient mismatch inside T-product")
         self.xpart = xpart
         self.tvars = tvars
-        self.key = (tuple(t.key for t in tvars), xpart.exps)
+        self.key = (tuple(map(_key, tvars)), xpart.exps)
 
     @classmethod
     def _sorted(cls, xpart, tvars):
@@ -157,7 +157,7 @@ class TProduct:
         out = cls.__new__(cls)
         out.xpart = xpart
         out.tvars = tvars
-        out.key = (tuple(t.key for t in tvars), xpart.exps)
+        out.key = (tuple(map(_key, tvars)), xpart.exps)
         return out
 
     @property
@@ -215,7 +215,9 @@ class TProduct:
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
-        return TProduct._sorted(lcm(self.xpart, other.xpart), tuple(out))
+        x, y = self.xpart, other.xpart
+        xpart = x if not y.deg else y if not x.deg else lcm(x, y)
+        return TProduct._sorted(xpart, tuple(out))
 
     def is_squarefree(self):
         return (all(e <= 1 for e in self.xpart.exps)
@@ -759,8 +761,10 @@ def spair_certificate(quadrics, limits=None):
     Pairs run in basis order, (a, b) with a before b, and each rewrite uses
     the first basis element whose lead divides the term, so the first
     survivor and the step count do not depend on the indexes used to find
-    them.  `limits.max_steps` caps the rewrite steps of the whole run.
-    Independent of the fiber-graph route.
+    them.  `limits.max_steps` caps the rewrite steps of the whole run.  Each
+    term's rewrite is kept for the run, as pairs that share a fiber meet the
+    same terms; a step makes at most one new term, so the step budget bounds
+    what is kept.  Independent of the fiber-graph route.
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
@@ -773,6 +777,7 @@ def spair_certificate(quadrics, limits=None):
     for i, held in enumerate(atoms):
         for atom in held:
             holders.setdefault(atom, []).append(i)
+    memo = {}
     checked = skipped = 0
     for ai, a in enumerate(basis):
         partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
@@ -782,7 +787,7 @@ def spair_certificate(quadrics, limits=None):
             checked += 1
             top = a.lead.lcm_with(b.lead)
             nf = _reduce_difference(top.rewrite(a), top.rewrite(b), (a, b),
-                                    basis, table, budget)
+                                    basis, table, budget, memo)
             if nf is not None:
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
@@ -791,20 +796,30 @@ def spair_certificate(quadrics, limits=None):
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _reduce_difference(u, v, pair, basis, table, budget):
-    """Full normal form of u - v under the basis; None when it reaches zero."""
+# What the memo of `_reduce_difference` holds for a term no lead divides.
+_STANDARD = object()
+
+
+def _reduce_difference(u, v, pair, basis, table, budget, memo):
+    """Full normal form of u - v under the basis; None when it reaches zero.
+    `memo` maps the key of each term met so far to `_rewrite_once` of the
+    term, or to `_STANDARD`; each step is still charged on its own."""
     while True:
-        if u == v:
+        if u.key == v.key:
             return None
         if u.key < v.key:
             u, v = v, u
         budget.count_step(pair)
-        step = _rewrite_once(u, basis, table)
-        if step is not None:
+        step = memo.get(u.key)
+        if step is None:
+            step = memo[u.key] = _rewrite_once(u, basis, table) or _STANDARD
+        if step is not _STANDARD:
             u = step
             continue
-        step = _rewrite_once(v, basis, table)
-        if step is not None:
+        step = memo.get(v.key)
+        if step is None:
+            step = memo[v.key] = _rewrite_once(v, basis, table) or _STANDARD
+        if step is not _STANDARD:
             v = step
             continue
         return (u, v)

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from borelgb import toric
 from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
@@ -58,6 +59,11 @@ def test_tproduct_canonical_sorting():
     assert t.image() == M("x1*x3^3*x4^2")
 
 
+def test_tproduct_rejects_a_foreign_tvar():
+    with pytest.raises(AmbientMismatch):
+        TProduct(Monomial((0, 0, 0)), [GeneratorVar(0, Monomial((0, 0, 0, 1)))])
+
+
 def test_tproduct_arithmetic():
     a = tp("x1", 4, (1, "x4"))
     b = tp("x2", 4, (2, "x3*x4"))
@@ -70,6 +76,10 @@ def test_tproduct_arithmetic():
         counter_quotient(a, b)
     assert a.lcm_with(b) == ab
     assert a.lcm_with(a) == a
+    # A unit x part takes the other side's x part as it is.
+    t = tp("1", 4, (2, "x4"))
+    assert t.lcm_with(a) == tp("x1", 4, (1, "x4"), (2, "x4"))
+    assert t.lcm_with(a).xpart is a.xpart and a.lcm_with(t).xpart is a.xpart
     sq = tp("x1^2", 4, (1, "x4"))
     assert not sq.is_squarefree()
     assert not times_by_sorting(a, a).is_squarefree()
@@ -505,6 +515,71 @@ def test_spair_fail_triangle():
     u, v = rep.normal_form
     assert u.image() == v.image()
     assert u.tdegree == v.tdegree == 2
+
+
+# The pinned S-pair bench inputs: quadrics, then (passed, pairs checked,
+# pairs skipped), the rewrite steps of the whole run and the pair reduced at
+# its last step.
+_LAST_SINGLE_PAIR = ("[T[t0:x1^3]*T[t0:x2^3] - T[t0:x1^2*x2]*T[t0:x1*x2^2]] "
+                     "[T[t0:x1^3]*T[t0:x1*x2^2] - T[t0:x1^2*x2]*T[t0:x1^2*x2]]")
+_PINNED_SPAIRS = (
+    (lambda: quadrics_bs_form(parse_monomial("x2*x4*x5", 5)),
+     (True, 1902, 9124), 4084, _LAST_SINGLE_PAIR),
+    (lambda: quadrics_bs_form(parse_monomial("x2*x3*x5", 5)),
+     (True, 897, 3381), 1755, _LAST_SINGLE_PAIR),
+    (lambda: quadrics_single(parse_monomial("x2*x3*x4", 4)),
+     (True, 886, 2040), 2077, _LAST_SINGLE_PAIR),
+    (lambda: quadrics_multi(parse_family(EX_FAMILY)).all(),
+     (True, 151, 552), 230,
+     "[T[t2:x3^2]*T[t3:x3*x4] - T[t2:x3*x4]*T[t3:x3^2]] "
+     "[T[t2:x3^2]*T[t3:x2*x4] - T[t2:x3*x4]*T[t3:x2*x3]]"),
+    (lambda: quadrics_multi(parse_family(TRIANGLE)).all(),
+     (False, 1, 0), 1,
+     "[x3*T[t3:x2] - x2*T[t3:x3]] [x3*T[t2:x1] - x1*T[t2:x3]]"),
+)
+
+
+def _pair_text(pair):
+    a, b = pair
+    return f"[{a.text()}] [{b.text()}]"
+
+
+def test_spair_step_totals_pinned():
+    """Each pinned input's step total is a budget that gives its unlimited
+    report, and one step fewer trips while reducing the pinned pair."""
+    for quadrics, fields, steps, last in _PINNED_SPAIRS:
+        qs = quadrics()
+        want = spair_certificate(qs, Limits(max_steps=10 ** 9))
+        assert (want.passed, want.pairs_checked, want.pairs_skipped) == fields
+        got = spair_certificate(qs, Limits(max_steps=steps))
+        assert _report_fields(got) == _report_fields(want)
+        with pytest.raises(SpairLimitError) as trip:
+            spair_certificate(qs, Limits(max_steps=steps - 1))
+        assert _pair_text(trip.value.pair) == last
+
+
+def test_spair_rewrites_each_term_once(monkeypatch):
+    """The run asks `_rewrite_once` once per distinct term, for exactly the
+    terms the unmemoised oracle rewrites, and less often than it steps."""
+    qs = quadrics_single(parse_monomial("x2*x3*x4", 4))
+    rewritten, scanned = [], set()
+    rewrite_once, scan = toric._rewrite_once, _rewrite_by_scanning
+
+    def counted(term, basis, table):
+        rewritten.append(term.key)
+        return rewrite_once(term, basis, table)
+
+    def scanned_too(term, basis):
+        scanned.add(term.key)
+        return scan(term, basis)
+
+    monkeypatch.setattr(toric, "_rewrite_once", counted)
+    monkeypatch.setitem(globals(), "_rewrite_by_scanning", scanned_too)
+    assert spair_certificate(qs).passed
+    _, run = _spairs_by_scanning(qs)
+    assert run.steps == 2077
+    assert len(rewritten) == len(set(rewritten)) < run.steps
+    assert set(rewritten) == scanned
 
 
 def test_t_min_goldens():
