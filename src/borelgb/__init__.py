@@ -6,10 +6,9 @@ from .families import (BiAdjacency, FamilyEntry, IdealFamily, LinearPoset,
                        find_lfree_column_order, incidence_matrix,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        reduce_family, serialize_family)
-from .monomials import (AmbientMismatch, Monomial, ParseError, apply_move,
-                        compare, lcm, parse_monomial)
-from .quadrics import (MultiQuadrics, first_non_squarefree_lead,
-                       quadrics_bs_form, quadrics_multi, quadrics_single)
+from .monomials import AmbientMismatch, Monomial, ParseError, lcm, parse_monomial
+from .quadrics import (MultiQuadrics, quadrics_bs_form, quadrics_multi,
+                       quadrics_single)
 from .sorting import borel_sort, split_monomial
 from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar, Limits,
                     ResourceLimitError, TProduct, enumerate_fiber, fiber_graph,

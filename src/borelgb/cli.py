@@ -52,15 +52,15 @@ def _single_quadrics(M, form):
 
 
 def _setup_and_quadrics(args):
-    """(setup, quadrics, base, tagged) of a single-closure or a family command."""
+    """(setup, quadrics, base) of a single-closure or a family command."""
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
         return (FiberSetup.single(M, args.base), _single_quadrics(M, args.form),
-                args.base, False)
+                args.base)
     if args.family is None:
         raise ParseError("need a family file or --single")
     family, setup = _family_setup(args.family)
-    return setup, quadrics_multi(family).all(), family.base, True
+    return setup, quadrics_multi(family).all(), family.base
 
 
 def cmd_closure(args):
@@ -104,15 +104,15 @@ def cmd_fiber_graph(args):
     if not single and (args.family is None or args.mu_arg is None
                        or args.tdegrees is None):
         raise ParseError("need FAMILY IMAGE TDEGREES, or --single with --mu/-k")
-    setup, quads, base, tagged = _setup_and_quadrics(args)
+    setup, quads, base = _setup_and_quadrics(args)
     mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, setup.base)
     beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
     graph = fiber_graph(setup, mu, beta, quads, limits=_limits(args))
     if args.dot:
-        sys.stdout.write(to_dot(graph, base, tagged))
+        sys.stdout.write(to_dot(graph, base))
         return 0
     for i, v in enumerate(graph.vertices):
-        print(f"v{i}: {v.label(base, tagged)}")
+        print(f"v{i}: {v.label(base)}")
     for u, v, qi in graph.edges:
         print(f"v{u} -> v{v} [q{qi}]")
     sinks = set(graph.sinks())
@@ -122,7 +122,7 @@ def cmd_fiber_graph(args):
 
 
 def cmd_verify(args):
-    setup, quads, base, tagged = _setup_and_quadrics(args)
+    setup, quads, base = _setup_and_quadrics(args)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
                                            limits=_limits(args), jobs=args.jobs)
@@ -130,8 +130,8 @@ def cmd_verify(args):
         try:
             report = spair_certificate(quads, limits=_limits(args))
         except SpairLimitError as exc:  # name the pair as the FAIL line would
-            raise ResourceLimitError(exc.text(base, tagged)) from None
-    for line in report.lines(base, tagged):
+            raise ResourceLimitError(exc.text(base)) from None
+    for line in report.lines(base):
         print(line)
     return 0 if report.passed else 1
 
@@ -182,7 +182,7 @@ def cmd_quadrics(args):
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
         for b in _single_quadrics(M, args.form):
-            print(b.text(args.base, tagged=False))
+            print(b.text(args.base))
         return 0
     if args.family is None:
         raise ParseError("need a family file or --single")

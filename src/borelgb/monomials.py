@@ -1,4 +1,4 @@
-"""Dense-exponent monomials, the grevlex/lex term orders, and exchange moves.
+"""Dense-exponent monomials, the grevlex term order, and the monomial grammar.
 
 Monomials live in a fixed ambient polynomial ring K[x_1, ..., x_n] and are
 stored as dense tuples of nonnegative exponents.  Variables are addressed by
@@ -75,12 +75,6 @@ class Monomial:
             self._sigma = tuple(reversed(out))
         return self._sigma
 
-    def sigma(self, i):
-        """sigma_i = e_i + e_{i+1} + ... + e_n for a 1-based position i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"position {i} outside 1..{self.n}")
-        return self.sigma_vector()[i - 1]
-
     def support(self):
         """1-based positions of the variables that divide this monomial."""
         return tuple(p for p, e in enumerate(self.exps, start=1) if e)
@@ -117,10 +111,6 @@ class Monomial:
         """Sort key: ascending order under graded reverse lexicographic."""
         return (self.deg, tuple(-e for e in reversed(self.exps)))
 
-    def lex_key(self):
-        """Sort key: ascending order under (pure) lexicographic."""
-        return self.exps
-
     def text(self, base=1):
         """Canonical text: '1' or '*'-joined factors in ascending position."""
         if self.deg == 0:
@@ -151,40 +141,9 @@ def _check_ambient(a, b):
         raise AmbientMismatch(f"ambient mismatch: {len(a.exps)} vs {len(b.exps)} variables")
 
 
-def compare(m1, m2, order="grevlex"):
-    """Return -1/0/+1 comparing m1 against m2 under 'grevlex' or 'lex'."""
-    _check_ambient(m1, m2)
-    if order == "grevlex":
-        k1, k2 = m1.grevlex_key(), m2.grevlex_key()
-    elif order == "lex":
-        k1, k2 = m1.lex_key(), m2.lex_key()
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return (k1 > k2) - (k1 < k2)
-
-
 def lcm(m1, m2):
     _check_ambient(m1, m2)
     return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
-
-
-def apply_move(m, i, j):
-    """Return (x_i / x_j) * m, the exchange move sending one x_j to x_i.
-
-    Moves with i < j ascend in the Borel order; i > j gives the reverse move.
-    Requires x_j | m and i != j.
-    """
-    n = m.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"move positions ({i}, {j}) outside 1..{n}")
-    if i == j:
-        raise ValueError("move requires two distinct positions")
-    if m.exps[j - 1] == 0:
-        raise ValueError(f"x{j} does not divide {m}: cannot move it")
-    exps = list(m.exps)
-    exps[j - 1] -= 1
-    exps[i - 1] += 1
-    return Monomial(exps)
 
 
 def restrict(m, positions):

@@ -132,10 +132,6 @@ class MultiQuadrics:
         return tuple(self.symmetric) + tuple(self.fiber_principal) + \
             tuple(self.fiber_biprincipal)
 
-    def counts(self):
-        return (len(self.symmetric), len(self.fiber_principal),
-                len(self.fiber_biprincipal))
-
 
 def quadrics_multi(family):
     """All three quadric shapes for a reduced family."""
@@ -171,10 +167,3 @@ def quadrics_multi(family):
     return MultiQuadrics(sort_binomials(symmetric), fiber_principal,
                          fiber_biprincipal)
 
-
-def first_non_squarefree_lead(binomials):
-    """The first binomial whose lead term is not squarefree, or None."""
-    for b in binomials:
-        if not b.lead.is_squarefree():
-            return b
-    return None

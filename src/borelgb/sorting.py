@@ -15,20 +15,16 @@ from .borel import borel_member, min_borel_divisor
 from .monomials import Monomial
 
 
-def split_monomial(M, s, e, mode):
+def split_monomial(M, s, E):
     """Truncated pivot for the recursion, with the x_s part already divided out.
 
     Builds the Borel-least monomial gamma of deg(M) supported on positions
-    <= s with x_s-exponent exactly E, then returns gamma / x_s^E.  The mode
-    selects E: 'up' and 'left' use E = e, 'down' uses E = e + 1.  Positions
+    <= s with x_s-exponent exactly E, then returns gamma / x_s^E.  Positions
     below s - 1 keep M's exponents; position s - 1 absorbs sigma_{s-1}(M) - E.
     Requires s >= 2 and E <= sigma_s(M).
     """
-    if mode not in ("up", "down", "left"):
-        raise ValueError(f"unknown split mode {mode!r}")
     if not 2 <= s <= M.n:
         raise ValueError(f"split position {s} outside 2..{M.n}")
-    E = e + 1 if mode == "down" else e
     sig = M.sigma_vector()
     if E > sig[s - 1]:
         raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {sig[s - 1]}")
@@ -68,15 +64,15 @@ def _bs(M, mu, k):
     q, r = divmod(A, k)
     xs = Monomial.variable(s, M.n)
     if r > 0:
-        M_up = split_monomial(M, s, q, "up")
+        M_up = split_monomial(M, s, q)
         mu_up = min_borel_divisor(M_up, k - r, mu)
         if mu_up is None:
             raise AssertionError(f"recursion invariant broken at {mu} (up split)")
-        M_down = split_monomial(M, s, q, "down")
+        M_down = split_monomial(M, s, q + 1)
         mu_down = mu / (mu_up * xs.pow(A))
         up = _bs(M_up, mu_up, k - r)
         down = _bs(M_down, mu_down, r)
         return [f * xs.pow(q) for f in up] + [f * xs.pow(q + 1) for f in down]
-    M_left = split_monomial(M, s, q, "left")
+    M_left = split_monomial(M, s, q)
     mu_left = mu / xs.pow(A)
     return [f * xs.pow(q) for f in _bs(M_left, mu_left, k)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .borel import borel_closure, min_borel_divisor
@@ -37,10 +38,10 @@ class SpairLimitError(ResourceLimitError):
         self.pair = pair
         super().__init__(self.text())
 
-    def text(self, base=1, tagged=True):
+    def text(self, base=1):
         a, b = self.pair
         return (f"S-pair route exceeded {self.max_steps} rewrite steps at spair "
-                f"[{a.text(base, tagged)}] [{b.text(base, tagged)}]")
+                f"[{a.text(base)}] [{b.text(base)}]")
 
 
 class Limits:
@@ -99,7 +100,12 @@ _key = operator.attrgetter("key")
 
 
 class GeneratorVar:
-    """One T variable: a chosen generator of one block."""
+    """One T variable: a chosen generator of one block.
+
+    Block 0 is the single-closure setup, whose variables print as their
+    generator alone; a family's blocks are 1..r and print with their block,
+    't2:x3'.
+    """
 
     __slots__ = ("block", "gen", "key")
 
@@ -112,9 +118,9 @@ class GeneratorVar:
         # the grevlex-larger generator makes the larger variable.
         self.key = (-block, gen.deg) + tuple(-e for e in reversed(gen.exps))
 
-    def text(self, base=1, tagged=True):
+    def text(self, base=1):
         body = self.gen.text(base)
-        return f"t{self.block}:{body}" if tagged else body
+        return f"t{self.block}:{body}" if self.block else body
 
     # The key names the variable: it is injective in (block, exponents).
 
@@ -219,23 +225,19 @@ class TProduct:
         xpart = x if not y.deg else y if not x.deg else lcm(x, y)
         return TProduct._sorted(xpart, tuple(out))
 
-    def is_squarefree(self):
-        return (all(e <= 1 for e in self.xpart.exps)
-                and len(set(self.tvars)) == len(self.tvars))
-
-    def label(self, base=1, tagged=True):
+    def label(self, base=1):
         """Display text: 'x1^2*x2 | t1:x4, t2:x3*x4' (the x part always shown)."""
         head = self.xpart.text(base)
         if not self.tvars:
             return head
-        return head + " | " + ", ".join(t.text(base, tagged) for t in self.tvars)
+        return head + " | " + ", ".join(t.text(base) for t in self.tvars)
 
-    def term_text(self, base=1, tagged=True):
+    def term_text(self, base=1):
         """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial)."""
         parts = []
         if not self.xpart.is_unit:
             parts.append(self.xpart.text(base))
-        parts.extend(f"T[{t.text(base, tagged)}]" for t in self.tvars)
+        parts.extend(f"T[{t.text(base)}]" for t in self.tvars)
         return "*".join(parts) if parts else "1"
 
     def __eq__(self, other):
@@ -271,8 +273,8 @@ class Binomial:
                 f"sides have different images: {u.label()} vs {v.label()}")
         return cls(u, v) if u.key > v.key else cls(v, u)
 
-    def text(self, base=1, tagged=True):
-        return f"{self.lead.term_text(base, tagged)} - {self.tail.term_text(base, tagged)}"
+    def text(self, base=1):
+        return f"{self.lead.term_text(base)} - {self.tail.term_text(base)}"
 
     def __eq__(self, other):
         return (isinstance(other, Binomial)
@@ -402,6 +404,8 @@ def _enumerate(setup, mu, beta, budget):
         raise ValueError("ambient mismatch between image and setup")
     exact = setup.kind == "single"
     blocks = setup.blocks
+    if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
+        return ()  # no room for the factors; checked before any table is built
     # bounds[bi][rem]: rem times block bi's pivot suffix sums over its slots.
     bounds = [[tuple(rem * c for c in block.caps) if rem else ()
                for rem in range(k + 1)] for block, k in zip(blocks, beta)]
@@ -473,10 +477,6 @@ def _enumerate(setup, mu, beta, budget):
 
         return rec_pick(0, beta[bi], q)
 
-    root = rec_block(0, mu.exps)
-    memo.clear()  # for peak memory: building the points needs only the DAG
-    out = []
-
     def walk(child, chosen):
         if child.__class__ is list:
             for tvar, below in child:
@@ -484,8 +484,17 @@ def _enumerate(setup, mu, beta, budget):
         else:
             out.append(TProduct._sorted(child, chosen))
 
-    if root is not None:
-        walk(root, ())
+    # Both the search and the walk recurse once per pick.
+    try:
+        root = rec_block(0, mu.exps)
+        memo.clear()  # for peak memory: building the points needs only the DAG
+        out = []
+        if root is not None:
+            walk(root, ())
+    except RecursionError:
+        raise ResourceLimitError(
+            f"fiber of T-degree {sum(beta)} is too deep to enumerate "
+            f"(recursion limit {sys.getrecursionlimit()})") from None
     del root  # for peak memory: the points need no DAG
     # The walk emits the points in descending key order: picks run in
     # ascending `gens_desc` index, which is descending T-variable key, blocks
@@ -567,15 +576,6 @@ def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
     return FiberGraph(vertices, tuple(edges), mu, beta)
 
 
-def _weak_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def iterate_images(setup, bound):
     """The images to examine up to the total T-degree bound, deterministically.
 
@@ -592,24 +592,22 @@ def iterate_images(setup, bound):
                      for m in borel_closure(M.pow(k)))
     images = []
     r = len(setup.blocks)
-    for total in range(1, bound + 1):
-        for beta in _weak_compositions(total, r):
-            prods = set()
-            for combo_per_block in itertools.product(*(
-                    itertools.combinations_with_replacement(
-                        setup.blocks[i].gens_desc, beta[i])
-                    for i in range(r))):
-                p = Monomial.unit(setup.n)
-                for group in combo_per_block:
-                    for g in group:
-                        p = p * g
-                prods.add(p)
-            prods = sorted(prods, key=Monomial.grevlex_key)
-            merged = set()
-            for ai in range(len(prods)):
-                for bi in range(ai, len(prods)):
-                    merged.add(lcm(prods[ai], prods[bi]))
-            images.extend((m, beta) for m in merged)
+    for beta in itertools.product(range(bound + 1), repeat=r):
+        if not 1 <= sum(beta) <= bound:
+            continue
+        prods = set()
+        for combo_per_block in itertools.product(*(
+                itertools.combinations_with_replacement(
+                    setup.blocks[i].gens_desc, beta[i])
+                for i in range(r))):
+            p = Monomial.unit(setup.n)
+            for group in combo_per_block:
+                for g in group:
+                    p = p * g
+            prods.add(p)
+        merged = {lcm(a, b) for a, b in
+                  itertools.combinations_with_replacement(prods, 2)}
+        images.extend((m, beta) for m in merged)
     images.sort(key=lambda it: (sum(it[1]), it[1], it[0].grevlex_key()))
     return tuple(images)
 
@@ -625,7 +623,7 @@ class VerifyReport:
         self.certificate = certificate
         self.images_checked = images_checked
 
-    def lines(self, base=1, tagged=True):
+    def lines(self, base=1):
         out = []
         if self.passed:
             out.append("PASS")
@@ -633,7 +631,7 @@ class VerifyReport:
             for mu, beta, sinks in self.failures:
                 out.append(f"FAIL {_image_text(mu, beta, base)} sinks={len(sinks)}")
                 for s in sinks:
-                    out.append(f"  sink {s.label(base, tagged)}")
+                    out.append(f"  sink {s.label(base)}")
         out.append(f"certificate: {self.certificate}")
         return out
 
@@ -738,15 +736,15 @@ class SpairReport:
         self.pairs_checked = pairs_checked
         self.pairs_skipped = pairs_skipped
 
-    def lines(self, base=1, tagged=True):
+    def lines(self, base=1):
         out = []
         if self.passed:
             out.append("PASS")
         else:
             a, b = self.pair
             u, v = self.normal_form
-            out.append(f"FAIL spair [{a.text(base, tagged)}] [{b.text(base, tagged)}] "
-                       f"normal-form: {u.term_text(base, tagged)} - {v.term_text(base, tagged)}")
+            out.append(f"FAIL spair [{a.text(base)}] [{b.text(base)}] "
+                       f"normal-form: {u.term_text(base)} - {v.term_text(base)}")
         out.append("certificate: spairs")
         return out
 
@@ -867,11 +865,11 @@ def t_min(family, mu, beta):
     return TProduct(quotient, tvars)
 
 
-def to_dot(graph, base=1, tagged=True):
+def to_dot(graph, base=1):
     """Graphviz text for a fiber graph; vertex ids follow the ascending order."""
     lines = ["digraph fiber {"]
     for i, v in enumerate(graph.vertices):
-        lines.append(f'  v{i} [label="{v.label(base, tagged)}"];')
+        lines.append(f'  v{i} [label="{v.label(base)}"];')
     for u, v, qi in graph.edges:
         lines.append(f'  v{u} -> v{v} [label="q{qi}"];')
     lines.append("}")

@@ -16,8 +16,7 @@ from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily, LinearPoset,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import (Monomial, _check_ambient, apply_move, expand,
-                               restrict)
+from borelgb.monomials import Monomial, _check_ambient, expand, restrict
 from borelgb.toric import FiberGraph, Limits, TProduct, _Budget, _enumerate
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
@@ -43,6 +42,39 @@ ideal I1: support = x1,x2 ; generator = x2
 ideal I2: support = x1,x3 ; generator = x3
 ideal I3: support = x2,x3 ; generator = x3
 """
+
+
+def apply_move(m, i, j):
+    """Return (x_i / x_j) * m, the exchange move sending one x_j to x_i.
+
+    Moves with i < j ascend in the Borel order; i > j gives the reverse move.
+    Requires x_j | m and i != j.
+    """
+    n = m.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"move positions ({i}, {j}) outside 1..{n}")
+    if i == j:
+        raise ValueError("move requires two distinct positions")
+    if m.exps[j - 1] == 0:
+        raise ValueError(f"x{j} does not divide {m}: cannot move it")
+    exps = list(m.exps)
+    exps[j - 1] -= 1
+    exps[i - 1] += 1
+    return Monomial(exps)
+
+
+def is_squarefree(term):
+    """Whether no x variable and no T-variable divides the T-product twice."""
+    return (all(e <= 1 for e in term.xpart.exps)
+            and len(set(term.tvars)) == len(term.tvars))
+
+
+def first_non_squarefree_lead(binomials):
+    """The first binomial whose lead term is not squarefree, or None."""
+    for b in binomials:
+        if not is_squarefree(b.lead):
+            return b
+    return None
 
 
 def borel_compare(m1, m2):

@@ -13,16 +13,16 @@ from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.families import (find_lfree_column_order, incidence_matrix,
                               is_chordal_bipartite, lfree_witness,
                               parse_family)
-from borelgb.monomials import Monomial, apply_move, parse_monomial
-from borelgb.quadrics import (first_non_squarefree_lead, quadrics_multi,
-                              quadrics_single)
+from borelgb.monomials import Monomial, parse_monomial
+from borelgb.quadrics import quadrics_multi, quadrics_single
 from borelgb.sorting import borel_sort
 from borelgb.toric import (FiberSetup, enumerate_fiber, fiber_graph,
                            spair_certificate, t_min,
                            verify_groebner_by_fibers)
 
-from helpers import (certify, is_lfree, min_borel_divisor_bruteforce,
-                     random_interval_family, random_principal_borel_family)
+from helpers import (apply_move, certify, first_non_squarefree_lead, is_lfree,
+                     min_borel_divisor_bruteforce, random_interval_family,
+                     random_principal_borel_family)
 
 CHAIN_FAMILY = """vars = 4
 ideal I1: support = x4 ; generator = x4

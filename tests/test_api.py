@@ -1,0 +1,45 @@
+"""The public library API: the names `borelgb` exports, pinned."""
+
+import inspect
+
+import borelgb
+from borelgb import monomials
+
+PUBLIC = {
+    "AmbientMismatch", "BiAdjacency", "Binomial", "FamilyEntry", "FiberGraph",
+    "FiberSetup", "GeneratorVar", "IdealFamily", "Limits", "LinearPoset",
+    "Monomial", "MultiQuadrics", "ParseError", "ResourceLimitError",
+    "TProduct", "borel_closure", "borel_member", "borel_sort",
+    "enumerate_fiber", "fiber_graph", "find_lfree_column_order",
+    "incidence_matrix", "is_chordal_bipartite", "iterate_images", "lcm",
+    "lfree_witness", "min_borel_divisor", "parse_family", "parse_monomial",
+    "quadrics_bs_form", "quadrics_multi", "quadrics_single", "reduce_family",
+    "serialize_family", "spair_certificate", "split_monomial", "t_min",
+    "to_dot", "verify_groebner_by_fibers",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(borelgb).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC
+
+
+def test_test_only_api_stays_out_of_the_library():
+    """Comparators, moves and squarefree tests live in tests/helpers.py."""
+    assert not hasattr(monomials, "compare")
+    assert not hasattr(monomials, "apply_move")
+    assert not hasattr(borelgb.Monomial, "lex_key")
+    assert not hasattr(borelgb.Monomial, "sigma")
+    assert not hasattr(borelgb.MultiQuadrics, "counts")
+    assert not hasattr(borelgb.TProduct, "is_squarefree")
+
+
+def test_display_methods_take_only_the_base():
+    """A T-variable's block decides its tag, so no display call takes one."""
+    for method in (borelgb.GeneratorVar.text, borelgb.TProduct.label,
+                   borelgb.TProduct.term_text, borelgb.Binomial.text):
+        assert list(inspect.signature(method).parameters) == ["self", "base"]
+    assert list(inspect.signature(borelgb.to_dot).parameters) == ["graph", "base"]
+    assert list(inspect.signature(borelgb.split_monomial).parameters) == [
+        "M", "s", "E"]

@@ -12,9 +12,9 @@ import random
 import pytest
 
 from borelgb.borel import borel_closure, borel_member, min_borel_divisor
-from borelgb.monomials import Monomial, apply_move, compare, parse_monomial
+from borelgb.monomials import Monomial, parse_monomial
 
-from helpers import (borel_compare, factorization_step,
+from helpers import (apply_move, borel_compare, factorization_step,
                      min_borel_divisor_bruteforce, reverse_step_toward)
 
 
@@ -215,7 +215,7 @@ def test_reverse_step_iteration_reaches_least_divisor():
                 e + (1 if p == j else 0) - (1 if p == i else 0)
                 for p, e in enumerate(cur.exps, start=1)))
             assert i < j
-            assert compare(nxt, cur) == -1  # strict grevlex descent
+            assert nxt.grevlex_key() < cur.grevlex_key()  # strict grevlex descent
             assert borel_member(nxt, Mm) and nxt.divides(mu)
             cur = nxt
             seen += 1
@@ -258,7 +258,7 @@ def test_factorization_step_iteration_terminates():
                     for p, e in enumerate(before.exps, start=1)))
                 assert borel_member(after, Mm)
                 factors[ell - 1] = after
-                assert compare(factors[0] * factors[1], prod) == -1
+                assert (factors[0] * factors[1]).grevlex_key() < prod.grevlex_key()
                 guard += 1
                 assert guard < 100
     assert trials > 5

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +18,13 @@ from borelgb.toric import (FiberSetup, Limits, ResourceLimitError, _Budget,
                            _enumerate, enumerate_fiber)
 
 from helpers import EX_FAMILY, TRIANGLE
+
+# A reduced family whose first ideal is the unit ideal: its block picks the
+# generator 1 any number of times.
+UNIT_BLOCK = """vars = 2
+ideal a: support = ; generator = 1
+ideal b: support = x1,x2 ; generator = x2
+"""
 
 NONREDUCED = """vars = 4
 ideal I1: support = x3,x4 ; generator = x2*x4
@@ -312,6 +320,29 @@ def test_resource_limit_exit_code(capsys):
                      "--mu", "x1^2*x2^2", "-k", "2", "--max-vertices", "1")
     assert rc == 3
     assert err == "error: fiber exceeded 1 vertices\n"
+
+
+def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
+    """A fiber too deep for Python's recursion limit is a budget trip: exit 3
+    with one line that names its T-degree, in the sweep on either path."""
+    fam = tmp_path / "unit.fam"
+    fam.write_text(UNIT_BLOCK)
+    assert parse_family(UNIT_BLOCK).is_reduced()
+    limit = sys.getrecursionlimit()
+    sweep = ("verify", "--single", "x1", "-n", "1", "--bound", "1000")
+    for argv, degree in ((sweep, None), (sweep + ("--jobs", "2"), None),
+                         (("fiber-graph", "--single", "x1", "-n", "1",
+                           "--mu", "x1^5000", "-k", "5000"), 5000),
+                         (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, ""), argv
+        got = re.fullmatch(r"error: fiber of T-degree (\d+) is too deep to "
+                           rf"enumerate \(recursion limit {limit}\)\n", err)
+        assert got is not None, err
+        if degree is None:  # the sweep trips on its first fiber that deep
+            assert 1 < int(got.group(1)) <= 1000
+        else:
+            assert int(got.group(1)) == degree
 
 
 def test_spair_budget_names_route_and_pair(capsys):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from borelgb.borel import borel_closure, borel_member
-from borelgb.monomials import Monomial, compare, parse_monomial
+from borelgb.monomials import Monomial, parse_monomial
 from borelgb.sorting import borel_sort, split_monomial
 
 
@@ -16,26 +16,25 @@ def M(text, n, base=0):
 def test_split_monomial_goldens():
     # pivot M = x1*x3^2*x4^2 over x0..x4, splitting at s = 5 (name x4), q = 0
     Mm = M("x1*x3^2*x4^2", 5)
-    assert split_monomial(Mm, 5, 0, "up").text(0) == "x1*x3^4"
-    assert split_monomial(Mm, 5, 0, "down").text(0) == "x1*x3^3"
+    # the up pivot divides out x_s^q, the down pivot x_s^(q + 1)
+    assert split_monomial(Mm, 5, 0).text(0) == "x1*x3^4"
+    assert split_monomial(Mm, 5, 1).text(0) == "x1*x3^3"
     # next level: M_up = x1*x3^4, s = 4 (name x3), q = 2
     up = M("x1*x3^4", 5)
-    assert split_monomial(up, 4, 2, "up").text(0) == "x1*x2^2"
-    assert split_monomial(up, 4, 2, "down").text(0) == "x1*x2"
-    # left mode divides out exactly q
+    assert split_monomial(up, 4, 2).text(0) == "x1*x2^2"
+    assert split_monomial(up, 4, 3).text(0) == "x1*x2"
+    # with no remainder one pivot takes every factor and divides out q
     down = M("x1*x3^3", 5)
-    assert split_monomial(down, 3, 2, "up").text(0) == "x1^2"
-    assert split_monomial(down, 3, 2, "down").text(0) == "x1"
+    assert split_monomial(down, 3, 2).text(0) == "x1^2"
+    assert split_monomial(down, 3, 3).text(0) == "x1"
 
 
 def test_split_monomial_errors():
     Mm = M("x1*x3^2*x4^2", 5)
     with pytest.raises(ValueError):
-        split_monomial(Mm, 1, 0, "up")  # needs s >= 2
+        split_monomial(Mm, 1, 0)  # needs s >= 2
     with pytest.raises(ValueError):
-        split_monomial(Mm, 5, 5, "up")  # exponent above sigma_s
-    with pytest.raises(ValueError):
-        split_monomial(Mm, 5, 0, "sideways")
+        split_monomial(Mm, 5, 5)  # exponent above sigma_s
 
 
 def test_borel_sort_worked_example():
@@ -100,5 +99,5 @@ def test_borel_sort_invariants_small_sweep():
                         for f in factors:
                             assert borel_member(f, Mm)
                         for a, b in zip(factors, factors[1:]):
-                            assert compare(a, b) >= 0
+                            assert a.grevlex_key() >= b.grevlex_key()
                     assert seen > 0

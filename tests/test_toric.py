@@ -4,6 +4,7 @@ independent certification routes (unique sinks and S-pair reduction)."""
 import functools
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -23,7 +24,8 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
                      counter_quotient, divides, examine_image_by_scanning,
-                     fiber_graph_by_scanning, random_interval_family,
+                     fiber_graph_by_scanning, is_squarefree,
+                     random_interval_family,
                      random_principal_borel_family, times_by_sorting)
 
 
@@ -42,7 +44,7 @@ def test_generator_var_key_and_text():
     c = GeneratorVar(2, M("x3*x4"))
     assert a.key > b.key > c.key  # larger key = larger variable
     assert a.text() == "t1:x3*x4"
-    assert a.text(tagged=False) == "x3*x4"
+    assert GeneratorVar(0, M("x3*x4")).text() == "x3*x4"  # single setup
     assert a.text(base=0) == "t1:x2*x3"
     assert a == GeneratorVar(1, M("x3*x4")) and a != c
     with pytest.raises(ValueError):
@@ -57,6 +59,18 @@ def test_tproduct_canonical_sorting():
     assert t.tdegree == 3
     assert [x.block for x in t.tvars] == [1, 2, 2]
     assert t.image() == M("x1*x3^3*x4^2")
+
+
+def test_only_family_blocks_print_tagged():
+    """Block 0 is the single-closure setup: its T-variables print as their
+    generators.  A family's blocks 1..r print with their block."""
+    single = enumerate_fiber(FiberSetup.single(M("x2^2", 2)), M("x1*x2", 2), 1)
+    assert [p.label() for p in single] == ["1 | x1*x2"]
+    assert single[0].term_text() == "T[x1*x2]"
+    family = enumerate_fiber(FiberSetup.for_family(parse_family(TRIANGLE)),
+                             M("x1*x2", 3), (1, 0, 0))
+    assert [p.label() for p in family] == ["x1 | t1:x2", "x2 | t1:x1"]
+    assert family[0].term_text() == "x1*T[t1:x2]"
 
 
 def test_tproduct_rejects_a_foreign_tvar():
@@ -81,9 +95,9 @@ def test_tproduct_arithmetic():
     assert t.lcm_with(a) == tp("x1", 4, (1, "x4"), (2, "x4"))
     assert t.lcm_with(a).xpart is a.xpart and a.lcm_with(t).xpart is a.xpart
     sq = tp("x1^2", 4, (1, "x4"))
-    assert not sq.is_squarefree()
-    assert not times_by_sorting(a, a).is_squarefree()
-    assert ab.is_squarefree()
+    assert not is_squarefree(sq)
+    assert not is_squarefree(times_by_sorting(a, a))
+    assert is_squarefree(ab)
 
 
 def _sign(a, b):
@@ -169,7 +183,7 @@ def test_binomial_make_orients_and_validates():
     with pytest.raises(ValueError):  # same image, different block counts
         Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")))
     b = Binomial(big, small)
-    assert b.text(tagged=False) == "T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2]"
+    assert b.text() == "T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2]"
 
 
 def test_sort_binomials_dedupes():
@@ -182,7 +196,7 @@ def test_sort_binomials_dedupes():
 def test_enumerate_fiber_single():
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     pts = enumerate_fiber(setup, parse_monomial("x1^2*x2^2", 2), 2)
-    assert [p.label(tagged=False) for p in pts] == [
+    assert [p.label() for p in pts] == [
         "1 | x1*x2, x1*x2", "1 | x1^2, x2^2"]
     assert all(p.image() == parse_monomial("x1^2*x2^2", 2) for p in pts)
     assert enumerate_fiber(setup, parse_monomial("x1^3*x2", 2), 1) == ()
@@ -192,6 +206,22 @@ def test_enumerate_fiber_single():
         enumerate_fiber(setup, parse_monomial("x1", 1), 1)
     with pytest.raises(ValueError):
         enumerate_fiber(setup, parse_monomial("x1*x2", 2), (1, 1))
+
+
+def test_fiber_without_room_is_empty_before_any_table():
+    """Factors of more total degree than the image leave no point, found
+    before the per-degree table: a million factors stay under 1 MB."""
+    setup = FiberSetup.single(parse_monomial("x2", 2))
+    tri = FiberSetup.for_family(parse_family(TRIANGLE))
+    tracemalloc.start()
+    try:
+        assert enumerate_fiber(setup, parse_monomial("x1*x2", 2), 10 ** 6) == ()
+        assert enumerate_fiber(tri, parse_monomial("x1*x2", 3),
+                               (0, 10 ** 6, 0)) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fiber_degrees_must_be_in_range():
@@ -227,7 +257,7 @@ def test_fiber_graph_and_certify():
     assert g.beta == (2,)
     connected, sinks = certify(g)
     assert g.sinks() == sinks
-    assert connected and [s.label(tagged=False) for s in sinks] == [
+    assert connected and [s.label() for s in sinks] == [
         "1 | x1*x2, x1*x2"]
     # triangle (1,1,1)-fiber: no quadric applies, two isolated points
     tri = parse_family(TRIANGLE)
@@ -267,7 +297,7 @@ def test_to_dot_golden():
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     g = fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
                     quadrics_single(parse_monomial("x2^2", 2)))
-    assert to_dot(g, tagged=False) == (
+    assert to_dot(g) == (
         'digraph fiber {\n'
         '  v0 [label="1 | x1*x2, x1*x2"];\n'
         '  v1 [label="1 | x1^2, x2^2"];\n'
@@ -520,8 +550,8 @@ def test_spair_fail_triangle():
 # The pinned S-pair bench inputs: quadrics, then (passed, pairs checked,
 # pairs skipped), the rewrite steps of the whole run and the pair reduced at
 # its last step.
-_LAST_SINGLE_PAIR = ("[T[t0:x1^3]*T[t0:x2^3] - T[t0:x1^2*x2]*T[t0:x1*x2^2]] "
-                     "[T[t0:x1^3]*T[t0:x1*x2^2] - T[t0:x1^2*x2]*T[t0:x1^2*x2]]")
+_LAST_SINGLE_PAIR = ("[T[x1^3]*T[x2^3] - T[x1^2*x2]*T[x1*x2^2]] "
+                     "[T[x1^3]*T[x1*x2^2] - T[x1^2*x2]*T[x1^2*x2]]")
 _PINNED_SPAIRS = (
     (lambda: quadrics_bs_form(parse_monomial("x2*x4*x5", 5)),
      (True, 1902, 9124), 4084, _LAST_SINGLE_PAIR),
