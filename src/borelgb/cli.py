@@ -52,15 +52,14 @@ def _single_quadrics(M, form):
 
 
 def _setup_and_quadrics(args):
-    """(setup, quadrics, base) of a single-closure or a family command."""
+    """(setup, quadrics) of a single-closure or a family command."""
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
-        return (FiberSetup.single(M, args.base), _single_quadrics(M, args.form),
-                args.base)
+        return FiberSetup.single(M, args.base), _single_quadrics(M, args.form)
     if args.family is None:
         raise ParseError("need a family file or --single")
     family, setup = _family_setup(args.family)
-    return setup, quadrics_multi(family).all(), family.base
+    return setup, quadrics_multi(family).all()
 
 
 def cmd_closure(args):
@@ -104,8 +103,9 @@ def cmd_fiber_graph(args):
     if not single and (args.family is None or args.mu_arg is None
                        or args.tdegrees is None):
         raise ParseError("need FAMILY IMAGE TDEGREES, or --single with --mu/-k")
-    setup, quads, base = _setup_and_quadrics(args)
-    mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, setup.base)
+    setup, quads = _setup_and_quadrics(args)
+    base = setup.base
+    mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, base)
     beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
     graph = fiber_graph(setup, mu, beta, quads, limits=_limits(args))
     if args.dot:
@@ -122,7 +122,7 @@ def cmd_fiber_graph(args):
 
 
 def cmd_verify(args):
-    setup, quads, base = _setup_and_quadrics(args)
+    setup, quads = _setup_and_quadrics(args)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
                                            limits=_limits(args), jobs=args.jobs)
@@ -130,8 +130,8 @@ def cmd_verify(args):
         try:
             report = spair_certificate(quads, limits=_limits(args))
         except SpairLimitError as exc:  # name the pair as the FAIL line would
-            raise ResourceLimitError(exc.text(base)) from None
-    for line in report.lines(base):
+            raise ResourceLimitError(exc.text(setup.base)) from None
+    for line in report.lines(setup.base):
         print(line)
     return 0 if report.passed else 1
 

@@ -9,8 +9,8 @@ against a move inside one block, within-block exchange quadrics, and
 cross-block exchange quadrics trading a move between two blocks that share
 the two positions.  Every lead term produced here is squarefree.
 
-Each call builds one T-variable per closure member and finds moved partners
-by looking up their exponent tuples.
+Each call builds one `_Block` per closure, which holds one T-variable per
+member, and finds moved partners by looking up their exponent tuples.
 """
 
 from __future__ import annotations
@@ -21,20 +21,7 @@ import operator
 from .borel import borel_closure
 from .monomials import Monomial
 from .sorting import borel_sort
-from .toric import Binomial, GeneratorVar, TProduct, sort_binomials
-
-
-class _Vars:
-    """The T-variables of one block, ascending, and their indices by exponent tuple."""
-
-    __slots__ = ("tvars", "index")
-
-    def __init__(self, block, gens):
-        self.tvars = tuple(GeneratorVar(block, g) for g in gens)
-        self.index = {g.exps: i for i, g in enumerate(gens)}
-
-    def __getitem__(self, exps):
-        return self.tvars[self.index[exps]]
+from .toric import Binomial, TProduct, _Block, sort_binomials
 
 
 def _moved(exps, i, j):
@@ -46,14 +33,14 @@ def _moved(exps, i, j):
 
 
 def _pair(unit, a, b):
-    """T_a T_b, its two T-variables ordered by key without the constructor."""
-    return TProduct._sorted(unit, (a, b) if a.key >= b.key else (b, a))
+    """T_a T_b, its two T-variables ordered without the constructor."""
+    return TProduct._sorted(unit, (a, b) if a >= b else (b, a))
 
 
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
-    tv = _Vars(0, borel_closure(M))
-    return sort_binomials(_exchanges(tv, tv, range(1, M.n + 1)))
+    block = _Block(0, M, None, borel_closure(M))
+    return sort_binomials(_exchanges(block, block, range(1, M.n + 1)))
 
 
 def _exchanges(va, vb, positions):
@@ -67,19 +54,19 @@ def _exchanges(va, vb, positions):
     moved pair and gives the same binomial, which is built only once.
     """
     same = va is vb
-    unit = Monomial.unit(va.tvars[0].gen.n)
+    unit = Monomial.unit(va.pivot.n)
     pairs = set()
     for s, t in itertools.combinations(sorted(p - 1 for p in positions), 2):
         moved_a = []
-        for i, m in enumerate(va.tvars):
-            if m.gen.exps[s]:
-                j = va.index.get(_moved(m.gen.exps, t, s))
+        for i, m in enumerate(va.exps):
+            if m[s]:
+                j = va.index.get(_moved(m, t, s))
                 if j is not None:
                     moved_a.append((i, j))
-        for k, n in enumerate(vb.tvars):
-            if not n.gen.exps[t]:
+        for k, n in enumerate(vb.exps):
+            if not n[t]:
                 continue
-            l = vb.index[_moved(n.gen.exps, s, t)]
+            l = vb.index[_moved(n, s, t)]
             for i, j in moved_a:
                 # Index pairs name the two sides; within one block a side
                 # is an unordered pair.
@@ -101,16 +88,16 @@ def quadrics_bs_form(M):
     degree-two relations as `quadrics_single`.  The pairs are grouped by
     product, so each product is sorted once.
     """
-    tv = _Vars(0, borel_closure(M))
+    block = _Block(0, M, None, borel_closure(M))
     unit = Monomial.unit(M.n)
     by_product = {}
-    for a, b in itertools.combinations_with_replacement(tv.tvars, 2):
+    for a, b in itertools.combinations_with_replacement(block.tvars, 2):
         mu = tuple(map(operator.add, a.gen.exps, b.gen.exps))
         by_product.setdefault(mu, []).append((a, b))
     out = []
     for mu, pairs in by_product.items():
-        f1, f2 = borel_sort(M, Monomial(mu), 2)
-        v = _pair(unit, tv[f1.exps], tv[f2.exps])
+        v = _pair(unit, *(block.tvars[block.index[f.exps]]
+                          for f in borel_sort(M, Monomial(mu), 2)))
         for a, b in pairs:
             u = _pair(unit, a, b)
             if u != v:
@@ -139,30 +126,28 @@ def quadrics_multi(family):
         raise ValueError("quadrics need a reduced family (apply reduce first)")
     n = family.n
     xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
-    blocks = [_Vars(i, c) for i, c in enumerate(family.closures(), start=1)]
-    supports = [e.poset.positions() for e in family.entries]
+    blocks = [_Block(i, e.gen, tuple(e.poset.positions()), e.closure())
+              for i, e in enumerate(family.entries, start=1)]
 
     symmetric = []
-    for vs, sup in zip(blocks, supports):
+    for vs in blocks:
         for m in vs.tvars:
-            for t in sup:
+            for t in vs.support:
                 if not m.gen.exps[t - 1]:
                     continue
-                for s in sup:
+                for s in vs.support:
                     if s >= t:
                         break
-                    m2 = vs[_moved(m.gen.exps, s - 1, t - 1)]
+                    m2 = vs.tvars[vs.index[_moved(m.gen.exps, s - 1, t - 1)]]
                     symmetric.append(Binomial.make(
                         TProduct._sorted(xs[s - 1], (m,)),
                         TProduct._sorted(xs[t - 1], (m2,))))
 
     fiber_principal = sort_binomials(
-        b for vs, sup in zip(blocks, supports)
-        for b in _exchanges(vs, vs, sup))
+        b for vs in blocks for b in _exchanges(vs, vs, vs.support))
     fiber_biprincipal = sort_binomials(
-        b for ia, ib in itertools.combinations(range(family.r), 2)
-        for b in _exchanges(blocks[ia], blocks[ib],
-                            set(supports[ia]) & set(supports[ib])))
+        b for va, vb in itertools.combinations(blocks, 2)
+        for b in _exchanges(va, vb, set(va.support) & set(vb.support)))
 
     return MultiQuadrics(sort_binomials(symmetric), fiber_principal,
                          fiber_biprincipal)

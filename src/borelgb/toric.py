@@ -96,39 +96,30 @@ class _Budget:
             raise SpairLimitError(self.limits.max_steps, pair)
 
 
-_key = operator.attrgetter("key")
-
-
-class GeneratorVar:
+class GeneratorVar(tuple):
     """One T variable: a chosen generator of one block.
 
-    Block 0 is the single-closure setup, whose variables print as their
-    generator alone; a family's blocks are 1..r and print with their block,
-    't2:x3'.
+    A T-variable compares and hashes as its key tuple (-block, deg, -e_n, ...,
+    -e_1), one per (block, exponents): earlier blocks are larger, then the
+    grevlex-larger generators.  Block 0 is the single-closure setup, whose
+    variables print as their generator alone; a family's blocks are 1..r and
+    print with their block, 't2:x3'.
     """
 
-    __slots__ = ("block", "gen", "key")
-
-    def __init__(self, block, gen):
+    def __new__(cls, block, gen):
         if block < 0:
             raise ValueError("block id must be nonnegative")
+        self = super().__new__(cls, (-block, gen.deg, *(-e for e in reversed(gen.exps))))
         self.block = block
         self.gen = gen
-        # Ascending key = ascending variable: earlier blocks are larger, then
-        # the grevlex-larger generator makes the larger variable.
-        self.key = (-block, gen.deg) + tuple(-e for e in reversed(gen.exps))
+        return self
+
+    def __getnewargs__(self):
+        return (self.block, self.gen)
 
     def text(self, base=1):
         body = self.gen.text(base)
         return f"t{self.block}:{body}" if self.block else body
-
-    # The key names the variable: it is injective in (block, exponents).
-
-    def __eq__(self, other):
-        return isinstance(other, GeneratorVar) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"GeneratorVar({self.block}, {self.gen!r})"
@@ -138,32 +129,32 @@ class TProduct:
     """An x-monomial cofactor times a multiset of T variables (kept sorted).
 
     `key` is the term order: lexicographic, eliminating the T variables.  Any
-    T variable beats every x variable; T variables compare by block (earlier
-    blocks larger), then by the grevlex order on their generators; x parts
-    tie-break by pure lexicographic order with x1 largest.  The key lists the
-    T variables largest first, then the x exponents, so ascending key is
-    ascending term order.
+    T variable beats every x variable; T variables compare as their keys
+    (earlier blocks larger, then the grevlex order on their generators); x
+    parts tie-break by pure lexicographic order with x1 largest.  The key
+    lists the T variables largest first, then the x exponents, so ascending
+    key is ascending term order.
     """
 
     __slots__ = ("xpart", "tvars", "key")
 
     def __init__(self, xpart, tvars):
-        tvars = tuple(sorted(tvars, key=_key, reverse=True))
+        tvars = tuple(sorted(tvars, reverse=True))
         for t in tvars:
             if t.gen.n != xpart.n:
                 raise AmbientMismatch("ambient mismatch inside T-product")
         self.xpart = xpart
         self.tvars = tvars
-        self.key = (tuple(map(_key, tvars)), xpart.exps)
+        self.key = (tvars, xpart.exps)
 
     @classmethod
     def _sorted(cls, xpart, tvars):
-        """A T-product from T-variables already in descending key order and
+        """A T-product from T-variables already in descending order and
         already checked against the ambient ring of `xpart`."""
         out = cls.__new__(cls)
         out.xpart = xpart
         out.tvars = tvars
-        out.key = (tuple(map(_key, tvars)), xpart.exps)
+        out.key = (tvars, xpart.exps)
         return out
 
     @property
@@ -179,7 +170,7 @@ class TProduct:
         return Monomial(self.image_exps())
 
     # rewrite and lcm_with merge T-variable lists, which all run in
-    # descending key order and keys name variables uniquely.
+    # descending order.
 
     def rewrite(self, binomial):
         """self / lead * tail for the binomial lead - tail, in one pass;
@@ -193,9 +184,9 @@ class TProduct:
         # and each lead variable takes out the next equal one.
         drop, add, out = list(lead.tvars), list(tail.tvars), []
         for t in self.tvars:
-            while add and add[0].key > t.key:
+            while add and add[0] > t:
                 out.append(add.pop(0))
-            if drop and drop[0].key == t.key:
+            if drop and drop[0] == t:
                 del drop[0]
             else:
                 out.append(t)
@@ -211,13 +202,13 @@ class TProduct:
         i = j = 0
         out = []
         while i < len(a) and j < len(b):
-            ka, kb = a[i].key, b[j].key
-            if ka >= kb:
-                out.append(a[i])
+            ta, tb = a[i], b[j]
+            if ta >= tb:
+                out.append(ta)
                 i += 1
-                j += ka == kb
+                j += ta == tb
             else:
-                out.append(b[j])
+                out.append(tb)
                 j += 1
         out.extend(a[i:])
         out.extend(b[j:])
@@ -263,8 +254,8 @@ class Binomial:
     def make(cls, u, v):
         """Orient u - v by the term order; rejects zero or inhomogeneous input.
 
-        Both sides keep their T-variables in key order, which starts with
-        the negated block, so their block lists compare as multisets."""
+        Both sides keep their T-variables in descending order, whose keys
+        start with the negated block, so their block lists compare as multisets."""
         if u == v:
             raise ValueError("zero binomial")
         if (u.image_exps() != v.image_exps()
@@ -293,25 +284,26 @@ def sort_binomials(binomials):
 
 
 class _Block:
-    """One block of a fiber setup: a generator list closed under its moves.
+    """One block: a generator list closed under its moves, and its T-variables.
 
-    Generators are numbered by their index in `gens_desc`.  `masks[i][e]` is
-    the bitset of those whose exponent at 0-based position i is at most e,
-    for e below the largest such exponent.  `caps` are the pivot's suffix
-    sums over its support positions `slots`, listed last first.
+    Generators are numbered by their index in `gens_desc`; `index` maps an
+    exponent tuple to its number.  `masks[i][e]` is the bitset of those whose
+    exponent at 0-based position i is at most e, for e below the largest such
+    exponent.  `caps` are the pivot's suffix sums over its support positions
+    `slots`, listed last first.
     """
 
-    __slots__ = ("block_id", "pivot", "support", "gens_desc", "gens_set",
-                 "tvars", "exps", "masks", "slots", "caps")
+    __slots__ = ("block_id", "pivot", "support", "gens_desc", "tvars", "exps",
+                 "index", "masks", "slots", "caps")
 
     def __init__(self, block_id, pivot, support, gens_asc):
         self.block_id = block_id
         self.pivot = pivot
         self.support = support  # None means all positions
         self.gens_desc = tuple(reversed(gens_asc))
-        self.gens_set = frozenset(gens_asc)
         self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
         self.exps = tuple(g.exps for g in self.gens_desc)
+        self.index = {e: i for i, e in enumerate(self.exps)}
         self.masks = tuple(
             tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
                   for e in range(max(column)))
@@ -341,8 +333,7 @@ class FiberSetup:
     def single(cls, M, base=1):
         if M.is_unit:
             raise ValueError("need a nonunit generator")
-        gens = borel_closure(M)
-        return cls("single", M.n, (_Block(0, M, None, gens),), base)
+        return cls("single", M.n, (_Block(0, M, None, borel_closure(M)),), base)
 
     @classmethod
     def for_family(cls, family):
@@ -350,11 +341,9 @@ class FiberSetup:
             raise ValueError("setup needs a reduced family (apply reduce first)")
         if not family.entries:
             raise ValueError("setup needs a family with at least one ideal")
-        blocks = []
-        for idx, e in enumerate(family.entries, start=1):
-            blocks.append(_Block(idx, e.gen, tuple(e.poset.positions()),
-                                 e.closure()))
-        return cls("multi", family.n, tuple(blocks), family.base)
+        blocks = tuple(_Block(i, e.gen, tuple(e.poset.positions()), e.closure())
+                       for i, e in enumerate(family.entries, start=1))
+        return cls("multi", family.n, blocks, family.base)
 
     def beta_tuple(self, beta):
         if self.kind == "single":
@@ -373,17 +362,19 @@ class FiberSetup:
 
 def _block_fits(block, cap, q, exact):
     """Whether the block can still divide the exponent tuple q with rem more
-    generators, `cap` being rem times its `caps` (empty when rem is 0): q in
-    Borel(pivot^rem) for exact blocks (single setups, all positions), else a
-    divisor found by the greedy of `min_borel_divisor` over the support."""
+    generators, `cap` being rem times its `caps` (empty when rem is 0): the
+    greedy of `min_borel_divisor` over the support finds a divisor.  Exact
+    blocks (single setups) also need deg q = rem * deg(pivot), which makes
+    that divisor q itself exactly when q is in Borel(pivot^rem)."""
     if not cap:
         return True
-    if exact:
-        sums = tuple(itertools.accumulate(reversed(q)))
-        return sums[-1] == cap[-1] and all(map(operator.le, sums, cap))
+    if exact and sum(q) != cap[-1]:
+        return False
     taken = 0
     for i, c in zip(block.slots, cap):
-        taken = min(taken + q[i], c)
+        taken += q[i]
+        if taken > c:
+            taken = c
     return taken == cap[-1]
 
 
@@ -480,9 +471,11 @@ def _enumerate(setup, mu, beta, budget):
     def walk(child, chosen):
         if child.__class__ is list:
             for tvar, below in child:
-                walk(below, chosen + (tvar,))
+                chosen.append(tvar)
+                walk(below, chosen)
+                chosen.pop()
         else:
-            out.append(TProduct._sorted(child, chosen))
+            out.append(TProduct._sorted(child, tuple(chosen)))
 
     # Both the search and the walk recurse once per pick.
     try:
@@ -490,14 +483,14 @@ def _enumerate(setup, mu, beta, budget):
         memo.clear()  # for peak memory: building the points needs only the DAG
         out = []
         if root is not None:
-            walk(root, ())
+            walk(root, [])
     except RecursionError:
         raise ResourceLimitError(
             f"fiber of T-degree {sum(beta)} is too deep to enumerate "
             f"(recursion limit {sys.getrecursionlimit()})") from None
     del root  # for peak memory: the points need no DAG
     # The walk emits the points in descending key order: picks run in
-    # ascending `gens_desc` index, which is descending T-variable key, blocks
+    # ascending `gens_desc` index, which is descending T-variable order, blocks
     # are walked in order, and a point's leftover is fixed by its T-variables.
     return tuple(reversed(out))
 
@@ -520,10 +513,10 @@ class FiberGraph:
 
 
 def _atoms(term):
-    """The term's atoms in a fixed order: its T-variable keys as in `tvars`,
-    then its x-positions ascending, each as often as its exponent but at most
-    twice (T-variable keys are tuples, positions ints)."""
-    atoms = [t.key for t in term.tvars]
+    """The term's atoms in a fixed order: its T-variables as in `tvars`, then
+    its x-positions ascending, each as often as its exponent but at most twice
+    (T-variables are tuples, positions ints)."""
+    atoms = list(term.tvars)
     for i, e in enumerate(term.xpart.exps):
         if e:
             atoms.append(i)
@@ -654,11 +647,11 @@ def _beta_text(beta):
 
 def _check_quadrics(setup, quadrics):
     """Reject quadrics that could rewrite a fiber point out of its fiber or up
-    the order: only generators of the setup's blocks, one image and block
+    the order: only T-variables of the setup's blocks, one image and block
     count for both sides (checked by `Binomial.make`), lead above tail."""
-    gens = {b.block_id: b.gens_set for b in setup.blocks}
+    tvars = {t for b in setup.blocks for t in b.tvars}
     for q in quadrics:
-        if any(t.gen not in gens.get(t.block, ()) for t in q.lead.tvars + q.tail.tvars):
+        if not tvars.issuperset(q.lead.tvars + q.tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
                              "a generator of its block")
         if Binomial.make(q.lead, q.tail) != q:

@@ -413,16 +413,14 @@ def certify(graph):
 
 def divides(a, b):
     """Oracle for the lead table: whether T-product a divides T-product b,
-    merging the two T-variable lists, which both run in descending key order
-    (keys name variables uniquely)."""
+    merging the two T-variable lists, which both run in descending order."""
     _check_ambient(a.xpart, b.xpart)
     theirs = b.tvars
     j, end = 0, len(theirs)
     for t in a.tvars:
-        k = t.key
-        while j < end and theirs[j].key > k:
+        while j < end and theirs[j] > t:
             j += 1
-        if j == end or theirs[j].key != k:
+        if j == end or theirs[j] != t:
             return False
         j += 1
     return all(map(operator.le, a.xpart.exps, b.xpart.exps))

@@ -3,6 +3,7 @@ independent certification routes (unique sinks and S-pair reduction)."""
 
 import functools
 import itertools
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -42,13 +43,29 @@ def test_generator_var_key_and_text():
     a = GeneratorVar(1, M("x3*x4"))
     b = GeneratorVar(1, M("x4^2"))
     c = GeneratorVar(2, M("x3*x4"))
-    assert a.key > b.key > c.key  # larger key = larger variable
+    assert a > b > c  # a T-variable compares as its key
+    assert isinstance(a, tuple) and tuple(a) == (-1, 2, -1, -1, 0, 0)
+    assert (a.block, a.gen) == (1, M("x3*x4"))
     assert a.text() == "t1:x3*x4"
     assert GeneratorVar(0, M("x3*x4")).text() == "x3*x4"  # single setup
     assert a.text(base=0) == "t1:x2*x3"
     assert a == GeneratorVar(1, M("x3*x4")) and a != c
     with pytest.raises(ValueError):
         GeneratorVar(-1, M("x4"))
+
+
+def test_tvars_and_tproducts_survive_pickling():
+    """`verify --jobs` sends its setup and quadrics to worker processes."""
+    a, b = GeneratorVar(1, M("x3*x4")), GeneratorVar(2, M("x4^2"))
+    a2, b2 = pickle.loads(pickle.dumps((a, b)))
+    assert (a2.block, a2.gen, b2.block, b2.gen) == (1, M("x3*x4"), 2, M("x4^2"))
+    assert a2 == a and a2 > b2 and hash(a2) == hash(a)
+    assert (a2.text(), b2.text()) == ("t1:x3*x4", "t2:x4^2")
+    t = tp("x1", 4, (2, "x3*x4"), (1, "x4"), (3, "x2^2"), (2, "x3^2"))
+    t2 = pickle.loads(pickle.dumps(t))
+    assert t2 == t and t2.key == t.key and t2.label() == t.label()
+    assert [(v.block, v.gen) for v in t2.tvars] == [(v.block, v.gen) for v in t.tvars]
+    assert list(t2.tvars) == sorted(t2.tvars, reverse=True)
 
 
 def test_tproduct_canonical_sorting():
@@ -232,6 +249,26 @@ def test_fiber_degrees_must_be_in_range():
     tsetup = FiberSetup.for_family(parse_family(TRIANGLE))
     with pytest.raises(ValueError, match="negative block degree"):
         enumerate_fiber(tsetup, parse_monomial("x1*x2", 3), (1, -1, 1))
+
+
+def test_exact_block_fit_is_borel_membership():
+    """For a single setup's block, the greedy fit test with the degree check
+    holds exactly when q is in Borel(pivot^rem)."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pivot = Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
+        if pivot.is_unit:
+            continue
+        block = FiberSetup.single(pivot).blocks[0]
+        rem = rng.randint(1, 3)
+        cap = tuple(rem * c for c in block.caps)
+        for _ in range(10):
+            q = [0] * n
+            for _ in range(rem * pivot.deg + rng.randint(-1, 1)):
+                q[rng.randrange(n)] += 1
+            assert toric._block_fits(block, cap, tuple(q), True) == \
+                borel_member(Monomial(q), pivot, rem)
 
 
 def test_enumerate_fiber_multi():
