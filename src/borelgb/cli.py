@@ -40,11 +40,11 @@ def _limits(args):
                   max_steps=args.max_steps)
 
 
-def _family_setup(path):
+def _reduced_family(path):
     family = _read_family(path)
     if not family.is_reduced():
         raise ParseError("family is not reduced (run 'borelgb reduce' first)")
-    return family, FiberSetup.for_family(family)
+    return family
 
 
 def _single_quadrics(M, form):
@@ -58,8 +58,8 @@ def _setup_and_quadrics(args):
         return FiberSetup.single(M, args.base), _single_quadrics(M, args.form)
     if args.family is None:
         raise ParseError("need a family file or --single")
-    family, setup = _family_setup(args.family)
-    return setup, quadrics_multi(family).all()
+    family = _reduced_family(args.family)
+    return FiberSetup.for_family(family), quadrics_multi(family).all()
 
 
 def cmd_closure(args):
@@ -85,7 +85,7 @@ def cmd_sort(args):
 
 
 def cmd_tmin(args):
-    family, _ = _family_setup(args.family)
+    family = _reduced_family(args.family)
     mu = parse_monomial(args.image, family.n, family.base)
     beta = _parse_beta(args.tdegrees, family.r)
     point = t_min(family, mu, beta)
@@ -186,7 +186,7 @@ def cmd_quadrics(args):
         return 0
     if args.family is None:
         raise ParseError("need a family file or --single")
-    family, _ = _family_setup(args.family)
+    family = _reduced_family(args.family)
     quads = quadrics_multi(family)
     for shape in ("symmetric", "fiber_principal", "fiber_biprincipal"):
         for b in getattr(quads, shape):
@@ -214,13 +214,14 @@ def _int_at_least(low):
     return parse
 
 
-def _add_limit_flags(sub):
+def _add_limit_flags(sub, vertices, checks):
+    """The budget flags, with the help text of `--max-vertices` and
+    `--max-checks` given per command."""
     budget = _int_at_least(0)
     sub.add_argument("--max-vertices", type=budget, default=100_000,
-                     help="per-fiber vertex budget (default 100000)")
+                     help=f"{vertices} (default 100000)")
     sub.add_argument("--max-checks", type=budget, default=10_000_000,
-                     help="per-fiber divisibility-check budget for the fiber "
-                          "route (default 10^7)")
+                     help=f"{checks} (default 10^7)")
     sub.add_argument("--max-steps", type=budget, default=100_000,
                      help="rewrite-step budget for the whole S-pair run, "
                           "all pairs together (default 100000)")
@@ -264,7 +265,8 @@ def build_parser():
     p.add_argument("--mu", help="image monomial (single mode)")
     p.add_argument("-k", type=int, help="number of factors (single mode)")
     p.add_argument("--dot", action="store_true", help="emit Graphviz text")
-    _add_limit_flags(p)
+    _add_limit_flags(p, "per-fiber vertex budget",
+                     "per-fiber divisibility-check budget for the fiber route")
     p.set_defaults(func=cmd_fiber_graph)
 
     p = subs.add_parser("verify", help="run a Gröbner certificate")
@@ -274,8 +276,10 @@ def build_parser():
     p.add_argument("--bound", type=int, default=3,
                    help="total T-degree bound for the fiber sweep (default 3)")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes for the fiber sweep (default 1)")
-    _add_limit_flags(p)
+                   help="worker processes for a family's fiber sweep; a "
+                        "single closure's sweep runs in-process (default 1)")
+    _add_limit_flags(p, "standard points the whole fiber sweep may find",
+                     "candidate T-variables the whole fiber sweep may try")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("lfree", help="staircase checks on the incidence matrix")

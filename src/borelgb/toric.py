@@ -15,6 +15,7 @@ support-restricted closures, fiber points carry an x cofactor).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 import sys
@@ -45,7 +46,11 @@ class SpairLimitError(ResourceLimitError):
 
 
 class Limits:
-    """Resource caps for fiber enumeration and reduction loops."""
+    """Resource caps.  In one fiber of `enumerate_fiber` or `fiber_graph`,
+    `max_vertices` caps the points and `max_checks` the candidate generators
+    and lead tests; over the whole sweep of `verify_groebner_by_fibers` they
+    cap the standard points found and the candidate T-variables tried.
+    `max_steps` caps the rewrite steps of a whole S-pair run."""
 
     __slots__ = ("max_vertices", "max_checks", "max_steps")
 
@@ -57,27 +62,29 @@ class Limits:
 
 
 class _Budget:
-    """Mutable counters charged against a Limits object."""
+    """Mutable counters charged against a Limits object; `scope` names what
+    they count in a trip's message."""
 
-    __slots__ = ("limits", "vertices", "checks", "steps")
+    __slots__ = ("limits", "scope", "vertices", "checks", "steps")
 
-    def __init__(self, limits):
+    def __init__(self, limits, scope="fiber"):
         self.limits = limits
+        self.scope = scope
         self.vertices = 0
         self.checks = 0
         self.steps = 0
 
-    def count_vertex(self):
-        self.vertices += 1
+    def count_vertex(self, n=1):
+        self.vertices += n
         if self.vertices > self.limits.max_vertices:
             raise ResourceLimitError(
-                f"fiber exceeded {self.limits.max_vertices} vertices")
+                f"{self.scope} exceeded {self.limits.max_vertices} vertices")
 
     def count_check(self, n=1):
         self.checks += n
         if self.checks > self.limits.max_checks:
             raise ResourceLimitError(
-                f"fiber exceeded {self.limits.max_checks} divisibility checks")
+                f"{self.scope} exceeded {self.limits.max_checks} divisibility checks")
 
     def charge(self, checks, vertices):
         """Add both counts at once when that passes neither limit, and say
@@ -378,6 +385,12 @@ def _block_fits(block, cap, q, exact):
     return taken == cap[-1]
 
 
+def _too_deep(degree):
+    return ResourceLimitError(
+        f"fiber of T-degree {degree} is too deep to enumerate "
+        f"(recursion limit {sys.getrecursionlimit()})")
+
+
 def enumerate_fiber(setup, mu, beta, limits=None):
     """All fiber points over the image, ascending in the term order.
 
@@ -485,9 +498,7 @@ def _enumerate(setup, mu, beta, budget):
         if root is not None:
             walk(root, [])
     except RecursionError:
-        raise ResourceLimitError(
-            f"fiber of T-degree {sum(beta)} is too deep to enumerate "
-            f"(recursion limit {sys.getrecursionlimit()})") from None
+        raise _too_deep(sum(beta)) from None
     del root  # for peak memory: the points need no DAG
     # The walk emits the points in descending key order: picks run in
     # ascending `gens_desc` index, which is descending T-variable order, blocks
@@ -658,62 +669,196 @@ def _check_quadrics(setup, quadrics):
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
 
 
-def _sweep(setup, quadrics, limits):
-    """The arguments `_examine_image` takes before the image."""
-    return (setup, _lead_table((q.lead for q in quadrics), setup.n),
-            len(quadrics), limits)
+def _forbidden(setup, quadrics):
+    """Two bitsets for each T-variable of the setup, numbered in block order
+    and then in `gens_desc` order: the T-variables it forms a lead with
+    (itself too when its square is a lead), and the 0-based x-positions it
+    forms a lead with.  `_check_quadrics` leaves only T*T and x*T leads, so a
+    point is standard exactly when no two of its T-variables are partners and
+    its x part avoids every position its T-variables forbid."""
+    bit = {t: i for i, t in enumerate(t for b in setup.blocks for t in b.tvars)}
+    partners, positions = [0] * len(bit), [0] * len(bit)
+    for t, other in _lead_table((q.lead for q in quadrics), setup.n):
+        i = bit[t]
+        if other.__class__ is int:
+            positions[i] |= 1 << other
+        else:
+            partners[i] |= 1 << bit[other]
+            partners[bit[other]] |= 1 << i
+    return partners, positions
 
 
-def _examine_image(setup, table, nquads, limits, mu, beta):
-    # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
-    # points, those no lead divides: `_check_quadrics` makes every other point
-    # the source of an edge.  A fiber with two or more sinks fails.
-    budget = _Budget(limits)
-    vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
-    if len(vertices) <= 1:
-        return (mu, beta, vertices)
-    budget.count_check(len(vertices) * nquads)
-    return (mu, beta, tuple(
-        u for u in vertices
-        if not any(map(table.__contains__, _divisor_keys(u)))))
+def _single_failures(setup, partners, images, bound, budget):
+    """The failures of a single closure: one walk over the lead-free
+    multisets of at most `bound` T-variables, which are its standard points,
+    grouped by T-degree and image."""
+    block = setup.blocks[0]
+    exps, tvars = block.exps, block.tvars
+    groups, chosen = {}, []
+
+    def walk(start, allowed, image):
+        # Extend `chosen` by each candidate from `start` on; each makes one
+        # standard point.
+        found = allowed >> start << start
+        count = found.bit_count()
+        budget.count_check(count)
+        budget.count_vertex(count)
+        k = len(chosen) + 1
+        while found:
+            low = found & -found
+            found ^= low
+            gi = low.bit_length() - 1
+            chosen.append(tvars[gi])
+            point = tuple(map(operator.add, image, exps[gi]))
+            groups.setdefault((k, point), []).append(tuple(chosen))
+            if k < bound:
+                walk(gi, allowed & ~partners[gi], point)
+            chosen.pop()
+
+    try:
+        walk(0, (1 << len(tvars)) - 1, (0,) * setup.n)
+    except RecursionError:
+        raise _too_deep(len(chosen)) from None
+    # Each image of Borel(M^k) has a standard point, its least fiber point,
+    # and every point found has such an image.
+    reached = collections.Counter(k for k, _ in groups)
+    if reached != collections.Counter(k for _, k in images):
+        raise AssertionError(f"standard points reach images by T-degree {reached}")
+    unit = Monomial.unit(setup.n)
+    failures = []
+    for mu, k in images:
+        points = groups[k, mu.exps]
+        if len(points) > 1:
+            # The walk meets the points of one group in descending term order.
+            failures.append((mu, None, tuple(TProduct._sorted(unit, p)
+                                             for p in reversed(points))))
+    return tuple(failures)
 
 
-# The `_sweep` of a pool worker, built once per worker so that each task
-# carries only its image.
-_worker_sweep = None
+def _family_points(setup, partners, positions, limits, mu, beta):
+    """(standard points ascending, checks, vertices) over one family image:
+    the pick search of `_enumerate` without its memo, with each pick masked
+    by the partners of the T-variables picked before it."""
+    budget = _Budget(limits, "fiber sweep")
+    blocks = setup.blocks
+    offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
+    bounds = [[tuple(rem * c for c in block.caps) if rem else ()
+               for rem in range(k + 1)] for block, k in zip(blocks, beta)]
+    out, chosen = [], []
+
+    def rec_block(bi, q, forbidden, xpos):
+        if bi == len(blocks):
+            if not any(e and xpos >> i & 1 for i, e in enumerate(q)):
+                budget.count_vertex()
+                out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
+            return
+        block, caps, offset = blocks[bi], bounds[bi], offsets[bi]
+        if not _block_fits(block, caps[beta[bi]], q, False):
+            return
+        exps, masks, tvars = block.exps, block.masks, block.tvars
+        full = (1 << len(exps)) - 1
+
+        def rec_pick(start, rem, q, forbidden, xpos):
+            if rem == 0:
+                return rec_block(bi + 1, q, forbidden, xpos)
+            fits = full >> start << start & ~(forbidden >> offset)
+            for e, m in zip(q, masks):
+                if e < len(m):
+                    fits &= m[e]
+            budget.count_check(fits.bit_count())
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                gi = low.bit_length() - 1
+                q2 = tuple(map(operator.sub, q, exps[gi]))
+                if not _block_fits(block, caps[rem - 1], q2, False):
+                    continue
+                chosen.append(tvars[gi])
+                rec_pick(gi, rem - 1, q2, forbidden | partners[offset + gi],
+                         xpos | positions[offset + gi])
+                chosen.pop()
+
+        rec_pick(0, beta[bi], q, forbidden, xpos)
+
+    try:
+        rec_block(0, mu.exps, 0, 0)
+    except RecursionError:
+        raise _too_deep(sum(beta)) from None
+    # Picks run in descending T-variable order, so the points come in
+    # descending term order.
+    return out[::-1], budget.checks, budget.vertices
 
 
-def _start_worker(setup, quadrics, limits):
-    global _worker_sweep
-    _worker_sweep = _sweep(setup, quadrics, limits)
+# The arguments of `_family_points` before the image, in a pool worker.
+_worker_args = None
 
 
-def _examine_in_worker(image):
-    return _examine_image(*_worker_sweep, *image)
+def _start_worker(*args):
+    global _worker_args
+    _worker_args = args
+
+
+def _points_in_worker(image):
+    return _family_points(*_worker_args, *image)
+
+
+def _family_failures(setup, partners, positions, images, limits, budget, jobs):
+    """The failures of a family: each image's standard points, searched on
+    their own and charged to the sweep's budget in image order, so that a
+    pool of `jobs` workers trips where a serial run does."""
+    args = (setup, partners, positions, limits)
+    if jobs > 1 and len(images) > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=args) as pool:
+            try:
+                return _charge(images, pool.map(_points_in_worker, images,
+                                                chunksize=8), budget)
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return _charge(images, (_family_points(*args, *image) for image in images),
+                   budget)
+
+
+def _charge(images, results, budget):
+    failures = []
+    for (mu, beta), (points, checks, vertices) in zip(images, results):
+        budget.count_vertex(vertices)
+        budget.count_check(checks)
+        # The least fiber point of every image is standard.
+        if not points:
+            raise AssertionError(f"no standard point over {_image_text(mu, beta)}")
+        if len(points) > 1:
+            failures.append((mu, beta, tuple(points)))
+    return tuple(failures)
 
 
 def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
-    """Certify the quadrics by unique sinks on every fiber up to the bound.
+    """Certify the quadrics by unique standard points on every fiber up to
+    the bound.
 
-    A pass means: every examined fiber's rewriting graph has exactly one sink,
-    so every binomial of the ideal with total T-degree <= bound reduces to
-    zero by the quadrics.  With jobs > 1 the images are examined in worker
-    processes; resource budgets apply per fiber either way.
+    A pass means: every examined fiber has exactly one point that no lead
+    divides, the one sink of its rewriting graph, so every binomial of the
+    ideal with total T-degree <= bound reduces to zero by the quadrics.  Only
+    standard points are searched: a single closure walks its lead-free
+    multisets of T-variables once, and a family searches each image of
+    `iterate_images` with the picks that no earlier pick forms a lead with.
+    `limits.max_vertices` caps the standard points and `limits.max_checks`
+    the candidate T-variables tried, both over the whole sweep.  With jobs >
+    1 the images of a family are searched in worker processes; a single
+    closure's walk always runs here.
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
     _check_quadrics(setup, quadrics)
     limits = limits or Limits()
+    budget = _Budget(limits, "fiber sweep")
+    partners, positions = _forbidden(setup, quadrics)
     images = iterate_images(setup, bound)
-    if jobs > 1 and len(images) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=(setup, quadrics, limits)) as pool:
-            results = list(pool.map(_examine_in_worker, images, chunksize=8))
+    if setup.kind == "single":
+        failures = _single_failures(setup, partners, images, bound, budget)
     else:
-        sweep = _sweep(setup, quadrics, limits)
-        results = [_examine_image(*sweep, mu, beta) for mu, beta in images]
-    failures = tuple((mu, beta if setup.kind == "multi" else None, sinks)
-                     for mu, beta, sinks in results if len(sinks) > 1)
+        failures = _family_failures(setup, partners, positions, images, limits,
+                                    budget, jobs)
     return VerifyReport(not failures, failures, f"fibers bound={bound}", len(images))
 
 

@@ -467,8 +467,8 @@ def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=Non
 
 
 def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
-    """Oracle for the sweep's `_examine_image`: every lead is tested against
-    every fiber point, with no index."""
+    """Oracle for one image of `verify_groebner_by_fibers`: the whole fiber
+    is enumerated and every lead is tested against every point."""
     # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.

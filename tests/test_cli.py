@@ -275,11 +275,23 @@ def test_family_without_ideals_exits_2(capsys, tmp_path):
     p = tmp_path / "empty.fam"
     p.write_text("vars = 2\n")
     for argv in (("verify", str(p)), ("verify", str(p), "--method", "spairs"),
-                 ("quadrics", str(p)), ("tmin", str(p), "x1", "1"),
                  ("fiber-graph", str(p), "x1", "1")):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err == "error: setup needs a family with at least one ideal\n"
+
+
+def test_quadrics_and_tmin_need_no_fiber_setup(capsys, tmp_path):
+    """Neither command builds blocks, so a reduced family with no ideal has
+    no quadrics and its least fiber point over T-degree 1 is the image."""
+    p = tmp_path / "empty.fam"
+    p.write_text("vars = 3\n")
+    assert run(capsys, "quadrics", str(p)) == (0, "", "")
+    assert run(capsys, "tmin", str(p), "x1", "1") == (0, "x1\n", "")
+    p.write_text(NONREDUCED)
+    for argv in (("quadrics", str(p)), ("tmin", str(p), "x1", "t1*t2")):
+        assert run(capsys, *argv) == (
+            2, "", "error: family is not reduced (run 'borelgb reduce' first)\n")
 
 
 def test_out_of_range_numbers_exit_2(capsys):
@@ -330,6 +342,9 @@ def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
     assert parse_family(UNIT_BLOCK).is_reduced()
     limit = sys.getrecursionlimit()
     sweep = ("verify", "--single", "x1", "-n", "1", "--bound", "1000")
+    # A single closure's walk runs in-process whatever --jobs says, so both
+    # name the same T-degree.
+    assert run(capsys, *sweep) == run(capsys, *sweep, "--jobs", "2")
     for argv, degree in ((sweep, None), (sweep + ("--jobs", "2"), None),
                          (("fiber-graph", "--single", "x1", "-n", "1",
                            "--mu", "x1^5000", "-k", "5000"), 5000),
@@ -339,7 +354,7 @@ def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
         got = re.fullmatch(r"error: fiber of T-degree (\d+) is too deep to "
                            rf"enumerate \(recursion limit {limit}\)\n", err)
         assert got is not None, err
-        if degree is None:  # the sweep trips on its first fiber that deep
+        if degree is None:  # the walk trips on the first point that deep
             assert 1 < int(got.group(1)) <= 1000
         else:
             assert int(got.group(1)) == degree
@@ -386,7 +401,7 @@ def test_spair_budget_trip_on_a_large_closure(capsys):
 
 def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     """A cap that covers enumeration and the lead tests separately, but not
-    together, trips on both routes through the fiber."""
+    together, trips `fiber-graph`."""
     M, mu = parse_monomial("x2^2", 2), parse_monomial("x1^2*x2^2", 2)
     setup = FiberSetup.single(M)
     enumeration = next(c for c in range(100) if _enumerates_within(setup, mu, c))
@@ -394,14 +409,32 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     assert (enumeration, lead_tests) == (9, 2)
     cap = max(enumeration, lead_tests)
     assert cap < enumeration + lead_tests
-    for argv in (("verify", "--single", "x2^2", "-n", "2", "--bound", "2"),
-                 ("fiber-graph", "--single", "x2^2", "-n", "2",
-                  "--mu", "x1^2*x2^2", "-k", "2")):
-        rc, out, err = run(capsys, *argv, "--max-checks", str(cap))
-        assert (rc, out) == (3, "")
-        assert err == f"error: fiber exceeded {cap} divisibility checks\n"
-        rc, _, _ = run(capsys, *argv, "--max-checks", str(cap + lead_tests))
-        assert rc == 0
+    argv = ("fiber-graph", "--single", "x2^2", "-n", "2", "--mu", "x1^2*x2^2", "-k", "2")
+    rc, out, err = run(capsys, *argv, "--max-checks", str(cap))
+    assert (rc, out) == (3, "")
+    assert err == f"error: fiber exceeded {cap} divisibility checks\n"
+    rc, _, _ = run(capsys, *argv, "--max-checks", str(cap + lead_tests))
+    assert rc == 0
+
+
+@pytest.mark.parametrize("jobs", [(), ("--jobs", "2")])
+def test_verify_budgets_bound_the_whole_sweep(capsys, ex_file, jobs):
+    """On `verify` both fiber budgets count over the whole sweep: a passing
+    sweep finds one standard point per image, so exactly the image count of
+    vertices passes and one less trips; the candidate T-variables tried have
+    a pinned total that passes, and one less trips.  A pool charges each
+    image's counts in image order, so it trips where a serial run does."""
+    for argv, images, checks, bound in (
+            (("--single", "x2*x3*x5", "-n", "5", "--bound", "3"), 421, 421, 3),
+            ((ex_file, "--bound", "2"), 443, 2543, 2)):
+        argv = ("verify", *argv, *jobs)
+        passed = f"PASS\ncertificate: fibers bound={bound}\n"
+        assert run(capsys, *argv, "--max-vertices", str(images)) == (0, passed, "")
+        assert run(capsys, *argv, "--max-vertices", str(images - 1)) == (
+            3, "", f"error: fiber sweep exceeded {images - 1} vertices\n")
+        assert run(capsys, *argv, "--max-checks", str(checks)) == (0, passed, "")
+        assert run(capsys, *argv, "--max-checks", str(checks - 1)) == (
+            3, "", f"error: fiber sweep exceeded {checks - 1} divisibility checks\n")
 
 
 def test_fiber_graph_check_budget_boundary(capsys, ex_file):

@@ -18,9 +18,9 @@ from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
                            TProduct, _Budget, _atoms, _divisor_keys,
-                           _enumerate, _examine_image, _lead_table, _sweep,
-                           enumerate_fiber, fiber_graph, iterate_images,
-                           sort_binomials, spair_certificate, t_min, to_dot,
+                           _enumerate, _lead_table, enumerate_fiber,
+                           fiber_graph, iterate_images, sort_binomials,
+                           spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
@@ -439,19 +439,51 @@ def test_sweep_failures_match_graph_sinks():
     assert failing >= 8
 
 
-def test_indexed_sweep_matches_scanning_filter():
-    """The standard points of every image, found through the lead table,
-    are those the full scan of the leads finds."""
-    filtered = multi_sink = 0
-    for setup, quads, bound in _sweep_inputs():
-        sweep = _sweep(setup, quads, Limits())
-        for mu, beta in iterate_images(setup, bound):
-            want = examine_image_by_scanning(setup, quads, Limits(), mu, beta)
-            got = _examine_image(*sweep, mu, beta)
-            assert got == want, (mu, beta)
-            filtered += len(enumerate_fiber(setup, mu, beta)) > len(want[2]) > 0
-            multi_sink += len(want[2]) > 1
-    assert filtered > 400 and multi_sink > 100
+def _oracle_corpus():
+    """(setup, quadrics, bound): every single closure with n <= 4 and degree
+    <= 3 at bound 3, in both quadric forms, full and with one seeded quadric
+    dropped; then seeded interval and principal families at bound 2, every
+    third with one quadric dropped."""
+    rng = random.Random(16)
+    for n, deg in itertools.product(range(1, 5), range(1, 4)):
+        for exps in itertools.product(range(deg + 1), repeat=n):
+            if sum(exps) != deg:
+                continue
+            M = Monomial(exps)
+            for quads in (quadrics_single(M), quadrics_bs_form(M)):
+                yield FiberSetup.single(M), quads, 3
+                if quads:
+                    drop = rng.randrange(len(quads))
+                    yield FiberSetup.single(M), quads[:drop] + quads[drop + 1:], 3
+    for i in range(30):
+        maker = random_interval_family if i % 2 else random_principal_borel_family
+        family = reduce_family(maker(rng, rng.randint(2, 4), rng.randint(1, 3)))[0]
+        quads = tuple(quadrics_multi(family).all())
+        if i % 3 == 2 and quads:
+            drop = rng.randrange(len(quads))
+            quads = quads[:drop] + quads[drop + 1:]
+        yield FiberSetup.for_family(family), quads, 2
+
+
+def test_standard_point_search_matches_scanning_oracle():
+    """The report of the standard-point search is the one the scanning
+    oracle gives over `iterate_images`: the verdict, the failures (images,
+    T-degrees and sinks, in order) and the images checked."""
+    sets = failing = filtered = 0
+    for setup, quads, bound in itertools.chain(_sweep_inputs(), _oracle_corpus()):
+        images = iterate_images(setup, bound)
+        failures = []
+        for mu, beta in images:
+            _, _, sinks = examine_image_by_scanning(setup, quads, Limits(), mu, beta)
+            filtered += len(enumerate_fiber(setup, mu, beta)) > len(sinks)
+            if len(sinks) > 1:
+                failures.append((mu, beta if setup.kind == "multi" else None, sinks))
+        got = verify_groebner_by_fibers(setup, quads, bound)
+        assert (got.passed, got.failures, got.images_checked) == (
+            not failures, tuple(failures), len(images)), (setup.blocks, quads)
+        sets += 1
+        failing += not got.passed
+    assert sets > 150 and failing >= 30 and filtered > 400, (sets, failing, filtered)
 
 
 def test_fiber_graph_matches_scanning_oracle():
