@@ -47,11 +47,13 @@ def borel_closure(m, support=None):
         if r < 0:
             return tuple(out)
         exps[slots[r]] -= 1
-        taken = sum(exps[i] for i in slots[:r + 1])
+        # Slots r + 1 .. -2 are empty, so slots 0 .. r hold all the movable
+        # mass but the remainder's, less the unit just taken.
+        taken = caps[-1] - exps[slots[-1]] - 1
         for u in range(r + 1, len(slots)):
             exps[slots[u]] = caps[u] - taken
             taken = caps[u]
-        out.append(Monomial(exps))
+        out.append(Monomial._of(tuple(exps), m.deg))
 
 
 def borel_member(m, M, k=1):

@@ -66,8 +66,9 @@ def cmd_closure(args):
     M = parse_monomial(args.monomial, args.n, args.base)
     support = (None if args.support is None
                else parse_support(args.support, args.n, args.base))
+    write = sys.stdout.write  # one line at a time, without print's overhead
     for m in borel_closure(M, support=support):
-        print(m.text(args.base))
+        write(m.text(args.base) + "\n")
     return 0
 
 
@@ -181,8 +182,9 @@ def cmd_reduce(args):
 def cmd_quadrics(args):
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
+        write = sys.stdout.write
         for b in _single_quadrics(M, args.form):
-            print(b.text(args.base))
+            write(b.text(args.base) + "\n")
         return 0
     if args.family is None:
         raise ParseError("need a family file or --single")

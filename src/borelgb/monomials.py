@@ -8,6 +8,8 @@ stored as dense tuples of nonnegative exponents.  Variables are addressed by
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 
 
@@ -44,6 +46,15 @@ class Monomial:
         self.exps = exps
         self.deg = sum(exps)
         self._sigma = None
+
+    @classmethod
+    def _of(cls, exps, deg):
+        """Trusted constructor: `exps` a tuple of nonnegative ints, `deg` their sum."""
+        out = cls.__new__(cls)
+        out.exps = exps
+        out.deg = deg
+        out._sigma = None
+        return out
 
     @classmethod
     def unit(cls, n):
@@ -92,20 +103,21 @@ class Monomial:
 
     def __mul__(self, other):
         _check_ambient(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial._of(tuple(map(operator.add, self.exps, other.exps)),
+                            self.deg + other.deg)
 
     def __truediv__(self, other):
         """Exact division; raises ValueError when the quotient is not a monomial."""
         _check_ambient(self, other)
-        diff = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(d < 0 for d in diff):
+        diff = tuple(map(operator.sub, self.exps, other.exps))
+        if min(diff, default=0) < 0:
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(diff)
+        return Monomial._of(diff, self.deg - other.deg)
 
     def pow(self, k):
         if k < 0:
             raise ValueError("negative power")
-        return Monomial(tuple(e * k for e in self.exps))
+        return Monomial._of(tuple(e * k for e in self.exps), self.deg * k)
 
     def grevlex_key(self):
         """Sort key: ascending order under graded reverse lexicographic."""
@@ -115,13 +127,7 @@ class Monomial:
         """Canonical text: '1' or '*'-joined factors in ascending position."""
         if self.deg == 0:
             return "1"
-        parts = []
-        for p, e in enumerate(self.exps, start=1):
-            if e == 1:
-                parts.append(f"x{p - 1 + base}")
-            elif e >= 2:
-                parts.append(f"x{p - 1 + base}^{e}")
-        return "*".join(parts)
+        return "*".join([_factor_text(i, e) for i, e in enumerate(self.exps, base) if e])
 
     def __str__(self):
         return self.text()
@@ -136,6 +142,12 @@ class Monomial:
         return hash(self.exps)
 
 
+@functools.lru_cache(maxsize=1024)
+def _factor_text(index, e):
+    """The factor 'x{index}^{e}', or 'x{index}' for e = 1."""
+    return f"x{index}^{e}" if e > 1 else f"x{index}"
+
+
 def _check_ambient(a, b):
     if len(a.exps) != len(b.exps):
         raise AmbientMismatch(f"ambient mismatch: {len(a.exps)} vs {len(b.exps)} variables")
@@ -143,7 +155,8 @@ def _check_ambient(a, b):
 
 def lcm(m1, m2):
     _check_ambient(m1, m2)
-    return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
+    exps = tuple(map(max, m1.exps, m2.exps))
+    return Monomial._of(exps, sum(exps))
 
 
 def restrict(m, positions):

@@ -110,7 +110,7 @@ class GeneratorVar(tuple):
     -e_1), one per (block, exponents): earlier blocks are larger, then the
     grevlex-larger generators.  Block 0 is the single-closure setup, whose
     variables print as their generator alone; a family's blocks are 1..r and
-    print with their block, 't2:x3'.
+    print with their block, 't2:x3'.  Its text is rendered once per base.
     """
 
     def __new__(cls, block, gen):
@@ -119,14 +119,23 @@ class GeneratorVar(tuple):
         self = super().__new__(cls, (-block, gen.deg, *(-e for e in reversed(gen.exps))))
         self.block = block
         self.gen = gen
+        self._texts = {}
         return self
 
     def __getnewargs__(self):
         return (self.block, self.gen)
 
+    def _rendered(self, base):
+        """(text, term piece 'T[text]') at `base`."""
+        texts = self._texts.get(base)
+        if texts is None:
+            body = self.gen.text(base)
+            text = f"t{self.block}:{body}" if self.block else body
+            texts = self._texts[base] = (text, f"T[{text}]")
+        return texts
+
     def text(self, base=1):
-        body = self.gen.text(base)
-        return f"t{self.block}:{body}" if self.block else body
+        return self._rendered(base)[0]
 
     def __repr__(self):
         return f"GeneratorVar({self.block}, {self.gen!r})"
@@ -232,11 +241,10 @@ class TProduct:
 
     def term_text(self, base=1):
         """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial)."""
-        parts = []
-        if not self.xpart.is_unit:
-            parts.append(self.xpart.text(base))
-        parts.extend(f"T[{t.text(base)}]" for t in self.tvars)
-        return "*".join(parts) if parts else "1"
+        parts = [t._rendered(base)[1] for t in self.tvars]
+        if self.xpart.deg:
+            parts.insert(0, self.xpart.text(base))
+        return "*".join(parts) or "1"
 
     def __eq__(self, other):
         return isinstance(other, TProduct) and self.key == other.key

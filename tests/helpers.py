@@ -1,9 +1,10 @@
 """Oracles and random inputs shared by the tests.
 
 None of this is called by the library or the CLI: the brute-force and
-definition-level checks are independent implementations the fast code is
-compared against, the proof-step helpers replay the reverse moves of the
-sorting argument, and the random families feed the property tests.
+definition-level checks (the text renderers among them) are independent
+implementations the fast code is compared against, the proof-step helpers
+replay the reverse moves of the sorting argument, and the random families
+feed the property tests.
 """
 
 from __future__ import annotations
@@ -409,6 +410,34 @@ def certify(graph):
     connected = n <= 1 or len({find(i) for i in range(n)}) == 1
     sinks = tuple(graph.vertices[i] for i in range(n) if not has_out[i])
     return connected, sinks
+
+
+def monomial_text(m, base=1):
+    """Oracle for `Monomial.text`: each factor rendered afresh."""
+    if m.deg == 0:
+        return "1"
+    parts = []
+    for p, e in enumerate(m.exps, start=1):
+        if e == 1:
+            parts.append(f"x{p - 1 + base}")
+        elif e >= 2:
+            parts.append(f"x{p - 1 + base}^{e}")
+    return "*".join(parts)
+
+
+def tvar_text(t, base=1):
+    """Oracle for `GeneratorVar.text`, rendered afresh on every call."""
+    body = monomial_text(t.gen, base)
+    return f"t{t.block}:{body}" if t.block else body
+
+
+def term_text(term, base=1):
+    """Oracle for `TProduct.term_text`, built from the two oracles above."""
+    parts = []
+    if not term.xpart.is_unit:
+        parts.append(monomial_text(term.xpart, base))
+    parts.extend(f"T[{tvar_text(t, base)}]" for t in term.tvars)
+    return "*".join(parts) if parts else "1"
 
 
 def divides(a, b):

@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from borelgb.borel import borel_closure
 from borelgb.monomials import (AmbientMismatch, Monomial, ParseError, expand,
                                lcm, parse_monomial, restrict)
 
-from helpers import apply_move
+from helpers import apply_move, monomial_text
 
 
 def M(text, n=4, base=1):
@@ -132,6 +133,42 @@ def test_text_roundtrip(exps):
     m = Monomial(exps)
     assert parse_monomial(m.text(), m.n) == m
     assert parse_monomial(m.text(base=0), m.n, base=0) == m
+
+
+def test_text_matches_the_definition_renderer():
+    """The cached factor strings render as the factor-by-factor oracle."""
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        m = Monomial(rng.choice((0, rng.randint(0, 12))) for _ in range(n))
+        for base in (0, 1):
+            assert m.text(base) == monomial_text(m, base), (m, base)
+
+
+def _assert_validated(m):
+    """A trusted monomial is what public construction of its exponents gives."""
+    fresh = Monomial(m.exps)
+    assert type(m.exps) is tuple and m.deg == sum(m.exps)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m.sigma_vector() == fresh.sigma_vector()
+
+
+def test_trusted_results_equal_validated_construction():
+    """Closed operations skip the public check: their results must be the
+    monomials `Monomial(exps)` would build."""
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        a, b = (Monomial(rng.randint(0, 4) for _ in range(n)) for _ in range(2))
+        results = [a * b, (a * b) / b, lcm(a, b), lcm(a, b) / a,
+                   a.pow(rng.randint(0, 3))]
+        g = Monomial(rng.randint(0, 2) for _ in range(n))
+        support = rng.sample(range(1, n + 1), rng.randint(0, n))
+        results += borel_closure(g) + borel_closure(g, support)
+        for m in results:
+            _assert_validated(m)
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial((1, -1))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=5),

@@ -26,8 +26,8 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
                      counter_quotient, divides, examine_image_by_scanning,
                      fiber_graph_by_scanning, is_squarefree,
-                     random_interval_family,
-                     random_principal_borel_family, times_by_sorting)
+                     random_interval_family, random_principal_borel_family,
+                     term_text, times_by_sorting, tvar_text)
 
 
 def M(text, n=4):
@@ -57,15 +57,40 @@ def test_generator_var_key_and_text():
 def test_tvars_and_tproducts_survive_pickling():
     """`verify --jobs` sends its setup and quadrics to worker processes."""
     a, b = GeneratorVar(1, M("x3*x4")), GeneratorVar(2, M("x4^2"))
+    hashes = (hash(a), hash(b))
+    assert a.text() == "t1:x3*x4"  # a rendered text travels with the pickle
+    assert (hash(a), hash(b)) == hashes and a == GeneratorVar(1, M("x3*x4"))
     a2, b2 = pickle.loads(pickle.dumps((a, b)))
     assert (a2.block, a2.gen, b2.block, b2.gen) == (1, M("x3*x4"), 2, M("x4^2"))
     assert a2 == a and a2 > b2 and hash(a2) == hash(a)
     assert (a2.text(), b2.text()) == ("t1:x3*x4", "t2:x4^2")
+    assert (a2.text(0), b2.text(0)) == ("t1:x2*x3", "t2:x3^2")
+    assert tuple(a2) == tuple(a) and (hash(a2), hash(b2)) == hashes
     t = tp("x1", 4, (2, "x3*x4"), (1, "x4"), (3, "x2^2"), (2, "x3^2"))
     t2 = pickle.loads(pickle.dumps(t))
     assert t2 == t and t2.key == t.key and t2.label() == t.label()
     assert [(v.block, v.gen) for v in t2.tvars] == [(v.block, v.gen) for v in t.tvars]
     assert list(t2.tvars) == sorted(t2.tvars, reverse=True)
+
+
+def test_cached_text_matches_the_definition_renderers():
+    """Every T-variable of EX_FAMILY and of x3^2*x5^2, and every term of their
+    quadrics, prints as the oracles render it, whichever base comes first."""
+    family = parse_family(EX_FAMILY)
+    pivot = M("x3^2*x5^2", 5)
+    for bases in ((0, 1), (1, 0)):
+        # Fresh objects for each order, so no text is cached yet.
+        blocks = (FiberSetup.for_family(family).blocks
+                  + FiberSetup.single(pivot).blocks)
+        tvars = [t for block in blocks for t in block.tvars]
+        terms = [term for q in quadrics_multi(family).all() + quadrics_single(pivot)
+                 for term in (q.lead, q.tail)]
+        assert len(tvars) == 16 + 53 and len(terms) > 1000
+        for base in bases:
+            for t in tvars:
+                assert t.text(base) == tvar_text(t, base), (t, base)
+            for term in terms:
+                assert term.term_text(base) == term_text(term, base), (term, base)
 
 
 def test_tproduct_canonical_sorting():
