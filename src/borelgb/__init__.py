@@ -2,7 +2,7 @@
 for the toric rings of principal (support-restricted) Borel ideals."""
 
 from .borel import borel_closure, borel_member, min_borel_divisor
-from .families import (BiAdjacency, FamilyEntry, IdealFamily, LinearPoset,
+from .families import (BiAdjacency, FamilyEntry, IdealFamily,
                        find_lfree_column_order, incidence_matrix,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        reduce_family, serialize_family)

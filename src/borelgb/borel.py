@@ -77,6 +77,8 @@ def min_borel_divisor(M, k, mu, support=None):
     """
     if M.n != mu.n:
         raise ValueError("ambient mismatch in minimal divisor")
+    if k < 0:
+        raise ValueError("negative power")
     if support is not None:
         positions = sorted(set(support))
         comp = _min_divisor_greedy(restrict(M, positions), k, restrict(mu, positions))
@@ -97,4 +99,4 @@ def _min_divisor_greedy(M, k, mu):
         remaining -= e
     if remaining:
         return None
-    return Monomial(exps)
+    return Monomial._of(tuple(exps), target)

@@ -1,8 +1,8 @@
-"""Ordered families of support-restricted principal Borel ideals.
+"""Ordered families of principal L-Borel ideals.
 
-Each family entry pairs a linear poset on a support set S (x_i above x_j for
-i < j, both in S) with a principal generator M; the entry's ideal is generated
-by the closure of M under exchange moves inside S.  The family's incidence
+Each family entry pairs a support L, a set of variable positions, with a
+principal generator M; the entry's ideal is generated by the closure of M
+under the Borel moves x_j -> x_i with i < j, both in L.  The family's incidence
 structure records, per entry, the variables that actually appear in that
 closure; staircase conditions on this 0/1 matrix (L-freeness, chordal
 bipartiteness) govern when the family's toric relations behave well.
@@ -16,48 +16,24 @@ from .borel import borel_closure
 from .monomials import Monomial, ParseError, parse_monomial
 
 
-class LinearPoset:
-    """A linearly ordered subset of the variable positions 1..n."""
-
-    __slots__ = ("n", "support")
-
-    def __init__(self, n, support):
-        support = frozenset(support)
-        if any(not 1 <= p <= n for p in support):
-            raise ValueError(f"support {sorted(support)} outside 1..{n}")
-        self.n = n
-        self.support = support
-
-    def positions(self):
-        return tuple(sorted(self.support))
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearPoset)
-                and self.n == other.n and self.support == other.support)
-
-    def __hash__(self):
-        return hash((self.n, self.support))
-
-    def __repr__(self):
-        return f"LinearPoset({self.n}, {self.positions()!r})"
-
-
 class FamilyEntry:
-    """One named ideal of a family: a linear poset plus a principal generator."""
+    """One named ideal of a family: its support L, a sorted tuple of 1-based
+    positions, and its principal generator."""
 
-    __slots__ = ("name", "poset", "gen", "_closure")
+    __slots__ = ("name", "support", "gen", "_closure")
 
-    def __init__(self, name, poset, gen):
-        if gen.n != poset.n:
-            raise ValueError(f"entry {name}: generator ambient differs from poset")
+    def __init__(self, name, support, gen):
+        support = tuple(sorted(set(support)))
+        if support and not (1 <= support[0] and support[-1] <= gen.n):
+            raise ValueError(f"support {list(support)} outside 1..{gen.n}")
         self.name = name
-        self.poset = poset
+        self.support = support
         self.gen = gen
         self._closure = None
 
     def closure(self):
         if self._closure is None:
-            self._closure = borel_closure(self.gen, support=self.poset.support)
+            self._closure = borel_closure(self.gen, support=self.support)
         return self._closure
 
     def effective_support(self):
@@ -68,16 +44,14 @@ class FamilyEntry:
         it.  Equals the intersection of the support with the variables of the
         closure.
         """
-        js = max((p for p in self.poset.support if self.gen.exps[p - 1]), default=0)
-        return frozenset(p for p in self.poset.support if p <= js)
+        js = max((p for p in self.support if self.gen.exps[p - 1]), default=0)
+        return frozenset(p for p in self.support if p <= js)
 
     def is_reduced(self):
-        eff = self.effective_support()
-        return eff == self.poset.support and all(
-            p in eff for p in self.gen.support())
+        return self.effective_support().issuperset(self.support + self.gen.support())
 
     def __repr__(self):
-        return f"FamilyEntry({self.name!r}, {self.poset!r}, {self.gen!r})"
+        return f"FamilyEntry({self.name!r}, {self.support!r}, {self.gen!r})"
 
 
 class IdealFamily:
@@ -95,7 +69,7 @@ class IdealFamily:
         if len(set(names)) != len(names):
             raise ValueError("duplicate entry names")
         for e in entries:
-            if e.poset.n != n:
+            if e.gen.n != n:
                 raise ValueError(f"entry {e.name}: ambient mismatch")
         self.n = n
         self.entries = entries
@@ -104,9 +78,6 @@ class IdealFamily:
     @property
     def r(self):
         return len(self.entries)
-
-    def closures(self):
-        return tuple(e.closure() for e in self.entries)
 
     def is_reduced(self):
         return all(e.is_reduced() for e in self.entries)
@@ -123,7 +94,7 @@ def reduce_family(family):
 
     Per entry, the generator splits as M = M' * m where M' lives on the
     effective support E and m is fixed by every move; the reduced entry keeps
-    (poset restricted to E, M') and m is reported as the stripped cofactor.
+    (E, M') and m is reported as the stripped cofactor.
     Returns (reduced family, tuple of stripped monomials).  Idempotent.
     """
     new_entries = []
@@ -132,7 +103,7 @@ def reduce_family(family):
         eff = e.effective_support()
         kept = Monomial(tuple(
             v if (p + 1) in eff else 0 for p, v in enumerate(e.gen.exps)))
-        new_entries.append(FamilyEntry(e.name, LinearPoset(family.n, eff), kept))
+        new_entries.append(FamilyEntry(e.name, eff, kept))
         stripped.append(e.gen / kept)
     return IdealFamily(family.n, new_entries, family.base), tuple(stripped)
 
@@ -367,7 +338,7 @@ def parse_family(text):
         gen_text = line[semi + 1 + mgen.end():]
         gen = parse_monomial(gen_text, n, base, line=lineno,
                              column_offset=semi + 1 + mgen.end())
-        entries.append(FamilyEntry(name, LinearPoset(n, support), gen))
+        entries.append(FamilyEntry(name, support, gen))
     if n is None:
         raise ParseError("empty family file: missing 'vars = N'", 1, 1)
     try:
@@ -382,7 +353,7 @@ def serialize_family(family):
     if family.base == 0:
         lines.append("base = 0")
     for e in family.entries:
-        sup = ",".join(family.var_name(p) for p in e.poset.positions())
+        sup = ",".join(family.var_name(p) for p in e.support)
         seg = f"support = {sup} " if sup else "support = "
         lines.append(f"ideal {e.name}: {seg}; generator = {e.gen.text(family.base)}")
     return "\n".join(lines) + "\n"

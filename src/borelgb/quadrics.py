@@ -39,8 +39,8 @@ def _pair(unit, a, b):
 
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
-    block = _Block(0, M, None, borel_closure(M))
-    return sort_binomials(_exchanges(block, block, range(1, M.n + 1)))
+    block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
+    return sort_binomials(_exchanges(block, block, block.support))
 
 
 def _exchanges(va, vb, positions):
@@ -88,7 +88,7 @@ def quadrics_bs_form(M):
     degree-two relations as `quadrics_single`.  The pairs are grouped by
     product, so each product is sorted once.
     """
-    block = _Block(0, M, None, borel_closure(M))
+    block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
     unit = Monomial.unit(M.n)
     by_product = {}
     for a, b in itertools.combinations_with_replacement(block.tvars, 2):
@@ -126,7 +126,7 @@ def quadrics_multi(family):
         raise ValueError("quadrics need a reduced family (apply reduce first)")
     n = family.n
     xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
-    blocks = [_Block(i, e.gen, tuple(e.poset.positions()), e.closure())
+    blocks = [_Block(i, e.gen, e.support, e.closure())
               for i, e in enumerate(family.entries, start=1)]
 
     symmetric = []

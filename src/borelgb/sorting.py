@@ -32,7 +32,7 @@ def split_monomial(M, s, E):
     for p in range(1, s - 1):
         exps[p - 1] = M.exps[p - 1]
     exps[s - 2] = sig[s - 2] - E
-    return Monomial(exps)
+    return Monomial._of(tuple(exps), M.deg - E)
 
 
 def borel_sort(M, mu, k):
@@ -58,7 +58,8 @@ def _bs(M, mu, k):
         # mu is a pure power (or the unit): all factors coincide.
         if d == 0:
             return [Monomial.unit(M.n)] * k
-        factor = Monomial(tuple(d if p == s else 0 for p in range(1, M.n + 1)))
+        factor = Monomial._of(
+            tuple(d if p == s else 0 for p in range(1, M.n + 1)), d)
         return [factor] * k
     A = mu.exps[s - 1]
     q, r = divmod(A, k)

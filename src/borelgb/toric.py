@@ -304,17 +304,20 @@ class _Block:
     Generators are numbered by their index in `gens_desc`; `index` maps an
     exponent tuple to its number.  `masks[i][e]` is the bitset of those whose
     exponent at 0-based position i is at most e, for e below the largest such
-    exponent.  `caps` are the pivot's suffix sums over its support positions
-    `slots`, listed last first.
+    exponent.  `support` is the sorted tuple of 1-based positions the moves
+    use, and `caps` are the pivot's suffix sums over them, at the 0-based
+    `slots` listed last first.  Block 0, a single closure, is `exact`: its
+    fiber points factor the image with nothing left over.
     """
 
-    __slots__ = ("block_id", "pivot", "support", "gens_desc", "tvars", "exps",
-                 "index", "masks", "slots", "caps")
+    __slots__ = ("block_id", "pivot", "support", "exact", "gens_desc", "tvars",
+                 "exps", "index", "masks", "slots", "caps")
 
     def __init__(self, block_id, pivot, support, gens_asc):
         self.block_id = block_id
         self.pivot = pivot
-        self.support = support  # None means all positions
+        self.support = support
+        self.exact = block_id == 0
         self.gens_desc = tuple(reversed(gens_asc))
         self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
         self.exps = tuple(g.exps for g in self.gens_desc)
@@ -323,9 +326,27 @@ class _Block:
             tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
                   for e in range(max(column)))
             for column in zip(*self.exps))
-        self.slots = tuple(sorted(range(pivot.n) if support is None
-                                  else {p - 1 for p in support}, reverse=True))
+        self.slots = tuple(p - 1 for p in reversed(support))
         self.caps = tuple(itertools.accumulate(pivot.exps[i] for i in self.slots))
+
+    def fits(self, rem, q):
+        """Whether rem more generators can still divide the exponent tuple q:
+        the greedy of `min_borel_divisor` over the support finds a divisor.
+        An exact block also needs deg q = rem * deg(pivot), which makes that
+        divisor q itself exactly when q is in Borel(pivot^rem)."""
+        caps = self.caps
+        if not rem or not caps:
+            return True
+        total = rem * caps[-1]
+        if self.exact and sum(q) != total:
+            return False
+        taken = 0
+        for i, c in zip(self.slots, caps):
+            taken += q[i]
+            c *= rem
+            if taken > c:
+                taken = c
+        return taken == total
 
 
 class FiberSetup:
@@ -334,21 +355,26 @@ class FiberSetup:
     kind 'single': one block (id 0), fiber points are exact factorizations of
     the image into closure members.  kind 'multi': blocks 1..r from a reduced
     family, fiber points are divisors with an x-monomial making up the rest.
+    `tvars` numbers the T-variables of all blocks in block order, block i's
+    from `offsets[i]` on.
     """
 
-    __slots__ = ("kind", "n", "blocks", "base")
+    __slots__ = ("kind", "n", "blocks", "base", "tvars", "offsets")
 
     def __init__(self, kind, n, blocks, base=1):
         self.kind = kind
         self.n = n
         self.blocks = blocks
         self.base = base
+        self.tvars = tuple(t for b in blocks for t in b.tvars)
+        self.offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
 
     @classmethod
     def single(cls, M, base=1):
         if M.is_unit:
             raise ValueError("need a nonunit generator")
-        return cls("single", M.n, (_Block(0, M, None, borel_closure(M)),), base)
+        block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
+        return cls("single", M.n, (block,), base)
 
     @classmethod
     def for_family(cls, family):
@@ -356,7 +382,7 @@ class FiberSetup:
             raise ValueError("setup needs a reduced family (apply reduce first)")
         if not family.entries:
             raise ValueError("setup needs a family with at least one ideal")
-        blocks = tuple(_Block(i, e.gen, tuple(e.poset.positions()), e.closure())
+        blocks = tuple(_Block(i, e.gen, e.support, e.closure())
                        for i, e in enumerate(family.entries, start=1))
         return cls("multi", family.n, blocks, family.base)
 
@@ -373,24 +399,6 @@ class FiberSetup:
         if any(c < 0 for c in beta):
             raise ValueError(f"negative block degree in {beta}")
         return beta
-
-
-def _block_fits(block, cap, q, exact):
-    """Whether the block can still divide the exponent tuple q with rem more
-    generators, `cap` being rem times its `caps` (empty when rem is 0): the
-    greedy of `min_borel_divisor` over the support finds a divisor.  Exact
-    blocks (single setups) also need deg q = rem * deg(pivot), which makes
-    that divisor q itself exactly when q is in Borel(pivot^rem)."""
-    if not cap:
-        return True
-    if exact and sum(q) != cap[-1]:
-        return False
-    taken = 0
-    for i, c in zip(block.slots, cap):
-        taken += q[i]
-        if taken > c:
-            taken = c
-    return taken == cap[-1]
 
 
 def _too_deep(degree):
@@ -417,10 +425,7 @@ def _enumerate(setup, mu, beta, budget):
     exact = setup.kind == "single"
     blocks = setup.blocks
     if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
-        return ()  # no room for the factors; checked before any table is built
-    # bounds[bi][rem]: rem times block bi's pivot suffix sums over its slots.
-    bounds = [[tuple(rem * c for c in block.caps) if rem else ()
-               for rem in range(k + 1)] for block, k in zip(blocks, beta)]
+        return ()  # no room for the factors
     # The points below a search node form a DAG: a node is a list of
     # (T-variable, child) pairs, a child is a node or, past the last block,
     # the leftover as a Monomial, and None stands for no points.  A pick
@@ -438,10 +443,11 @@ def _enumerate(setup, mu, beta, budget):
             if leaf is None:
                 leaf = leaves[q] = Monomial(q)
             return leaf
-        block, caps = blocks[bi], bounds[bi]
-        if not _block_fits(block, caps[beta[bi]], q, exact):
+        block = blocks[bi]
+        if not block.fits(beta[bi], q):
             return None
         exps, masks, tvars = block.exps, block.masks, block.tvars
+        block_fits = block.fits
         end = len(exps)
         full = (1 << end) - 1
 
@@ -475,7 +481,7 @@ def _enumerate(setup, mu, beta, budget):
                 budget.count_check(gi + 1 - charged)
                 charged = gi + 1
                 q2 = tuple(map(operator.sub, q, exps[gi]))
-                if not _block_fits(block, caps[rem - 1], q2, exact):
+                if not block_fits(rem - 1, q2):
                     continue
                 child = rec_pick(gi, rem - 1, q2)
                 if child is not None:
@@ -668,7 +674,7 @@ def _check_quadrics(setup, quadrics):
     """Reject quadrics that could rewrite a fiber point out of its fiber or up
     the order: only T-variables of the setup's blocks, one image and block
     count for both sides (checked by `Binomial.make`), lead above tail."""
-    tvars = {t for b in setup.blocks for t in b.tvars}
+    tvars = set(setup.tvars)
     for q in quadrics:
         if not tvars.issuperset(q.lead.tvars + q.tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
@@ -678,13 +684,13 @@ def _check_quadrics(setup, quadrics):
 
 
 def _forbidden(setup, quadrics):
-    """Two bitsets for each T-variable of the setup, numbered in block order
-    and then in `gens_desc` order: the T-variables it forms a lead with
-    (itself too when its square is a lead), and the 0-based x-positions it
-    forms a lead with.  `_check_quadrics` leaves only T*T and x*T leads, so a
-    point is standard exactly when no two of its T-variables are partners and
-    its x part avoids every position its T-variables forbid."""
-    bit = {t: i for i, t in enumerate(t for b in setup.blocks for t in b.tvars)}
+    """Two bitsets for each T-variable of the setup, numbered as in
+    `setup.tvars`: the T-variables it forms a lead with (itself too when its
+    square is a lead), and the 0-based x-positions it forms a lead with.
+    `_check_quadrics` leaves only T*T and x*T leads, so a point is standard
+    exactly when no two of its T-variables are partners and its x part
+    avoids every position its T-variables forbid."""
+    bit = {t: i for i, t in enumerate(setup.tvars)}
     partners, positions = [0] * len(bit), [0] * len(bit)
     for t, other in _lead_table((q.lead for q in quadrics), setup.n):
         i = bit[t]
@@ -748,10 +754,7 @@ def _family_points(setup, partners, positions, limits, mu, beta):
     the pick search of `_enumerate` without its memo, with each pick masked
     by the partners of the T-variables picked before it."""
     budget = _Budget(limits, "fiber sweep")
-    blocks = setup.blocks
-    offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
-    bounds = [[tuple(rem * c for c in block.caps) if rem else ()
-               for rem in range(k + 1)] for block, k in zip(blocks, beta)]
+    blocks, offsets = setup.blocks, setup.offsets
     out, chosen = [], []
 
     def rec_block(bi, q, forbidden, xpos):
@@ -760,10 +763,11 @@ def _family_points(setup, partners, positions, limits, mu, beta):
                 budget.count_vertex()
                 out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
             return
-        block, caps, offset = blocks[bi], bounds[bi], offsets[bi]
-        if not _block_fits(block, caps[beta[bi]], q, False):
+        block, offset = blocks[bi], offsets[bi]
+        if not block.fits(beta[bi], q):
             return
         exps, masks, tvars = block.exps, block.masks, block.tvars
+        block_fits = block.fits
         full = (1 << len(exps)) - 1
 
         def rec_pick(start, rem, q, forbidden, xpos):
@@ -779,7 +783,7 @@ def _family_points(setup, partners, positions, limits, mu, beta):
                 fits ^= low
                 gi = low.bit_length() - 1
                 q2 = tuple(map(operator.sub, q, exps[gi]))
-                if not _block_fits(block, caps[rem - 1], q2, False):
+                if not block_fits(rem - 1, q2):
                     continue
                 chosen.append(tvars[gi])
                 rec_pick(gi, rem - 1, q2, forbidden | partners[offset + gi],
@@ -999,7 +1003,7 @@ def t_min(family, mu, beta):
         k = beta[idx - 1]
         if k == 0:
             continue
-        positions = e.poset.positions()
+        positions = e.support
         div = min_borel_divisor(e.gen, k, quotient, support=positions)
         if div is None:
             return None

@@ -15,7 +15,7 @@ from collections import Counter
 
 from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
-                              FamilyEntry, IdealFamily, LinearPoset,
+                              FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, expand, restrict
 from borelgb.toric import FiberGraph, Limits, TProduct, _Budget, _enumerate
@@ -364,7 +364,7 @@ def random_principal_borel_family(rng, n, r, max_deg=3):
         exps = [0] * n
         for _ in range(deg):
             exps[rng.randrange(n)] += 1
-        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(1, n + 1)),
+        entries.append(FamilyEntry(f"I{idx}", range(1, n + 1),
                                    Monomial(exps)))
     return IdealFamily(n, entries)
 
@@ -385,7 +385,7 @@ def random_interval_family(rng, n, r, max_deg=3):
         exps[hi - 1] = 1
         for _ in range(rng.randint(0, max_deg - 1)):
             exps[rng.randint(lo, hi) - 1] += 1
-        entries.append(FamilyEntry(f"I{idx}", LinearPoset(n, range(lo, hi + 1)),
+        entries.append(FamilyEntry(f"I{idx}", range(lo, hi + 1),
                                    Monomial(exps)))
     return IdealFamily(n, entries)
 

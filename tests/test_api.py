@@ -7,9 +7,9 @@ from borelgb import monomials
 
 PUBLIC = {
     "AmbientMismatch", "BiAdjacency", "Binomial", "FamilyEntry", "FiberGraph",
-    "FiberSetup", "GeneratorVar", "IdealFamily", "Limits", "LinearPoset",
-    "Monomial", "MultiQuadrics", "ParseError", "ResourceLimitError",
-    "TProduct", "borel_closure", "borel_member", "borel_sort",
+    "FiberSetup", "GeneratorVar", "IdealFamily", "Limits", "Monomial",
+    "MultiQuadrics", "ParseError", "ResourceLimitError", "TProduct",
+    "borel_closure", "borel_member", "borel_sort",
     "enumerate_fiber", "fiber_graph", "find_lfree_column_order",
     "incidence_matrix", "is_chordal_bipartite", "iterate_images", "lcm",
     "lfree_witness", "min_borel_divisor", "parse_family", "parse_monomial",

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -358,6 +359,23 @@ def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
             assert 1 < int(got.group(1)) <= 1000
         else:
             assert int(got.group(1)) == degree
+
+
+def test_deep_unit_fiber_trips_in_little_memory(capsys, tmp_path):
+    """A unit block needs nothing per T-degree, so a fiber of a million unit
+    picks trips the recursion limit in under 2 MB."""
+    fam = tmp_path / "unit.fam"
+    fam.write_text("vars = 1\nideal I1: support = ; generator = 1\n")
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "fiber-graph", str(fam), "x1", "t1^1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (3, "")
+    assert err == ("error: fiber of T-degree 1000000 is too deep to enumerate "
+                   f"(recursion limit {sys.getrecursionlimit()})\n")
+    assert peak < 2 << 20, peak
 
 
 def test_spair_budget_names_route_and_pair(capsys):

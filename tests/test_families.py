@@ -9,10 +9,9 @@ import pytest
 from borelgb.borel import borel_closure
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               BiAdjacency, FamilyEntry, IdealFamily,
-                              LinearPoset, find_lfree_column_order,
-                              incidence_matrix, is_chordal_bipartite,
-                              lfree_witness, parse_family, reduce_family,
-                              serialize_family)
+                              find_lfree_column_order, incidence_matrix,
+                              is_chordal_bipartite, lfree_witness,
+                              parse_family, reduce_family, serialize_family)
 from borelgb.monomials import Monomial, ParseError, parse_monomial
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE,
@@ -26,24 +25,34 @@ def M(text, n=4):
 
 
 def test_lborel_closure():
-    poset = LinearPoset(4, (3, 4))
-    got = [m.text() for m in borel_closure(M("x2*x4"), support=poset.support)]
+    support = (3, 4)
+    got = [m.text() for m in borel_closure(M("x2*x4"), support=support)]
     assert got == ["x2*x4", "x2*x3"]
     # closure factors through the support part: m = m1 * m2 with m2 inert
-    full = borel_closure(M("x1*x3*x4^2"), support=poset.support)
+    full = borel_closure(M("x1*x3*x4^2"), support=support)
     inert = M("x1")
-    part = borel_closure(M("x3*x4^2"), support=poset.support)
+    part = borel_closure(M("x3*x4^2"), support=support)
     assert set(full) == {inert * m for m in part}
 
 
+def test_entry_support_is_a_sorted_tuple_inside_the_ring():
+    assert FamilyEntry("a", [4, 3, 4], M("x2*x4")).support == (3, 4)
+    assert FamilyEntry("b", frozenset(), M("1")).support == ()
+    for bad in ((0, 2), (2, 5)):
+        with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+            FamilyEntry("c", bad, M("x2"))
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        IdealFamily(3, [FamilyEntry("d", (1, 2), M("x2"))])
+
+
 def test_effective_support_examples():
-    e = FamilyEntry("a", LinearPoset(4, (3, 4)), M("x2*x4"))
+    e = FamilyEntry("a", (3, 4), M("x2*x4"))
     assert sorted(e.effective_support()) == [3, 4]
-    e = FamilyEntry("b", LinearPoset(4, (1, 2)), M("x3"))
+    e = FamilyEntry("b", (1, 2), M("x3"))
     assert e.effective_support() == frozenset()
-    e = FamilyEntry("c", LinearPoset(4, (4,)), M("x4"))
+    e = FamilyEntry("c", (4,), M("x4"))
     assert sorted(e.effective_support()) == [4]
-    e = FamilyEntry("d", LinearPoset(4, (1, 2, 3, 4)), M("x1*x3"))
+    e = FamilyEntry("d", (1, 2, 3, 4), M("x1*x3"))
     assert sorted(e.effective_support()) == [1, 2, 3]
 
 
@@ -53,7 +62,7 @@ def test_effective_support_equals_closure_intersection():
         n = rng.randint(1, 5)
         support = frozenset(p for p in range(1, n + 1) if rng.random() < 0.6)
         exps = tuple(rng.randint(0, 2) for _ in range(n))
-        entry = FamilyEntry("e", LinearPoset(n, support), Monomial(exps))
+        entry = FamilyEntry("e", support, Monomial(exps))
         closure_vars = set()
         for m in entry.closure():
             closure_vars.update(m.support())
@@ -62,20 +71,20 @@ def test_effective_support_equals_closure_intersection():
 
 def test_reduce_family_strips_inert_mass():
     fam = IdealFamily(4, [
-        FamilyEntry("I1", LinearPoset(4, (3, 4)), M("x2*x4")),
-        FamilyEntry("I2", LinearPoset(4, (1, 2)), M("x3")),
-        FamilyEntry("I3", LinearPoset(4, (1, 2, 3, 4)), M("x2^2*x3")),
+        FamilyEntry("I1", (3, 4), M("x2*x4")),
+        FamilyEntry("I2", (1, 2), M("x3")),
+        FamilyEntry("I3", (1, 2, 3, 4), M("x2^2*x3")),
     ])
     assert not fam.is_reduced()
     red, stripped = reduce_family(fam)
     assert red.is_reduced()
     assert [m.text() for m in stripped] == ["x2", "x3", "1"]
     assert red.entries[0].gen == M("x4")
-    assert sorted(red.entries[0].poset.support) == [3, 4]
+    assert red.entries[0].support == (3, 4)
     assert red.entries[1].gen == M("1")
-    assert red.entries[1].poset.support == frozenset()
+    assert red.entries[1].support == ()
     assert red.entries[2].gen == M("x2^2*x3")
-    assert sorted(red.entries[2].poset.support) == [1, 2, 3]
+    assert red.entries[2].support == (1, 2, 3)
     # idempotent
     red2, stripped2 = reduce_family(red)
     assert all(m.is_unit for m in stripped2)
@@ -289,9 +298,9 @@ ideal B: support = ; generator = 1
 """
     fam = parse_family(text)
     assert fam.base == 0
-    assert sorted(fam.entries[0].poset.support) == [1, 3]
+    assert fam.entries[0].support == (1, 3)
     assert fam.entries[0].gen.exps == (1, 0, 1)
-    assert fam.entries[1].poset.support == frozenset()
+    assert fam.entries[1].support == ()
     canonical = serialize_family(fam)
     assert canonical == """vars = 3
 base = 0

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from borelgb.borel import borel_closure
+from borelgb.borel import borel_closure, min_borel_divisor
 from borelgb.monomials import (AmbientMismatch, Monomial, ParseError, expand,
                                lcm, parse_monomial, restrict)
+from borelgb.sorting import borel_sort, split_monomial
 
 from helpers import apply_move, monomial_text
 
@@ -164,11 +165,29 @@ def test_trusted_results_equal_validated_construction():
                    a.pow(rng.randint(0, 3))]
         g = Monomial(rng.randint(0, 2) for _ in range(n))
         support = rng.sample(range(1, n + 1), rng.randint(0, n))
-        results += borel_closure(g) + borel_closure(g, support)
+        members = borel_closure(g)
+        results += members + borel_closure(g, support)
+        k = rng.randint(1, 3)
+        mu = Monomial.unit(n)
+        for _ in range(k):
+            mu = mu * rng.choice(members)
+        results += borel_sort(g, mu, k)
+        sig = g.sigma_vector()
+        results += [split_monomial(g, s, E)
+                    for s in range(2, n + 1) for E in range(sig[s - 1] + 1)]
+        for divisor in (min_borel_divisor(g, k, a * b),
+                        min_borel_divisor(g, k, a * b, support=support),
+                        min_borel_divisor(g, k, mu)):
+            if divisor is not None:
+                results.append(divisor)
         for m in results:
             _assert_validated(m)
     with pytest.raises(ValueError, match="negative exponent"):
         Monomial((1, -1))
+    # The greedy divisor is built trusted, so a negative power is refused.
+    for g in (Monomial((0, 0)), Monomial((0, 1))):
+        with pytest.raises(ValueError, match="negative power"):
+            min_borel_divisor(g, -1, Monomial((1, 1)))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=5),

@@ -104,7 +104,7 @@ def test_family_quadric_counts_and_structure():
     q = quadrics_multi(fam)
     assert _counts(q) == (17, 7, 14)
     assert len(q.all()) == 38
-    closures = {i: set(c) for i, c in enumerate(fam.closures(), start=1)}
+    closures = {i: set(e.closure()) for i, e in enumerate(fam.entries, start=1)}
     for b in q.symmetric:
         assert b.lead.tdegree == b.tail.tdegree == 1
         assert b.lead.xpart.deg == b.tail.xpart.deg == 1
@@ -183,8 +183,8 @@ def exchanges_single_by_loops(M):
 def exchanges_multi_by_loops(family):
     """(within-block, cross-block) exchange quadrics of a reduced family."""
     unit = Monomial.unit(family.n)
-    closures = family.closures()
-    supports = [e.poset.positions() for e in family.entries]
+    closures = [e.closure() for e in family.entries]
+    supports = [e.support for e in family.entries]
 
     fiber_principal = set()
     for idx, e in enumerate(family.entries, start=1):
@@ -192,10 +192,10 @@ def exchanges_multi_by_loops(family):
         for m in closures[idx - 1]:
             for n_ in closures[idx - 1]:
                 for j in m.support():
-                    if j not in e.poset.support:
+                    if j not in e.support:
                         continue
                     for i in n_.support():
-                        if i >= j or i not in e.poset.support:
+                        if i >= j or i not in e.support:
                             continue
                         m2 = apply_move(m, i, j)
                         n2 = apply_move(n_, j, i)
@@ -291,10 +291,10 @@ def symmetric_by_loops(family):
     n = family.n
     out = set()
     for idx, e in enumerate(family.entries, start=1):
-        sup = e.poset.positions()
+        sup = e.support
         for m in e.closure():
             for t in m.support():
-                if t not in e.poset.support:
+                if t not in e.support:
                     continue
                 for s in sup:
                     if s >= t:

@@ -12,7 +12,8 @@ import pytest
 
 from borelgb import toric
 from borelgb.borel import borel_closure, borel_member, min_borel_divisor
-from borelgb.families import parse_family, reduce_family
+from borelgb.families import (FamilyEntry, IdealFamily, parse_family,
+                              reduce_family)
 from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
@@ -287,13 +288,33 @@ def test_exact_block_fit_is_borel_membership():
             continue
         block = FiberSetup.single(pivot).blocks[0]
         rem = rng.randint(1, 3)
-        cap = tuple(rem * c for c in block.caps)
         for _ in range(10):
             q = [0] * n
             for _ in range(rem * pivot.deg + rng.randint(-1, 1)):
                 q[rng.randrange(n)] += 1
-            assert toric._block_fits(block, cap, tuple(q), True) == \
+            assert block.fits(rem, tuple(q)) == \
                 borel_member(Monomial(q), pivot, rem)
+
+
+def test_family_block_fit_is_a_divisor_on_its_support():
+    """For a family's block, the fit test holds exactly when some member of
+    Borel(pivot^rem) under moves inside the support divides q."""
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        support = [p for p in range(1, n + 1) if rng.random() < 0.6]
+        gen = Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
+        family, _ = reduce_family(IdealFamily(n, [FamilyEntry("I1", support, gen)]))
+        block = FiberSetup.for_family(family).blocks[0]
+        rem = rng.randint(0, 3)
+        for _ in range(10):
+            q = tuple(rng.randint(0, 2 * rem) for _ in range(n))
+            got = block.fits(rem, q)
+            assert got == (min_borel_divisor(block.pivot, rem, Monomial(q),
+                                             support=block.support) is not None)
+            seen[got] += 1
+    assert seen[True] > 300 and seen[False] > 300, seen
 
 
 def test_enumerate_fiber_multi():
