@@ -35,11 +35,6 @@ def _parse_beta(text, r):
     return parse_power_product(text, "t", r, base=1)
 
 
-def _limits(args):
-    return Limits(max_vertices=args.max_vertices, max_checks=args.max_checks,
-                  max_steps=args.max_steps)
-
-
 def _reduced_family(path):
     family = _read_family(path)
     if not family.is_reduced():
@@ -108,7 +103,8 @@ def cmd_fiber_graph(args):
     base = setup.base
     mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, base)
     beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
-    graph = fiber_graph(setup, mu, beta, quads, limits=_limits(args))
+    graph = fiber_graph(setup, mu, beta, quads,
+                        limits=Limits(args.max_vertices, args.max_checks))
     if args.dot:
         sys.stdout.write(to_dot(graph, base))
         return 0
@@ -124,12 +120,13 @@ def cmd_fiber_graph(args):
 
 def cmd_verify(args):
     setup, quads = _setup_and_quadrics(args)
+    limits = Limits(args.max_vertices, args.max_checks, args.max_steps)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
-                                           limits=_limits(args), jobs=args.jobs)
+                                           limits=limits, jobs=args.jobs)
     else:
         try:
-            report = spair_certificate(quads, limits=_limits(args))
+            report = spair_certificate(quads, limits=limits)
         except SpairLimitError as exc:  # name the pair as the FAIL line would
             raise ResourceLimitError(exc.text(setup.base)) from None
     for line in report.lines(setup.base):
@@ -217,16 +214,12 @@ def _int_at_least(low):
 
 
 def _add_limit_flags(sub, vertices, checks):
-    """The budget flags, with the help text of `--max-vertices` and
-    `--max-checks` given per command."""
+    """The fiber budget flags, with their help text given per command."""
     budget = _int_at_least(0)
     sub.add_argument("--max-vertices", type=budget, default=100_000,
                      help=f"{vertices} (default 100000)")
     sub.add_argument("--max-checks", type=budget, default=10_000_000,
                      help=f"{checks} (default 10^7)")
-    sub.add_argument("--max-steps", type=budget, default=100_000,
-                     help="rewrite-step budget for the whole S-pair run, "
-                          "all pairs together (default 100000)")
 
 
 def build_parser():
@@ -282,6 +275,9 @@ def build_parser():
                         "single closure's sweep runs in-process (default 1)")
     _add_limit_flags(p, "standard points the whole fiber sweep may find",
                      "candidate T-variables the whole fiber sweep may try")
+    p.add_argument("--max-steps", type=_int_at_least(0), default=100_000,
+                   help="rewrite-step budget for the whole S-pair run, "
+                        "all pairs together (default 100000)")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("lfree", help="staircase checks on the incidence matrix")

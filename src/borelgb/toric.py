@@ -597,35 +597,32 @@ def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
 def iterate_images(setup, bound):
     """The images to examine up to the total T-degree bound, deterministically.
 
-    Single setup: every product of k <= `bound` closure members, that is
-    Borel(M^k), paired with k.  Multi setup: for every block-degree vector beta
-    with 1 <= |beta| <= bound, every least common multiple of two products of
-    beta-many generators; a binomial of T-degree beta with coprime x parts has
-    exactly such an lcm as its image, so unique sinks on these fibers decide
-    all binomials up to the bound.
+    A block's products of k generators are Borel_L(M^k): the closure of its
+    pivot's k-th power over its support, listed once per k in `rows`.
+    Single setup: the images of T-degree k <= `bound` are row k, paired with
+    k.  Multi setup: for every block-degree vector beta with
+    1 <= |beta| <= bound, the products are the exponent sums of one member of
+    row beta_i per block, and the images are their pairwise least common
+    multiples; a binomial of T-degree beta with coprime x parts has exactly
+    such an lcm as its image, so unique sinks on these fibers decide all
+    binomials up to the bound.
     """
+    rows = [[borel_closure(b.pivot.pow(k), support=b.support)
+             for k in range(bound + 1)] for b in setup.blocks]
     if setup.kind == "single":
-        M = setup.blocks[0].pivot
-        return tuple((m, k) for k in range(1, bound + 1)
-                     for m in borel_closure(M.pow(k)))
+        return tuple((m, k) for k in range(1, bound + 1) for m in rows[0][k])
     images = []
-    r = len(setup.blocks)
-    for beta in itertools.product(range(bound + 1), repeat=r):
+    for beta in itertools.product(range(bound + 1), repeat=len(rows)):
         if not 1 <= sum(beta) <= bound:
             continue
-        prods = set()
-        for combo_per_block in itertools.product(*(
-                itertools.combinations_with_replacement(
-                    setup.blocks[i].gens_desc, beta[i])
-                for i in range(r))):
-            p = Monomial.unit(setup.n)
-            for group in combo_per_block:
-                for g in group:
-                    p = p * g
-            prods.add(p)
-        merged = {lcm(a, b) for a, b in
+        prods = {(0,) * setup.n}
+        for row, k in zip(rows, beta):
+            if k:
+                prods = {tuple(map(operator.add, p, m.exps))
+                         for p in prods for m in row[k]}
+        merged = {tuple(map(max, a, b)) for a, b in
                   itertools.combinations_with_replacement(prods, 2)}
-        images.extend((m, beta) for m in merged)
+        images.extend((Monomial._of(e, sum(e)), beta) for e in merged)
     images.sort(key=lambda it: (sum(it[1]), it[1], it[0].grevlex_key()))
     return tuple(images)
 

@@ -17,7 +17,7 @@ from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import Monomial, _check_ambient, expand, restrict
+from borelgb.monomials import Monomial, _check_ambient, expand, lcm, restrict
 from borelgb.toric import FiberGraph, Limits, TProduct, _Budget, _enumerate
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
@@ -508,3 +508,44 @@ def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
     budget.count_check(len(vertices) * len(quadrics))
     return (mu, beta, tuple(u for u in vertices
                             if not any(divides(q.lead, u) for q in quadrics)))
+
+
+def images_by_multiplying(setup, bound):
+    """Oracle for `iterate_images`: every multiset of a block's generators is
+    multiplied out one generator at a time.  Single setup: the products of k
+    closure members, k = 1..bound, paired with k.  Multi setup: for every
+    block-degree vector beta with 1 <= |beta| <= bound, every lcm of two
+    products of beta-many generators, paired with beta."""
+    if setup.kind == "single":
+        gens = setup.blocks[0].gens_desc
+        images = []
+        for k in range(1, bound + 1):
+            prods = set()
+            for combo in itertools.combinations_with_replacement(gens, k):
+                p = combo[0]
+                for g in combo[1:]:
+                    p = p * g
+                prods.add(p)
+            images.extend((m, k) for m in prods)
+        images.sort(key=lambda it: (it[1], it[0].grevlex_key()))
+        return tuple(images)
+    images = []
+    r = len(setup.blocks)
+    for beta in itertools.product(range(bound + 1), repeat=r):
+        if not 1 <= sum(beta) <= bound:
+            continue
+        prods = set()
+        for combo_per_block in itertools.product(*(
+                itertools.combinations_with_replacement(
+                    setup.blocks[i].gens_desc, beta[i])
+                for i in range(r))):
+            p = Monomial.unit(setup.n)
+            for group in combo_per_block:
+                for g in group:
+                    p = p * g
+            prods.add(p)
+        merged = {lcm(a, b) for a, b in
+                  itertools.combinations_with_replacement(prods, 2)}
+        images.extend((m, beta) for m in merged)
+    images.sort(key=lambda it: (sum(it[1]), it[1], it[0].grevlex_key()))
+    return tuple(images)

@@ -485,6 +485,22 @@ def _enumerates_within(setup, mu, cap):
     return True
 
 
+def test_max_steps_is_a_verify_flag_only(capsys, ex_file):
+    """`fiber-graph` runs no S-pair reduction, so it has no `--max-steps`:
+    its help leaves the flag out and the flag is an unrecognized argument."""
+    for command, listed in (("fiber-graph", False), ("verify", True)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--max-steps" in capsys.readouterr().out) == listed
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber-graph", ex_file, "x1", "t1", "--max-steps", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --max-steps 5\n")
+
+
 def test_base_zero_round_trip(capsys):
     rc, out, _ = run(capsys, "closure", "x1^2", "-n", "2", "--base", "0")
     assert (rc, out) == (0, "x1^2\nx0*x1\nx0^2\n")

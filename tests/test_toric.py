@@ -26,9 +26,10 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
                      counter_quotient, divides, examine_image_by_scanning,
-                     fiber_graph_by_scanning, is_squarefree,
-                     random_interval_family, random_principal_borel_family,
-                     term_text, times_by_sorting, tvar_text)
+                     fiber_graph_by_scanning, images_by_multiplying,
+                     is_squarefree, random_interval_family,
+                     random_principal_borel_family, term_text,
+                     times_by_sorting, tvar_text)
 
 
 def M(text, n=4):
@@ -398,31 +399,39 @@ def test_iterate_images_single():
     assert imgs == iterate_images(setup, 2)  # deterministic
 
 
-def _product_images(setup, bound):
-    """Single-setup images as products of k closure members, k = 1..bound."""
-    gens = setup.blocks[0].gens_desc
-    images = []
-    for k in range(1, bound + 1):
-        prods = set()
-        for combo in itertools.combinations_with_replacement(gens, k):
-            p = combo[0]
-            for g in combo[1:]:
-                p = p * g
-            prods.add(p)
-        images.extend((m, k) for m in prods)
-    images.sort(key=lambda it: (it[1], it[0].grevlex_key()))
-    return tuple(images)
-
-
 def test_iterate_images_single_matches_products():
     checked = 0
     for n in (1, 2, 3, 4):
         for deg in (1, 2, 3):
             for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
                 setup = FiberSetup.single(M)
-                assert iterate_images(setup, 3) == _product_images(setup, 3)
+                assert iterate_images(setup, 3) == images_by_multiplying(setup, 3)
                 checked += 1
     assert checked == 65
+
+
+def test_iterate_images_multi_matches_products():
+    """A family's images, read off the closures of the pivots' powers, are
+    the lcms of products of generator multisets, in the same order."""
+    rng = random.Random(19)
+    checked = 0
+    for i in range(60):
+        maker = random_interval_family if i % 2 else random_principal_borel_family
+        family = reduce_family(maker(rng, rng.randint(1, 5), rng.randint(1, 4)))[0]
+        setup = FiberSetup.for_family(family)
+        for bound in (1, 2, 3):
+            images = iterate_images(setup, bound)
+            assert images == images_by_multiplying(setup, bound)
+            checked += len(images)
+    for text in (EX_FAMILY, TRIANGLE, NESTED_FAMILY):
+        setup = FiberSetup.for_family(parse_family(text))
+        assert iterate_images(setup, 3) == images_by_multiplying(setup, 3)
+    unit = FiberSetup.for_family(
+        parse_family("vars = 1\nideal I1: support = ; generator = 1\n"))
+    images = iterate_images(unit, 50)
+    assert images == images_by_multiplying(unit, 50)
+    assert [beta for _, beta in images] == [(k,) for k in range(1, 51)]
+    assert checked > 10_000
 
 
 def test_setup_needs_an_ideal():
