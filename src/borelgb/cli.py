@@ -123,7 +123,7 @@ def cmd_verify(args):
     limits = Limits(args.max_vertices, args.max_checks, args.max_steps)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
-                                           limits=limits, jobs=args.jobs)
+                                           limits=limits)
     else:
         try:
             report = spair_certificate(quads, limits=limits)
@@ -271,8 +271,7 @@ def build_parser():
     p.add_argument("--bound", type=int, default=3,
                    help="total T-degree bound for the fiber sweep (default 3)")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes for a family's fiber sweep; a "
-                        "single closure's sweep runs in-process (default 1)")
+                   help="accepted; the sweep runs in one process")
     _add_limit_flags(p, "standard points the whole fiber sweep may find",
                      "candidate T-variables the whole fiber sweep may try")
     p.add_argument("--max-steps", type=_int_at_least(0), default=100_000,

@@ -15,11 +15,9 @@ support-restricted closures, fiber points carry an x cofactor).
 
 from __future__ import annotations
 
-import collections
 import itertools
 import operator
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .borel import borel_closure, min_borel_divisor
 from .monomials import AmbientMismatch, Monomial, lcm, restrict
@@ -49,7 +47,8 @@ class Limits:
     """Resource caps.  In one fiber of `enumerate_fiber` or `fiber_graph`,
     `max_vertices` caps the points and `max_checks` the candidate generators
     and lead tests; over the whole sweep of `verify_groebner_by_fibers` they
-    cap the standard points found and the candidate T-variables tried.
+    cap the lead-free T-multisets its walk finds and the candidate
+    T-variables it tries, one per multiset.
     `max_steps` caps the rewrite steps of a whole S-pair run."""
 
     __slots__ = ("max_vertices", "max_checks", "max_steps")
@@ -355,11 +354,10 @@ class FiberSetup:
     kind 'single': one block (id 0), fiber points are exact factorizations of
     the image into closure members.  kind 'multi': blocks 1..r from a reduced
     family, fiber points are divisors with an x-monomial making up the rest.
-    `tvars` numbers the T-variables of all blocks in block order, block i's
-    from `offsets[i]` on.
+    `tvars` numbers the T-variables of all blocks in block order.
     """
 
-    __slots__ = ("kind", "n", "blocks", "base", "tvars", "offsets")
+    __slots__ = ("kind", "n", "blocks", "base", "tvars")
 
     def __init__(self, kind, n, blocks, base=1):
         self.kind = kind
@@ -367,7 +365,6 @@ class FiberSetup:
         self.blocks = blocks
         self.base = base
         self.tvars = tuple(t for b in blocks for t in b.tvars)
-        self.offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
 
     @classmethod
     def single(cls, M, base=1):
@@ -686,9 +683,12 @@ def _forbidden(setup, quadrics):
     square is a lead), and the 0-based x-positions it forms a lead with.
     `_check_quadrics` leaves only T*T and x*T leads, so a point is standard
     exactly when no two of its T-variables are partners and its x part
-    avoids every position its T-variables forbid."""
+    avoids every position its T-variables forbid.  The T-variables of an
+    exact block forbid every position, as its points have no x part."""
     bit = {t: i for i, t in enumerate(setup.tvars)}
-    partners, positions = [0] * len(bit), [0] * len(bit)
+    partners = [0] * len(bit)
+    positions = [(1 << setup.n) - 1 if block.exact else 0
+                 for block in setup.blocks for _ in block.tvars]
     for t, other in _lead_table((q.lead for q in quadrics), setup.n):
         i = bit[t]
         if other.__class__ is int:
@@ -699,176 +699,109 @@ def _forbidden(setup, quadrics):
     return partners, positions
 
 
-def _single_failures(setup, partners, images, bound, budget):
-    """The failures of a single closure: one walk over the lead-free
-    multisets of at most `bound` T-variables, which are its standard points,
-    grouped by T-degree and image."""
-    block = setup.blocks[0]
-    exps, tvars = block.exps, block.tvars
-    groups, chosen = {}, []
+def _standard_points(setup, partners, positions, bound, budget):
+    """Every lead-free multiset P of at most `bound` T-variables, found by
+    one walk: P is the standard point over its own product p, with no x
+    part.  P is filed under its block degrees beta and the bitset F of
+    x-positions its T-variables forbid, and there under p read at F.  The
+    walk carries both in one int, F in its low n bits and above them beta's
+    digits in base bound + 1.  The result maps beta to a list of
+    (reader at F, {p at F: [(p, P)]}, whether F misses a position)."""
+    n, tvars = setup.n, setup.tvars
+    full = (1 << n) - 1
+    exps = tuple(t.gen.exps for t in tvars)
+    steps = tuple((bound + 1) ** bi << n for bi, block in enumerate(setup.blocks)
+                  for _ in block.tvars)
+    slots, chosen = {}, []
 
-    def walk(start, allowed, image):
+    def walk(start, allowed, code, image):
         # Extend `chosen` by each candidate from `start` on; each makes one
         # standard point.
         found = allowed >> start << start
         count = found.bit_count()
         budget.count_check(count)
         budget.count_vertex(count)
-        k = len(chosen) + 1
+        deeper = len(chosen) + 1 < bound
         while found:
             low = found & -found
             found ^= low
             gi = low.bit_length() - 1
             chosen.append(tvars[gi])
             point = tuple(map(operator.add, image, exps[gi]))
-            groups.setdefault((k, point), []).append(tuple(chosen))
-            if k < bound:
-                walk(gi, allowed & ~partners[gi], point)
+            c = code + steps[gi] | positions[gi]
+            slot = slots.get(c)
+            if slot is None:
+                f = c & full
+                slot = slots[c] = (_reader(f, n), {}, f != full)
+            slot[1].setdefault(slot[0](point), []).append((point, tuple(chosen)))
+            if deeper:
+                walk(gi, allowed & ~partners[gi], c, point)
             chosen.pop()
 
     try:
-        walk(0, (1 << len(tvars)) - 1, (0,) * setup.n)
+        walk(0, (1 << len(tvars)) - 1, 0, (0,) * n)
     except RecursionError:
         raise _too_deep(len(chosen)) from None
-    # Each image of Borel(M^k) has a standard point, its least fiber point,
-    # and every point found has such an image.
-    reached = collections.Counter(k for k, _ in groups)
-    if reached != collections.Counter(k for _, k in images):
-        raise AssertionError(f"standard points reach images by T-degree {reached}")
-    unit = Monomial.unit(setup.n)
-    failures = []
-    for mu, k in images:
-        points = groups[k, mu.exps]
-        if len(points) > 1:
-            # The walk meets the points of one group in descending term order.
-            failures.append((mu, None, tuple(TProduct._sorted(unit, p)
-                                             for p in reversed(points))))
-    return tuple(failures)
+    by_beta = {}
+    for c, slot in slots.items():
+        beta = tuple((c >> n) // (bound + 1) ** bi % (bound + 1)
+                     for bi in range(len(setup.blocks)))
+        by_beta.setdefault(beta, []).append(slot)
+    return by_beta
 
 
-def _family_points(setup, partners, positions, limits, mu, beta):
-    """(standard points ascending, checks, vertices) over one family image:
-    the pick search of `_enumerate` without its memo, with each pick masked
-    by the partners of the T-variables picked before it."""
-    budget = _Budget(limits, "fiber sweep")
-    blocks, offsets = setup.blocks, setup.offsets
-    out, chosen = [], []
-
-    def rec_block(bi, q, forbidden, xpos):
-        if bi == len(blocks):
-            if not any(e and xpos >> i & 1 for i, e in enumerate(q)):
-                budget.count_vertex()
-                out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
-            return
-        block, offset = blocks[bi], offsets[bi]
-        if not block.fits(beta[bi], q):
-            return
-        exps, masks, tvars = block.exps, block.masks, block.tvars
-        block_fits = block.fits
-        full = (1 << len(exps)) - 1
-
-        def rec_pick(start, rem, q, forbidden, xpos):
-            if rem == 0:
-                return rec_block(bi + 1, q, forbidden, xpos)
-            fits = full >> start << start & ~(forbidden >> offset)
-            for e, m in zip(q, masks):
-                if e < len(m):
-                    fits &= m[e]
-            budget.count_check(fits.bit_count())
-            while fits:
-                low = fits & -fits
-                fits ^= low
-                gi = low.bit_length() - 1
-                q2 = tuple(map(operator.sub, q, exps[gi]))
-                if not block_fits(rem - 1, q2):
-                    continue
-                chosen.append(tvars[gi])
-                rec_pick(gi, rem - 1, q2, forbidden | partners[offset + gi],
-                         xpos | positions[offset + gi])
-                chosen.pop()
-
-        rec_pick(0, beta[bi], q, forbidden, xpos)
-
-    try:
-        rec_block(0, mu.exps, 0, 0)
-    except RecursionError:
-        raise _too_deep(sum(beta)) from None
-    # Picks run in descending T-variable order, so the points come in
-    # descending term order.
-    return out[::-1], budget.checks, budget.vertices
+def _reader(forbid, n):
+    """A function reading an exponent tuple at the positions in `forbid`."""
+    if forbid == (1 << n) - 1:
+        return tuple
+    at = [i for i in range(n) if forbid >> i & 1]
+    return operator.itemgetter(*at) if at else operator.itemgetter(slice(0))
 
 
-# The arguments of `_family_points` before the image, in a pool worker.
-_worker_args = None
-
-
-def _start_worker(*args):
-    global _worker_args
-    _worker_args = args
-
-
-def _points_in_worker(image):
-    return _family_points(*_worker_args, *image)
-
-
-def _family_failures(setup, partners, positions, images, limits, budget, jobs):
-    """The failures of a family: each image's standard points, searched on
-    their own and charged to the sweep's budget in image order, so that a
-    pool of `jobs` workers trips where a serial run does."""
-    args = (setup, partners, positions, limits)
-    if jobs > 1 and len(images) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=args) as pool:
-            try:
-                return _charge(images, pool.map(_points_in_worker, images,
-                                                chunksize=8), budget)
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return _charge(images, (_family_points(*args, *image) for image in images),
-                   budget)
-
-
-def _charge(images, results, budget):
-    failures = []
-    for (mu, beta), (points, checks, vertices) in zip(images, results):
-        budget.count_vertex(vertices)
-        budget.count_check(checks)
-        # The least fiber point of every image is standard.
-        if not points:
-            raise AssertionError(f"no standard point over {_image_text(mu, beta)}")
-        if len(points) > 1:
-            failures.append((mu, beta, tuple(points)))
-    return tuple(failures)
-
-
-def verify_groebner_by_fibers(setup, quadrics, bound, limits=None, jobs=1):
+def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
     """Certify the quadrics by unique standard points on every fiber up to
     the bound.
 
     A pass means: every examined fiber has exactly one point that no lead
     divides, the one sink of its rewriting graph, so every binomial of the
     ideal with total T-degree <= bound reduces to zero by the quadrics.  Only
-    standard points are searched: a single closure walks its lead-free
-    multisets of T-variables once, and a family searches each image of
-    `iterate_images` with the picks that no earlier pick forms a lead with.
-    `limits.max_vertices` caps the standard points and `limits.max_checks`
-    the candidate T-variables tried, both over the whole sweep.  With jobs >
-    1 the images of a family are searched in worker processes; a single
-    closure's walk always runs here.
+    standard points are searched, by one walk over the lead-free multisets
+    of T-variables (`_standard_points`).  A multiset with product p is a
+    standard point over the image mu of the same block degrees exactly when
+    mu agrees with p at the x-positions its T-variables forbid and p divides
+    mu, the rest of mu being its x part.  A single closure's T-variables
+    forbid every position, as its points have no x part.  The walk runs
+    before `iterate_images` lists the images it answers.
+    `limits.max_vertices` caps the multisets found and `limits.max_checks`
+    the candidate T-variables tried, both over the whole sweep.
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
     _check_quadrics(setup, quadrics)
-    limits = limits or Limits()
-    budget = _Budget(limits, "fiber sweep")
+    budget = _Budget(limits or Limits(), "fiber sweep")
     partners, positions = _forbidden(setup, quadrics)
+    by_beta = _standard_points(setup, partners, positions, bound, budget)
+    single = setup.kind == "single"
     images = iterate_images(setup, bound)
-    if setup.kind == "single":
-        failures = _single_failures(setup, partners, images, bound, budget)
-    else:
-        failures = _family_failures(setup, partners, positions, images, limits,
-                                    budget, jobs)
-    return VerifyReport(not failures, failures, f"fibers bound={bound}", len(images))
+    failures = []
+    for mu, beta in images:
+        e = mu.exps
+        points = []
+        for at, table, partial in by_beta.get((beta,) if single else beta, ()):
+            for found in table.get(at(e), ()):
+                # Off F, p must divide mu; on a full F, p is mu.
+                if not partial or all(map(operator.le, found[0], e)):
+                    points.append(found)
+        # The least fiber point of every image is standard.
+        if not points:
+            raise AssertionError(f"no standard point over {_image_text(mu, beta)}")
+        if len(points) > 1:
+            sinks = [TProduct._sorted(Monomial(tuple(map(operator.sub, e, p))),
+                                      chosen) for p, chosen in points]
+            sinks.sort(key=operator.attrgetter("key"))
+            failures.append((mu, None if single else beta, tuple(sinks)))
+    return VerifyReport(not failures, tuple(failures), f"fibers bound={bound}",
+                        len(images))
 
 
 class SpairReport:

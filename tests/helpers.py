@@ -18,7 +18,8 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, expand, lcm, restrict
-from borelgb.toric import FiberGraph, Limits, TProduct, _Budget, _enumerate
+from borelgb.toric import (FiberGraph, Limits, TProduct, _Budget, _enumerate,
+                           _too_deep)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -508,6 +509,61 @@ def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
     budget.count_check(len(vertices) * len(quadrics))
     return (mu, beta, tuple(u for u in vertices
                             if not any(divides(q.lead, u) for q in quadrics)))
+
+
+# Oracle for the sweep of `verify_groebner_by_fibers` on a family: each
+# image's standard points searched on their own.
+def _family_points(setup, partners, positions, limits, mu, beta):
+    """(standard points ascending, checks, vertices) over one family image:
+    the pick search of `_enumerate` without its memo, with each pick masked
+    by the partners of the T-variables picked before it."""
+    budget = _Budget(limits, "fiber sweep")
+    blocks = setup.blocks
+    offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
+    out, chosen = [], []
+
+    def rec_block(bi, q, forbidden, xpos):
+        if bi == len(blocks):
+            if not any(e and xpos >> i & 1 for i, e in enumerate(q)):
+                budget.count_vertex()
+                out.append(TProduct._sorted(Monomial(q), tuple(chosen)))
+            return
+        block, offset = blocks[bi], offsets[bi]
+        if not block.fits(beta[bi], q):
+            return
+        exps, masks, tvars = block.exps, block.masks, block.tvars
+        block_fits = block.fits
+        full = (1 << len(exps)) - 1
+
+        def rec_pick(start, rem, q, forbidden, xpos):
+            if rem == 0:
+                return rec_block(bi + 1, q, forbidden, xpos)
+            fits = full >> start << start & ~(forbidden >> offset)
+            for e, m in zip(q, masks):
+                if e < len(m):
+                    fits &= m[e]
+            budget.count_check(fits.bit_count())
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                gi = low.bit_length() - 1
+                q2 = tuple(map(operator.sub, q, exps[gi]))
+                if not block_fits(rem - 1, q2):
+                    continue
+                chosen.append(tvars[gi])
+                rec_pick(gi, rem - 1, q2, forbidden | partners[offset + gi],
+                         xpos | positions[offset + gi])
+                chosen.pop()
+
+        rec_pick(0, beta[bi], q, forbidden, xpos)
+
+    try:
+        rec_block(0, mu.exps, 0, 0)
+    except RecursionError:
+        raise _too_deep(sum(beta)) from None
+    # Picks run in descending T-variable order, so the points come in
+    # descending term order.
+    return out[::-1], budget.checks, budget.vertices
 
 
 def images_by_multiplying(setup, bound):

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 import borelgb
+from borelgb import toric
 from borelgb.cli import main
 from borelgb.monomials import parse_monomial
 from borelgb.families import parse_family
@@ -25,6 +26,11 @@ from helpers import EX_FAMILY, TRIANGLE
 UNIT_BLOCK = """vars = 2
 ideal a: support = ; generator = 1
 ideal b: support = x1,x2 ; generator = x2
+"""
+
+# The unit ideal alone: its one T-variable is lead-free at every T-degree.
+UNIT_FAMILY = """vars = 1
+ideal I1: support = ; generator = 1
 """
 
 NONREDUCED = """vars = 4
@@ -337,26 +343,33 @@ def test_resource_limit_exit_code(capsys):
 
 def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
     """A fiber too deep for Python's recursion limit is a budget trip: exit 3
-    with one line that names its T-degree, in the sweep on either path."""
+    with one line that names its T-degree, in the sweep of a single closure
+    or a family and in one fiber on either path."""
     fam = tmp_path / "unit.fam"
     fam.write_text(UNIT_BLOCK)
     assert parse_family(UNIT_BLOCK).is_reduced()
+    one = tmp_path / "one.fam"
+    one.write_text(UNIT_FAMILY)
     limit = sys.getrecursionlimit()
-    sweep = ("verify", "--single", "x1", "-n", "1", "--bound", "1000")
-    # A single closure's walk runs in-process whatever --jobs says, so both
-    # name the same T-degree.
-    assert run(capsys, *sweep) == run(capsys, *sweep, "--jobs", "2")
-    for argv, degree in ((sweep, None), (sweep + ("--jobs", "2"), None),
-                         (("fiber-graph", "--single", "x1", "-n", "1",
-                           "--mu", "x1^5000", "-k", "5000"), 5000),
-                         (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)):
+    sweeps = (("verify", "--single", "x1", "-n", "1", "--bound", "1000"),
+              ("verify", str(one), "--bound", "2000"))
+    cases = []
+    for sweep in sweeps:
+        # The sweep runs in one process whatever --jobs says, so both name
+        # the same T-degree.
+        assert run(capsys, *sweep) == run(capsys, *sweep, "--jobs", "2")
+        cases += [(sweep, None), (sweep + ("--jobs", "2"), None)]
+    cases += [(("fiber-graph", "--single", "x1", "-n", "1",
+                "--mu", "x1^5000", "-k", "5000"), 5000),
+              (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)]
+    for argv, degree in cases:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (3, ""), argv
         got = re.fullmatch(r"error: fiber of T-degree (\d+) is too deep to "
                            rf"enumerate \(recursion limit {limit}\)\n", err)
         assert got is not None, err
         if degree is None:  # the walk trips on the first point that deep
-            assert 1 < int(got.group(1)) <= 1000
+            assert 1 < int(got.group(1)) <= int(argv[argv.index("--bound") + 1])
         else:
             assert int(got.group(1)) == degree
 
@@ -437,14 +450,14 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
 
 @pytest.mark.parametrize("jobs", [(), ("--jobs", "2")])
 def test_verify_budgets_bound_the_whole_sweep(capsys, ex_file, jobs):
-    """On `verify` both fiber budgets count over the whole sweep: a passing
-    sweep finds one standard point per image, so exactly the image count of
-    vertices passes and one less trips; the candidate T-variables tried have
-    a pinned total that passes, and one less trips.  A pool charges each
-    image's counts in image order, so it trips where a serial run does."""
+    """On `verify` both fiber budgets count over the whole sweep, whatever
+    --jobs says: the walk finds each lead-free T-multiset once, trying one
+    candidate T-variable for each, so exactly the multiset count passes
+    either budget and one less trips.  A passing single closure has one
+    such multiset per image (421); the chain family has 131 at bound 2."""
     for argv, images, checks, bound in (
             (("--single", "x2*x3*x5", "-n", "5", "--bound", "3"), 421, 421, 3),
-            ((ex_file, "--bound", "2"), 443, 2543, 2)):
+            ((ex_file, "--bound", "2"), 131, 131, 2)):
         argv = ("verify", *argv, *jobs)
         passed = f"PASS\ncertificate: fibers bound={bound}\n"
         assert run(capsys, *argv, "--max-vertices", str(images)) == (0, passed, "")
@@ -453,6 +466,17 @@ def test_verify_budgets_bound_the_whole_sweep(capsys, ex_file, jobs):
         assert run(capsys, *argv, "--max-checks", str(checks)) == (0, passed, "")
         assert run(capsys, *argv, "--max-checks", str(checks - 1)) == (
             3, "", f"error: fiber sweep exceeded {checks - 1} divisibility checks\n")
+
+
+def test_a_tripped_sweep_lists_no_images(capsys, ex_file, monkeypatch):
+    """The sweep's walk runs before the images are listed, so a budget that
+    trips in the walk lists none of them."""
+    def listed(*args):
+        raise AssertionError("the images were listed before the budget tripped")
+
+    monkeypatch.setattr(toric, "iterate_images", listed)
+    assert run(capsys, "verify", ex_file, "--bound", "6", "--max-vertices", "10") == (
+        3, "", "error: fiber sweep exceeded 10 vertices\n")
 
 
 def test_fiber_graph_check_budget_boundary(capsys, ex_file):

@@ -24,12 +24,12 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
-from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, certify,
-                     counter_quotient, divides, examine_image_by_scanning,
-                     fiber_graph_by_scanning, images_by_multiplying,
-                     is_squarefree, random_interval_family,
-                     random_principal_borel_family, term_text,
-                     times_by_sorting, tvar_text)
+from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
+                     certify, counter_quotient, divides,
+                     examine_image_by_scanning, fiber_graph_by_scanning,
+                     images_by_multiplying, is_squarefree,
+                     random_interval_family, random_principal_borel_family,
+                     term_text, times_by_sorting, tvar_text)
 
 
 def M(text, n=4):
@@ -57,7 +57,9 @@ def test_generator_var_key_and_text():
 
 
 def test_tvars_and_tproducts_survive_pickling():
-    """`verify --jobs` sends its setup and quadrics to worker processes."""
+    """A pickled T-variable comes back from its block and generator
+    (`__getnewargs__`) with the same key, hash and text, and so does a
+    T-product built from such T-variables."""
     a, b = GeneratorVar(1, M("x3*x4")), GeneratorVar(2, M("x4^2"))
     hashes = (hash(a), hash(b))
     assert a.text() == "t1:x3*x4"  # a rendered text travels with the pickle
@@ -498,7 +500,8 @@ def _oracle_corpus():
     """(setup, quadrics, bound): every single closure with n <= 4 and degree
     <= 3 at bound 3, in both quadric forms, full and with one seeded quadric
     dropped; then seeded interval and principal families at bound 2, every
-    third with one quadric dropped."""
+    third with one quadric dropped; then the chain, nested and triangle
+    families at bound 3."""
     rng = random.Random(16)
     for n, deg in itertools.product(range(1, 5), range(1, 4)):
         for exps in itertools.product(range(deg + 1), repeat=n):
@@ -518,6 +521,9 @@ def _oracle_corpus():
             drop = rng.randrange(len(quads))
             quads = quads[:drop] + quads[drop + 1:]
         yield FiberSetup.for_family(family), quads, 2
+    for text in (EX_FAMILY, NESTED_FAMILY, TRIANGLE):
+        family = parse_family(text)
+        yield FiberSetup.for_family(family), tuple(quadrics_multi(family).all()), 3
 
 
 def test_standard_point_search_matches_scanning_oracle():
@@ -601,28 +607,42 @@ def test_verify_pass_single():
     assert rep.lines() == ["PASS", "certificate: fibers bound=3"]
 
 
-def test_verify_jobs_match():
-    M4 = parse_monomial("x2^2*x4", 4)
-    setup = FiberSetup.single(M4)
-    qs = quadrics_single(M4)
-    seq = verify_groebner_by_fibers(setup, qs, 2, jobs=1)
-    par = verify_groebner_by_fibers(setup, qs, 2, jobs=2)
-    assert seq.lines() == par.lines()
-    assert seq.images_checked == par.images_checked
-
-
 def test_verify_jobs_match_on_a_failing_family():
     tri = parse_family(TRIANGLE)
     setup = FiberSetup.for_family(tri)
     qs = quadrics_multi(tri).all()
     seq = verify_groebner_by_fibers(setup, qs, 3)
-    par = verify_groebner_by_fibers(setup, qs, 3, jobs=2)
     scanned = (examine_image_by_scanning(setup, qs, Limits(), mu, beta)
                for mu, beta in iterate_images(setup, 3))
     assert not seq.passed
-    assert par.failures == seq.failures == tuple(
-        image for image in scanned if len(image[2]) > 1)
-    assert par.lines() == seq.lines()
+    assert seq.failures == tuple(image for image in scanned if len(image[2]) > 1)
+
+
+def test_walk_matches_the_per_image_search_on_families():
+    """On the chain, nested and triangle families at bound 3 the walk's
+    failures, in order, are the ones the per-image pick search and the
+    scanning oracle give over `iterate_images`, with and without a
+    quadric."""
+    failing = 0
+    for text in (EX_FAMILY, NESTED_FAMILY, TRIANGLE):
+        family = parse_family(text)
+        setup = FiberSetup.for_family(family)
+        quads = tuple(quadrics_multi(family).all())
+        for qs in (quads, quads[1:]):
+            partners, positions = toric._forbidden(setup, qs)
+            searched, scanned = [], []
+            for mu, beta in iterate_images(setup, 3):
+                points = _family_points(setup, partners, positions, Limits(),
+                                        mu, beta)[0]
+                if len(points) > 1:
+                    searched.append((mu, beta, tuple(points)))
+                image = examine_image_by_scanning(setup, qs, Limits(), mu, beta)
+                if len(image[2]) > 1:
+                    scanned.append(image)
+            got = verify_groebner_by_fibers(setup, qs, 3).failures
+            assert got == tuple(searched) == tuple(scanned), text
+            failing += bool(got)
+    assert failing >= 3, failing
 
 
 def test_verify_fail_triangle():
