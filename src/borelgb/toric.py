@@ -8,9 +8,9 @@ of quadratic binomials is certified as a Gröbner basis degree-by-degree: on
 every fiber, rewriting by the quadrics (lead to tail) must have a unique sink.
 An independent S-pair reduction check is provided as a second route.
 
-Two setups share the machinery: 'single' (one Borel closure, fiber points are
-exact factorizations, no x cofactor) and 'multi' (a reduced family of
-support-restricted closures, fiber points carry an x cofactor).
+Two setups share the machinery: a single Borel closure (fiber points are
+exact factorizations, no x cofactor) and a reduced family of
+support-restricted closures (fiber points carry an x cofactor).
 """
 
 from __future__ import annotations
@@ -351,16 +351,15 @@ class _Block:
 class FiberSetup:
     """The generator data underlying fiber enumeration.
 
-    kind 'single': one block (id 0), fiber points are exact factorizations of
-    the image into closure members.  kind 'multi': blocks 1..r from a reduced
-    family, fiber points are divisors with an x-monomial making up the rest.
-    `tvars` numbers the T-variables of all blocks in block order.
+    One exact block (id 0) is a single closure: fiber points factor the
+    image into closure members exactly.  Blocks 1..r from a reduced family
+    give divisors with an x-monomial making up the rest.  `tvars` numbers
+    the T-variables of all blocks in block order.
     """
 
-    __slots__ = ("kind", "n", "blocks", "base", "tvars")
+    __slots__ = ("n", "blocks", "base", "tvars")
 
-    def __init__(self, kind, n, blocks, base=1):
-        self.kind = kind
+    def __init__(self, n, blocks, base=1):
         self.n = n
         self.blocks = blocks
         self.base = base
@@ -371,7 +370,7 @@ class FiberSetup:
         if M.is_unit:
             raise ValueError("need a nonunit generator")
         block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
-        return cls("single", M.n, (block,), base)
+        return cls(M.n, (block,), base)
 
     @classmethod
     def for_family(cls, family):
@@ -381,10 +380,10 @@ class FiberSetup:
             raise ValueError("setup needs a family with at least one ideal")
         blocks = tuple(_Block(i, e.gen, e.support, e.closure())
                        for i, e in enumerate(family.entries, start=1))
-        return cls("multi", family.n, blocks, family.base)
+        return cls(family.n, blocks, family.base)
 
     def beta_tuple(self, beta):
-        if self.kind == "single":
+        if self.blocks[0].exact:
             if not isinstance(beta, int):
                 raise ValueError("single setup takes an integer T-degree")
             if beta < 1:
@@ -419,8 +418,8 @@ def enumerate_fiber(setup, mu, beta, limits=None):
 def _enumerate(setup, mu, beta, budget):
     if mu.n != setup.n:
         raise ValueError("ambient mismatch between image and setup")
-    exact = setup.kind == "single"
     blocks = setup.blocks
+    exact = blocks[0].exact
     if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
         return ()  # no room for the factors
     # The points below a search node form a DAG: a node is a list of
@@ -606,7 +605,7 @@ def iterate_images(setup, bound):
     """
     rows = [[borel_closure(b.pivot.pow(k), support=b.support)
              for k in range(bound + 1)] for b in setup.blocks]
-    if setup.kind == "single":
+    if setup.blocks[0].exact:
         return tuple((m, k) for k in range(1, bound + 1) for m in rows[0][k])
     images = []
     for beta in itertools.product(range(bound + 1), repeat=len(rows)):
@@ -706,48 +705,55 @@ def _standard_points(setup, partners, positions, bound, budget):
     x-positions its T-variables forbid, and there under p read at F.  The
     walk carries both in one int, F in its low n bits and above them beta's
     digits in base bound + 1.  The result maps beta to a list of
-    (reader at F, {p at F: [(p, P)]}, whether F misses a position)."""
+    (reader at F, {p at F: [(p, P)]}, whether F misses a position), P held
+    as a chain (last T-variable, rest) for `_unchain`.  The walk keeps its
+    own stack, so no recursion limit bounds |P|, and runs in pre-order: a
+    popped P is filed, charged a check and a vertex per T-variable that may
+    extend it, and its extensions are pushed largest first."""
     n, tvars = setup.n, setup.tvars
     full = (1 << n) - 1
     exps = tuple(t.gen.exps for t in tvars)
     steps = tuple((bound + 1) ** bi << n for bi, block in enumerate(setup.blocks)
                   for _ in block.tvars)
-    slots, chosen = {}, []
-
-    def walk(start, allowed, code, image):
-        # Extend `chosen` by each candidate from `start` on; each makes one
-        # standard point.
-        found = allowed >> start << start
-        count = found.bit_count()
-        budget.count_check(count)
-        budget.count_vertex(count)
-        deeper = len(chosen) + 1 < bound
-        while found:
-            low = found & -found
-            found ^= low
-            gi = low.bit_length() - 1
-            chosen.append(tvars[gi])
-            point = tuple(map(operator.add, image, exps[gi]))
-            c = code + steps[gi] | positions[gi]
+    slots = {}
+    # (number of P's last T-variable, those that may follow it, code, p,
+    # chain, |P|), from the empty P.
+    stack = [(0, (1 << len(tvars)) - 1, 0, (0,) * n, None, 0)]
+    while stack:
+        gi, allowed, c, point, chain, size = stack.pop()
+        if chain is not None:
             slot = slots.get(c)
             if slot is None:
                 f = c & full
                 slot = slots[c] = (_reader(f, n), {}, f != full)
-            slot[1].setdefault(slot[0](point), []).append((point, tuple(chosen)))
-            if deeper:
-                walk(gi, allowed & ~partners[gi], c, point)
-            chosen.pop()
-
-    try:
-        walk(0, (1 << len(tvars)) - 1, 0, (0,) * n)
-    except RecursionError:
-        raise _too_deep(len(chosen)) from None
+            slot[1].setdefault(slot[0](point), []).append((point, chain))
+        if size == bound:
+            continue
+        found = allowed >> gi << gi
+        count = found.bit_count()
+        budget.count_check(count)
+        budget.count_vertex(count)
+        while found:
+            gi = found.bit_length() - 1
+            found ^= 1 << gi
+            stack.append((gi, allowed & ~partners[gi], c + steps[gi] | positions[gi],
+                          tuple(map(operator.add, point, exps[gi])),
+                          (tvars[gi], chain), size + 1))
     by_beta = {}
     for c, slot in slots.items():
         beta = tuple((c >> n) // (bound + 1) ** bi % (bound + 1)
                      for bi in range(len(setup.blocks)))
         by_beta.setdefault(beta, []).append(slot)
     return by_beta
+
+
+def _unchain(chain):
+    """The T-variables of a `_standard_points` chain, in descending order."""
+    out = []
+    while chain is not None:
+        t, chain = chain
+        out.append(t)
+    return tuple(reversed(out))
 
 
 def _reader(forbid, n):
@@ -773,7 +779,9 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
     forbid every position, as its points have no x part.  The walk runs
     before `iterate_images` lists the images it answers.
     `limits.max_vertices` caps the multisets found and `limits.max_checks`
-    the candidate T-variables tried, both over the whole sweep.
+    the candidate T-variables tried, both over the whole sweep; the walk
+    keeps its own stack, so no recursion limit ends it.  A failure and the
+    invariant's error name a single closure's image without its T-degree.
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
@@ -781,25 +789,26 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
     budget = _Budget(limits or Limits(), "fiber sweep")
     partners, positions = _forbidden(setup, quadrics)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
-    single = setup.kind == "single"
+    single = setup.blocks[0].exact
     images = iterate_images(setup, bound)
     failures = []
     for mu, beta in images:
         e = mu.exps
+        key, shown = ((beta,), None) if single else (beta, beta)
         points = []
-        for at, table, partial in by_beta.get((beta,) if single else beta, ()):
+        for at, table, partial in by_beta.get(key, ()):
             for found in table.get(at(e), ()):
                 # Off F, p must divide mu; on a full F, p is mu.
                 if not partial or all(map(operator.le, found[0], e)):
                     points.append(found)
         # The least fiber point of every image is standard.
         if not points:
-            raise AssertionError(f"no standard point over {_image_text(mu, beta)}")
+            raise AssertionError(f"no standard point over {_image_text(mu, shown)}")
         if len(points) > 1:
             sinks = [TProduct._sorted(Monomial(tuple(map(operator.sub, e, p))),
-                                      chosen) for p, chosen in points]
+                                      _unchain(chain)) for p, chain in points]
             sinks.sort(key=operator.attrgetter("key"))
-            failures.append((mu, None if single else beta, tuple(sinks)))
+            failures.append((mu, shown, tuple(sinks)))
     return VerifyReport(not failures, tuple(failures), f"fibers bound={bound}",
                         len(images))
 

@@ -19,7 +19,7 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, expand, lcm, restrict
 from borelgb.toric import (FiberGraph, Limits, TProduct, _Budget, _enumerate,
-                           _too_deep)
+                           _reader, _too_deep)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -566,13 +566,66 @@ def _family_points(setup, partners, positions, limits, mu, beta):
     return out[::-1], budget.checks, budget.vertices
 
 
+def standard_points_by_recursion(setup, partners, positions, bound, budget):
+    """Oracle for `toric._standard_points`: the same walk, recursing once
+    per T-variable and filing each multiset P as the tuple of its
+    T-variables in descending order.  Every lead-free multiset P of at most
+    `bound` T-variables is the standard point over its own product p, with
+    no x part.  P is filed under its block degrees beta and the bitset F of
+    x-positions its T-variables forbid, and there under p read at F.  The
+    walk carries both in one int, F in its low n bits and above them beta's
+    digits in base bound + 1.  The result maps beta to a list of
+    (reader at F, {p at F: [(p, P)]}, whether F misses a position)."""
+    n, tvars = setup.n, setup.tvars
+    full = (1 << n) - 1
+    exps = tuple(t.gen.exps for t in tvars)
+    steps = tuple((bound + 1) ** bi << n for bi, block in enumerate(setup.blocks)
+                  for _ in block.tvars)
+    slots, chosen = {}, []
+
+    def walk(start, allowed, code, image):
+        # Extend `chosen` by each candidate from `start` on; each makes one
+        # standard point.
+        found = allowed >> start << start
+        count = found.bit_count()
+        budget.count_check(count)
+        budget.count_vertex(count)
+        deeper = len(chosen) + 1 < bound
+        while found:
+            low = found & -found
+            found ^= low
+            gi = low.bit_length() - 1
+            chosen.append(tvars[gi])
+            point = tuple(map(operator.add, image, exps[gi]))
+            c = code + steps[gi] | positions[gi]
+            slot = slots.get(c)
+            if slot is None:
+                f = c & full
+                slot = slots[c] = (_reader(f, n), {}, f != full)
+            slot[1].setdefault(slot[0](point), []).append((point, tuple(chosen)))
+            if deeper:
+                walk(gi, allowed & ~partners[gi], c, point)
+            chosen.pop()
+
+    try:
+        walk(0, (1 << len(tvars)) - 1, 0, (0,) * n)
+    except RecursionError:
+        raise _too_deep(len(chosen)) from None
+    by_beta = {}
+    for c, slot in slots.items():
+        beta = tuple((c >> n) // (bound + 1) ** bi % (bound + 1)
+                     for bi in range(len(setup.blocks)))
+        by_beta.setdefault(beta, []).append(slot)
+    return by_beta
+
+
 def images_by_multiplying(setup, bound):
     """Oracle for `iterate_images`: every multiset of a block's generators is
     multiplied out one generator at a time.  Single setup: the products of k
     closure members, k = 1..bound, paired with k.  Multi setup: for every
     block-degree vector beta with 1 <= |beta| <= bound, every lcm of two
     products of beta-many generators, paired with beta."""
-    if setup.kind == "single":
+    if setup.blocks[0].exact:
         gens = setup.blocks[0].gens_desc
         images = []
         for k in range(1, bound + 1):

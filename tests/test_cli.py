@@ -342,36 +342,46 @@ def test_resource_limit_exit_code(capsys):
 
 
 def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
-    """A fiber too deep for Python's recursion limit is a budget trip: exit 3
-    with one line that names its T-degree, in the sweep of a single closure
-    or a family and in one fiber on either path."""
+    """A fiber too deep for Python's recursion limit is a budget trip in
+    `fiber-graph`: exit 3 with one line that names its T-degree, on either
+    path.  The sweep of `verify` keeps its own stack, so a single closure
+    or a family that deep gets its verdict, with or without --jobs."""
     fam = tmp_path / "unit.fam"
     fam.write_text(UNIT_BLOCK)
     assert parse_family(UNIT_BLOCK).is_reduced()
     one = tmp_path / "one.fam"
     one.write_text(UNIT_FAMILY)
     limit = sys.getrecursionlimit()
-    sweeps = (("verify", "--single", "x1", "-n", "1", "--bound", "1000"),
-              ("verify", str(one), "--bound", "2000"))
-    cases = []
-    for sweep in sweeps:
-        # The sweep runs in one process whatever --jobs says, so both name
-        # the same T-degree.
-        assert run(capsys, *sweep) == run(capsys, *sweep, "--jobs", "2")
-        cases += [(sweep, None), (sweep + ("--jobs", "2"), None)]
-    cases += [(("fiber-graph", "--single", "x1", "-n", "1",
-                "--mu", "x1^5000", "-k", "5000"), 5000),
-              (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)]
+    for sweep in (("verify", "--single", "x1", "-n", "1", "--bound", "1000"),
+                  ("verify", str(one), "--bound", "2000")):
+        passed = (0, f"PASS\ncertificate: fibers bound={sweep[-1]}\n", "")
+        assert run(capsys, *sweep) == passed, sweep
+        assert run(capsys, *sweep, "--jobs", "2") == passed, sweep
+    cases = [(("fiber-graph", "--single", "x1", "-n", "1",
+               "--mu", "x1^5000", "-k", "5000"), 5000),
+             (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)]
     for argv, degree in cases:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (3, ""), argv
         got = re.fullmatch(r"error: fiber of T-degree (\d+) is too deep to "
                            rf"enumerate \(recursion limit {limit}\)\n", err)
         assert got is not None, err
-        if degree is None:  # the walk trips on the first point that deep
-            assert 1 < int(got.group(1)) <= int(argv[argv.index("--bound") + 1])
-        else:
-            assert int(got.group(1)) == degree
+        assert int(got.group(1)) == degree
+
+
+def test_deep_sweep_trips_its_vertex_budget_in_bounded_memory(capsys):
+    """x1's sweep to bound 200000 finds one lead-free multiset per T-degree,
+    so the default budget of 100000 vertices ends it, with no recursion
+    limit in the way and a tracemalloc peak near 62 MB."""
+    tracemalloc.start()
+    try:
+        got = run(capsys, "verify", "--single", "x1", "-n", "1",
+                  "--bound", "200000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (3, "", "error: fiber sweep exceeded 100000 vertices\n")
+    assert peak < 72 << 20, peak
 
 
 def test_deep_unit_fiber_trips_in_little_memory(capsys, tmp_path):

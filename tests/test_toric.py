@@ -29,7 +29,8 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      examine_image_by_scanning, fiber_graph_by_scanning,
                      images_by_multiplying, is_squarefree,
                      random_interval_family, random_principal_borel_family,
-                     term_text, times_by_sorting, tvar_text)
+                     standard_points_by_recursion, term_text,
+                     times_by_sorting, tvar_text)
 
 
 def M(text, n=4):
@@ -461,7 +462,7 @@ def _graph_failures(setup, quads, bound):
         _, sinks = certify(graph)
         assert graph.sinks() == sinks
         if len(graph.vertices) > 1 and len(sinks) != 1:
-            out.append((mu, beta if setup.kind == "multi" else None, sinks))
+            out.append((mu, None if setup.blocks[0].exact else beta, sinks))
     return tuple(out)
 
 
@@ -538,7 +539,7 @@ def test_standard_point_search_matches_scanning_oracle():
             _, _, sinks = examine_image_by_scanning(setup, quads, Limits(), mu, beta)
             filtered += len(enumerate_fiber(setup, mu, beta)) > len(sinks)
             if len(sinks) > 1:
-                failures.append((mu, beta if setup.kind == "multi" else None, sinks))
+                failures.append((mu, None if setup.blocks[0].exact else beta, sinks))
         got = verify_groebner_by_fibers(setup, quads, bound)
         assert (got.passed, got.failures, got.images_checked) == (
             not failures, tuple(failures), len(images)), (setup.blocks, quads)
@@ -643,6 +644,96 @@ def test_walk_matches_the_per_image_search_on_families():
             assert got == tuple(searched) == tuple(scanned), text
             failing += bool(got)
     assert failing >= 3, failing
+
+
+def _walk_inputs():
+    """(setup, quadrics): the chain, nested and triangle families, then
+    every single closure with n <= 4 and degree <= 3 in both quadric forms."""
+    for text in (EX_FAMILY, NESTED_FAMILY, TRIANGLE):
+        family = parse_family(text)
+        yield FiberSetup.for_family(family), tuple(quadrics_multi(family).all())
+    for n, deg in itertools.product(range(1, 5), range(1, 4)):
+        for exps in itertools.product(range(deg + 1), repeat=n):
+            if sum(exps) == deg:
+                M = Monomial(exps)
+                yield FiberSetup.single(M), quadrics_single(M)
+                yield FiberSetup.single(M), quadrics_bs_form(M)
+
+
+def _filed(by_beta, spell):
+    """What a walk filed, in filing order, with each multiset spelt out."""
+    return [(beta, [(partial, [(at, [(p, spell(P)) for p, P in found])
+                               for at, found in table.items()])
+                    for _, table, partial in slots])
+            for beta, slots in by_beta.items()]
+
+
+def _walk_outcome(walk, setup, partners, positions, limits):
+    """The trip message, or None, and the checks and vertices charged."""
+    budget = _Budget(limits, "fiber sweep")
+    try:
+        walk(setup, partners, positions, 3, budget)
+    except ResourceLimitError as exc:
+        return str(exc), budget.checks, budget.vertices
+    return None, budget.checks, budget.vertices
+
+
+def test_stack_walk_matches_the_recursive_walk():
+    """At bound 3 the stack walk files the multisets the recursive walk it
+    replaced filed, under the same (beta, F, p read at F) and in the same
+    order, and charges the same checks and vertices.  Caps around each
+    total trip with the same message at the same counts, also when one
+    multiset's charge passes both caps at once, as the triangle's does at
+    21 checks and 20 vertices: checks are charged first, so the checks cap
+    names the trip."""
+    setups = crossed = 0
+    for setup, quads in _walk_inputs():
+        partners, positions = toric._forbidden(setup, quads)
+        want_budget, got_budget = _Budget(Limits()), _Budget(Limits())
+        want = standard_points_by_recursion(setup, partners, positions, 3,
+                                            want_budget)
+        got = toric._standard_points(setup, partners, positions, 3, got_budget)
+        assert _filed(got, toric._unchain) == _filed(want, tuple), setup.blocks
+        total = want_budget.checks
+        assert (got_budget.checks, got_budget.vertices) == (total, total)
+        caps = {0, 1, total // 4, total // 2, total - 1, total, total + 1}
+        pairs = set(itertools.product(caps, repeat=2))
+        pairs.update(p for c in caps for p in ((c + 1, c), (c, c + 1)))
+        for checks, vertices in sorted(pairs):
+            limits = Limits(max_vertices=vertices, max_checks=checks)
+            outcome = _walk_outcome(toric._standard_points, setup, partners,
+                                    positions, limits)
+            assert outcome == _walk_outcome(standard_points_by_recursion, setup,
+                                            partners, positions, limits)
+            crossed += (vertices < checks
+                        and outcome[0] == f"fiber sweep exceeded {checks} "
+                                          "divisibility checks")
+        setups += 1
+    assert setups == 133 and crossed >= 300, (setups, crossed)
+    # The triangle multiset charged from 18 to 23 passes both caps.
+    triangle = parse_family(TRIANGLE)
+    tri = FiberSetup.for_family(triangle)
+    forbidden = toric._forbidden(tri, quadrics_multi(triangle).all())
+    limits = Limits(max_vertices=20, max_checks=21)
+    assert (_walk_outcome(toric._standard_points, tri, *forbidden, limits)
+            == _walk_outcome(standard_points_by_recursion, tri, *forbidden, limits)
+            == ("fiber sweep exceeded 21 divisibility checks", 23, 18))
+
+
+def test_a_missing_standard_point_names_its_image(monkeypatch):
+    """Every image has a standard point, its least fiber point; when the
+    walk finds none, the sweep's invariant fails with an AssertionError that
+    names the image as a FAIL line would: a single closure's alone, a
+    family's with its T-degrees."""
+    monkeypatch.setattr(toric, "_standard_points", lambda *args: {})
+    M = parse_monomial("x2*x3", 3)
+    with pytest.raises(AssertionError, match=r"^no standard point over x2\*x3$"):
+        verify_groebner_by_fibers(FiberSetup.single(M), quadrics_single(M), 2)
+    chain = parse_family(EX_FAMILY)
+    with pytest.raises(AssertionError,
+                       match=r"^no standard point over x1\*x2\^2 t5$"):
+        verify_groebner_by_fibers(FiberSetup.for_family(chain),
+                                  quadrics_multi(chain).all(), 2)
 
 
 def test_verify_fail_triangle():
@@ -831,7 +922,7 @@ def _fits_by_scanning(block, rem, quotient, exact):
 
 
 def _enumerate_by_scanning(setup, mu, beta, budget):
-    exact = setup.kind == "single"
+    exact = setup.blocks[0].exact
     out = []
     chosen = []
 
