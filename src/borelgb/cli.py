@@ -9,6 +9,7 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .borel import borel_closure
@@ -222,6 +223,7 @@ def _add_limit_flags(sub, vertices, checks):
                      help=f"{checks} (default 10^7)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="borelgb",

@@ -45,11 +45,12 @@ class SpairLimitError(ResourceLimitError):
 
 class Limits:
     """Resource caps.  In one fiber of `enumerate_fiber` or `fiber_graph`,
-    `max_vertices` caps the points and `max_checks` the candidate generators
-    and lead tests; over the whole sweep of `verify_groebner_by_fibers` they
-    cap the lead-free T-multisets its walk finds and the candidate
-    T-variables it tries, one per multiset.
-    `max_steps` caps the rewrite steps of a whole S-pair run."""
+    `max_vertices` caps the points found and `max_checks` the candidate
+    generators the distinct pick steps try, plus the lead tests; over the
+    whole sweep of `verify_groebner_by_fibers` they cap the lead-free
+    T-multisets its walk finds and the candidate T-variables it tries, one
+    per multiset.  `max_steps` caps the rewrite steps of a whole S-pair
+    run."""
 
     __slots__ = ("max_vertices", "max_checks", "max_steps")
 
@@ -61,8 +62,9 @@ class Limits:
 
 
 class _Budget:
-    """Mutable counters charged against a Limits object; `scope` names what
-    they count in a trip's message."""
+    """Mutable counters charged against a Limits object, each raising as
+    soon as it passes its limit; `scope` names what they count in a trip's
+    message."""
 
     __slots__ = ("limits", "scope", "vertices", "checks", "steps")
 
@@ -84,17 +86,6 @@ class _Budget:
         if self.checks > self.limits.max_checks:
             raise ResourceLimitError(
                 f"{self.scope} exceeded {self.limits.max_checks} divisibility checks")
-
-    def charge(self, checks, vertices):
-        """Add both counts at once when that passes neither limit, and say
-        whether it did.  The counts only grow, so such a bulk add is what
-        charging one by one would have done."""
-        if (self.checks + checks > self.limits.max_checks
-                or self.vertices + vertices > self.limits.max_vertices):
-            return False
-        self.checks += checks
-        self.vertices += vertices
-        return True
 
     def count_step(self, pair):
         self.steps += 1
@@ -410,6 +401,12 @@ def enumerate_fiber(setup, mu, beta, limits=None):
     into k closure members.  Multi setup: beta gives each block's T-degree;
     points are choices of beta_i block-i generators whose product divides mu,
     with the leftover of mu as x part.
+
+    The search picks one generator per step.  Each distinct step (block,
+    first generator, picks left, quotient) is searched once and charges one
+    check per generator it tries, those from its first one on that divide
+    the quotient.  Every point counts one vertex when it is found, also
+    below a step reached again.
     """
     budget = _Budget(limits or Limits())
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
@@ -424,10 +421,10 @@ def _enumerate(setup, mu, beta, budget):
         return ()  # no room for the factors
     # The points below a search node form a DAG: a node is a list of
     # (T-variable, child) pairs, a child is a node or, past the last block,
-    # the leftover as a Monomial, and None stands for no points.  A pick
-    # subtree depends only on (bi, start, rem, q), so `memo` keeps each one
-    # with the checks and vertices it charged.  Equal leftovers share one
-    # Monomial in `leaves`.
+    # the leftover as a Monomial, and None stands for no points.  A pick step
+    # depends only on (bi, start, rem, q), so `memo` keeps each one's node
+    # with the points below it.  Equal leftovers share one Monomial in
+    # `leaves`.
     memo, leaves = {}, {}
 
     def rec_block(bi, q):
@@ -444,49 +441,38 @@ def _enumerate(setup, mu, beta, budget):
             return None
         exps, masks, tvars = block.exps, block.masks, block.tvars
         block_fits = block.fits
-        end = len(exps)
-        full = (1 << end) - 1
+        full = (1 << len(exps)) - 1
 
         def rec_pick(start, rem, q):
             if rem == 0:
                 return rec_block(bi + 1, q)
-            # A subtree reached again is charged again, in bulk when that
-            # passes neither limit; otherwise it is searched again so that
-            # the budget trips where the first search would have.  A single
-            # pick is one bitset test, cheaper than the lookup.
-            if rem > 1:
-                key = (bi, start, rem, q)
-                hit = memo.get(key)
-                if hit is not None and budget.charge(hit[1], hit[2]):
-                    return hit[0]
-                checks, vertices = budget.checks, budget.vertices
-            # The generators from `start` on that divide q.  Every generator
-            # from `start` on costs one check, charged up to each candidate
-            # before it is tried, so a budget trips where a one-by-one
-            # charge would.
+            # A step reached again is not searched again; only its points
+            # are counted.
+            key = (bi, start, rem, q)
+            hit = memo.get(key)
+            if hit is not None:
+                budget.count_vertex(hit[1])
+                return hit[0]
+            found = budget.vertices
+            # The generators from `start` on that divide q, one check each.
             fits = full >> start << start
             for e, m in zip(q, masks):
                 if e < len(m):
                     fits &= m[e]
+            budget.count_check(fits.bit_count())
             node = []
-            charged = start
             while fits:
                 low = fits & -fits
                 fits ^= low
                 gi = low.bit_length() - 1
-                budget.count_check(gi + 1 - charged)
-                charged = gi + 1
                 q2 = tuple(map(operator.sub, q, exps[gi]))
                 if not block_fits(rem - 1, q2):
                     continue
                 child = rec_pick(gi, rem - 1, q2)
                 if child is not None:
                     node.append((tvars[gi], child))
-            budget.count_check(end - charged)
             node = node or None
-            if rem > 1:
-                memo[key] = (node, budget.checks - checks,
-                             budget.vertices - vertices)
+            memo[key] = (node, budget.vertices - found)
             return node
 
         return rec_pick(0, beta[bi], q)

@@ -447,7 +447,7 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     setup = FiberSetup.single(M)
     enumeration = next(c for c in range(100) if _enumerates_within(setup, mu, c))
     lead_tests = len(enumerate_fiber(setup, mu, 2)) * len(quadrics_single(M))
-    assert (enumeration, lead_tests) == (9, 2)
+    assert (enumeration, lead_tests) == (5, 2)
     cap = max(enumeration, lead_tests)
     assert cap < enumeration + lead_tests
     argv = ("fiber-graph", "--single", "x2^2", "-n", "2", "--mu", "x1^2*x2^2", "-k", "2")
@@ -497,10 +497,10 @@ def test_fiber_graph_check_budget_boundary(capsys, ex_file):
     for argv, setup, mu, beta, quads, pinned in (
             (("--single", "x2*x3*x5", "-n", "5", "--mu", "x1*x2^2*x3^2*x5",
               "-k", "2"), FiberSetup.single(M),
-             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 667),
+             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 601),
             ((ex_file, "x1^2*x2^3*x3^3*x4^2", "t2*t3*t4"),
              FiberSetup.for_family(chain), parse_monomial("x1^2*x2^3*x3^3*x4^2", 4),
-             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 1121)):
+             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 1097)):
         budget = _Budget(Limits())
         vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
         total = budget.checks + len(vertices) * len(quads)

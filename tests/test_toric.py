@@ -271,6 +271,24 @@ def test_fiber_without_room_is_empty_before_any_table():
     assert peak < 1 << 20
 
 
+def test_vertex_budget_bounds_the_search():
+    """Points are counted as the search finds them, also through a step
+    reached again, so a vertex cap trips before the rest of a large fiber
+    is searched: 1,000 vertices stay under 2 MB."""
+    C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
+    mu = parse_monomial("x0^7*x1^13*x2^7*x3^12*x4^11", 5, base=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"^fiber exceeded 1000 vertices$"):
+            enumerate_fiber(FiberSetup.single(C2, base=0), mu, 10,
+                            Limits(max_vertices=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_fiber_degrees_must_be_in_range():
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     for k in (0, -1):
@@ -908,8 +926,18 @@ def test_resource_limits_trip():
 # --- Fiber enumeration before its divisibility bitsets, kept as an oracle ----
 #
 # Every generator from the pick position on is tested against the quotient
-# monomial in turn, one divisibility check each, and the pruning goes through
-# `borel_member` and `min_borel_divisor`.
+# monomial in turn, and the pruning goes through `borel_member` and
+# `min_borel_divisor`.  Nothing is memoized: a pick step reached again is
+# searched again, but only its first search is charged, one check per
+# generator that divides the quotient; every point found counts one vertex.
+
+
+class _ScanBudget(_Budget):
+    """A budget that also counts, in `scanned`, the checks of the charge
+    rule before the memo: every generator from the pick position on, each
+    time a step is reached."""
+
+    scanned = 0
 
 
 def _fits_by_scanning(block, rem, quotient, exact):
@@ -925,6 +953,7 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
     exact = setup.blocks[0].exact
     out = []
     chosen = []
+    searched = set()
 
     def rec_block(bi, quotient):
         if bi == len(setup.blocks):
@@ -941,10 +970,14 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
             if rem == 0:
                 rec_block(bi + 1, quotient)
                 return
-            for gi in range(start, len(gens)):
-                budget.count_check()
-                if not gens[gi].divides(quotient):
-                    continue
+            budget.scanned += len(gens) - start
+            divisors = [gi for gi in range(start, len(gens))
+                        if gens[gi].divides(quotient)]
+            step = (bi, start, rem, quotient.exps)
+            if step not in searched:
+                searched.add(step)
+                budget.count_check(len(divisors))
+            for gi in divisors:
                 q2 = quotient / gens[gi]
                 if _fits_by_scanning(block, rem - 1, q2, exact):
                     chosen.append(block.tvars[gi])
@@ -985,21 +1018,24 @@ def _fiber_inputs():
 
 def _trip(route, setup, mu, beta, limits):
     with pytest.raises(ResourceLimitError) as trip:
-        route(setup, mu, beta, _Budget(limits))
+        route(setup, mu, beta, _ScanBudget(limits))
     return str(trip.value)
 
 
 def test_enumeration_matches_scanning_oracle():
     """The same points in the same order, the same checks and vertices, and
-    budgets one short of either total trip with the same message."""
+    budgets one short of either total trip with the same message.  No total
+    exceeds what the scan before the memo charged, so no budget that passed
+    then trips now."""
     compared = multi = tripped = 0
     for label, setup, mu, beta in _fiber_inputs():
-        want_budget, got_budget = _Budget(Limits()), _Budget(Limits())
+        want_budget, got_budget = _ScanBudget(Limits()), _Budget(Limits())
         want = _enumerate_by_scanning(setup, mu, beta, want_budget)
         got = _enumerate(setup, mu, beta, got_budget)
         assert got == want, label
         assert ((got_budget.checks, got_budget.vertices)
                 == (want_budget.checks, want_budget.vertices)), label
+        assert want_budget.checks <= want_budget.scanned, label
         compared += 1
         multi += len(want) > 1
         if want_budget.checks == 0:
@@ -1016,37 +1052,23 @@ def test_enumeration_matches_scanning_oracle():
     assert compared > 4000 and multi > 2500 and tripped > 12000
 
 
-class _RefusalBudget(_Budget):
-    """A budget that records which limit refused each bulk charge."""
-
-    def __init__(self, limits):
-        super().__init__(limits)
-        self.refused = []
-
-    def charge(self, checks, vertices):
-        if super().charge(checks, vertices):
-            return True
-        self.refused.append("vertices" if self.vertices + vertices
-                            > self.limits.max_vertices else "checks")
-        return False
-
-
 def _outcome(route, setup, mu, beta, budget):
-    """The points, or the trip message with the vertices and (capped at the
-    first check past the limit) checks charged when it tripped.  A chunk of
-    checks charged at once may overshoot the check limit, nothing else may."""
+    """The points, or the trip message with the checks and vertices charged
+    when it tripped, each capped at the first one past its limit: a step's
+    checks are charged at once, and a step reached again counts its points
+    at once."""
     try:
         return route(setup, mu, beta, budget)
     except ResourceLimitError as trip:
-        return (str(trip), budget.vertices,
-                min(budget.checks, budget.limits.max_checks + 1))
+        return (str(trip), min(budget.checks, budget.limits.max_checks + 1),
+                min(budget.vertices, budget.limits.max_vertices + 1))
 
 
 def test_memo_hits_replay_the_budget():
-    """A subtree reached again charges what searching it would, so budgets
-    at fractions of the totals trip at the same point with the same message
-    as the oracle, also when the limit falls inside a subtree reached again.
-    The totals themselves are compared in the test above."""
+    """A step reached again counts the points below it, so budgets at
+    fractions of the totals trip at the same point with the same message
+    as the oracle, also when the vertex limit falls inside a step reached
+    again.  The totals themselves are compared in the test above."""
     nested = FiberSetup.for_family(parse_family(NESTED_FAMILY))
     chain = FiberSetup.for_family(parse_family(EX_FAMILY))
     C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
@@ -1055,7 +1077,7 @@ def test_memo_hits_replay_the_budget():
               (chain, M("x1^4*x2^6*x3^4*x4^3"), (1, 1, 1, 1, 2)),
               (FiberSetup.single(C2, base=0),
                parse_monomial("x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0), (6,))]
-    refused = Counter()
+    tripped = Counter()
     for setup, mu, beta in fibers:
         totals = _Budget(Limits())
         _enumerate(setup, mu, beta, totals)
@@ -1066,13 +1088,16 @@ def test_memo_hits_replay_the_budget():
                     ("checks", Limits(max_checks=checks)),
                     ("vertices", Limits(max_vertices=vertices)),
                     ("both", Limits(max_vertices=others, max_checks=checks))):
-                budget = _RefusalBudget(limits)
+                budget = _Budget(limits)
                 got = _outcome(_enumerate, setup, mu, beta, budget)
                 assert got == _outcome(_enumerate_by_scanning, setup, mu, beta,
-                                       _Budget(limits)), (mu, beta, kind, f)
-                refused.update((kind, limit) for limit in budget.refused)
-    assert all(refused[kind, kind] for kind in ("checks", "vertices"))
-    assert refused["both", "checks"] and refused["both", "vertices"]
+                                       _ScanBudget(limits)), (mu, beta, kind, f)
+                tripped[kind, got[0].rsplit(" ", 1)[-1]] += 1
+                tripped["inside a step reached again"] += (
+                    budget.vertices > limits.max_vertices + 1)
+    assert tripped["checks", "checks"] and tripped["vertices", "vertices"]
+    assert tripped["both", "checks"] and tripped["both", "vertices"]
+    assert tripped["inside a step reached again"], tripped
 
 
 # --- The S-pair route before its indexes, kept as an oracle -------------------
