@@ -15,7 +15,22 @@ from __future__ import annotations
 
 import itertools
 
-from .monomials import Monomial, expand, restrict
+from .monomials import Monomial
+
+
+def _suffix_caps(m, support=None):
+    """(slots, caps): the 0-based positions Borel moves inside `support` may
+    use, last first, and m's suffix sums over them, caps[u] being m's mass at
+    slots[0..u].  Without `support` every position moves; a support outside
+    1..n raises ValueError."""
+    if support is None:
+        slots = tuple(range(len(m.exps) - 1, -1, -1))
+        return slots, tuple(itertools.accumulate(reversed(m.exps)))
+    allowed = tuple(sorted(set(support)))
+    if allowed and not (1 <= allowed[0] and allowed[-1] <= m.n):
+        raise ValueError(f"support {allowed} outside 1..{m.n}")
+    slots = tuple(p - 1 for p in reversed(allowed))
+    return slots, tuple(itertools.accumulate(m.exps[i] for i in slots))
 
 
 def borel_closure(m, support=None):
@@ -28,14 +43,7 @@ def borel_closure(m, support=None):
     suffix cap allows, largest first, and the first movable position takes the
     remainder: an odometer that lists the closure in ascending grevlex.
     """
-    if support is None:
-        allowed = tuple(range(1, m.n + 1))
-    else:
-        allowed = tuple(sorted(set(support)))
-        if allowed and not (1 <= allowed[0] and allowed[-1] <= m.n):
-            raise ValueError(f"support {allowed} outside 1..{m.n}")
-    slots = [p - 1 for p in reversed(allowed)]
-    caps = list(itertools.accumulate(m.exps[i] for i in slots))
+    slots, caps = _suffix_caps(m, support)
     exps = list(m.exps)
     out = [m]
     while True:
@@ -62,7 +70,9 @@ def borel_member(m, M, k=1):
         raise ValueError("ambient mismatch in membership test")
     if m.deg != k * M.deg:
         return False
-    return all(a <= k * b for a, b in zip(m.sigma_vector(), M.sigma_vector()))
+    _, caps = _suffix_caps(M)
+    return all(a <= k * c for a, c in
+               zip(itertools.accumulate(reversed(m.exps)), caps))
 
 
 def min_borel_divisor(M, k, mu, support=None):
@@ -70,33 +80,23 @@ def min_borel_divisor(M, k, mu, support=None):
 
     "Least" is in the Borel order; the minimum exists whenever a divisor
     exists and is characterized by having the largest suffix sums among the
-    divisors.  Computed greedily from the last position downward: each
-    position takes as much of mu as the suffix-sum budget k*sigma(M) allows.
-    With `support`, the computation happens in the subring on those positions
-    (the divisor uses no other variables).
+    divisors.  Computed greedily from the last movable position to the first:
+    each takes as much of mu as the suffix-sum budget k * caps allows.  With
+    `support`, only those positions move and the divisor uses no others; its
+    degree is k times M's mass on them.
     """
     if M.n != mu.n:
         raise ValueError("ambient mismatch in minimal divisor")
     if k < 0:
         raise ValueError("negative power")
-    if support is not None:
-        positions = sorted(set(support))
-        comp = _min_divisor_greedy(restrict(M, positions), k, restrict(mu, positions))
-        return None if comp is None else expand(comp, positions, M.n)
-    return _min_divisor_greedy(M, k, mu)
-
-
-def _min_divisor_greedy(M, k, mu):
-    target = k * M.deg
-    sig = M.sigma_vector()
+    slots, caps = _suffix_caps(M, support)
     exps = [0] * M.n
     taken = 0  # suffix sum of the divisor built so far
-    remaining = target
-    for j in range(M.n, 0, -1):
-        e = min(mu.exps[j - 1], k * sig[j - 1] - taken, remaining)
-        exps[j - 1] = e
+    for i, c in zip(slots, caps):
+        # The caps only grow, so no slot takes past the last one's k * cap.
+        e = min(mu.exps[i], k * c - taken)
+        exps[i] = e
         taken += e
-        remaining -= e
-    if remaining:
+    if taken < (k * caps[-1] if caps else 0):
         return None
-    return Monomial._of(tuple(exps), target)
+    return Monomial._of(tuple(exps), taken)

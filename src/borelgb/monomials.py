@@ -37,7 +37,7 @@ _FACTOR_RE = re.compile(r"([A-Za-z]+)(\d+)(?:\^(\d+))?\Z")
 class Monomial:
     """An immutable monomial over a fixed number of variables."""
 
-    __slots__ = ("exps", "deg", "_sigma")
+    __slots__ = ("exps", "deg")
 
     def __init__(self, exps):
         exps = tuple(exps)
@@ -45,7 +45,6 @@ class Monomial:
             raise ValueError(f"negative exponent in {exps}")
         self.exps = exps
         self.deg = sum(exps)
-        self._sigma = None
 
     @classmethod
     def _of(cls, exps, deg):
@@ -53,7 +52,6 @@ class Monomial:
         out = cls.__new__(cls)
         out.exps = exps
         out.deg = deg
-        out._sigma = None
         return out
 
     @classmethod
@@ -74,17 +72,6 @@ class Monomial:
     @property
     def is_unit(self):
         return self.deg == 0
-
-    def sigma_vector(self):
-        """Suffix sums (sigma_1, ..., sigma_n) with sigma_i = e_i + ... + e_n."""
-        if self._sigma is None:
-            acc = 0
-            out = []
-            for e in reversed(self.exps):
-                acc += e
-                out.append(acc)
-            self._sigma = tuple(reversed(out))
-        return self._sigma
 
     def support(self):
         """1-based positions of the variables that divide this monomial."""
@@ -157,27 +144,6 @@ def lcm(m1, m2):
     _check_ambient(m1, m2)
     exps = tuple(map(max, m1.exps, m2.exps))
     return Monomial._of(exps, sum(exps))
-
-
-def restrict(m, positions):
-    """Compress m to the given 1-based positions, as a monomial in len(positions) variables.
-
-    Exponents off the listed positions are discarded; callers use this to work
-    inside the subring on a support set, then map back with `expand`.
-    """
-    positions = sorted(positions)
-    return Monomial(tuple(m.exps[p - 1] for p in positions))
-
-
-def expand(m, positions, n):
-    """Inverse of `restrict`: place compressed exponents back at `positions` in n variables."""
-    positions = sorted(positions)
-    if len(positions) != m.n:
-        raise ValueError("position list does not match compressed monomial")
-    exps = [0] * n
-    for p, e in zip(positions, m.exps):
-        exps[p - 1] = e
-    return Monomial(exps)
 
 
 def parse_power_product(text, letter, n, base=1, line=None, column_offset=0):

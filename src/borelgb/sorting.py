@@ -11,7 +11,7 @@ against truncated pivot monomials built by `split_monomial`.
 
 from __future__ import annotations
 
-from .borel import borel_member, min_borel_divisor
+from .borel import _suffix_caps, borel_member, min_borel_divisor
 from .monomials import Monomial
 
 
@@ -23,16 +23,15 @@ def split_monomial(M, s, E):
     below s - 1 keep M's exponents; position s - 1 absorbs sigma_{s-1}(M) - E.
     Requires s >= 2 and E <= sigma_s(M).
     """
-    if not 2 <= s <= M.n:
-        raise ValueError(f"split position {s} outside 2..{M.n}")
-    sig = M.sigma_vector()
-    if E > sig[s - 1]:
-        raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {sig[s - 1]}")
-    exps = [0] * M.n
-    for p in range(1, s - 1):
-        exps[p - 1] = M.exps[p - 1]
-    exps[s - 2] = sig[s - 2] - E
-    return Monomial._of(tuple(exps), M.deg - E)
+    n = M.n
+    if not 2 <= s <= n:
+        raise ValueError(f"split position {s} outside 2..{n}")
+    # caps[u] is sigma_{n-u}(M).
+    _, caps = _suffix_caps(M)
+    if E > caps[n - s]:
+        raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {caps[n - s]}")
+    exps = M.exps[:s - 2] + (caps[n - s + 1] - E,) + (0,) * (n - s + 1)
+    return Monomial._of(exps, M.deg - E)
 
 
 def borel_sort(M, mu, k):

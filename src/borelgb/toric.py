@@ -19,9 +19,8 @@ import itertools
 import operator
 import sys
 
-from .borel import borel_closure, min_borel_divisor
-from .monomials import AmbientMismatch, Monomial, lcm, restrict
-from .monomials import expand as expand_monomial
+from .borel import _suffix_caps, borel_closure, min_borel_divisor
+from .monomials import AmbientMismatch, Monomial, lcm
 from .sorting import borel_sort
 
 
@@ -46,11 +45,11 @@ class SpairLimitError(ResourceLimitError):
 class Limits:
     """Resource caps.  In one fiber of `enumerate_fiber` or `fiber_graph`,
     `max_vertices` caps the points found and `max_checks` the candidate
-    generators the distinct pick steps try, plus the lead tests; over the
-    whole sweep of `verify_groebner_by_fibers` they cap the lead-free
-    T-multisets its walk finds and the candidate T-variables it tries, one
-    per multiset.  `max_steps` caps the rewrite steps of a whole S-pair
-    run."""
+    generators the distinct pick steps try, plus the lead-table keys each
+    point looks up (each atom and each pair of atoms); over the whole sweep
+    of `verify_groebner_by_fibers` they cap the lead-free T-multisets its
+    walk finds and the candidate T-variables it tries, one per multiset.
+    `max_steps` caps the rewrite steps of a whole S-pair run."""
 
     __slots__ = ("max_vertices", "max_checks", "max_steps")
 
@@ -295,9 +294,10 @@ class _Block:
     exponent tuple to its number.  `masks[i][e]` is the bitset of those whose
     exponent at 0-based position i is at most e, for e below the largest such
     exponent.  `support` is the sorted tuple of 1-based positions the moves
-    use, and `caps` are the pivot's suffix sums over them, at the 0-based
-    `slots` listed last first.  Block 0, a single closure, is `exact`: its
-    fiber points factor the image with nothing left over.
+    use, and `slots` and `caps` are the pivot's `_suffix_caps` over it: the
+    0-based positions listed last first and the pivot's suffix sums over
+    them.  Block 0, a single closure, is `exact`: its fiber points factor the
+    image with nothing left over.
     """
 
     __slots__ = ("block_id", "pivot", "support", "exact", "gens_desc", "tvars",
@@ -316,8 +316,7 @@ class _Block:
             tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
                   for e in range(max(column)))
             for column in zip(*self.exps))
-        self.slots = tuple(p - 1 for p in reversed(support))
-        self.caps = tuple(itertools.accumulate(pivot.exps[i] for i in self.slots))
+        self.slots, self.caps = _suffix_caps(pivot, support)
 
     def fits(self, rem, q):
         """Whether rem more generators can still divide the exponent tuple q:
@@ -563,8 +562,9 @@ def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for ui, u in enumerate(vertices):
-        budget.count_check(len(quadrics))  # one check per (vertex, quadric)
-        for qi in sorted({qi for k in _divisor_keys(u) for qi in table.get(k, ())}):
+        keys = tuple(_divisor_keys(u))
+        budget.count_check(len(keys))  # one check per lead-table key looked up
+        for qi in sorted({qi for k in keys for qi in table.get(k, ())}):
             q = quadrics[qi]
             vi = index.get(u.rewrite(q))
             if vi is None:
@@ -837,13 +837,17 @@ def spair_certificate(quadrics, limits=None):
     them.  `limits.max_steps` caps the rewrite steps of the whole run.  Each
     term's rewrite is kept for the run, as pairs that share a fiber meet the
     same terms; a step makes at most one new term, so the step budget bounds
-    what is kept.  Independent of the fiber-graph route.
+    what is kept.  Independent of the fiber-graph route.  A binomial whose
+    lead is not above its tail is rejected, as rewriting by it need not end.
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
     leads = [g.lead for g in basis]
     # The table also rejects mixed ambients, as coprime pairs form no lcm.
     table = _lead_table(leads, leads[0].xpart.n if leads else None)
+    for q in basis:
+        if q.lead.key <= q.tail.key:
+            raise ValueError(f"quadric {q.text()} has its lead below its tail")
     # Leads are coprime exactly when they share no atom.
     atoms = [set(_atoms(lead)) for lead in leads]
     holders = {}
@@ -928,15 +932,13 @@ def t_min(family, mu, beta):
         k = beta[idx - 1]
         if k == 0:
             continue
-        positions = e.support
-        div = min_borel_divisor(e.gen, k, quotient, support=positions)
+        div = min_borel_divisor(e.gen, k, quotient, support=e.support)
         if div is None:
             return None
         quotient = quotient / div
-        comp_M = restrict(e.gen, positions)
-        comp_div = restrict(div, positions)
-        for f in borel_sort(comp_M, comp_div, k):
-            tvars.append(GeneratorVar(idx, expand_monomial(f, positions, family.n)))
+        # A reduced generator lives on its support, so the divisor's sorted
+        # factors over all positions are those over the support.
+        tvars.extend(GeneratorVar(idx, f) for f in borel_sort(e.gen, div, k))
     return TProduct(quotient, tvars)
 
 

@@ -17,9 +17,10 @@ from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import Monomial, _check_ambient, expand, lcm, restrict
-from borelgb.toric import (FiberGraph, Limits, TProduct, _Budget, _enumerate,
-                           _reader, _too_deep)
+from borelgb.monomials import Monomial, _check_ambient, lcm
+from borelgb.sorting import borel_sort
+from borelgb.toric import (FiberGraph, GeneratorVar, Limits, TProduct, _Budget,
+                           _enumerate, _reader, _too_deep)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -79,6 +80,53 @@ def first_non_squarefree_lead(binomials):
     return None
 
 
+def sigma(m):
+    """Suffix sums (sigma_1, ..., sigma_n) with sigma_i = e_i + ... + e_n."""
+    return tuple(itertools.accumulate(reversed(m.exps)))[::-1]
+
+
+def restrict(m, positions):
+    """Compress m to the given 1-based positions, as a monomial in
+    len(positions) variables; exponents off them are dropped."""
+    return Monomial(m.exps[p - 1] for p in sorted(positions))
+
+
+def expand(m, positions, n):
+    """Inverse of `restrict`: place compressed exponents back at `positions`
+    in n variables."""
+    positions = sorted(positions)
+    if len(positions) != m.n:
+        raise ValueError("position list does not match compressed monomial")
+    exps = [0] * n
+    for p, e in zip(positions, m.exps):
+        exps[p - 1] = e
+    return Monomial(exps)
+
+
+def min_borel_divisor_compressed(M, k, mu, support):
+    """Oracle for `min_borel_divisor` with a support: the greedy runs in the
+    subring on the support, and its divisor is mapped back."""
+    positions = sorted(set(support))
+    comp = min_borel_divisor(restrict(M, positions), k, restrict(mu, positions))
+    return None if comp is None else expand(comp, positions, M.n)
+
+
+def t_min_compressed(family, mu, beta):
+    """Oracle for `t_min`: each block's least divisor is found and sorted in
+    the subring on its support, and its factors are mapped back."""
+    quotient, tvars = mu, []
+    for idx, (e, k) in enumerate(zip(family.entries, beta), start=1):
+        if k == 0:
+            continue
+        div = min_borel_divisor_compressed(e.gen, k, quotient, e.support)
+        if div is None:
+            return None
+        quotient = quotient / div
+        for f in borel_sort(restrict(e.gen, e.support), restrict(div, e.support), k):
+            tvars.append(GeneratorVar(idx, expand(f, e.support, family.n)))
+    return TProduct(quotient, tvars)
+
+
 def borel_compare(m1, m2):
     """Compare in the Borel order: 'less' means m2 is reachable upward from m1.
 
@@ -91,7 +139,7 @@ def borel_compare(m1, m2):
         return "equal"
     if m1.deg != m2.deg:
         return "incomparable"
-    s1, s2 = m1.sigma_vector(), m2.sigma_vector()
+    s1, s2 = sigma(m1), sigma(m2)
     if all(b <= a for a, b in zip(s1, s2)):
         return "less"
     if all(a <= b for a, b in zip(s1, s2)):
@@ -121,10 +169,10 @@ def min_borel_divisor_bruteforce(M, k, mu, support=None):
             candidates.append(d)
     if not candidates:
         return None
-    best = max(candidates, key=lambda d: d.sigma_vector())
-    bs = best.sigma_vector()
+    best = max(candidates, key=sigma)
+    bs = sigma(best)
     for d in candidates:
-        if any(a < b for a, b in zip(bs, d.sigma_vector())):
+        if any(a < b for a, b in zip(bs, sigma(d))):
             raise AssertionError(f"no Borel-least divisor of {mu} in Borel({M}^{k})")
     return best
 
@@ -147,7 +195,7 @@ def reverse_step_toward(m, M, mu):
         raise ValueError(f"{m} does not divide {mu}")
     if m == Mp:
         raise ValueError(f"{m} is already the least divisor")
-    sm, sp, sM = m.sigma_vector(), Mp.sigma_vector(), M.sigma_vector()
+    sm, sp, sM = sigma(m), sigma(Mp), sigma(M)
     j = max(p for p in range(1, m.n + 1) if sm[p - 1] < sp[p - 1])
     for i in range(j - 1, 0, -1):
         if m.exps[i - 1] == 0:
@@ -186,11 +234,11 @@ def factorization_step(factors, M, mu):
         raise AssertionError("factorization exists yet no minimal divisor")
     if P == Pmin:
         raise ValueError("factorization already multiplies to the least divisor")
-    sP, sMin, sM = P.sigma_vector(), Pmin.sigma_vector(), M.sigma_vector()
+    sP, sMin, sM = sigma(P), sigma(Pmin), sigma(M)
     j = max(p for p in range(1, M.n + 1) if sP[p - 1] < sMin[p - 1])
     for ell in range(1, k + 1):
         f = factors[ell - 1]
-        sf = f.sigma_vector()
+        sf = sigma(f)
         if sf[j - 1] >= sM[j - 1]:
             continue
         for i in range(j - 1, 0, -1):
@@ -472,9 +520,17 @@ def times_by_sorting(a, b):
     return TProduct(a.xpart * b.xpart, a.tvars + b.tvars)
 
 
+def lead_table_keys(term):
+    """The check count `fiber_graph` charges a term: one per lead-table key
+    it looks up, its d atoms (each T-variable, and each x-position as often
+    as its exponent but at most twice) and each pair of them."""
+    d = term.tdegree + sum(min(e, 2) for e in term.xpart.exps)
+    return d + d * (d - 1) // 2
+
+
 def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=None):
     """Oracle for `fiber_graph`: every quadric's lead is tested against every
-    vertex in turn, one divisibility check each."""
+    vertex in turn, and each vertex is charged its `lead_table_keys`."""
     budget = _Budget(limits or Limits())
     beta = setup.beta_tuple(beta)
     if vertices is None:
@@ -482,8 +538,8 @@ def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=Non
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for ui, u in enumerate(vertices):
+        budget.count_check(lead_table_keys(u))
         for qi, q in enumerate(quadrics):
-            budget.count_check()
             if divides(q.lead, u):
                 vi = index.get(times_by_sorting(counter_quotient(u, q.lead),
                                                 q.tail))

@@ -26,11 +26,15 @@ def test_public_names_are_pinned():
 
 
 def test_test_only_api_stays_out_of_the_library():
-    """Comparators, moves and squarefree tests live in tests/helpers.py."""
+    """Comparators, moves, squarefree tests, suffix-sum vectors and the
+    compressed subring maps live in tests/helpers.py."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
+    assert not hasattr(monomials, "restrict")
+    assert not hasattr(monomials, "expand")
     assert not hasattr(borelgb.Monomial, "lex_key")
     assert not hasattr(borelgb.Monomial, "sigma")
+    assert not hasattr(borelgb.Monomial, "sigma_vector")
     assert not hasattr(borelgb.MultiQuadrics, "counts")
     assert not hasattr(borelgb.TProduct, "is_squarefree")
 

@@ -19,7 +19,7 @@ from borelgb.quadrics import quadrics_multi, quadrics_single
 from borelgb.toric import (FiberSetup, Limits, ResourceLimitError, _Budget,
                            _enumerate, enumerate_fiber)
 
-from helpers import EX_FAMILY, TRIANGLE
+from helpers import EX_FAMILY, TRIANGLE, lead_table_keys
 
 # A reduced family whose first ideal is the unit ideal: its block picks the
 # generator 1 any number of times.
@@ -446,8 +446,8 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     M, mu = parse_monomial("x2^2", 2), parse_monomial("x1^2*x2^2", 2)
     setup = FiberSetup.single(M)
     enumeration = next(c for c in range(100) if _enumerates_within(setup, mu, c))
-    lead_tests = len(enumerate_fiber(setup, mu, 2)) * len(quadrics_single(M))
-    assert (enumeration, lead_tests) == (5, 2)
+    lead_tests = sum(map(lead_table_keys, enumerate_fiber(setup, mu, 2)))
+    assert (enumeration, lead_tests) == (5, 6)
     cap = max(enumeration, lead_tests)
     assert cap < enumeration + lead_tests
     argv = ("fiber-graph", "--single", "x2^2", "-n", "2", "--mu", "x1^2*x2^2", "-k", "2")
@@ -490,20 +490,21 @@ def test_a_tripped_sweep_lists_no_images(capsys, ex_file, monkeypatch):
 
 
 def test_fiber_graph_check_budget_boundary(capsys, ex_file):
-    """`fiber-graph` charges the enumeration checks plus one check per vertex
-    and quadric: exactly that total passes, one less trips."""
+    """`fiber-graph` charges the enumeration checks plus one check per
+    lead-table key each vertex looks up: exactly that total passes, one less
+    trips."""
     M = parse_monomial("x2*x3*x5", 5)
     chain = parse_family(EX_FAMILY)
     for argv, setup, mu, beta, quads, pinned in (
             (("--single", "x2*x3*x5", "-n", "5", "--mu", "x1*x2^2*x3^2*x5",
               "-k", "2"), FiberSetup.single(M),
-             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 601),
+             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 25),
             ((ex_file, "x1^2*x2^3*x3^3*x4^2", "t2*t3*t4"),
              FiberSetup.for_family(chain), parse_monomial("x1^2*x2^3*x3^3*x4^2", 4),
-             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 1097)):
+             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 615)):
         budget = _Budget(Limits())
         vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
-        total = budget.checks + len(vertices) * len(quads)
+        total = budget.checks + sum(map(lead_table_keys, vertices))
         assert total == pinned
         rc, _, err = run(capsys, "fiber-graph", *argv, "--max-checks", str(total))
         assert (rc, err) == (0, "")

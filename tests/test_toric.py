@@ -27,10 +27,11 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      certify, counter_quotient, divides,
                      examine_image_by_scanning, fiber_graph_by_scanning,
-                     images_by_multiplying, is_squarefree,
+                     images_by_multiplying, is_squarefree, lead_table_keys,
                      random_interval_family, random_principal_borel_family,
-                     standard_points_by_recursion, term_text,
-                     times_by_sorting, tvar_text)
+                     min_borel_divisor_compressed,
+                     standard_points_by_recursion, t_min_compressed,
+                     term_text, times_by_sorting, tvar_text)
 
 
 def M(text, n=4):
@@ -583,8 +584,9 @@ def test_fiber_graph_matches_scanning_oracle():
                 continue
             totals = _Budget(Limits())
             _enumerate(setup, mu, setup.beta_tuple(beta), totals)
-            total = totals.checks + len(want.vertices) * len(quads)
+            total = totals.checks + sum(map(lead_table_keys, want.vertices))
             fiber_graph(setup, mu, beta, quads, Limits(max_checks=total))
+            fiber_graph_by_scanning(setup, mu, beta, quads, Limits(max_checks=total))
             short = Limits(max_checks=total - 1)
             with pytest.raises(ResourceLimitError) as trip:
                 fiber_graph(setup, mu, beta, quads, short)
@@ -615,6 +617,30 @@ def test_verify_rejects_bad_quadrics():
         verify_groebner_by_fibers(tri, quadrics_single(parse_monomial("x2*x3", 3)), 2)
     with pytest.raises(ValueError, match="bound of at least 1"):
         verify_groebner_by_fibers(setup, quadrics_single(parse_monomial("x2^2", 2)), 0)
+
+
+def test_spair_route_rejects_mis_oriented_quadrics():
+    """A quadric written tail first, or with equal sides, is refused by the
+    S-pair route with the fiber route's message; with one flipped quadric
+    among the others, that one is named."""
+    M3 = parse_monomial("x2*x3", 3)
+    quads = quadrics_single(M3)
+    flipped = [Binomial(q.tail, q.lead) for q in quads]
+    named = ("quadric T[x2^2]*T[x1*x3] - T[x1*x2]*T[x2*x3] has its lead "
+             "below its tail")
+    with pytest.raises(ValueError) as spairs:
+        spair_certificate(flipped)
+    with pytest.raises(ValueError) as fibers:
+        verify_groebner_by_fibers(FiberSetup.single(M3), flipped, 2)
+    assert str(spairs.value) == str(fibers.value) == named
+    last = quads[-1]
+    with pytest.raises(ValueError) as one:
+        spair_certificate(quads[:-1] + (Binomial(last.tail, last.lead),))
+    assert str(one.value) == (f"quadric {last.tail.term_text()} - "
+                              f"{last.lead.term_text()} has its lead below its tail")
+    with pytest.raises(ValueError, match="lead below its tail"):
+        spair_certificate([Binomial(last.lead, last.lead)])
+    assert spair_certificate(quads).passed
 
 
 def test_verify_pass_single():
@@ -905,6 +931,61 @@ def test_t_min_is_least_fiber_point():
         assert pts and least == pts[0]
         hits += 1
     assert hits >= 30
+
+
+def _skipping_family(rng, n, r):
+    """A family of r entries over n >= 3 variables whose supports skip a
+    variable, with generators that carry mass at the top of their support
+    and may carry mass off it."""
+    entries = []
+    for idx in range(1, r + 1):
+        while True:
+            support = rng.sample(range(1, n + 1), rng.randint(2, n - 1))
+            if max(support) - min(support) >= len(support):
+                break
+        exps = [rng.randint(0, 1) for _ in range(n)]
+        exps[max(support) - 1] += 1
+        entries.append(FamilyEntry(f"I{idx}", support, Monomial(exps)))
+    return IdealFamily(n, entries)
+
+
+def test_ambient_divisor_and_t_min_match_compressed_oracles():
+    """`min_borel_divisor` with a support and `t_min` answer in ambient
+    coordinates what the old route answered by compressing to the subring on
+    each support, sorting there and mapping back."""
+    rng = random.Random(2311)
+    found = Counter()
+    for _ in range(6000):
+        n = rng.randint(1, 5)
+        # Unsorted and repeated positions, and mass off the support.
+        support = [rng.randint(1, n) for _ in range(rng.randint(0, n + 1))]
+        gen = Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
+        mu = Monomial(tuple(rng.randint(0, 4) for _ in range(n)))
+        k = rng.randint(0, 3)
+        got = min_borel_divisor(gen, k, mu, support=support)
+        assert got == min_borel_divisor_compressed(gen, k, mu, support), (
+            gen, k, mu, support)
+        found["divisor" if got is not None else "no divisor"] += 1
+    families = [parse_family(text) for text in (EX_FAMILY, NESTED_FAMILY, TRIANGLE)]
+    for i in range(15):
+        draw = (_skipping_family, random_interval_family,
+                random_principal_borel_family)[i % 3]
+        families.append(reduce_family(draw(rng, rng.randint(3, 4),
+                                           rng.randint(1, 3)))[0])
+    for fam in families:
+        pairs = list(iterate_images(FiberSetup.for_family(fam), 3))
+        for _ in range(60):
+            beta = tuple(rng.randint(0, 2) for _ in range(fam.r))
+            pairs.append((Monomial(tuple(rng.randint(0, 4) for _ in range(fam.n))),
+                          beta))
+        for mu, beta in pairs:
+            got = t_min(fam, mu, beta)
+            assert got == t_min_compressed(fam, mu, beta), (fam.entries, mu, beta)
+            found["point" if got is not None else "no point"] += 1
+    gapped = sum(any(b - a > 1 for a, b in zip(e.support, e.support[1:]))
+                 for fam in families for e in fam.entries)
+    assert found["point"] > 5000 and min(found.values()) > 300, found
+    assert gapped >= 5, gapped
 
 
 def test_resource_limits_trip():
