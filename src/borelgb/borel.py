@@ -18,19 +18,19 @@ import itertools
 from .monomials import Monomial
 
 
-def _suffix_caps(m, support=None):
+def _suffix_caps(exps, support=None):
     """(slots, caps): the 0-based positions Borel moves inside `support` may
-    use, last first, and m's suffix sums over them, caps[u] being m's mass at
-    slots[0..u].  Without `support` every position moves; a support outside
-    1..n raises ValueError."""
+    use, last first, and the suffix sums of the exponent tuple `exps` over
+    them, caps[u] being its mass at slots[0..u].  Without `support` every
+    position moves; a support outside 1..n raises ValueError."""
+    n = len(exps)
     if support is None:
-        slots = tuple(range(len(m.exps) - 1, -1, -1))
-        return slots, tuple(itertools.accumulate(reversed(m.exps)))
+        return tuple(range(n - 1, -1, -1)), tuple(itertools.accumulate(reversed(exps)))
     allowed = tuple(sorted(set(support)))
-    if allowed and not (1 <= allowed[0] and allowed[-1] <= m.n):
-        raise ValueError(f"support {allowed} outside 1..{m.n}")
+    if allowed and not (1 <= allowed[0] and allowed[-1] <= n):
+        raise ValueError(f"support {allowed} outside 1..{n}")
     slots = tuple(p - 1 for p in reversed(allowed))
-    return slots, tuple(itertools.accumulate(m.exps[i] for i in slots))
+    return slots, tuple(itertools.accumulate(exps[i] for i in slots))
 
 
 def borel_closure(m, support=None):
@@ -43,7 +43,7 @@ def borel_closure(m, support=None):
     suffix cap allows, largest first, and the first movable position takes the
     remainder: an odometer that lists the closure in ascending grevlex.
     """
-    slots, caps = _suffix_caps(m, support)
+    slots, caps = _suffix_caps(m.exps, support)
     exps = list(m.exps)
     out = [m]
     while True:
@@ -70,7 +70,7 @@ def borel_member(m, M, k=1):
         raise ValueError("ambient mismatch in membership test")
     if m.deg != k * M.deg:
         return False
-    _, caps = _suffix_caps(M)
+    _, caps = _suffix_caps(M.exps)
     return all(a <= k * c for a, c in
                zip(itertools.accumulate(reversed(m.exps)), caps))
 
@@ -89,14 +89,25 @@ def min_borel_divisor(M, k, mu, support=None):
         raise ValueError("ambient mismatch in minimal divisor")
     if k < 0:
         raise ValueError("negative power")
-    slots, caps = _suffix_caps(M, support)
-    exps = [0] * M.n
+    slots, caps = _suffix_caps(M.exps, support)
+    exps = _least_divisor(slots, caps, k, mu.exps)
+    if exps is None:
+        return None
+    return Monomial._of(exps, sum(exps))
+
+
+def _least_divisor(slots, caps, k, mu):
+    """The exponents of `min_borel_divisor` for a pivot with `_suffix_caps`
+    (slots, caps) and the exponent tuple mu, or None: each slot, last
+    position first, takes as much of mu as the suffix-sum budget k * caps
+    allows."""
+    exps = [0] * len(mu)
     taken = 0  # suffix sum of the divisor built so far
     for i, c in zip(slots, caps):
         # The caps only grow, so no slot takes past the last one's k * cap.
-        e = min(mu.exps[i], k * c - taken)
+        e = min(mu[i], k * c - taken)
         exps[i] = e
         taken += e
     if taken < (k * caps[-1] if caps else 0):
         return None
-    return Monomial._of(tuple(exps), taken)
+    return tuple(exps)

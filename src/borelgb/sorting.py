@@ -6,12 +6,15 @@ factorizations' coordinatewise data; it is the lex-least point of the fiber of
 the k-fold multiplication map over mu.  The recursion splits mu at its largest
 variable x_s: writing the x_s-exponent A = q*k + r, exactly r factors receive
 x_s^(q+1) and k - r receive x_s^q, and the two groups are sorted recursively
-against truncated pivot monomials built by `split_monomial`.
+against the truncated pivots of `split_monomial`.  The recursion runs on
+exponent tuples; only the k factors returned become monomials.
 """
 
 from __future__ import annotations
 
-from .borel import _suffix_caps, borel_member, min_borel_divisor
+import operator
+
+from .borel import _least_divisor, _suffix_caps, borel_member
 from .monomials import Monomial
 
 
@@ -27,11 +30,17 @@ def split_monomial(M, s, E):
     if not 2 <= s <= n:
         raise ValueError(f"split position {s} outside 2..{n}")
     # caps[u] is sigma_{n-u}(M).
-    _, caps = _suffix_caps(M)
+    _, caps = _suffix_caps(M.exps)
     if E > caps[n - s]:
         raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {caps[n - s]}")
-    exps = M.exps[:s - 2] + (caps[n - s + 1] - E,) + (0,) * (n - s + 1)
-    return Monomial._of(exps, M.deg - E)
+    return Monomial._of(_split(M.exps, caps, s, E), M.deg - E)
+
+
+def _split(P, caps, s, E):
+    """The exponents of `split_monomial` for the pivot exponents P with
+    suffix sums `caps`."""
+    n = len(P)
+    return P[:s - 2] + (caps[n - s + 1] - E,) + (0,) * (n - s + 1)
 
 
 def borel_sort(M, mu, k):
@@ -47,32 +56,47 @@ def borel_sort(M, mu, k):
         raise ValueError("need at least one factor")
     if not borel_member(mu, M, k):
         raise ValueError(f"{mu} is not a product of {k} members of Borel({M})")
-    return _bs(M, mu, k)
+    rows = [[0] * M.n for _ in range(k)]
+    _bs(M.exps, M.deg, mu.exps, rows, 0, k)
+    return [Monomial._of(tuple(row), M.deg) for row in rows]
 
 
-def _bs(M, mu, k):
-    d = M.deg
-    s = mu.max_var()
-    if len(mu.support()) <= 1:
-        # mu is a pure power (or the unit): all factors coincide.
-        if d == 0:
-            return [Monomial.unit(M.n)] * k
-        factor = Monomial._of(
-            tuple(d if p == s else 0 for p in range(1, M.n + 1)), d)
-        return [factor] * k
-    A = mu.exps[s - 1]
+def _bs(P, d, mu, rows, lo, hi):
+    """Write the sorted factorization of the exponent tuple mu into hi - lo
+    members of Borel(P), P an exponent tuple of degree d, into rows[lo:hi].
+    Only the positions up to mu's largest variable are written; the rows
+    come in zero there."""
+    if not d:
+        return  # the unit pivot: every factor is 1
+    s = len(mu)  # mu's largest variable
+    while not mu[s - 1]:
+        s -= 1
+    if mu.count(0) == len(mu) - 1:
+        # mu is a pure power: all factors coincide.
+        for row in rows[lo:hi]:
+            row[s - 1] = d
+        return
+    k = hi - lo
+    A = mu[s - 1]
     q, r = divmod(A, k)
-    xs = Monomial.variable(s, M.n)
-    if r > 0:
-        M_up = split_monomial(M, s, q)
-        mu_up = min_borel_divisor(M_up, k - r, mu)
+    # The first k - r factors take x_s^q, the last r take x_s^(q + 1).
+    mid = hi - r
+    for row in rows[lo:mid]:
+        row[s - 1] = q
+    for row in rows[mid:hi]:
+        row[s - 1] = q + 1
+    _, caps = _suffix_caps(P)
+    up = _split(P, caps, s, q)
+    rest = mu[:s - 1] + (0,) * (len(mu) - s + 1)
+    if r:
+        slots, up_caps = _suffix_caps(up)
+        mu_up = _least_divisor(slots, up_caps, k - r, rest)
         if mu_up is None:
-            raise AssertionError(f"recursion invariant broken at {mu} (up split)")
-        M_down = split_monomial(M, s, q + 1)
-        mu_down = mu / (mu_up * xs.pow(A))
-        up = _bs(M_up, mu_up, k - r)
-        down = _bs(M_down, mu_down, r)
-        return [f * xs.pow(q) for f in up] + [f * xs.pow(q + 1) for f in down]
-    M_left = split_monomial(M, s, q)
-    mu_left = mu / xs.pow(A)
-    return [f * xs.pow(q) for f in _bs(M_left, mu_left, k)]
+            raise AssertionError(f"recursion invariant broken at "
+                                 f"{Monomial(mu)} (up split)")
+        _bs(up, d - q, mu_up, rows, lo, mid)
+        _bs(_split(P, caps, s, q + 1), d - q - 1,
+            tuple(map(operator.sub, rest, mu_up)), rows, mid, hi)
+    else:
+        _bs(up, d - q, rest, rows, lo, hi)
+

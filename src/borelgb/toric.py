@@ -20,7 +20,7 @@ import operator
 import sys
 
 from .borel import _suffix_caps, borel_closure, min_borel_divisor
-from .monomials import AmbientMismatch, Monomial, lcm
+from .monomials import AmbientMismatch, Monomial
 from .sorting import borel_sort
 
 
@@ -174,9 +174,6 @@ class TProduct:
     def image(self):
         return Monomial(self.image_exps())
 
-    # rewrite and lcm_with merge T-variable lists, which all run in
-    # descending order.
-
     def rewrite(self, binomial):
         """self / lead * tail for the binomial lead - tail, in one pass;
         raises ValueError when the lead does not divide."""
@@ -201,25 +198,6 @@ class TProduct:
         if lead.xpart.deg or tail.xpart.deg:
             xpart = Monomial(tuple(map(operator.add, map(operator.sub, x, lx), tx)))
         return TProduct._sorted(xpart, tuple(out + add))
-
-    def lcm_with(self, other):
-        a, b = self.tvars, other.tvars
-        i = j = 0
-        out = []
-        while i < len(a) and j < len(b):
-            ta, tb = a[i], b[j]
-            if ta >= tb:
-                out.append(ta)
-                i += 1
-                j += ta == tb
-            else:
-                out.append(tb)
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        x, y = self.xpart, other.xpart
-        xpart = x if not y.deg else y if not x.deg else lcm(x, y)
-        return TProduct._sorted(xpart, tuple(out))
 
     def label(self, base=1):
         """Display text: 'x1^2*x2 | t1:x4, t2:x3*x4' (the x part always shown)."""
@@ -316,7 +294,7 @@ class _Block:
             tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
                   for e in range(max(column)))
             for column in zip(*self.exps))
-        self.slots, self.caps = _suffix_caps(pivot, support)
+        self.slots, self.caps = _suffix_caps(pivot.exps, support)
 
     def fits(self, rem, q):
         """Whether rem more generators can still divide the exponent tuple q:
@@ -827,9 +805,11 @@ class SpairReport:
 def spair_certificate(quadrics, limits=None):
     """Reduce every S-binomial of the set by the set; report the first survivor.
 
-    The S-binomial of two pure differences is the pure difference of the two
-    lcm-completions; it reduces to zero iff rewriting larger sides by matching
-    leads reaches equality.  Pairs with coprime leads are skipped (their
+    The S-binomial of two pure differences a and b is the pure difference of
+    the two lcm-completions of their tails: a's tail times the lead atoms
+    that b's lead adds to a's, and b's tail times those a's lead adds to
+    b's.  It reduces to zero iff rewriting larger sides by matching leads
+    reaches equality.  Pairs with coprime leads are skipped (their
     S-binomials always reduce to zero): they are counted but never formed.
     Pairs run in basis order, (a, b) with a before b, and each rewrite uses
     the first basis element whose lead divides the term, so the first
@@ -838,22 +818,30 @@ def spair_certificate(quadrics, limits=None):
     term's rewrite is kept for the run, as pairs that share a fiber meet the
     same terms; a step makes at most one new term, so the step budget bounds
     what is kept.  Independent of the fiber-graph route.  A binomial whose
-    lead is not above its tail is rejected, as rewriting by it need not end.
+    lead is not above its tail is rejected, as rewriting by it need not end,
+    and so is one whose tail lies in another ambient ring than the leads.
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
     leads = [g.lead for g in basis]
-    # The table also rejects mixed ambients, as coprime pairs form no lcm.
-    table = _lead_table(leads, leads[0].xpart.n if leads else None)
+    n = leads[0].xpart.n if leads else None
+    # The table rejects leads in another ambient ring and the loop below
+    # such tails, all up front, as `_side` forms the sides unchecked.
+    table = _lead_table(leads, n)
     for q in basis:
+        if q.tail.xpart.n != n:
+            raise AmbientMismatch(f"quadric {q.text()} has its tail in "
+                                  f"{q.tail.xpart.n} variables, its lead in {n}")
         if q.lead.key <= q.tail.key:
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
-    # Leads are coprime exactly when they share no atom.
-    atoms = [set(_atoms(lead)) for lead in leads]
+    # A lead of degree 1 or 2 is exactly its atoms; leads are coprime
+    # exactly when they share no atom.
+    atoms = [_atoms(lead) for lead in leads]
     holders = {}
     for i, held in enumerate(atoms):
-        for atom in held:
+        for atom in set(held):
             holders.setdefault(atom, []).append(i)
+    parts = [(lead.tvars, held[lead.tdegree:]) for lead, held in zip(leads, atoms)]
     memo = {}
     checked = skipped = 0
     for ai, a in enumerate(basis):
@@ -862,15 +850,40 @@ def spair_certificate(quadrics, limits=None):
         for pos, bi in enumerate(partners):
             b = basis[bi]
             checked += 1
-            top = a.lead.lcm_with(b.lead)
-            nf = _reduce_difference(top.rewrite(a), top.rewrite(b), (a, b),
-                                    basis, table, budget, memo)
+            nf = _reduce_difference(_side(a.tail, parts[bi], parts[ai]),
+                                    _side(b.tail, parts[ai], parts[bi]),
+                                    (a, b), basis, table, budget, memo)
             if nf is not None:
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
                 return SpairReport(False, (a, b), nf, checked, skipped)
         skipped += len(basis) - 1 - ai - len(partners)
     return SpairReport(True, None, None, checked, skipped)
+
+
+def _side(tail, theirs, mine):
+    """`tail` times the lead atoms of `theirs` that those of `mine` do not
+    take out one for one: tail * lcm / mine for two leads, each given as its
+    T-variables and its 0-based x-positions (`_atoms`)."""
+    tvars = tail.tvars
+    extra = list(theirs[0])
+    for t in mine[0]:
+        if t in extra:
+            extra.remove(t)
+    if extra:
+        tvars = tuple(sorted(tvars + tuple(extra), reverse=True))
+    xpart = tail.xpart
+    if theirs[1]:
+        extra = list(theirs[1])
+        for i in mine[1]:
+            if i in extra:
+                extra.remove(i)
+        if extra:
+            exps = list(xpart.exps)
+            for i in extra:
+                exps[i] += 1
+            xpart = Monomial._of(tuple(exps), xpart.deg + len(extra))
+    return TProduct._sorted(xpart, tvars)
 
 
 # What the memo of `_reduce_difference` holds for a term no lead divides.

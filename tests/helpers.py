@@ -18,7 +18,7 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, lcm
-from borelgb.sorting import borel_sort
+from borelgb.sorting import borel_sort, split_monomial
 from borelgb.toric import (FiberGraph, GeneratorVar, Limits, TProduct, _Budget,
                            _enumerate, _reader, _too_deep)
 
@@ -247,6 +247,34 @@ def factorization_step(factors, M, mu):
             if all(sf[u - 1] + 1 <= sM[u - 1] for u in range(i + 1, j + 1)):
                 return (ell, i, j)
     raise AssertionError(f"no factorization step from {P} toward {Pmin}")
+
+
+def borel_sort_by_monomials(M, mu, k):
+    """Oracle for `borel_sort`: the pivot-splitting recursion on Monomials,
+    with `split_monomial` building every pivot, `min_borel_divisor` the
+    up-split's least divisor and each factor shifted by x_s powers."""
+    if len(mu.support()) <= 1:
+        # mu is a pure power (or the unit): all factors coincide.
+        if M.deg == 0:
+            return [Monomial.unit(M.n)] * k
+        return [Monomial.variable(mu.max_var(), M.n).pow(M.deg)] * k
+    s = mu.max_var()
+    A = mu.exps[s - 1]
+    q, r = divmod(A, k)
+    xs = Monomial.variable(s, M.n)
+    if r > 0:
+        M_up = split_monomial(M, s, q)
+        mu_up = min_borel_divisor(M_up, k - r, mu)
+        if mu_up is None:
+            raise AssertionError(f"recursion invariant broken at {mu} (up split)")
+        M_down = split_monomial(M, s, q + 1)
+        mu_down = mu / (mu_up * xs.pow(A))
+        up = borel_sort_by_monomials(M_up, mu_up, k - r)
+        down = borel_sort_by_monomials(M_down, mu_down, r)
+        return [f * xs.pow(q) for f in up] + [f * xs.pow(q + 1) for f in down]
+    M_left = split_monomial(M, s, q)
+    return [f * xs.pow(q)
+            for f in borel_sort_by_monomials(M_left, mu / xs.pow(A), k)]
 
 
 def is_lfree(matrix):

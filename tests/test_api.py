@@ -27,7 +27,8 @@ def test_public_names_are_pinned():
 
 def test_test_only_api_stays_out_of_the_library():
     """Comparators, moves, squarefree tests, suffix-sum vectors and the
-    compressed subring maps live in tests/helpers.py."""
+    compressed subring maps live in tests/helpers.py; the S-pair route forms
+    its sides without a T-product lcm."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
     assert not hasattr(monomials, "restrict")
@@ -37,6 +38,7 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.Monomial, "sigma_vector")
     assert not hasattr(borelgb.MultiQuadrics, "counts")
     assert not hasattr(borelgb.TProduct, "is_squarefree")
+    assert not hasattr(borelgb.TProduct, "lcm_with")
 
 
 def test_display_methods_take_only_the_base():

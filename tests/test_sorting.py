@@ -1,12 +1,15 @@
 """The sorted-factorization algorithm and its truncated-pivot helper."""
 
 import itertools
+import random
 
 import pytest
 
 from borelgb.borel import borel_closure, borel_member
 from borelgb.monomials import Monomial, parse_monomial
 from borelgb.sorting import borel_sort, split_monomial
+
+from helpers import borel_sort_by_monomials
 
 
 def M(text, n, base=0):
@@ -101,3 +104,25 @@ def test_borel_sort_invariants_small_sweep():
                         for a, b in zip(factors, factors[1:]):
                             assert a.grevlex_key() >= b.grevlex_key()
                     assert seen > 0
+
+
+def test_borel_sort_matches_monomial_recursion():
+    """The recursion on exponent tuples against the same recursion on
+    Monomials, on seeded products of k <= 4 members of every closure with
+    n <= 5 and deg <= 4."""
+    rng = random.Random(97)
+    compared = 0
+    for n in range(1, 6):
+        for deg in range(5):
+            for Mm in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
+                members = borel_closure(Mm)
+                for k in range(1, 5):
+                    for _ in range(8):
+                        mu = Monomial.unit(n)
+                        for f in rng.choices(members, k=k):
+                            mu = mu * f
+                        got = borel_sort(Mm, mu, k)
+                        assert got == borel_sort_by_monomials(Mm, mu, k), (Mm, mu, k)
+                        assert all(f.deg == Mm.deg for f in got)
+                        compared += 1
+    assert compared > 8000

@@ -19,7 +19,7 @@ from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, Limits,
                            ResourceLimitError, SpairLimitError, SpairReport,
                            TProduct, _Budget, _atoms, _divisor_keys,
-                           _enumerate, _lead_table, enumerate_fiber,
+                           _enumerate, _lead_table, _side, enumerate_fiber,
                            fiber_graph, iterate_images, sort_binomials,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
@@ -136,12 +136,6 @@ def test_tproduct_arithmetic():
     assert not divides(ab, a)
     with pytest.raises(ValueError):
         counter_quotient(a, b)
-    assert a.lcm_with(b) == ab
-    assert a.lcm_with(a) == a
-    # A unit x part takes the other side's x part as it is.
-    t = tp("1", 4, (2, "x4"))
-    assert t.lcm_with(a) == tp("x1", 4, (1, "x4"), (2, "x4"))
-    assert t.lcm_with(a).xpart is a.xpart and a.lcm_with(t).xpart is a.xpart
     sq = tp("x1^2", 4, (1, "x4"))
     assert not is_squarefree(sq)
     assert not is_squarefree(times_by_sorting(a, a))
@@ -641,6 +635,17 @@ def test_spair_route_rejects_mis_oriented_quadrics():
     with pytest.raises(ValueError, match="lead below its tail"):
         spair_certificate([Binomial(last.lead, last.lead)])
     assert spair_certificate(quads).passed
+
+
+def test_spair_route_rejects_a_tail_in_another_ambient():
+    """A tail in another ambient ring than the leads is refused up front:
+    also when its lead shares no atom with any other lead, so that no side
+    or rewrite step ever meets the tail."""
+    quads = quadrics_single(parse_monomial("x2^2", 2))
+    for lead in (tp("x1", 2), tp("1", 2, (0, "x1^2"))):
+        with pytest.raises(AmbientMismatch, match="has its tail in 3 variables"):
+            spair_certificate(quads + (Binomial(lead, tp("1", 3)),))
+    assert spair_certificate(quads + (Binomial(tp("x1", 2), tp("1", 2)),)).passed
 
 
 def test_verify_pass_single():
@@ -1215,7 +1220,7 @@ def _tvar_pools():
 
 
 def test_merge_arithmetic_matches_counter_oracles():
-    """divides, rewrite and lcm_with against the Counter and sorting
+    """divides and rewrite against the Counter and sorting
     versions, with repeated T-variables, non-divisors and T-parts that
     divide over x parts that do not.  rewrite by lead - 1 is the quotient,
     by 1 - tail the product; a lead or tail in another ambient ring raises
@@ -1259,8 +1264,6 @@ def test_merge_arithmetic_matches_counter_oracles():
             for lead, tail in ((foreign, c), (a, foreign)):
                 with pytest.raises(AmbientMismatch):
                     b.rewrite(Binomial(lead, tail))
-            assert a.lcm_with(b) == _counter_lcm(a, b)
-            assert b.lcm_with(a) == _counter_lcm(b, a)
             cases["divides" if divided else "not"] += 1
             cases["repeated"] += len(set(b.tvars)) < len(b.tvars)
             cases["x mismatch"] += (not divided and _counter_divides(
@@ -1276,6 +1279,19 @@ def _shape(lead):
     return (lead.tdegree, *xs, *(("square",) if square else ()))
 
 
+def _draw_lead(rng, n, few):
+    """A random term of degree 1 or 2 over the T-variables `few`: any of
+    the shapes `_shape` tells apart."""
+    tdeg = rng.randint(0, 2)
+    exps = [0] * n
+    for _ in range(rng.randint(1 - min(tdeg, 1), 2 - tdeg)):
+        exps[rng.randrange(n)] += 1
+    return TProduct(Monomial(tuple(exps)), [rng.choice(few) for _ in range(tdeg)])
+
+
+LEAD_SHAPES = {(2,), (2, "square"), (1, 1), (0, 2), (0, 1, 1), (1,), (0, 1)}
+
+
 def test_lead_table_matches_divides_oracle():
     """A lead divides a term exactly when the table lists it under one of
     the term's divisor keys, for leads of every shape of degree 1 or 2: T
@@ -1287,14 +1303,7 @@ def test_lead_table_matches_divides_oracle():
     for n, pool in _tvar_pools():
         for _ in range(30):
             few = rng.sample(pool, min(4, len(pool)))
-            leads = []
-            for _ in range(12):
-                tdeg = rng.randint(0, 2)
-                exps = [0] * n
-                for _ in range(rng.randint(1 - min(tdeg, 1), 2 - tdeg)):
-                    exps[rng.randrange(n)] += 1
-                leads.append(TProduct(Monomial(tuple(exps)),
-                                      [rng.choice(few) for _ in range(tdeg)]))
+            leads = [_draw_lead(rng, n, few) for _ in range(12)]
             table = _lead_table(leads, n)
             assert sorted(i for held in table.values() for i in held) == list(
                 range(len(leads)))
@@ -1310,9 +1319,8 @@ def test_lead_table_matches_divides_oracle():
                     assert (tuple(_atoms(lead)) in keys) == (i in found)
                     shapes[_shape(lead)] += 1
                     hits[_shape(lead)] += i in found
-    want = {(2,), (2, "square"), (1, 1), (0, 2), (0, 1, 1), (1,), (0, 1)}
-    assert set(shapes) == want, shapes
-    assert all(hits[s] > 100 and shapes[s] - hits[s] > 100 for s in want), hits
+    assert set(shapes) == LEAD_SHAPES, shapes
+    assert all(hits[s] > 100 and shapes[s] - hits[s] > 100 for s in LEAD_SHAPES), hits
 
 
 def test_lead_table_rejects_other_degrees_and_ambients():
@@ -1429,10 +1437,41 @@ def _spair_inputs():
         fam, _ = reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))
         yield f"family draw {i}", quadrics_multi(fam).all()
     yield "triangle", quadrics_multi(parse_family(TRIANGLE)).all()
-    # The route validates nothing, so a lead without T-variables (here the
+    # The route checks only the leads' degrees, the ambient ring and that
+    # each lead is above its tail, so a lead without T-variables (here the
     # x-rule x1 -> x2) is rewritten with too.
     yield "chain with an x-rule", quadrics_multi(parse_family(EX_FAMILY)).all() + (
         Binomial(tp("x1", 4), tp("x2", 4)),)
+
+
+def test_spair_sides_match_lcm_oracle():
+    """The closed-form sides of every pair with non-coprime leads are the
+    lcm-completions of the tails, lcm / lead * tail with the T-variables
+    counted: on every input of the oracle corpus (T-pair and x*T leads, and
+    a degree-1 x lead) and on random sets with leads of every shape of
+    degree 1 or 2 and tails of degree 0 to 2."""
+    rng = random.Random(89)
+    drawn = []
+    for n, pool in _tvar_pools():
+        for _ in range(30):
+            few = rng.sample(pool, min(4, len(pool)))
+            drawn.append(("drawn", [
+                Binomial(_draw_lead(rng, n, few), _draw_lead(rng, n, pool)
+                         if rng.randrange(4) else TProduct(Monomial.unit(n), ()))
+                for _ in range(8)]))
+    shapes = Counter()
+    for label, quads in itertools.chain(_spair_inputs(), drawn):
+        basis = sort_binomials(quads)
+        parts = [(g.lead.tvars, _atoms(g.lead)[g.lead.tdegree:]) for g in basis]
+        for (a, pa), (b, pb) in itertools.combinations(zip(basis, parts), 2):
+            top = _counter_lcm(a.lead, b.lead)
+            if top == times_by_sorting(a.lead, b.lead):
+                continue
+            for g, mine, theirs in ((a, pa, pb), (b, pb, pa)):
+                want = times_by_sorting(counter_quotient(top, g.lead), g.tail)
+                assert _side(g.tail, theirs, mine) == want, label
+                shapes[_shape(g.lead)] += 1
+    assert set(shapes) == LEAD_SHAPES and min(shapes.values()) > 50, shapes
 
 
 def test_spair_route_matches_scanning_oracle():
