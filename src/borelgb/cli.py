@@ -71,12 +71,7 @@ def cmd_closure(args):
 def cmd_sort(args):
     M = parse_monomial(args.generator, args.n, args.base)
     mu = parse_monomial(args.product, args.n, args.base)
-    try:
-        factors = borel_sort(M, mu, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for f in factors:
+    for f in borel_sort(M, mu, args.k):
         print(f.text(args.base))
     return 0
 

@@ -77,13 +77,6 @@ class Monomial:
         """1-based positions of the variables that divide this monomial."""
         return tuple(p for p, e in enumerate(self.exps, start=1) if e)
 
-    def max_var(self):
-        """Largest 1-based position dividing the monomial, or 0 for the unit."""
-        for p in range(self.n, 0, -1):
-            if self.exps[p - 1]:
-                return p
-        return 0
-
     def divides(self, other):
         _check_ambient(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))

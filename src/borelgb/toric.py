@@ -168,8 +168,10 @@ class TProduct:
 
     def image_exps(self):
         """The exponent tuple of the image, summed without building monomials."""
-        return tuple(map(sum, zip(self.xpart.exps,
-                                  *(t.gen.exps for t in self.tvars))))
+        exps = self.xpart.exps
+        for t in self.tvars:
+            exps = tuple(map(operator.add, exps, t.gen.exps))
+        return exps
 
     def image(self):
         return Monomial(self.image_exps())
@@ -234,16 +236,10 @@ class Binomial:
 
     @classmethod
     def make(cls, u, v):
-        """Orient u - v by the term order; rejects zero or inhomogeneous input.
-
-        Both sides keep their T-variables in descending order, whose keys
-        start with the negated block, so their block lists compare as multisets."""
+        """Orient u - v by the term order; rejects zero or inhomogeneous input."""
         if u == v:
             raise ValueError("zero binomial")
-        if (u.image_exps() != v.image_exps()
-                or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
-            raise ValueError(
-                f"sides have different images: {u.label()} vs {v.label()}")
+        _check_image(u, v)
         return cls(u, v) if u.key > v.key else cls(v, u)
 
     def text(self, base=1):
@@ -258,6 +254,16 @@ class Binomial:
 
     def __repr__(self):
         return f"Binomial({self.text()!r})"
+
+
+def _check_image(u, v):
+    """Raise unless u and v have one image and one block list, so that u - v
+    is in the toric ideal.  Both sides keep their T-variables in descending
+    order, whose keys start with the negated block, so their block lists
+    compare as multisets."""
+    if (u.image_exps() != v.image_exps()
+            or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
+        raise ValueError(f"sides have different images: {u.label()} vs {v.label()}")
 
 
 def sort_binomials(binomials):
@@ -530,11 +536,35 @@ def _lead_table(leads, n):
     return table
 
 
+def _check_quadrics(quadrics, n, tvars=None):
+    """The `_lead_table` of a set of toric quadrics, after rejecting any
+    quadric that could rewrite a term out of its fiber or up the order.
+    Past the lead table's checks, each quadric in turn needs its tail in n
+    variables, its T-variables among `tvars` when they are given, its lead
+    above its tail and one image and block list on both sides."""
+    table = _lead_table([q.lead for q in quadrics], n)
+    known = None if tvars is None else set(tvars)
+    for q in quadrics:
+        lead, tail = q.lead, q.tail
+        if tail.xpart.n != n:
+            raise AmbientMismatch(f"quadric {q.text()} has its tail in "
+                                  f"{tail.xpart.n} variables, its lead in {n}")
+        if known is not None and not known.issuperset(lead.tvars + tail.tvars):
+            raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
+                             "a generator of its block")
+        if lead.key <= tail.key:
+            raise ValueError(f"quadric {q.text()} has its lead below its tail")
+        _check_image(lead, tail)
+    return table
+
+
 def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
-    """Build the fiber and connect u -> u / lead * tail for every applicable quadric."""
+    """Build the fiber and connect u -> u / lead * tail for every applicable
+    quadric.  Only toric quadrics of the setup pass `_check_quadrics`, so
+    every edge stays in the fiber and goes down the order."""
     budget = _Budget(limits or Limits())
     beta = setup.beta_tuple(beta)
-    table = _lead_table((q.lead for q in quadrics), setup.n)
+    table = _check_quadrics(quadrics, setup.n, setup.tvars)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
     index = {v: i for i, v in enumerate(vertices)}
@@ -627,32 +657,20 @@ def _beta_text(beta):
     return "*".join(parts) if parts else "1"
 
 
-def _check_quadrics(setup, quadrics):
-    """Reject quadrics that could rewrite a fiber point out of its fiber or up
-    the order: only T-variables of the setup's blocks, one image and block
-    count for both sides (checked by `Binomial.make`), lead above tail."""
-    tvars = set(setup.tvars)
-    for q in quadrics:
-        if not tvars.issuperset(q.lead.tvars + q.tail.tvars):
-            raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
-                             "a generator of its block")
-        if Binomial.make(q.lead, q.tail) != q:
-            raise ValueError(f"quadric {q.text()} has its lead below its tail")
-
-
-def _forbidden(setup, quadrics):
+def _forbidden(setup, table):
     """Two bitsets for each T-variable of the setup, numbered as in
-    `setup.tvars`: the T-variables it forms a lead with (itself too when its
-    square is a lead), and the 0-based x-positions it forms a lead with.
-    `_check_quadrics` leaves only T*T and x*T leads, so a point is standard
-    exactly when no two of its T-variables are partners and its x part
-    avoids every position its T-variables forbid.  The T-variables of an
-    exact block forbid every position, as its points have no x part."""
+    `setup.tvars`, from the lead table of `_check_quadrics`: the T-variables
+    it forms a lead with (itself too when its square is a lead), and the
+    0-based x-positions it forms a lead with.  Toric quadrics have only T*T
+    and x*T leads, so a point is standard exactly when no two of its
+    T-variables are partners and its x part avoids every position its
+    T-variables forbid.  The T-variables of an exact block forbid every
+    position, as its points have no x part."""
     bit = {t: i for i, t in enumerate(setup.tvars)}
     partners = [0] * len(bit)
     positions = [(1 << setup.n) - 1 if block.exact else 0
                  for block in setup.blocks for _ in block.tvars]
-    for t, other in _lead_table((q.lead for q in quadrics), setup.n):
+    for t, other in table:
         i = bit[t]
         if other.__class__ is int:
             positions[i] |= 1 << other
@@ -749,9 +767,9 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
-    _check_quadrics(setup, quadrics)
+    table = _check_quadrics(quadrics, setup.n, setup.tvars)
     budget = _Budget(limits or Limits(), "fiber sweep")
-    partners, positions = _forbidden(setup, quadrics)
+    partners, positions = _forbidden(setup, table)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
     single = setup.blocks[0].exact
     images = iterate_images(setup, bound)
@@ -817,23 +835,15 @@ def spair_certificate(quadrics, limits=None):
     them.  `limits.max_steps` caps the rewrite steps of the whole run.  Each
     term's rewrite is kept for the run, as pairs that share a fiber meet the
     same terms; a step makes at most one new term, so the step budget bounds
-    what is kept.  Independent of the fiber-graph route.  A binomial whose
-    lead is not above its tail is rejected, as rewriting by it need not end,
-    and so is one whose tail lies in another ambient ring than the leads.
+    what is kept.  Independent of the fiber-graph route.  Only a set of
+    toric quadrics passes `_check_quadrics`, in basis order and in the
+    ambient ring of the first lead, up front, as `_side` forms the sides
+    unchecked; the set has no setup, so its T-variables are not checked.
     """
     budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
+    table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
     leads = [g.lead for g in basis]
-    n = leads[0].xpart.n if leads else None
-    # The table rejects leads in another ambient ring and the loop below
-    # such tails, all up front, as `_side` forms the sides unchecked.
-    table = _lead_table(leads, n)
-    for q in basis:
-        if q.tail.xpart.n != n:
-            raise AmbientMismatch(f"quadric {q.text()} has its tail in "
-                                  f"{q.tail.xpart.n} variables, its lead in {n}")
-        if q.lead.key <= q.tail.key:
-            raise ValueError(f"quadric {q.text()} has its lead below its tail")
     # A lead of degree 1 or 2 is exactly its atoms; leads are coprime
     # exactly when they share no atom.
     atoms = [_atoms(lead) for lead in leads]

@@ -257,8 +257,8 @@ def borel_sort_by_monomials(M, mu, k):
         # mu is a pure power (or the unit): all factors coincide.
         if M.deg == 0:
             return [Monomial.unit(M.n)] * k
-        return [Monomial.variable(mu.max_var(), M.n).pow(M.deg)] * k
-    s = mu.max_var()
+        return [Monomial.variable(mu.support()[-1], M.n).pow(M.deg)] * k
+    s = mu.support()[-1]
     A = mu.exps[s - 1]
     q, r = divmod(A, k)
     xs = Monomial.variable(s, M.n)

@@ -28,7 +28,8 @@ def test_public_names_are_pinned():
 def test_test_only_api_stays_out_of_the_library():
     """Comparators, moves, squarefree tests, suffix-sum vectors and the
     compressed subring maps live in tests/helpers.py; the S-pair route forms
-    its sides without a T-product lcm."""
+    its sides without a T-product lcm, and `borel_sort` reads the largest
+    variable off its exponent tuple."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
     assert not hasattr(monomials, "restrict")
@@ -39,6 +40,7 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.MultiQuadrics, "counts")
     assert not hasattr(borelgb.TProduct, "is_squarefree")
     assert not hasattr(borelgb.TProduct, "lcm_with")
+    assert not hasattr(borelgb.Monomial, "max_var")
 
 
 def test_display_methods_take_only_the_base():

@@ -56,8 +56,6 @@ def test_degree_sigma_support():
     assert m.deg == 4
     assert sigma(m) == (4, 2, 2, 1)
     assert m.support() == (1, 3, 4)
-    assert m.max_var() == 4
-    assert M("1").max_var() == 0
     assert M("1").is_unit
 
 

@@ -371,13 +371,15 @@ def test_fiber_graph_and_certify():
 
 
 def test_fiber_graph_rejects_bad_quadrics():
+    """Quadrics that would rewrite up the order or out of the fiber are
+    refused before the fiber is built, as by the fiber sweep."""
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     mu = parse_monomial("x1^2*x2^2", 2)
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
-    with pytest.raises(AssertionError):  # rewrite increases the order
+    with pytest.raises(ValueError, match="lead below its tail"):
         fiber_graph(setup, mu, 2, [Binomial(small, big)])
-    with pytest.raises(AssertionError):  # rewrite leaves the fiber
+    with pytest.raises(ValueError, match="different images"):
         fiber_graph(setup, mu, 2,
                     [Binomial(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))])
 
@@ -640,12 +642,117 @@ def test_spair_route_rejects_mis_oriented_quadrics():
 def test_spair_route_rejects_a_tail_in_another_ambient():
     """A tail in another ambient ring than the leads is refused up front:
     also when its lead shares no atom with any other lead, so that no side
-    or rewrite step ever meets the tail."""
+    or rewrite step ever meets the tail.  So is a tail of another image in
+    the leads' ring."""
     quads = quadrics_single(parse_monomial("x2^2", 2))
     for lead in (tp("x1", 2), tp("1", 2, (0, "x1^2"))):
         with pytest.raises(AmbientMismatch, match="has its tail in 3 variables"):
             spair_certificate(quads + (Binomial(lead, tp("1", 3)),))
-    assert spair_certificate(quads + (Binomial(tp("x1", 2), tp("1", 2)),)).passed
+    with pytest.raises(ValueError, match="sides have different images: x1 vs 1"):
+        spair_certificate(quads + (Binomial(tp("x1", 2), tp("1", 2)),))
+
+
+def _gate_inputs():
+    """(label, setup, quadrics, image, T-degree): every single closure with
+    n <= 4 and degree <= 3 that has quadrics, in both forms, then the chain
+    and triangle families, each with one fiber for `fiber_graph`."""
+    for n in (1, 2, 3, 4):
+        for deg in (1, 2, 3):
+            for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
+                setup = FiberSetup.single(M)
+                for form, quads in (("exchange", quadrics_single(M)),
+                                    ("sorted", quadrics_bs_form(M))):
+                    if quads:
+                        yield f"{M} {form}", setup, quads, M.pow(2), 2
+    for name, text in (("chain", EX_FAMILY), ("triangle", TRIANGLE)):
+        family = parse_family(text)
+        beta = (1,) + (0,) * (family.r - 1)
+        yield (name, FiberSetup.for_family(family), quadrics_multi(family).all(),
+               family.entries[0].gen, beta)
+
+
+def _other_image_tails(setup, q):
+    """Every term below q's lead, of q's tail's block list and x-degree, over
+    the setup's T-variables, whose image is not q's."""
+    tail, n = q.tail, setup.n
+    block_tvars = {b.block_id: b.tvars for b in setup.blocks}
+    image = q.lead.image_exps()
+    xparts = [Monomial(tuple(map(pos.count, range(n))))
+              for pos in itertools.combinations_with_replacement(
+                  range(n), tail.xpart.deg)]
+    return [t for ts in itertools.product(*(block_tvars[v.block] for v in tail.tvars))
+            for x in xparts for t in [TProduct(x, ts)]
+            if t.key < q.lead.key and t.image_exps() != image]
+
+
+def _lifted(term):
+    """The term in one more variable, which divides none of it."""
+    return TProduct(Monomial(term.xpart.exps + (0,)),
+                    [GeneratorVar(t.block, Monomial(t.gen.exps + (0,)))
+                     for t in term.tvars])
+
+
+def _rejection(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+def test_every_consumer_rejects_the_same_broken_quadrics():
+    """The fiber sweep, the fiber graph and the S-pair run refuse a set with
+    one broken quadric with the same exception class and message: flipped,
+    with a tail of another image but the same block list, with equal sides,
+    with a tail in one more variable, or with a T-variable of another setup.
+    The S-pair run has no setup to hold T-variables against, so it refuses
+    the last by the image that the foreign T-variable changes.  The first
+    input is a lone quadric with sides of different images."""
+    rng = random.Random(97)
+    x2sq = FiberSetup.single(parse_monomial("x2^2", 2))
+    lone = Binomial(tp("1", 2, (0, "x1^2"), (0, "x1^2")),
+                    tp("1", 2, (0, "x1*x2"), (0, "x2^2")))
+    cases = [("lone", x2sq, (lone,), parse_monomial("x1^2*x2^2", 2), 2, lone,
+              (ValueError, "sides have different images: 1 | x1^2, x1^2 vs "
+                           "1 | x1*x2, x2^2"), None)]
+    for label, setup, quads, mu, beta in _gate_inputs():
+        n = setup.n
+        for kind in ("flip", "image", "equal", "ambient", "foreign"):
+            i = rng.randrange(len(quads))
+            q = quads[i]
+            lead, tail, spairs = q.lead, q.tail, None
+            if kind == "flip":
+                lead, tail = tail, lead
+            elif kind == "image":
+                tail = rng.choice(_other_image_tails(setup, q))
+            elif kind == "equal":
+                tail = lead
+            elif kind == "ambient":
+                tail = _lifted(tail)
+            else:
+                t = lead.tvars[0]
+                lead = TProduct(lead.xpart, (GeneratorVar(
+                    t.block, Monomial.variable(n, n).pow(t.gen.deg + 1)),
+                    *lead.tvars[1:]))
+            bad = Binomial(lead, tail)
+            if kind in ("flip", "equal"):
+                want = (ValueError, f"quadric {bad.text()} has its lead below its tail")
+            elif kind == "ambient":
+                want = (AmbientMismatch, f"quadric {bad.text()} has its tail in "
+                                         f"{n + 1} variables, its lead in {n}")
+            else:
+                want = (ValueError, f"sides have different images: "
+                                    f"{lead.label()} vs {tail.label()}")
+            if kind == "foreign":
+                spairs, want = want, (ValueError, f"quadric {bad.text()} uses a "
+                                      "T-variable that is not a generator of its block")
+            cases.append((f"{label} {kind} q{i}", setup,
+                          quads[:i] + (bad,) + quads[i + 1:], mu, beta, bad, want,
+                          spairs))
+    for label, setup, qs, mu, beta, bad, want, spairs in cases:
+        assert qs.count(bad) == 1, label
+        assert _rejection(lambda: verify_groebner_by_fibers(setup, qs, 2)) == want, label
+        assert _rejection(lambda: fiber_graph(setup, mu, beta, qs)) == want, label
+        assert _rejection(lambda: spair_certificate(qs)) == (spairs or want), label
+    assert len(cases) == 361
 
 
 def test_verify_pass_single():
@@ -668,6 +775,11 @@ def test_verify_jobs_match_on_a_failing_family():
     assert seq.failures == tuple(image for image in scanned if len(image[2]) > 1)
 
 
+def _forbidden(setup, quads):
+    """The walk's partner and position bitsets for the quadrics."""
+    return toric._forbidden(setup, toric._check_quadrics(quads, setup.n, setup.tvars))
+
+
 def test_walk_matches_the_per_image_search_on_families():
     """On the chain, nested and triangle families at bound 3 the walk's
     failures, in order, are the ones the per-image pick search and the
@@ -679,7 +791,7 @@ def test_walk_matches_the_per_image_search_on_families():
         setup = FiberSetup.for_family(family)
         quads = tuple(quadrics_multi(family).all())
         for qs in (quads, quads[1:]):
-            partners, positions = toric._forbidden(setup, qs)
+            partners, positions = _forbidden(setup, qs)
             searched, scanned = [], []
             for mu, beta in iterate_images(setup, 3):
                 points = _family_points(setup, partners, positions, Limits(),
@@ -737,7 +849,7 @@ def test_stack_walk_matches_the_recursive_walk():
     names the trip."""
     setups = crossed = 0
     for setup, quads in _walk_inputs():
-        partners, positions = toric._forbidden(setup, quads)
+        partners, positions = _forbidden(setup, quads)
         want_budget, got_budget = _Budget(Limits()), _Budget(Limits())
         want = standard_points_by_recursion(setup, partners, positions, 3,
                                             want_budget)
@@ -762,7 +874,7 @@ def test_stack_walk_matches_the_recursive_walk():
     # The triangle multiset charged from 18 to 23 passes both caps.
     triangle = parse_family(TRIANGLE)
     tri = FiberSetup.for_family(triangle)
-    forbidden = toric._forbidden(tri, quadrics_multi(triangle).all())
+    forbidden = _forbidden(tri, quadrics_multi(triangle).all())
     limits = Limits(max_vertices=20, max_checks=21)
     assert (_walk_outcome(toric._standard_points, tri, *forbidden, limits)
             == _walk_outcome(standard_points_by_recursion, tri, *forbidden, limits)
@@ -1425,7 +1537,7 @@ def _report_fields(rep):
 
 def _spair_inputs():
     """Quadric sets: every single closure with n <= 4, deg <= 3 in both
-    forms, seeded random families and the triangle family."""
+    forms, seeded random families, and the triangle and chain families."""
     for n in (1, 2, 3, 4):
         for deg in (1, 2, 3):
             for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
@@ -1437,19 +1549,15 @@ def _spair_inputs():
         fam, _ = reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))
         yield f"family draw {i}", quadrics_multi(fam).all()
     yield "triangle", quadrics_multi(parse_family(TRIANGLE)).all()
-    # The route checks only the leads' degrees, the ambient ring and that
-    # each lead is above its tail, so a lead without T-variables (here the
-    # x-rule x1 -> x2) is rewritten with too.
-    yield "chain with an x-rule", quadrics_multi(parse_family(EX_FAMILY)).all() + (
-        Binomial(tp("x1", 4), tp("x2", 4)),)
+    yield "chain", quadrics_multi(parse_family(EX_FAMILY)).all()
 
 
 def test_spair_sides_match_lcm_oracle():
     """The closed-form sides of every pair with non-coprime leads are the
     lcm-completions of the tails, lcm / lead * tail with the T-variables
-    counted: on every input of the oracle corpus (T-pair and x*T leads, and
-    a degree-1 x lead) and on random sets with leads of every shape of
-    degree 1 or 2 and tails of degree 0 to 2."""
+    counted: on every input of the oracle corpus (T-pair and x*T leads) and
+    on random sets with leads of every shape of degree 1 or 2 and tails of
+    degree 0 to 2."""
     rng = random.Random(89)
     drawn = []
     for n, pool in _tvar_pools():
