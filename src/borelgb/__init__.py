@@ -10,7 +10,7 @@ from .monomials import AmbientMismatch, Monomial, ParseError, lcm, parse_monomia
 from .quadrics import (MultiQuadrics, quadrics_bs_form, quadrics_multi,
                        quadrics_single)
 from .sorting import borel_sort, split_monomial
-from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar, Limits,
+from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar,
                     ResourceLimitError, TProduct, enumerate_fiber, fiber_graph,
                     iterate_images, spair_certificate, t_min, to_dot,
                     verify_groebner_by_fibers)

@@ -19,9 +19,9 @@ from .families import (incidence_matrix, find_lfree_column_order,
 from .monomials import ParseError, parse_monomial, parse_power_product
 from .quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from .sorting import borel_sort
-from .toric import (FiberSetup, Limits, ResourceLimitError, SpairLimitError,
-                    fiber_graph, spair_certificate, t_min, to_dot,
-                    verify_groebner_by_fibers)
+from .toric import (MAX_CHECKS, MAX_STEPS, MAX_VERTICES, FiberSetup,
+                    ResourceLimitError, SpairLimitError, fiber_graph,
+                    spair_certificate, t_min, to_dot, verify_groebner_by_fibers)
 
 
 def _read_family(path):
@@ -99,8 +99,8 @@ def cmd_fiber_graph(args):
     base = setup.base
     mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, base)
     beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
-    graph = fiber_graph(setup, mu, beta, quads,
-                        limits=Limits(args.max_vertices, args.max_checks))
+    graph = fiber_graph(setup, mu, beta, quads, max_vertices=args.max_vertices,
+                        max_checks=args.max_checks)
     if args.dot:
         sys.stdout.write(to_dot(graph, base))
         return 0
@@ -116,13 +116,13 @@ def cmd_fiber_graph(args):
 
 def cmd_verify(args):
     setup, quads = _setup_and_quadrics(args)
-    limits = Limits(args.max_vertices, args.max_checks, args.max_steps)
     if args.method == "fibers":
         report = verify_groebner_by_fibers(setup, quads, args.bound,
-                                           limits=limits)
+                                           max_vertices=args.max_vertices,
+                                           max_checks=args.max_checks)
     else:
         try:
-            report = spair_certificate(quads, limits=limits)
+            report = spair_certificate(quads, max_steps=args.max_steps)
         except SpairLimitError as exc:  # name the pair as the FAIL line would
             raise ResourceLimitError(exc.text(setup.base)) from None
     for line in report.lines(setup.base):
@@ -209,13 +209,20 @@ def _int_at_least(low):
     return parse
 
 
+def _shown(cap):
+    """A default cap as help text shows it: a power of ten from 10^7 up as
+    10^k, any other cap in digits."""
+    k = len(str(cap)) - 1
+    return f"10^{k}" if k >= 7 and cap == 10 ** k else str(cap)
+
+
 def _add_limit_flags(sub, vertices, checks):
     """The fiber budget flags, with their help text given per command."""
     budget = _int_at_least(0)
-    sub.add_argument("--max-vertices", type=budget, default=100_000,
-                     help=f"{vertices} (default 100000)")
-    sub.add_argument("--max-checks", type=budget, default=10_000_000,
-                     help=f"{checks} (default 10^7)")
+    sub.add_argument("--max-vertices", type=budget, default=MAX_VERTICES,
+                     help=f"{vertices} (default {_shown(MAX_VERTICES)})")
+    sub.add_argument("--max-checks", type=budget, default=MAX_CHECKS,
+                     help=f"{checks} (default {_shown(MAX_CHECKS)})")
 
 
 @functools.cache
@@ -271,9 +278,9 @@ def build_parser():
                    help="accepted; the sweep runs in one process")
     _add_limit_flags(p, "standard points the whole fiber sweep may find",
                      "candidate T-variables the whole fiber sweep may try")
-    p.add_argument("--max-steps", type=_int_at_least(0), default=100_000,
+    p.add_argument("--max-steps", type=_int_at_least(0), default=MAX_STEPS,
                    help="rewrite-step budget for the whole S-pair run, "
-                        "all pairs together (default 100000)")
+                        f"all pairs together (default {_shown(MAX_STEPS)})")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("lfree", help="staircase checks on the incidence matrix")

@@ -42,54 +42,39 @@ class SpairLimitError(ResourceLimitError):
                 f"[{a.text(base)}] [{b.text(base)}]")
 
 
-class Limits:
-    """Resource caps.  In one fiber of `enumerate_fiber` or `fiber_graph`,
-    `max_vertices` caps the points found and `max_checks` the candidate
-    generators the distinct pick steps try, plus the lead-table keys each
-    point looks up (each atom and each pair of atoms); over the whole sweep
-    of `verify_groebner_by_fibers` they cap the lead-free T-multisets its
-    walk finds and the candidate T-variables it tries, one per multiset.
-    `max_steps` caps the rewrite steps of a whole S-pair run."""
-
-    __slots__ = ("max_vertices", "max_checks", "max_steps")
-
-    def __init__(self, max_vertices=100_000, max_checks=10_000_000,
-                 max_steps=100_000):
-        self.max_vertices = max_vertices
-        self.max_checks = max_checks
-        self.max_steps = max_steps
+# The default caps of the fiber walks (points found, candidate generators
+# tried) and of an S-pair run (rewrite steps).
+MAX_VERTICES = 100_000
+MAX_CHECKS = 10_000_000
+MAX_STEPS = 100_000
 
 
 class _Budget:
-    """Mutable counters charged against a Limits object, each raising as
-    soon as it passes its limit; `scope` names what they count in a trip's
-    message."""
+    """The meter of a fiber walk: counts of the points found and the
+    candidates tried, each raising as soon as it passes its cap; `scope`
+    names what they count in a trip's message."""
 
-    __slots__ = ("limits", "scope", "vertices", "checks", "steps")
+    __slots__ = ("max_vertices", "max_checks", "scope", "vertices", "checks")
 
-    def __init__(self, limits, scope="fiber"):
-        self.limits = limits
+    def __init__(self, max_vertices=MAX_VERTICES, max_checks=MAX_CHECKS,
+                 scope="fiber"):
+        self.max_vertices = max_vertices
+        self.max_checks = max_checks
         self.scope = scope
         self.vertices = 0
         self.checks = 0
-        self.steps = 0
 
     def count_vertex(self, n=1):
         self.vertices += n
-        if self.vertices > self.limits.max_vertices:
+        if self.vertices > self.max_vertices:
             raise ResourceLimitError(
-                f"{self.scope} exceeded {self.limits.max_vertices} vertices")
+                f"{self.scope} exceeded {self.max_vertices} vertices")
 
     def count_check(self, n=1):
         self.checks += n
-        if self.checks > self.limits.max_checks:
+        if self.checks > self.max_checks:
             raise ResourceLimitError(
-                f"{self.scope} exceeded {self.limits.max_checks} divisibility checks")
-
-    def count_step(self, pair):
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise SpairLimitError(self.limits.max_steps, pair)
+                f"{self.scope} exceeded {self.max_checks} divisibility checks")
 
 
 class GeneratorVar(tuple):
@@ -377,7 +362,8 @@ def _too_deep(degree):
         f"(recursion limit {sys.getrecursionlimit()})")
 
 
-def enumerate_fiber(setup, mu, beta, limits=None):
+def enumerate_fiber(setup, mu, beta, *, max_vertices=MAX_VERTICES,
+                    max_checks=MAX_CHECKS):
     """All fiber points over the image, ascending in the term order.
 
     Single setup: beta is an integer k; points are the factorizations of mu
@@ -389,9 +375,10 @@ def enumerate_fiber(setup, mu, beta, limits=None):
     first generator, picks left, quotient) is searched once and charges one
     check per generator it tries, those from its first one on that divide
     the quotient.  Every point counts one vertex when it is found, also
-    below a step reached again.
+    below a step reached again.  `max_vertices` caps the points found and
+    `max_checks` the candidate generators tried.
     """
-    budget = _Budget(limits or Limits())
+    budget = _Budget(max_vertices, max_checks)
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
 
 
@@ -516,22 +503,21 @@ def _atoms(term):
 
 
 def _divisor_keys(term):
-    """The atom tuples of every lead of degree 1 or 2 that divides the term,
-    lazily: its atoms alone, then its pairs of atoms in atom order."""
-    atoms = _atoms(term)
-    return itertools.chain(zip(atoms), itertools.combinations(atoms, 2))
+    """The atom tuples of every lead of degree 2 that divides the term,
+    lazily: its pairs of atoms in atom order."""
+    return itertools.combinations(_atoms(term), 2)
 
 
 def _lead_table(leads, n):
     """Each lead's atom tuple mapped to the ascending indices of the leads
-    with it.  A lead of degree 1 or 2 divides a term exactly when its tuple is
+    with it.  A lead of degree 2 divides a term exactly when its tuple is
     one of the term's `_divisor_keys`; other degrees and ambients raise."""
     table = {}
     for i, lead in enumerate(leads):
         if lead.xpart.n != n:
             raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
-        if lead.tdegree + lead.xpart.deg not in (1, 2):
-            raise ValueError(f"lead {lead.term_text()} is not of degree 1 or 2")
+        if lead.tdegree + lead.xpart.deg != 2:
+            raise ValueError(f"lead {lead.term_text()} is not of degree 2")
         table.setdefault(tuple(_atoms(lead)), []).append(i)
     return table
 
@@ -558,11 +544,16 @@ def _check_quadrics(quadrics, n, tvars=None):
     return table
 
 
-def fiber_graph(setup, mu, beta, quadrics, limits=None, vertices=None):
+def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
+                max_checks=MAX_CHECKS, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable
     quadric.  Only toric quadrics of the setup pass `_check_quadrics`, so
-    every edge stays in the fiber and goes down the order."""
-    budget = _Budget(limits or Limits())
+    every edge stays in the fiber and goes down the order.  `max_vertices`
+    caps the points `enumerate_fiber` finds, and `max_checks` its candidate
+    generators plus the lead-table keys each point looks up, each pair of
+    its atoms (`_divisor_keys`).  Given `vertices`, the fiber is not
+    enumerated again."""
+    budget = _Budget(max_vertices, max_checks)
     beta = setup.beta_tuple(beta)
     table = _check_quadrics(quadrics, setup.n, setup.tvars)
     if vertices is None:
@@ -746,7 +737,8 @@ def _reader(forbid, n):
     return operator.itemgetter(*at) if at else operator.itemgetter(slice(0))
 
 
-def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
+def verify_groebner_by_fibers(setup, quadrics, bound, *,
+                              max_vertices=MAX_VERTICES, max_checks=MAX_CHECKS):
     """Certify the quadrics by unique standard points on every fiber up to
     the bound.
 
@@ -760,15 +752,15 @@ def verify_groebner_by_fibers(setup, quadrics, bound, limits=None):
     mu, the rest of mu being its x part.  A single closure's T-variables
     forbid every position, as its points have no x part.  The walk runs
     before `iterate_images` lists the images it answers.
-    `limits.max_vertices` caps the multisets found and `limits.max_checks`
-    the candidate T-variables tried, both over the whole sweep; the walk
+    `max_vertices` caps the multisets found and `max_checks` the candidate
+    T-variables tried, one per multiset, both over the whole sweep; the walk
     keeps its own stack, so no recursion limit ends it.  A failure and the
     invariant's error name a single closure's image without its T-degree.
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
     table = _check_quadrics(quadrics, setup.n, setup.tvars)
-    budget = _Budget(limits or Limits(), "fiber sweep")
+    budget = _Budget(max_vertices, max_checks, "fiber sweep")
     partners, positions = _forbidden(setup, table)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
     single = setup.blocks[0].exact
@@ -820,7 +812,7 @@ class SpairReport:
         return out
 
 
-def spair_certificate(quadrics, limits=None):
+def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     """Reduce every S-binomial of the set by the set; report the first survivor.
 
     The S-binomial of two pure differences a and b is the pure difference of
@@ -832,41 +824,62 @@ def spair_certificate(quadrics, limits=None):
     Pairs run in basis order, (a, b) with a before b, and each rewrite uses
     the first basis element whose lead divides the term, so the first
     survivor and the step count do not depend on the indexes used to find
-    them.  `limits.max_steps` caps the rewrite steps of the whole run.  Each
-    term's rewrite is kept for the run, as pairs that share a fiber meet the
-    same terms; a step makes at most one new term, so the step budget bounds
-    what is kept.  Independent of the fiber-graph route.  Only a set of
-    toric quadrics passes `_check_quadrics`, in basis order and in the
-    ambient ring of the first lead, up front, as `_side` forms the sides
-    unchecked; the set has no setup, so its T-variables are not checked.
+    them.  `max_steps` caps the rewrite steps of the whole run, all pairs
+    together; a run that needs more raises `SpairLimitError` naming the pair
+    being reduced.  Each term's rewrite is kept for the run, as pairs that
+    share a fiber meet the same terms; a step makes at most one new term, so
+    the step budget bounds what is kept.  Independent of the fiber-graph
+    route.  Only a set of toric quadrics passes `_check_quadrics`, in basis
+    order and in the ambient ring of the first lead, up front, as `_side`
+    forms the sides unchecked; the set has no setup, so its T-variables are
+    not checked.
     """
-    budget = _Budget(limits or Limits())
     basis = sort_binomials(quadrics)
     table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
     leads = [g.lead for g in basis]
-    # A lead of degree 1 or 2 is exactly its atoms; leads are coprime
-    # exactly when they share no atom.
+    # A lead of degree 2 is exactly its atoms; leads are coprime exactly
+    # when they share no atom.
     atoms = [_atoms(lead) for lead in leads]
     holders = {}
     for i, held in enumerate(atoms):
         for atom in set(held):
             holders.setdefault(atom, []).append(i)
     parts = [(lead.tvars, held[lead.tdegree:]) for lead, held in zip(leads, atoms)]
+    # `memo` maps the key of each term met so far to its `_rewrite_once`, or
+    # to `_STANDARD` when no lead divides it; each step is still counted.
     memo = {}
-    checked = skipped = 0
+    checked = skipped = steps = 0
     for ai, a in enumerate(basis):
         partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
                            if bi > ai})
         for pos, bi in enumerate(partners):
             b = basis[bi]
             checked += 1
-            nf = _reduce_difference(_side(a.tail, parts[bi], parts[ai]),
-                                    _side(b.tail, parts[ai], parts[bi]),
-                                    (a, b), basis, table, budget, memo)
-            if nf is not None:
+            # Rewrite the larger side of u - v until the sides meet or
+            # neither rewrites.
+            u = _side(a.tail, parts[bi], parts[ai])
+            v = _side(b.tail, parts[ai], parts[bi])
+            while u.key != v.key:
+                if u.key < v.key:
+                    u, v = v, u
+                steps += 1
+                if steps > max_steps:
+                    raise SpairLimitError(max_steps, (a, b))
+                step = memo.get(u.key)
+                if step is None:
+                    step = memo[u.key] = _rewrite_once(u, basis, table) or _STANDARD
+                if step is not _STANDARD:
+                    u = step
+                    continue
+                step = memo.get(v.key)
+                if step is None:
+                    step = memo[v.key] = _rewrite_once(v, basis, table) or _STANDARD
+                if step is not _STANDARD:
+                    v = step
+                    continue
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
-                return SpairReport(False, (a, b), nf, checked, skipped)
+                return SpairReport(False, (a, b), (u, v), checked, skipped)
         skipped += len(basis) - 1 - ai - len(partners)
     return SpairReport(True, None, None, checked, skipped)
 
@@ -896,33 +909,8 @@ def _side(tail, theirs, mine):
     return TProduct._sorted(xpart, tvars)
 
 
-# What the memo of `_reduce_difference` holds for a term no lead divides.
+# What the S-pair memo holds for a term no lead divides.
 _STANDARD = object()
-
-
-def _reduce_difference(u, v, pair, basis, table, budget, memo):
-    """Full normal form of u - v under the basis; None when it reaches zero.
-    `memo` maps the key of each term met so far to `_rewrite_once` of the
-    term, or to `_STANDARD`; each step is still charged on its own."""
-    while True:
-        if u.key == v.key:
-            return None
-        if u.key < v.key:
-            u, v = v, u
-        budget.count_step(pair)
-        step = memo.get(u.key)
-        if step is None:
-            step = memo[u.key] = _rewrite_once(u, basis, table) or _STANDARD
-        if step is not _STANDARD:
-            u = step
-            continue
-        step = memo.get(v.key)
-        if step is None:
-            step = memo[v.key] = _rewrite_once(v, basis, table) or _STANDARD
-        if step is not _STANDARD:
-            v = step
-            continue
-        return (u, v)
 
 
 def _rewrite_once(term, basis, table):

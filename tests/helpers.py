@@ -19,7 +19,7 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, lcm
 from borelgb.sorting import borel_sort, split_monomial
-from borelgb.toric import (FiberGraph, GeneratorVar, Limits, TProduct, _Budget,
+from borelgb.toric import (FiberGraph, GeneratorVar, TProduct, _Budget,
                            _enumerate, _reader, _too_deep)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
@@ -550,16 +550,16 @@ def times_by_sorting(a, b):
 
 def lead_table_keys(term):
     """The check count `fiber_graph` charges a term: one per lead-table key
-    it looks up, its d atoms (each T-variable, and each x-position as often
-    as its exponent but at most twice) and each pair of them."""
+    it looks up, each pair of its d atoms (each T-variable, and each
+    x-position as often as its exponent but at most twice)."""
     d = term.tdegree + sum(min(e, 2) for e in term.xpart.exps)
-    return d + d * (d - 1) // 2
+    return d * (d - 1) // 2
 
 
-def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=None):
+def fiber_graph_by_scanning(setup, mu, beta, quadrics, vertices=None, **caps):
     """Oracle for `fiber_graph`: every quadric's lead is tested against every
     vertex in turn, and each vertex is charged its `lead_table_keys`."""
-    budget = _Budget(limits or Limits())
+    budget = _Budget(**caps)
     beta = setup.beta_tuple(beta)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
@@ -580,13 +580,13 @@ def fiber_graph_by_scanning(setup, mu, beta, quadrics, limits=None, vertices=Non
     return FiberGraph(vertices, tuple(edges), mu, beta)
 
 
-def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
+def examine_image_by_scanning(setup, quadrics, mu, beta):
     """Oracle for one image of `verify_groebner_by_fibers`: the whole fiber
     is enumerated and every lead is tested against every point."""
     # (mu, beta, sinks).  A fiber's rewriting graph has as sinks its standard
     # points, those no lead divides: `_check_quadrics` makes every other point
     # the source of an edge.  A fiber with two or more sinks fails.
-    budget = _Budget(limits)
+    budget = _Budget()
     vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
     if len(vertices) <= 1:
         return (mu, beta, vertices)
@@ -597,11 +597,11 @@ def examine_image_by_scanning(setup, quadrics, limits, mu, beta):
 
 # Oracle for the sweep of `verify_groebner_by_fibers` on a family: each
 # image's standard points searched on their own.
-def _family_points(setup, partners, positions, limits, mu, beta):
+def _family_points(setup, partners, positions, mu, beta):
     """(standard points ascending, checks, vertices) over one family image:
     the pick search of `_enumerate` without its memo, with each pick masked
     by the partners of the T-variables picked before it."""
-    budget = _Budget(limits, "fiber sweep")
+    budget = _Budget(scope="fiber sweep")
     blocks = setup.blocks
     offsets = (0, *itertools.accumulate(len(b.tvars) for b in blocks))
     out, chosen = [], []

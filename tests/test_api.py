@@ -3,11 +3,11 @@
 import inspect
 
 import borelgb
-from borelgb import monomials
+from borelgb import monomials, toric
 
 PUBLIC = {
     "AmbientMismatch", "BiAdjacency", "Binomial", "FamilyEntry", "FiberGraph",
-    "FiberSetup", "GeneratorVar", "IdealFamily", "Limits", "Monomial",
+    "FiberSetup", "GeneratorVar", "IdealFamily", "Monomial",
     "MultiQuadrics", "ParseError", "ResourceLimitError", "TProduct",
     "borel_closure", "borel_member", "borel_sort",
     "enumerate_fiber", "fiber_graph", "find_lfree_column_order",
@@ -51,3 +51,20 @@ def test_display_methods_take_only_the_base():
     assert list(inspect.signature(borelgb.to_dot).parameters) == ["graph", "base"]
     assert list(inspect.signature(borelgb.split_monomial).parameters) == [
         "M", "s", "E"]
+
+
+def test_entry_points_take_only_the_caps_they_enforce():
+    """The fiber walks take vertex and check caps and the S-pair run a step
+    cap, each by keyword and each defaulting to its one constant in
+    `toric`; no entry point takes a cap it does not enforce."""
+    caps = "max_vertices=100000, max_checks=10000000"
+    for function, pinned in (
+            (borelgb.enumerate_fiber, f"(setup, mu, beta, *, {caps})"),
+            (borelgb.fiber_graph,
+             f"(setup, mu, beta, quadrics, *, {caps}, vertices=None)"),
+            (borelgb.verify_groebner_by_fibers,
+             f"(setup, quadrics, bound, *, {caps})"),
+            (borelgb.spair_certificate, "(quadrics, *, max_steps=100000)")):
+        assert str(inspect.signature(function)) == pinned, function
+    assert (toric.MAX_VERTICES, toric.MAX_CHECKS, toric.MAX_STEPS) == (
+        100_000, 10_000_000, 100_000)

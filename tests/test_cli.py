@@ -16,7 +16,7 @@ from borelgb.cli import main
 from borelgb.monomials import parse_monomial
 from borelgb.families import parse_family
 from borelgb.quadrics import quadrics_multi, quadrics_single
-from borelgb.toric import (FiberSetup, Limits, ResourceLimitError, _Budget,
+from borelgb.toric import (FiberSetup, ResourceLimitError, _Budget,
                            _enumerate, enumerate_fiber)
 
 from helpers import EX_FAMILY, TRIANGLE, lead_table_keys
@@ -448,7 +448,7 @@ def test_max_checks_charges_enumeration_and_lead_tests_to_one_budget(capsys):
     setup = FiberSetup.single(M)
     enumeration = next(c for c in range(100) if _enumerates_within(setup, mu, c))
     lead_tests = sum(map(lead_table_keys, enumerate_fiber(setup, mu, 2)))
-    assert (enumeration, lead_tests) == (5, 6)
+    assert (enumeration, lead_tests) == (5, 2)
     cap = max(enumeration, lead_tests)
     assert cap < enumeration + lead_tests
     argv = ("fiber-graph", "--single", "x2^2", "-n", "2", "--mu", "x1^2*x2^2", "-k", "2")
@@ -499,11 +499,11 @@ def test_fiber_graph_check_budget_boundary(capsys, ex_file):
     for argv, setup, mu, beta, quads, pinned in (
             (("--single", "x2*x3*x5", "-n", "5", "--mu", "x1*x2^2*x3^2*x5",
               "-k", "2"), FiberSetup.single(M),
-             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 25),
+             parse_monomial("x1*x2^2*x3^2*x5", 5), 2, quadrics_single(M), 17),
             ((ex_file, "x1^2*x2^3*x3^3*x4^2", "t2*t3*t4"),
              FiberSetup.for_family(chain), parse_monomial("x1^2*x2^3*x3^3*x4^2", 4),
-             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 615)):
-        budget = _Budget(Limits())
+             (0, 1, 1, 1, 0), quadrics_multi(chain).all(), 448)):
+        budget = _Budget()
         vertices = _enumerate(setup, mu, setup.beta_tuple(beta), budget)
         total = budget.checks + sum(map(lead_table_keys, vertices))
         assert total == pinned
@@ -515,10 +515,24 @@ def test_fiber_graph_check_budget_boundary(capsys, ex_file):
 
 def _enumerates_within(setup, mu, cap):
     try:
-        enumerate_fiber(setup, mu, 2, limits=Limits(max_checks=cap))
+        enumerate_fiber(setup, mu, 2, max_checks=cap)
     except ResourceLimitError:
         return False
     return True
+
+
+def test_each_route_reads_only_its_own_caps(capsys, tri_file):
+    """`verify` hands each route only its own caps: zero fiber caps leave
+    an S-pair run's bytes and exit code as they were, and a zero step cap a
+    fiber sweep's, on a passing closure and on the failing triangle."""
+    for source, rc in ((("--single", "x2*x3*x5", "-n", "5"), 0), ((tri_file,), 1)):
+        for method, others in (
+                ("spairs", ("--max-vertices", "0", "--max-checks", "0")),
+                ("fibers", ("--max-steps", "0"))):
+            argv = ("verify", *source, "--method", method)
+            want = run(capsys, *argv)
+            assert want[0] == rc and f"certificate: {method}" in want[1]
+            assert run(capsys, *argv, *others) == want, (source, method)
 
 
 def test_max_steps_is_a_verify_flag_only(capsys, ex_file):
