@@ -260,17 +260,17 @@ class _Block:
     """One block: a generator list closed under its moves, and its T-variables.
 
     Generators are numbered by their index in `gens_desc`; `index` maps an
-    exponent tuple to its number.  `masks[i][e]` is the bitset of those whose
-    exponent at 0-based position i is at most e, for e below the largest such
-    exponent.  `support` is the sorted tuple of 1-based positions the moves
-    use, and `slots` and `caps` are the pivot's `_suffix_caps` over it: the
-    0-based positions listed last first and the pivot's suffix sums over
-    them.  Block 0, a single closure, is `exact`: its fiber points factor the
-    image with nothing left over.
+    exponent tuple to its number.  `support` is the sorted tuple of 1-based
+    positions the moves use, and `slots` and `caps` are the pivot's
+    `_suffix_caps` over it: the 0-based positions listed last first and the
+    pivot's suffix sums over them.  Block 0, a single closure, is `exact`:
+    its fiber points factor the image with nothing left over.  The bitsets
+    a fiber search reads are built by `tables` on its first call, so a block
+    that no fiber search uses never builds them.
     """
 
     __slots__ = ("block_id", "pivot", "support", "exact", "gens_desc", "tvars",
-                 "exps", "index", "masks", "slots", "caps")
+                 "exps", "index", "slots", "caps", "_tables")
 
     def __init__(self, block_id, pivot, support, gens_asc):
         self.block_id = block_id
@@ -281,11 +281,53 @@ class _Block:
         self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
         self.exps = tuple(g.exps for g in self.gens_desc)
         self.index = {e: i for i, e in enumerate(self.exps)}
-        self.masks = tuple(
-            tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
-                  for e in range(max(column)))
-            for column in zip(*self.exps))
         self.slots, self.caps = _suffix_caps(pivot.exps, support)
+        self._tables = None
+
+    def tables(self):
+        """(masks, reach), built on the first call.  `masks[i][e]` is the
+        bitset of the generators whose exponent at 0-based position i is at
+        most e, for e below the largest such exponent.  `reach` holds, for
+        each slot u but the last, from the one before the last down to the
+        first, (slots[u + 1], caps[u], bits) where bits[t] is the bitset of
+        the generators whose suffix sum over slots[0..u] is at least t, for
+        t in 0..caps[u]."""
+        if self._tables is None:
+            exps, slots = self.exps, self.slots
+            masks = tuple(
+                tuple(sum(1 << gi for gi, x in enumerate(column) if x <= e)
+                      for e in range(max(column)))
+                for column in zip(*exps))
+            reach, sums = [], [0] * len(exps)
+            for u, c in enumerate(self.caps[:-1]):
+                sums = [s + g[slots[u]] for s, g in zip(sums, exps)]
+                reach.append((slots[u + 1], c, tuple(
+                    sum(1 << gi for gi, s in enumerate(sums) if s >= t)
+                    for t in range(c + 1))))
+            self._tables = masks, tuple(reversed(reach))
+        return self._tables
+
+    def candidates(self, start, rem, q):
+        """(divisors, fitting): the bitsets of the generators from `start` on
+        that divide the exponent tuple q, and of those g among them with
+        `fits(rem - 1, q - g)`, for a q that fits rem.  The greedy of `fits`
+        is a min-plus chain, so q - g fits exactly when at every slot u but
+        the last g's suffix sum reaches rem * caps[-1] - (rem - 1) * caps[u]
+        less q's mass on the slots after u.  As q fits rem, that is at most
+        caps[u], and at the last slot every generator's sum is caps[-1]."""
+        masks, reach = self.tables()
+        divisors = (1 << len(self.exps)) - 1 >> start << start
+        for e, m in zip(q, masks):
+            if e < len(m):
+                divisors &= m[e]
+        fitting, lower = divisors, rem - 1
+        rest = rem * self.caps[-1] if reach else 0
+        for i, c, bits in reach:
+            rest -= q[i]
+            t = rest - lower * c
+            if t > 0:
+                fitting &= bits[t]
+        return divisors, fitting
 
     def fits(self, rem, q):
         """Whether rem more generators can still divide the exponent tuple q:
@@ -374,7 +416,10 @@ def enumerate_fiber(setup, mu, beta, *, max_vertices=MAX_VERTICES,
     The search picks one generator per step.  Each distinct step (block,
     first generator, picks left, quotient) is searched once and charges one
     check per generator it tries, those from its first one on that divide
-    the quotient.  Every point counts one vertex when it is found, also
+    the quotient.  It goes on only with the generators whose quotient still
+    fits the picks left, read off the block's suffix-sum bitsets
+    (`_Block.candidates`); a block's first quotient must pass
+    `_Block.fits`.  Every point counts one vertex when it is found, also
     below a step reached again.  `max_vertices` caps the points found and
     `max_checks` the candidate generators tried.
     """
@@ -409,9 +454,7 @@ def _enumerate(setup, mu, beta, budget):
         block = blocks[bi]
         if not block.fits(beta[bi], q):
             return None
-        exps, masks, tvars = block.exps, block.masks, block.tvars
-        block_fits = block.fits
-        full = (1 << len(exps)) - 1
+        exps, tvars, candidates = block.exps, block.tvars, block.candidates
 
         def rec_pick(start, rem, q):
             if rem == 0:
@@ -424,21 +467,15 @@ def _enumerate(setup, mu, beta, budget):
                 budget.count_vertex(hit[1])
                 return hit[0]
             found = budget.vertices
-            # The generators from `start` on that divide q, one check each.
-            fits = full >> start << start
-            for e, m in zip(q, masks):
-                if e < len(m):
-                    fits &= m[e]
-            budget.count_check(fits.bit_count())
+            # One check per generator tried: those that divide q.
+            divisors, cands = candidates(start, rem, q)
+            budget.count_check(divisors.bit_count())
             node = []
-            while fits:
-                low = fits & -fits
-                fits ^= low
+            while cands:
+                low = cands & -cands
+                cands ^= low
                 gi = low.bit_length() - 1
-                q2 = tuple(map(operator.sub, q, exps[gi]))
-                if not block_fits(rem - 1, q2):
-                    continue
-                child = rec_pick(gi, rem - 1, q2)
+                child = rec_pick(gi, rem - 1, tuple(map(operator.sub, q, exps[gi])))
                 if child is not None:
                     node.append((tvars[gi], child))
             node = node or None
@@ -836,15 +873,17 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     """
     basis = sort_binomials(quadrics)
     table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
-    leads = [g.lead for g in basis]
-    # A lead of degree 2 is exactly its atoms; leads are coprime exactly
-    # when they share no atom.
-    atoms = [_atoms(lead) for lead in leads]
+    # A lead of degree 2 is exactly its atoms, its key in the lead table;
+    # leads are coprime exactly when they share no atom.
+    atoms = [None] * len(basis)
+    for key, held in table.items():
+        for i in held:
+            atoms[i] = key
     holders = {}
     for i, held in enumerate(atoms):
         for atom in set(held):
             holders.setdefault(atom, []).append(i)
-    parts = [(lead.tvars, held[lead.tdegree:]) for lead, held in zip(leads, atoms)]
+    parts = [(g.lead.tvars, held[g.lead.tdegree:]) for g, held in zip(basis, atoms)]
     # `memo` maps the key of each term met so far to its `_rewrite_once`, or
     # to `_STANDARD` when no lead divides it; each step is still counted.
     memo = {}

@@ -615,7 +615,8 @@ def _family_points(setup, partners, positions, mu, beta):
         block, offset = blocks[bi], offsets[bi]
         if not block.fits(beta[bi], q):
             return
-        exps, masks, tvars = block.exps, block.masks, block.tvars
+        exps, tvars = block.exps, block.tvars
+        masks = block.tables()[0]
         block_fits = block.fits
         full = (1 << len(exps)) - 1
 

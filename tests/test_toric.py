@@ -3,6 +3,7 @@ independent certification routes (unique sinks and S-pair reduction)."""
 
 import functools
 import itertools
+import operator
 import pickle
 import random
 import tracemalloc
@@ -332,6 +333,96 @@ def test_family_block_fit_is_a_divisor_on_its_support():
                                              support=block.support) is not None)
             seen[got] += 1
     assert seen[True] > 300 and seen[False] > 300, seen
+
+
+def _random_blocks(rng):
+    """Exact blocks and single-ideal family blocks on random supports, some
+    of which skip variables and some of which are empty."""
+    while True:
+        n = rng.randint(1, 5)
+        gen = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+        if gen.is_unit:
+            continue
+        if rng.random() < 0.5:
+            yield FiberSetup.single(gen).blocks[0]
+        else:
+            support = [p for p in range(1, n + 1) if rng.random() < 0.7]
+            family, _ = reduce_family(IdealFamily(n, [FamilyEntry("I1", support, gen)]))
+            yield FiberSetup.for_family(family).blocks[0]
+
+
+def _bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def test_pick_candidates_match_the_fit_oracle():
+    """A pick step's divisors are the generators from `start` on that divide
+    q, and its fitting ones those g among them with fits(rem - 1, q - g),
+    tested one by one, for rem 1..3 and random q that fit rem."""
+    rng = random.Random(27)
+    seen = Counter()
+    blocks = _random_blocks(rng)
+    for _ in range(800):
+        block = next(blocks)
+        exps, n = block.exps, block.pivot.n
+        for _ in range(20):
+            rem = rng.randint(1, 3)
+            # A product of rem generators, with a cofactor off exact blocks,
+            # and a unit of it moved to any position.
+            q = [sum(col) for col in zip(*rng.choices(exps, k=rem))]
+            if not block.exact:
+                q = [e + rng.randint(0, 1) for e in q]
+            if any(q):
+                q[rng.choice([i for i, e in enumerate(q) if e])] -= 1
+                q[rng.randrange(n)] += 1
+            q = tuple(q)
+            if not block.fits(rem, q):
+                seen["q does not fit"] += 1
+                continue
+            start = rng.randrange(len(exps))
+            divisors, fitting = block.candidates(start, rem, q)
+            want = {gi for gi in range(start, len(exps))
+                    if all(map(operator.le, exps[gi], q))}
+            assert _bits(divisors) == want, (block.pivot, block.support, q, start)
+            want = {gi for gi in want
+                    if block.fits(rem - 1, tuple(map(operator.sub, q, exps[gi])))}
+            assert _bits(fitting) == want, (block.pivot, block.support, rem, q, start)
+            seen["nodes"] += 1
+            seen["exact" if block.exact else "family"] += 1
+            seen["dropped", block.exact] += divisors != fitting
+            seen["kept"] += bool(fitting)
+            support = block.support
+            seen["skipping support"] += (
+                not block.exact and bool(support)
+                and support != tuple(range(support[0], support[-1] + 1)))
+            seen["empty support"] += not support
+    assert seen["nodes"] > 12000 and seen["q does not fit"] > 1000, seen
+    assert seen["exact"] > 6000 and seen["family"] > 6000, seen
+    assert seen["dropped", True] > 600 and seen["dropped", False] > 200, seen
+    assert seen["kept"] > 10000, seen
+    assert seen["skipping support"] > 1000 and seen["empty support"], seen
+
+
+def test_routes_that_search_no_fiber_build_no_tables(monkeypatch):
+    """The fiber sweep, the quadric builders and the S-pair run search no
+    fiber, so no block builds its search tables; a fiber search does."""
+    built = []
+    tables = toric._Block.tables
+    monkeypatch.setattr(toric._Block, "tables",
+                        lambda block: built.append(block) or tables(block))
+    M4 = parse_monomial("x2^2*x4", 4)
+    chain_family = parse_family(EX_FAMILY)
+    single, chain = FiberSetup.single(M4), FiberSetup.for_family(chain_family)
+    assert verify_groebner_by_fibers(single, quadrics_single(M4), 2).passed
+    assert verify_groebner_by_fibers(
+        chain, quadrics_multi(chain_family).all(), 2).passed
+    assert spair_certificate(quadrics_single(M4)).passed
+    assert spair_certificate(quadrics_bs_form(M4)).passed
+    assert spair_certificate(quadrics_multi(chain_family).all()).passed
+    assert built == []
+    assert all(b._tables is None for s in (single, chain) for b in s.blocks)
+    assert len(enumerate_fiber(single, M("x1^2*x2^2*x4^2"), 2)) > 1
+    assert built and single.blocks[0]._tables is not None
 
 
 def test_enumerate_fiber_multi():
