@@ -867,98 +867,116 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     share a fiber meet the same terms; a step makes at most one new term, so
     the step budget bounds what is kept.  Independent of the fiber-graph
     route.  Only a set of toric quadrics passes `_check_quadrics`, in basis
-    order and in the ambient ring of the first lead, up front, as `_side`
-    forms the sides unchecked; the set has no setup, so its T-variables are
-    not checked.
+    order and in the ambient ring of the first lead, up front; the set has
+    no setup, so its T-variables are not checked.
+
+    The run writes each term as its atom ids ascending (`_encode`): the
+    basis's nt T-variables numbered 0 .. nt - 1 largest first, then
+    x-position i as nt + i once per unit of its exponent.  The gate puts a pair's sides and
+    all their rewrites in one fiber, where every term has the same T-degree
+    and the same image, so two distinct terms differ first in their
+    T-variables: the smaller tuple is the larger term.  Only a failure's
+    normal forms are decoded back to T-products.
     """
     basis = sort_binomials(quadrics)
-    table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
-    # A lead of degree 2 is exactly its atoms, its key in the lead table;
-    # leads are coprime exactly when they share no atom.
-    atoms = [None] * len(basis)
-    for key, held in table.items():
-        for i in held:
-            atoms[i] = key
-    holders = {}
-    for i, held in enumerate(atoms):
-        for atom in set(held):
+    n = basis[0].lead.xpart.n if basis else None
+    _check_quadrics(basis, n)
+    tvars = tuple(sorted({t for g in basis for t in g.lead.tvars + g.tail.tvars},
+                         reverse=True))
+    ids = {t: i for i, t in enumerate(tvars)}
+    leads = [_encode(g.lead, ids) for g in basis]
+    tails = [_encode(g.tail, ids) for g in basis]
+    # A lead of degree 2 divides a term exactly when its ids are a pair of
+    # the term's; leads are coprime exactly when they share no id.
+    first, holders = {}, {}
+    for i, lead in enumerate(leads):
+        first.setdefault(lead, i)
+        for atom in set(lead):
             holders.setdefault(atom, []).append(i)
-    parts = [(g.lead.tvars, held[g.lead.tdegree:]) for g, held in zip(basis, atoms)]
-    # `memo` maps the key of each term met so far to its `_rewrite_once`, or
-    # to `_STANDARD` when no lead divides it; each step is still counted.
+    # `memo` maps each term met so far to its `_rewrite_ids`, () when no
+    # lead divides it; each step is still counted.
     memo = {}
     checked = skipped = steps = 0
-    for ai, a in enumerate(basis):
-        partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
+    for ai, mine in enumerate(leads):
+        partners = sorted({bi for atom in mine for bi in holders[atom]
                            if bi > ai})
         for pos, bi in enumerate(partners):
-            b = basis[bi]
+            theirs = leads[bi]
             checked += 1
-            # Rewrite the larger side of u - v until the sides meet or
-            # neither rewrites.
-            u = _side(a.tail, parts[bi], parts[ai])
-            v = _side(b.tail, parts[ai], parts[bi])
-            while u.key != v.key:
-                if u.key < v.key:
+            # Rewrite the larger side of u - v, the smaller tuple, until the
+            # sides meet or neither rewrites.
+            u = _side_ids(tails[ai], theirs, mine)
+            v = _side_ids(tails[bi], mine, theirs)
+            while u != v:
+                if u > v:
                     u, v = v, u
                 steps += 1
                 if steps > max_steps:
-                    raise SpairLimitError(max_steps, (a, b))
-                step = memo.get(u.key)
+                    raise SpairLimitError(max_steps, (basis[ai], basis[bi]))
+                step = memo.get(u)
                 if step is None:
-                    step = memo[u.key] = _rewrite_once(u, basis, table) or _STANDARD
-                if step is not _STANDARD:
+                    step = memo[u] = _rewrite_ids(u, first, leads, tails)
+                if step:
                     u = step
                     continue
-                step = memo.get(v.key)
+                step = memo.get(v)
                 if step is None:
-                    step = memo[v.key] = _rewrite_once(v, basis, table) or _STANDARD
-                if step is not _STANDARD:
+                    step = memo[v] = _rewrite_ids(v, first, leads, tails)
+                if step:
                     v = step
                     continue
                 # The coprime pairs before b in a's row were skipped too.
                 skipped += bi - ai - 1 - pos
-                return SpairReport(False, (a, b), (u, v), checked, skipped)
+                return SpairReport(False, (basis[ai], basis[bi]),
+                                   (_decode(u, tvars, n), _decode(v, tvars, n)),
+                                   checked, skipped)
         skipped += len(basis) - 1 - ai - len(partners)
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _side(tail, theirs, mine):
-    """`tail` times the lead atoms of `theirs` that those of `mine` do not
-    take out one for one: tail * lcm / mine for two leads, each given as its
-    T-variables and its 0-based x-positions (`_atoms`)."""
-    tvars = tail.tvars
-    extra = list(theirs[0])
-    for t in mine[0]:
-        if t in extra:
-            extra.remove(t)
-    if extra:
-        tvars = tuple(sorted(tvars + tuple(extra), reverse=True))
-    xpart = tail.xpart
-    if theirs[1]:
-        extra = list(theirs[1])
-        for i in mine[1]:
-            if i in extra:
-                extra.remove(i)
-        if extra:
-            exps = list(xpart.exps)
-            for i in extra:
-                exps[i] += 1
-            xpart = Monomial._of(tuple(exps), xpart.deg + len(extra))
-    return TProduct._sorted(xpart, tvars)
+def _encode(term, ids):
+    """The term's atom ids ascending: `ids[t]` for each T-variable, the ids
+    numbering them largest first, then len(ids) + i once per unit of x_i."""
+    code = [ids[t] for t in term.tvars]
+    for atom, e in enumerate(term.xpart.exps, len(ids)):
+        code += [atom] * e
+    return tuple(code)
 
 
-# What the S-pair memo holds for a term no lead divides.
-_STANDARD = object()
+def _decode(code, tvars, n):
+    """The T-product in n variables of an `_encode` code, `tvars` listing
+    the T-variables by id."""
+    held, exps = [], [0] * n
+    for atom in code:
+        if atom < len(tvars):
+            held.append(tvars[atom])
+        else:
+            exps[atom - len(tvars)] += 1
+    return TProduct._sorted(Monomial(exps), tuple(held))
 
 
-def _rewrite_once(term, basis, table):
-    """term / lead * tail for the first basis element whose lead divides the
-    term, or None."""
-    best = min((table[k][0] for k in _divisor_keys(term) if k in table), default=None)
+def _side_ids(tail, theirs, mine):
+    """The code of `tail` times the atom that the lead `theirs` adds to the
+    lead `mine`, tail * lcm / mine: none when the leads are equal.  Two
+    distinct leads of degree 2 that share an atom differ in one."""
+    if theirs == mine:
+        return tail
+    p, q = theirs
+    return tuple(sorted(tail + ((q,) if p in mine else (p,))))
+
+
+def _rewrite_ids(term, first, leads, tails):
+    """The code of term / lead * tail for the first basis element whose lead
+    divides the term (`first` maps a lead's code to that element's index),
+    or () when none does."""
+    best = min((first[k] for k in itertools.combinations(term, 2) if k in first),
+               default=None)
     if best is None:
-        return None
-    return term.rewrite(basis[best])
+        return ()
+    rest = list(term)
+    for atom in leads[best]:
+        rest.remove(atom)
+    return tuple(sorted(rest + list(tails[best])))
 
 
 def t_min(family, mu, beta):

@@ -19,8 +19,10 @@ from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import Monomial, _check_ambient, lcm
 from borelgb.sorting import borel_sort, split_monomial
-from borelgb.toric import (FiberGraph, GeneratorVar, TProduct, _Budget,
-                           _enumerate, _reader, _too_deep)
+from borelgb.toric import (FiberGraph, GeneratorVar, SpairLimitError,
+                           SpairReport, TProduct, _Budget, _check_quadrics,
+                           _divisor_keys, _enumerate, _reader, _too_deep,
+                           sort_binomials)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -743,3 +745,93 @@ def images_by_multiplying(setup, bound):
         images.extend((m, beta) for m in merged)
     images.sort(key=lambda it: (sum(it[1]), it[1], it[0].grevlex_key()))
     return tuple(images)
+
+
+def _spairs_on_products(quadrics, max_steps):
+    """Oracle for `spair_certificate`: the same pair loop, step rule and
+    budget on `TProduct` terms.  Each side is built by `_side` and each
+    term's rewrite, kept in a memo keyed by the term's key, by
+    `_rewrite_once`.  Returns (SpairReport, rewrite steps of the run)."""
+    basis = sort_binomials(quadrics)
+    table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
+    # A lead of degree 2 is exactly its atoms, its key in the lead table;
+    # leads are coprime exactly when they share no atom.
+    atoms = [None] * len(basis)
+    for key, held in table.items():
+        for i in held:
+            atoms[i] = key
+    holders = {}
+    for i, held in enumerate(atoms):
+        for atom in set(held):
+            holders.setdefault(atom, []).append(i)
+    parts = [(g.lead.tvars, held[g.lead.tdegree:]) for g, held in zip(basis, atoms)]
+    memo = {}
+    checked = skipped = steps = 0
+    for ai, a in enumerate(basis):
+        partners = sorted({bi for atom in atoms[ai] for bi in holders[atom]
+                           if bi > ai})
+        for pos, bi in enumerate(partners):
+            b = basis[bi]
+            checked += 1
+            u = _side(a.tail, parts[bi], parts[ai])
+            v = _side(b.tail, parts[ai], parts[bi])
+            while u.key != v.key:
+                if u.key < v.key:
+                    u, v = v, u
+                steps += 1
+                if steps > max_steps:
+                    raise SpairLimitError(max_steps, (a, b))
+                step = memo.get(u.key)
+                if step is None:
+                    step = memo[u.key] = _rewrite_once(u, basis, table) or _STANDARD
+                if step is not _STANDARD:
+                    u = step
+                    continue
+                step = memo.get(v.key)
+                if step is None:
+                    step = memo[v.key] = _rewrite_once(v, basis, table) or _STANDARD
+                if step is not _STANDARD:
+                    v = step
+                    continue
+                skipped += bi - ai - 1 - pos
+                return SpairReport(False, (a, b), (u, v), checked, skipped), steps
+        skipped += len(basis) - 1 - ai - len(partners)
+    return SpairReport(True, None, None, checked, skipped), steps
+
+
+def _side(tail, theirs, mine):
+    """`tail` times the lead atoms of `theirs` that those of `mine` do not
+    take out one for one: tail * lcm / mine for two leads, each given as its
+    T-variables and its 0-based x-positions."""
+    tvars = tail.tvars
+    extra = list(theirs[0])
+    for t in mine[0]:
+        if t in extra:
+            extra.remove(t)
+    if extra:
+        tvars = tuple(sorted(tvars + tuple(extra), reverse=True))
+    xpart = tail.xpart
+    if theirs[1]:
+        extra = list(theirs[1])
+        for i in mine[1]:
+            if i in extra:
+                extra.remove(i)
+        if extra:
+            exps = list(xpart.exps)
+            for i in extra:
+                exps[i] += 1
+            xpart = Monomial._of(tuple(exps), xpart.deg + len(extra))
+    return TProduct._sorted(xpart, tvars)
+
+
+# What the oracle's memo holds for a term no lead divides.
+_STANDARD = object()
+
+
+def _rewrite_once(term, basis, table):
+    """term / lead * tail for the first basis element whose lead divides the
+    term, or None."""
+    best = min((table[k][0] for k in _divisor_keys(term) if k in table), default=None)
+    if best is None:
+        return None
+    return term.rewrite(basis[best])

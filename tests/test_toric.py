@@ -19,8 +19,9 @@ from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TProduct, _Budget, _atoms, _divisor_keys,
-                           _enumerate, _lead_table, _side, enumerate_fiber,
+                           TProduct, _Budget, _atoms, _decode, _divisor_keys,
+                           _encode, _enumerate, _lead_table, _side_ids,
+                           enumerate_fiber,
                            fiber_graph, iterate_images, sort_binomials,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
@@ -30,7 +31,7 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      examine_image_by_scanning, fiber_graph_by_scanning,
                      images_by_multiplying, is_squarefree, lead_table_keys,
                      random_interval_family, random_principal_borel_family,
-                     min_borel_divisor_compressed,
+                     min_borel_divisor_compressed, _spairs_on_products,
                      standard_points_by_recursion, t_min_compressed,
                      term_text, times_by_sorting, tvar_text)
 
@@ -1074,28 +1075,36 @@ def test_spair_step_totals_pinned():
         assert _pair_text(trip.value.pair) == last
 
 
+def _numbered_tvars(quadrics):
+    """The T-variables of a quadric set, largest first: the numbering of
+    `spair_certificate`'s atom-id codes."""
+    return tuple(sorted({t for q in quadrics for t in q.lead.tvars + q.tail.tvars},
+                        reverse=True))
+
+
 def test_spair_rewrites_each_term_once(monkeypatch):
-    """The run asks `_rewrite_once` once per distinct term, for exactly the
+    """The run asks `_rewrite_ids` once per distinct term, for exactly the
     terms the unmemoised oracle rewrites, and less often than it steps."""
     qs = quadrics_single(parse_monomial("x2*x3*x4", 4))
     rewritten, scanned = [], set()
-    rewrite_once, scan = toric._rewrite_once, _rewrite_by_scanning
+    rewrite_ids, scan = toric._rewrite_ids, _rewrite_by_scanning
 
-    def counted(term, basis, table):
-        rewritten.append(term.key)
-        return rewrite_once(term, basis, table)
+    def counted(term, first, leads, tails):
+        rewritten.append(term)
+        return rewrite_ids(term, first, leads, tails)
 
     def scanned_too(term, basis):
         scanned.add(term.key)
         return scan(term, basis)
 
-    monkeypatch.setattr(toric, "_rewrite_once", counted)
+    monkeypatch.setattr(toric, "_rewrite_ids", counted)
     monkeypatch.setitem(globals(), "_rewrite_by_scanning", scanned_too)
     assert spair_certificate(qs).passed
     _, run = _spairs_by_scanning(qs)
     assert run.steps == 2077
     assert len(rewritten) == len(set(rewritten)) < run.steps
-    assert set(rewritten) == scanned
+    tvars = _numbered_tvars(qs)
+    assert {_decode(term, tvars, 4).key for term in rewritten} == scanned
 
 
 def test_t_min_goldens():
@@ -1650,9 +1659,9 @@ def _spair_inputs():
 
 
 def test_spair_sides_match_lcm_oracle():
-    """The closed-form sides of every pair with non-coprime leads are the
-    lcm-completions of the tails, lcm / lead * tail with the T-variables
-    counted: on every input of the oracle corpus (T-pair and x*T leads) and
+    """The closed-form sides of every pair with non-coprime leads, built on
+    atom-id codes and decoded, are the lcm-completions of the tails,
+    lcm / lead * tail with the T-variables counted: on every input of the oracle corpus (T-pair and x*T leads) and
     on random sets with leads of every shape of degree 2 and tails of degree
     0 to 2."""
     rng = random.Random(89)
@@ -1667,14 +1676,18 @@ def test_spair_sides_match_lcm_oracle():
     shapes = Counter()
     for label, quads in itertools.chain(_spair_inputs(), drawn):
         basis = sort_binomials(quads)
-        parts = [(g.lead.tvars, _atoms(g.lead)[g.lead.tdegree:]) for g in basis]
-        for (a, pa), (b, pb) in itertools.combinations(zip(basis, parts), 2):
+        if not basis:
+            continue
+        n, tvars = basis[0].lead.xpart.n, _numbered_tvars(basis)
+        ids = {t: i for i, t in enumerate(tvars)}
+        codes = [(_encode(g.lead, ids), _encode(g.tail, ids)) for g in basis]
+        for (a, ca), (b, cb) in itertools.combinations(zip(basis, codes), 2):
             top = _counter_lcm(a.lead, b.lead)
             if top == times_by_sorting(a.lead, b.lead):
                 continue
-            for g, mine, theirs in ((a, pa, pb), (b, pb, pa)):
+            for g, (lead, tail), (theirs, _) in ((a, ca, cb), (b, cb, ca)):
                 want = times_by_sorting(counter_quotient(top, g.lead), g.tail)
-                assert _side(g.tail, theirs, mine) == want, label
+                assert _decode(_side_ids(tail, theirs, lead), tvars, n) == want, label
                 shapes[_shape(g.lead)] += 1
     assert set(shapes) == LEAD_SHAPES and min(shapes.values()) > 50, shapes
 
@@ -1705,3 +1718,61 @@ def test_spair_route_matches_scanning_oracle():
             assert trip.value.pair == run.last_pair, label
             tripped += 1
     assert compared > 200 and failing > 40 and tripped > 100
+
+
+def test_spair_route_matches_the_product_loop():
+    """The run on atom-id codes gives the report and the step total of the
+    same loop on `TProduct` terms, and one step short trips at the same
+    pair: on every input and on every passing input with one quadric
+    dropped, so FAIL paths are compared too."""
+    rng = random.Random(71)
+    compared = failing = tripped = 0
+    for label, quads in _spair_inputs():
+        pending = [quads]
+        while pending:
+            qs = pending.pop()
+            want, steps = _spairs_on_products(qs, 10 ** 9)
+            if qs is quads and want.passed and len(quads) > 1:
+                drop = rng.randrange(len(quads))
+                pending.append(quads[:drop] + quads[drop + 1:])
+            got = spair_certificate(qs, max_steps=steps)
+            assert _report_fields(got) == _report_fields(want), label
+            compared += 1
+            failing += not want.passed
+            if steps == 0:
+                continue
+            with pytest.raises(SpairLimitError) as oracle:
+                _spairs_on_products(qs, steps - 1)
+            with pytest.raises(SpairLimitError) as trip:
+                spair_certificate(qs, max_steps=steps - 1)
+            assert trip.value.pair == oracle.value.pair, label
+            tripped += 1
+    assert compared > 200 and failing > 40 and tripped > 100
+
+
+def test_atom_id_codes_decode_and_reverse_the_term_order():
+    """On the points of small fibers, of single closures and of family
+    blocks whose points carry x parts, a point's atom-id code decodes to
+    the point, and of two points in one fiber the smaller code is the
+    larger point."""
+    setups = [FiberSetup.single(parse_monomial(text, n))
+              for text, n in (("x2^2", 2), ("x2*x3", 3), ("x2^2*x4", 4))]
+    setups += [FiberSetup.for_family(parse_family(text))
+               for text in (EX_FAMILY, TRIANGLE)]
+    points_seen = with_x = pairs = 0
+    for setup in setups:
+        tvars = tuple(sorted(setup.tvars, reverse=True))
+        ids = {t: i for i, t in enumerate(tvars)}
+        for mu, beta in iterate_images(setup, 2):
+            points = enumerate_fiber(setup, mu, beta)
+            codes = [_encode(p, ids) for p in points]
+            for p, code in zip(points, codes):
+                assert code == tuple(sorted(code))
+                assert _decode(code, tvars, setup.n) == p
+                points_seen += 1
+                with_x += p.xpart.deg > 0
+            for (p, c), (q, d) in itertools.permutations(zip(points, codes), 2):
+                assert (c < d) == (p.key > q.key), (p, q)
+                pairs += 1
+    assert points_seen > 2000 and with_x > 1500 and pairs > 10000, (
+        points_seen, with_x, pairs)
