@@ -161,31 +161,6 @@ class TProduct:
     def image(self):
         return Monomial(self.image_exps())
 
-    def rewrite(self, binomial):
-        """self / lead * tail for the binomial lead - tail, in one pass;
-        raises ValueError when the lead does not divide."""
-        lead, tail = binomial.lead, binomial.tail
-        x, lx, tx = self.xpart.exps, lead.xpart.exps, tail.xpart.exps
-        if not len(x) == len(lx) == len(tx):
-            raise AmbientMismatch(f"ambient mismatch: {len(x)}, {len(lx)} and "
-                                  f"{len(tx)} variables")
-        # Each tail variable goes in before the first smaller one of self,
-        # and each lead variable takes out the next equal one.
-        drop, add, out = list(lead.tvars), list(tail.tvars), []
-        for t in self.tvars:
-            while add and add[0] > t:
-                out.append(add.pop(0))
-            if drop and drop[0] == t:
-                del drop[0]
-            else:
-                out.append(t)
-        if drop or lead.xpart.deg and not all(map(operator.ge, x, lx)):
-            raise ValueError(f"{lead} does not divide {self}")
-        xpart = self.xpart
-        if lead.xpart.deg or tail.xpart.deg:
-            xpart = Monomial(tuple(map(operator.add, map(operator.sub, x, lx), tx)))
-        return TProduct._sorted(xpart, tuple(out + add))
-
     def label(self, base=1):
         """Display text: 'x1^2*x2 | t1:x4, t2:x3*x4' (the x part always shown)."""
         head = self.xpart.text(base)
@@ -526,86 +501,106 @@ class FiberGraph:
         return tuple(v for i, v in enumerate(self.vertices) if i not in sources)
 
 
-def _atoms(term):
-    """The term's atoms in a fixed order: its T-variables as in `tvars`, then
-    its x-positions ascending, each as often as its exponent but at most twice
-    (T-variables are tuples, positions ints)."""
-    atoms = list(term.tvars)
-    for i, e in enumerate(term.xpart.exps):
-        if e:
-            atoms.append(i)
-            if e > 1:
-                atoms.append(i)
-    return atoms
+def _encode(term, ids):
+    """The term's atom ids ascending: `ids[t]` for each T-variable, the ids
+    numbering them largest first, then len(ids) + i once per unit of x_i."""
+    code = [ids[t] for t in term.tvars]
+    if term.xpart.deg:
+        for atom, e in enumerate(term.xpart.exps, len(ids)):
+            code += [atom] * e
+    return tuple(code)
 
 
-def _divisor_keys(term):
-    """The atom tuples of every lead of degree 2 that divides the term,
-    lazily: its pairs of atoms in atom order."""
-    return itertools.combinations(_atoms(term), 2)
+def _decode(code, tvars, n):
+    """The T-product in n variables of an `_encode` code, `tvars` listing
+    the T-variables by id."""
+    held, exps = [], [0] * n
+    for atom in code:
+        if atom < len(tvars):
+            held.append(tvars[atom])
+        else:
+            exps[atom - len(tvars)] += 1
+    return TProduct._sorted(Monomial(exps), tuple(held))
 
 
-def _lead_table(leads, n):
-    """Each lead's atom tuple mapped to the ascending indices of the leads
-    with it.  A lead of degree 2 divides a term exactly when its tuple is
-    one of the term's `_divisor_keys`; other degrees and ambients raise."""
-    table = {}
-    for i, lead in enumerate(leads):
+def _apply(code, lead, tail):
+    """The code of term / lead * tail, for the code of a term that the lead
+    divides; raises ValueError when it does not."""
+    rest = list(code)
+    for atom in lead:
+        rest.remove(atom)
+    rest += tail
+    rest.sort()
+    return tuple(rest)
+
+
+def _check_quadrics(quadrics, n, tvars):
+    """(ids, table) for a set of toric quadrics, after rejecting any quadric
+    that could rewrite a term out of its fiber or up the order.  `ids`
+    numbers the T-variables `tvars`, given in descending order, for
+    `_encode`; `table` maps each lead's code to the ascending indices of the
+    quadrics with that lead.  A lead of degree 2 divides a term exactly when
+    its code is a pair of the term's code.  Every lead must be in n
+    variables and of degree 2; then each quadric in turn needs its tail in
+    n variables, its T-variables among `tvars`, its lead above its tail and
+    one image and block list on both sides."""
+    for q in quadrics:
+        lead = q.lead
         if lead.xpart.n != n:
             raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
-        if lead.tdegree + lead.xpart.deg != 2:
+        if len(lead.tvars) + lead.xpart.deg != 2:
             raise ValueError(f"lead {lead.term_text()} is not of degree 2")
-        table.setdefault(tuple(_atoms(lead)), []).append(i)
-    return table
-
-
-def _check_quadrics(quadrics, n, tvars=None):
-    """The `_lead_table` of a set of toric quadrics, after rejecting any
-    quadric that could rewrite a term out of its fiber or up the order.
-    Past the lead table's checks, each quadric in turn needs its tail in n
-    variables, its T-variables among `tvars` when they are given, its lead
-    above its tail and one image and block list on both sides."""
-    table = _lead_table([q.lead for q in quadrics], n)
-    known = None if tvars is None else set(tvars)
-    for q in quadrics:
+    ids = {t: i for i, t in enumerate(tvars)}
+    known, table = set(tvars), {}
+    for i, q in enumerate(quadrics):
         lead, tail = q.lead, q.tail
         if tail.xpart.n != n:
             raise AmbientMismatch(f"quadric {q.text()} has its tail in "
                                   f"{tail.xpart.n} variables, its lead in {n}")
-        if known is not None and not known.issuperset(lead.tvars + tail.tvars):
+        if not known.issuperset(lead.tvars + tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
                              "a generator of its block")
         if lead.key <= tail.key:
             raise ValueError(f"quadric {q.text()} has its lead below its tail")
         _check_image(lead, tail)
-    return table
+        table.setdefault(_encode(lead, ids), []).append(i)
+    return ids, table
 
 
 def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
                 max_checks=MAX_CHECKS, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable
     quadric.  Only toric quadrics of the setup pass `_check_quadrics`, so
-    every edge stays in the fiber and goes down the order.  `max_vertices`
-    caps the points `enumerate_fiber` finds, and `max_checks` its candidate
-    generators plus the lead-table keys each point looks up, each pair of
-    its atoms (`_divisor_keys`).  Given `vertices`, the fiber is not
-    enumerated again."""
+    every edge stays in the fiber and goes down the order.  Each vertex is
+    encoded once, by the gate's ids for `setup.tvars`, and rewritten on its
+    code (`_apply`).  `max_vertices` caps the points `enumerate_fiber`
+    finds, and `max_checks` its candidate generators plus the lead-table
+    keys each point looks up: each pair of its d atoms, an x-position
+    counted at most twice, d(d - 1)/2 in all.  Given `vertices`, the fiber
+    is not enumerated again."""
     budget = _Budget(max_vertices, max_checks)
     beta = setup.beta_tuple(beta)
-    table = _check_quadrics(quadrics, setup.n, setup.tvars)
+    ids, table = _check_quadrics(quadrics, setup.n, setup.tvars)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
-    index = {v: i for i, v in enumerate(vertices)}
+    nt = len(ids)
+    tails = [_encode(q.tail, ids) for q in quadrics]
+    codes = [_encode(v, ids) for v in vertices]
+    index = {c: i for i, c in enumerate(codes)}
     edges = []
-    for ui, u in enumerate(vertices):
-        keys = tuple(_divisor_keys(u))
-        budget.count_check(len(keys))  # one check per lead-table key looked up
-        for qi in sorted({qi for k in keys for qi in table.get(k, ())}):
-            q = quadrics[qi]
-            vi = index.get(u.rewrite(q))
+    for ui, code in enumerate(codes):
+        # Its atoms with each x-position kept at most twice: the code
+        # ascends, so a third equal atom repeats the one two back.
+        atoms = [a for j, a in enumerate(code)
+                 if a < nt or j < 2 or code[j - 2] != a]
+        d = len(atoms)
+        budget.count_check(d * (d - 1) // 2)  # one check per key looked up
+        for qi, lead in sorted({(qi, k) for k in itertools.combinations(atoms, 2)
+                                if k in table for qi in table[k]}):
+            vi = index.get(_apply(code, lead, tails[qi]))
             if vi is None:
-                raise AssertionError(
-                    f"rewrite left the fiber: {u.label()} by {q.text()}")
+                raise AssertionError(f"rewrite left the fiber: {vertices[ui].label()} "
+                                     f"by {quadrics[qi].text()}")
             if vi >= ui:
                 raise AssertionError("rewrite did not decrease the term order")
             edges.append((ui, vi, qi))
@@ -687,24 +682,25 @@ def _beta_text(beta):
 
 def _forbidden(setup, table):
     """Two bitsets for each T-variable of the setup, numbered as in
-    `setup.tvars`, from the lead table of `_check_quadrics`: the T-variables
-    it forms a lead with (itself too when its square is a lead), and the
-    0-based x-positions it forms a lead with.  Toric quadrics have only T*T
-    and x*T leads, so a point is standard exactly when no two of its
-    T-variables are partners and its x part avoids every position its
-    T-variables forbid.  The T-variables of an exact block forbid every
-    position, as its points have no x part."""
-    bit = {t: i for i, t in enumerate(setup.tvars)}
-    partners = [0] * len(bit)
+    `setup.tvars`, from the code table `_check_quadrics` builds for those
+    T-variables: the T-variables it forms a lead with (itself too when its
+    square is a lead), and the 0-based x-positions it forms a lead with.
+    Toric quadrics have only T*T and x*T leads, so each lead's code is
+    (i, other): the id i of a T-variable, which is its number, and another
+    one's id or, from len(setup.tvars) on, an x-position's.  A point is
+    standard exactly when no two of its T-variables are partners and its x
+    part avoids every position its T-variables forbid.  The T-variables of
+    an exact block forbid every position, as its points have no x part."""
+    nt = len(setup.tvars)
+    partners = [0] * nt
     positions = [(1 << setup.n) - 1 if block.exact else 0
                  for block in setup.blocks for _ in block.tvars]
-    for t, other in table:
-        i = bit[t]
-        if other.__class__ is int:
-            positions[i] |= 1 << other
+    for i, other in table:
+        if other < nt:
+            partners[i] |= 1 << other
+            partners[other] |= 1 << i
         else:
-            partners[i] |= 1 << bit[other]
-            partners[bit[other]] |= 1 << i
+            positions[i] |= 1 << other - nt
     return partners, positions
 
 
@@ -796,7 +792,7 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     """
     if bound < 1:
         raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
-    table = _check_quadrics(quadrics, setup.n, setup.tvars)
+    table = _check_quadrics(quadrics, setup.n, setup.tvars)[1]
     budget = _Budget(max_vertices, max_checks, "fiber sweep")
     partners, positions = _forbidden(setup, table)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
@@ -868,31 +864,29 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     the step budget bounds what is kept.  Independent of the fiber-graph
     route.  Only a set of toric quadrics passes `_check_quadrics`, in basis
     order and in the ambient ring of the first lead, up front; the set has
-    no setup, so its T-variables are not checked.
+    no setup, so its own T-variables are the ones it is checked against.
 
-    The run writes each term as its atom ids ascending (`_encode`): the
-    basis's nt T-variables numbered 0 .. nt - 1 largest first, then
-    x-position i as nt + i once per unit of its exponent.  The gate puts a pair's sides and
-    all their rewrites in one fiber, where every term has the same T-degree
-    and the same image, so two distinct terms differ first in their
-    T-variables: the smaller tuple is the larger term.  Only a failure's
-    normal forms are decoded back to T-products.
+    The run writes each term as its atom ids ascending (`_encode`), with
+    the ids the gate gives the basis's T-variables sorted largest first,
+    and reads each lead in the gate's code table.  The gate puts a pair's
+    sides and all their rewrites in one fiber, where every term has the
+    same T-degree and the same image, so two distinct terms differ first in
+    their T-variables: the smaller tuple is the larger term.  Only a
+    failure's normal forms are decoded back to T-products.
     """
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    _check_quadrics(basis, n)
     tvars = tuple(sorted({t for g in basis for t in g.lead.tvars + g.tail.tvars},
                          reverse=True))
-    ids = {t: i for i, t in enumerate(tvars)}
-    leads = [_encode(g.lead, ids) for g in basis]
+    ids, table = _check_quadrics(basis, n, tvars)
     tails = [_encode(g.tail, ids) for g in basis]
-    # A lead of degree 2 divides a term exactly when its ids are a pair of
-    # the term's; leads are coprime exactly when they share no id.
-    first, holders = {}, {}
-    for i, lead in enumerate(leads):
-        first.setdefault(lead, i)
+    # Leads are coprime exactly when their codes share no id.
+    leads, holders = [None] * len(basis), {}
+    for lead, held in table.items():
+        for i in held:
+            leads[i] = lead
         for atom in set(lead):
-            holders.setdefault(atom, []).append(i)
+            holders.setdefault(atom, []).extend(held)
     # `memo` maps each term met so far to its `_rewrite_ids`, () when no
     # lead divides it; each step is still counted.
     memo = {}
@@ -915,13 +909,13 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
                     raise SpairLimitError(max_steps, (basis[ai], basis[bi]))
                 step = memo.get(u)
                 if step is None:
-                    step = memo[u] = _rewrite_ids(u, first, leads, tails)
+                    step = memo[u] = _rewrite_ids(u, table, leads, tails)
                 if step:
                     u = step
                     continue
                 step = memo.get(v)
                 if step is None:
-                    step = memo[v] = _rewrite_ids(v, first, leads, tails)
+                    step = memo[v] = _rewrite_ids(v, table, leads, tails)
                 if step:
                     v = step
                     continue
@@ -934,27 +928,6 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _encode(term, ids):
-    """The term's atom ids ascending: `ids[t]` for each T-variable, the ids
-    numbering them largest first, then len(ids) + i once per unit of x_i."""
-    code = [ids[t] for t in term.tvars]
-    for atom, e in enumerate(term.xpart.exps, len(ids)):
-        code += [atom] * e
-    return tuple(code)
-
-
-def _decode(code, tvars, n):
-    """The T-product in n variables of an `_encode` code, `tvars` listing
-    the T-variables by id."""
-    held, exps = [], [0] * n
-    for atom in code:
-        if atom < len(tvars):
-            held.append(tvars[atom])
-        else:
-            exps[atom - len(tvars)] += 1
-    return TProduct._sorted(Monomial(exps), tuple(held))
-
-
 def _side_ids(tail, theirs, mine):
     """The code of `tail` times the atom that the lead `theirs` adds to the
     lead `mine`, tail * lcm / mine: none when the leads are equal.  Two
@@ -965,18 +938,15 @@ def _side_ids(tail, theirs, mine):
     return tuple(sorted(tail + ((q,) if p in mine else (p,))))
 
 
-def _rewrite_ids(term, first, leads, tails):
+def _rewrite_ids(term, table, leads, tails):
     """The code of term / lead * tail for the first basis element whose lead
-    divides the term (`first` maps a lead's code to that element's index),
-    or () when none does."""
-    best = min((first[k] for k in itertools.combinations(term, 2) if k in first),
+    divides the term, found in the gate's code `table`, or () when none
+    does."""
+    best = min((table[k][0] for k in itertools.combinations(term, 2) if k in table),
                default=None)
     if best is None:
         return ()
-    rest = list(term)
-    for atom in leads[best]:
-        rest.remove(atom)
-    return tuple(sorted(rest + list(tails[best])))
+    return _apply(term, leads[best], tails[best])
 
 
 def t_min(family, mu, beta):

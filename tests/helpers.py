@@ -17,12 +17,11 @@ from borelgb.borel import borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import Monomial, _check_ambient, lcm
+from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient, lcm
 from borelgb.sorting import borel_sort, split_monomial
 from borelgb.toric import (FiberGraph, GeneratorVar, SpairLimitError,
                            SpairReport, TProduct, _Budget, _check_quadrics,
-                           _divisor_keys, _enumerate, _reader, _too_deep,
-                           sort_binomials)
+                           _enumerate, _reader, _too_deep, sort_binomials)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -535,7 +534,7 @@ def divides(a, b):
 
 
 def counter_quotient(a, b):
-    """Oracle for `TProduct.rewrite`'s division: a / b with the T-variables
+    """Oracle for the division of a rewrite: a / b with the T-variables
     counted in a `Counter`; raises ValueError when b does not divide a."""
     left = Counter(a.tvars)
     left.subtract(Counter(b.tvars))
@@ -545,7 +544,7 @@ def counter_quotient(a, b):
 
 
 def times_by_sorting(a, b):
-    """Oracle for `TProduct.rewrite`'s multiplication: a * b with the
+    """Oracle for the multiplication of a rewrite: a * b with the
     T-variables re-sorted by the constructor."""
     return TProduct(a.xpart * b.xpart, a.tvars + b.tvars)
 
@@ -747,13 +746,78 @@ def images_by_multiplying(setup, bound):
     return tuple(images)
 
 
+def _atoms(term):
+    """The term's atoms in a fixed order: its T-variables as in `tvars`, then
+    its x-positions ascending, each as often as its exponent but at most twice
+    (T-variables are tuples, positions ints)."""
+    atoms = list(term.tvars)
+    for i, e in enumerate(term.xpart.exps):
+        if e:
+            atoms.append(i)
+            if e > 1:
+                atoms.append(i)
+    return atoms
+
+
+def _divisor_keys(term):
+    """The atom tuples of every lead of degree 2 that divides the term,
+    lazily: its pairs of atoms in atom order."""
+    return itertools.combinations(_atoms(term), 2)
+
+
+def lead_table_by_atoms(leads, n):
+    """Each lead's atom tuple mapped to the ascending indices of the leads
+    with it.  A lead of degree 2 divides a term exactly when its tuple is
+    one of the term's `_divisor_keys`; other degrees and ambients raise."""
+    table = {}
+    for i, lead in enumerate(leads):
+        if lead.xpart.n != n:
+            raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
+        if lead.tdegree + lead.xpart.deg != 2:
+            raise ValueError(f"lead {lead.term_text()} is not of degree 2")
+        table.setdefault(tuple(_atoms(lead)), []).append(i)
+    return table
+
+
+def merge_rewrite(term, binomial):
+    """term / lead * tail for the binomial lead - tail, in one merge pass
+    over the two descending T-variable lists; raises ValueError when the
+    lead does not divide."""
+    lead, tail = binomial.lead, binomial.tail
+    x, lx, tx = term.xpart.exps, lead.xpart.exps, tail.xpart.exps
+    if not len(x) == len(lx) == len(tx):
+        raise AmbientMismatch(f"ambient mismatch: {len(x)}, {len(lx)} and "
+                              f"{len(tx)} variables")
+    # Each tail variable goes in before the first smaller one of the term,
+    # and each lead variable takes out the next equal one.
+    drop, add, out = list(lead.tvars), list(tail.tvars), []
+    for t in term.tvars:
+        while add and add[0] > t:
+            out.append(add.pop(0))
+        if drop and drop[0] == t:
+            del drop[0]
+        else:
+            out.append(t)
+    if drop or lead.xpart.deg and not all(map(operator.ge, x, lx)):
+        raise ValueError(f"{lead} does not divide {term}")
+    xpart = term.xpart
+    if lead.xpart.deg or tail.xpart.deg:
+        xpart = Monomial(tuple(map(operator.add, map(operator.sub, x, lx), tx)))
+    return TProduct._sorted(xpart, tuple(out + add))
+
+
 def _spairs_on_products(quadrics, max_steps):
     """Oracle for `spair_certificate`: the same pair loop, step rule and
-    budget on `TProduct` terms.  Each side is built by `_side` and each
-    term's rewrite, kept in a memo keyed by the term's key, by
-    `_rewrite_once`.  Returns (SpairReport, rewrite steps of the run)."""
+    budget on `TProduct` terms.  The set passes `_check_quadrics` first;
+    leads are then found in its own atom-keyed table
+    (`lead_table_by_atoms`).  Each side is built by `_side` and each term's
+    rewrite, kept in a memo keyed by the term's key, by `_rewrite_once`.
+    Returns (SpairReport, rewrite steps of the run)."""
     basis = sort_binomials(quadrics)
-    table = _check_quadrics(basis, basis[0].lead.xpart.n if basis else None)
+    n = basis[0].lead.xpart.n if basis else None
+    _check_quadrics(basis, n, sorted(
+        {t for g in basis for t in g.lead.tvars + g.tail.tvars}, reverse=True))
+    table = lead_table_by_atoms([g.lead for g in basis], n)
     # A lead of degree 2 is exactly its atoms, its key in the lead table;
     # leads are coprime exactly when they share no atom.
     atoms = [None] * len(basis)
@@ -834,4 +898,4 @@ def _rewrite_once(term, basis, table):
     best = min((table[k][0] for k in _divisor_keys(term) if k in table), default=None)
     if best is None:
         return None
-    return term.rewrite(basis[best])
+    return merge_rewrite(term, basis[best])

@@ -28,8 +28,10 @@ def test_public_names_are_pinned():
 def test_test_only_api_stays_out_of_the_library():
     """Comparators, moves, squarefree tests, suffix-sum vectors and the
     compressed subring maps live in tests/helpers.py; the S-pair route forms
-    its sides without a T-product lcm, and `borel_sort` reads the largest
-    variable off its exponent tuple."""
+    its sides without a T-product lcm, `borel_sort` reads the largest
+    variable off its exponent tuple, and every lead lookup and rewrite runs
+    on atom-id codes, so the atom-keyed lead table and the T-product
+    rewrite are the product-loop oracle's own."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
     assert not hasattr(monomials, "restrict")
@@ -41,6 +43,9 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.TProduct, "is_squarefree")
     assert not hasattr(borelgb.TProduct, "lcm_with")
     assert not hasattr(borelgb.Monomial, "max_var")
+    assert not hasattr(borelgb.TProduct, "rewrite")
+    for name in ("_atoms", "_divisor_keys", "_lead_table"):
+        assert not hasattr(toric, name), name
 
 
 def test_display_methods_take_only_the_base():

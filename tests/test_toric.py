@@ -4,6 +4,7 @@ independent certification routes (unique sinks and S-pair reduction)."""
 import functools
 import itertools
 import operator
+import pathlib
 import pickle
 import random
 import tracemalloc
@@ -19,9 +20,8 @@ from borelgb.monomials import AmbientMismatch, Monomial, lcm, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
                            ResourceLimitError, SpairLimitError, SpairReport,
-                           TProduct, _Budget, _atoms, _decode, _divisor_keys,
-                           _encode, _enumerate, _lead_table, _side_ids,
-                           enumerate_fiber,
+                           TProduct, _apply, _Budget, _check_quadrics, _decode,
+                           _encode, _enumerate, _side_ids, enumerate_fiber,
                            fiber_graph, iterate_images, sort_binomials,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
@@ -870,7 +870,7 @@ def test_verify_jobs_match_on_a_failing_family():
 
 def _forbidden(setup, quads):
     """The walk's partner and position bitsets for the quadrics."""
-    return toric._forbidden(setup, toric._check_quadrics(quads, setup.n, setup.tvars))
+    return toric._forbidden(setup, _check_quadrics(quads, setup.n, setup.tvars)[1])
 
 
 def test_walk_matches_the_per_image_search_on_families():
@@ -1089,9 +1089,9 @@ def test_spair_rewrites_each_term_once(monkeypatch):
     rewritten, scanned = [], set()
     rewrite_ids, scan = toric._rewrite_ids, _rewrite_by_scanning
 
-    def counted(term, first, leads, tails):
+    def counted(term, table, leads, tails):
         rewritten.append(term)
-        return rewrite_ids(term, first, leads, tails)
+        return rewrite_ids(term, table, leads, tails)
 
     def scanned_too(term, basis):
         scanned.add(term.key)
@@ -1431,11 +1431,13 @@ def _tvar_pools():
 
 
 def test_merge_arithmetic_matches_counter_oracles():
-    """divides and rewrite against the Counter and sorting
-    versions, with repeated T-variables, non-divisors and T-parts that
-    divide over x parts that do not.  rewrite by lead - 1 is the quotient,
-    by 1 - tail the product; a lead or tail in another ambient ring raises
-    AmbientMismatch."""
+    """`divides`, and `_apply` on `_encode` codes by the gate's ids, decoded
+    back, against the Counter and sorting versions, with repeated
+    T-variables, non-divisors and T-parts that divide over x parts that do
+    not.  Rewriting by lead - 1 is the quotient, by 1 - tail the product,
+    and a lead that does not divide raises ValueError.  A code carries no
+    ambient ring: a lead or tail in another one is refused by the gate, with
+    AmbientMismatch, before any code is made."""
     rng = random.Random(79)
     cases = Counter()
 
@@ -1444,8 +1446,19 @@ def test_merge_arithmetic_matches_counter_oracles():
         return TProduct(Monomial(tuple(rng.randint(0, 2) for _ in range(n))), tvars)
 
     for n, pool in _tvar_pools():
+        tvars = tuple(sorted(set(pool), reverse=True))
+        ids = _check_quadrics((), n, tvars)[0]
+
+        def rewrite(term, lead, tail):
+            return _decode(_apply(_encode(term, ids), _encode(lead, ids),
+                                  _encode(tail, ids)), tvars, n)
+
         one = TProduct(Monomial.unit(n), ())
         foreign = TProduct(Monomial.unit(n + 1), ())
+        square = TProduct(Monomial.unit(n), [pool[0], pool[0]])
+        for lead, tail in ((foreign, one), (square, foreign)):
+            with pytest.raises(AmbientMismatch):
+                _check_quadrics([Binomial(lead, tail)], n, tvars)
         for _ in range(400):
             a = draw(n, pool, 3)
             kind = rng.randrange(3)
@@ -1461,20 +1474,16 @@ def test_merge_arithmetic_matches_counter_oracles():
             divided = _counter_divides(a, b)
             assert divides(a, b) == divided
             if divided:
-                assert b.rewrite(Binomial(a, one)) == counter_quotient(b, a)
-                assert b.rewrite(Binomial(a, c)) == times_by_sorting(
-                    counter_quotient(b, a), c)
+                assert rewrite(b, a, one) == counter_quotient(b, a)
+                assert rewrite(b, a, c) == times_by_sorting(counter_quotient(b, a), c)
             else:
                 with pytest.raises(ValueError):
-                    b.rewrite(Binomial(a, one))
+                    rewrite(b, a, one)
                 with pytest.raises(ValueError):
-                    b.rewrite(Binomial(a, c))
+                    rewrite(b, a, c)
                 with pytest.raises(ValueError):
                     counter_quotient(b, a)
-            assert a.rewrite(Binomial(one, b)) == times_by_sorting(a, b)
-            for lead, tail in ((foreign, c), (a, foreign)):
-                with pytest.raises(AmbientMismatch):
-                    b.rewrite(Binomial(lead, tail))
+            assert rewrite(a, one, b) == times_by_sorting(a, b)
             cases["divides" if divided else "not"] += 1
             cases["repeated"] += len(set(b.tvars)) < len(b.tvars)
             cases["x mismatch"] += (not divided and _counter_divides(
@@ -1504,29 +1513,38 @@ LEAD_SHAPES = {(2,), (2, "square"), (1, 1), (0, 2), (0, 1, 1)}
 
 
 def test_lead_table_matches_divides_oracle():
-    """A lead divides a term exactly when the table lists it under one of
-    the term's divisor keys, for leads of every shape of degree 2: T pairs,
+    """A lead divides a term exactly when its code, by the gate's ids, is a
+    pair of the term's code, for leads of every shape of degree 2: T pairs,
     T squares, a T-variable times an x, x squares and x pairs, over terms
-    with repeated T-variables and x exponents up to 3."""
+    with repeated T-variables and x exponents up to 3.  The leads are filed
+    by code as the gate files them, since x*x leads never pass the gate:
+    on every quadric set of `_gate_inputs` its table maps each lead's code
+    to the ascending indices of the quadrics with that lead."""
+    for label, setup, quads, _, _ in _gate_inputs():
+        ids, table = _check_quadrics(quads, setup.n, setup.tvars)
+        filed = {}
+        for i, q in enumerate(quads):
+            filed.setdefault(_encode(q.lead, ids), []).append(i)
+        assert table == filed, label
     rng = random.Random(83)
     shapes, hits = Counter(), Counter()
     for n, pool in _tvar_pools():
+        ids = _check_quadrics((), n, sorted(set(pool), reverse=True))[0]
         for _ in range(30):
             few = rng.sample(pool, min(4, len(pool)))
             leads = [_draw_term(rng, n, few) for _ in range(12)]
-            table = _lead_table(leads, n)
-            assert sorted(i for held in table.values() for i in held) == list(
-                range(len(leads)))
-            assert all(held == sorted(held) for held in table.values())
+            table = {}
+            for i, lead in enumerate(leads):
+                table.setdefault(_encode(lead, ids), []).append(i)
             for _ in range(20):
                 term = TProduct(
                     Monomial(tuple(rng.randint(0, 3) for _ in range(n))),
                     [rng.choice(few) for _ in range(rng.randint(0, 4))])
-                keys = set(_divisor_keys(term))
+                keys = set(itertools.combinations(_encode(term, ids), 2))
                 found = {i for k in keys for i in table.get(k, ())}
                 for i, lead in enumerate(leads):
                     assert (i in found) == divides(lead, term), (lead, term)
-                    assert (tuple(_atoms(lead)) in keys) == (i in found)
+                    assert (_encode(lead, ids) in keys) == (i in found)
                     shapes[_shape(lead)] += 1
                     hits[_shape(lead)] += i in found
     assert set(shapes) == LEAD_SHAPES, shapes
@@ -1534,29 +1552,28 @@ def test_lead_table_matches_divides_oracle():
 
 
 def test_lead_table_rejects_other_degrees_and_ambients():
-    """Leads of degree 0, 1 and 3 are refused by the lead table and so by
-    both routes; a degree-1 lead such as T[x1^2] of T[x1^2] - x1*T[x1], a
-    toric binomial, too."""
-    ok = tp("x1", 2, (0, "x2^2"))
+    """Leads of degree 0, 1 and 3 are refused by the gate before its table
+    is built, and so by both routes; a degree-1 lead such as T[x1^2] of
+    T[x1^2] - x1*T[x1], a toric binomial, too."""
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    ok = Binomial(tp("x1", 2, (0, "x2^2")), tp("x2", 2, (0, "x1^2")))
     for bad in (tp("1", 2), tp("x1", 2), tp("1", 2, (0, "x2^2")),
                 tp("x1^3", 2), tp("x1*x2^2", 2),
                 tp("x1^2", 2, (0, "x2^2")), tp("x2", 2, (0, "x2^2"), (0, "x1^2")),
                 tp("1", 2, (0, "x2^2"), (0, "x1*x2"), (0, "x1^2"))):
         with pytest.raises(ValueError, match="not of degree 2$"):
-            _lead_table([ok, bad], 2)
+            _check_quadrics([ok, Binomial(bad, bad)], 2, setup.tvars)
         with pytest.raises(ValueError, match="not of degree 2$"):
-            spair_certificate([Binomial(ok, tp("x2", 2, (0, "x1^2"))),
-                               Binomial(bad, bad)])
+            spair_certificate([ok, Binomial(bad, bad)])
     one = parse_monomial("x1", 1)
     square = TProduct(Monomial.unit(1), [GeneratorVar(0, one.pow(2))])
     with pytest.raises(ValueError, match=r"^lead T\[x1\^2\] is not of degree 2$"):
         spair_certificate([Binomial(square, TProduct(one, [GeneratorVar(0, one)]))])
-    setup = FiberSetup.single(parse_monomial("x2^2", 2))
     with pytest.raises(ValueError, match="not of degree 2$"):
         fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
-                    [Binomial(tp("x1", 2, (0, "x2^2"), (0, "x1^2")), ok)])
+                    [Binomial(tp("x1", 2, (0, "x2^2"), (0, "x1^2")), ok.lead)])
     with pytest.raises(AmbientMismatch):
-        _lead_table([ok, tp("x1", 3)], 2)
+        _check_quadrics([ok, Binomial(tp("x1", 3), tp("x1", 3))], 2, setup.tvars)
     other = quadrics_single(parse_monomial("x2*x3", 3))
     with pytest.raises(AmbientMismatch):
         fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
@@ -1752,23 +1769,25 @@ def test_spair_route_matches_the_product_loop():
 
 def test_atom_id_codes_decode_and_reverse_the_term_order():
     """On the points of small fibers, of single closures and of family
-    blocks whose points carry x parts, a point's atom-id code decodes to
-    the point, and of two points in one fiber the smaller code is the
-    larger point."""
-    setups = [FiberSetup.single(parse_monomial(text, n))
-              for text, n in (("x2^2", 2), ("x2*x3", 3), ("x2^2*x4", 4))]
-    setups += [FiberSetup.for_family(parse_family(text))
-               for text in (EX_FAMILY, TRIANGLE)]
+    blocks whose points carry x parts, a point's atom-id code by the gate's
+    ids for `setup.tvars` decodes to the point, and of two points in one
+    fiber the smaller code is the larger point."""
+    setups = []
+    for text, n in (("x2^2", 2), ("x2*x3", 3), ("x2^2*x4", 4)):
+        M = parse_monomial(text, n)
+        setups.append((FiberSetup.single(M), quadrics_single(M)))
+    for text in (EX_FAMILY, TRIANGLE):
+        family = parse_family(text)
+        setups.append((FiberSetup.for_family(family), quadrics_multi(family).all()))
     points_seen = with_x = pairs = 0
-    for setup in setups:
-        tvars = tuple(sorted(setup.tvars, reverse=True))
-        ids = {t: i for i, t in enumerate(tvars)}
+    for setup, quads in setups:
+        ids = _check_quadrics(quads, setup.n, setup.tvars)[0]
         for mu, beta in iterate_images(setup, 2):
             points = enumerate_fiber(setup, mu, beta)
             codes = [_encode(p, ids) for p in points]
             for p, code in zip(points, codes):
                 assert code == tuple(sorted(code))
-                assert _decode(code, tvars, setup.n) == p
+                assert _decode(code, setup.tvars, setup.n) == p
                 points_seen += 1
                 with_x += p.xpart.deg > 0
             for (p, c), (q, d) in itertools.permutations(zip(points, codes), 2):
@@ -1776,3 +1795,33 @@ def test_atom_id_codes_decode_and_reverse_the_term_order():
                 pairs += 1
     assert points_seen > 2000 and with_x > 1500 and pairs > 10000, (
         points_seen, with_x, pairs)
+
+
+CHAIN_FAM = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "chain.fam"
+
+
+def test_setup_tvars_descend_strictly():
+    """`FiberSetup.tvars` descends strictly, so the gate's ids for it number
+    the T-variables largest first, as codes need to order terms, and each
+    id is the T-variable's bit in the fiber sweep: on every single closure
+    with n <= 4 and degree <= 3, the chain, nested and triangle families,
+    the bench's chain family, and seeded random principal Borel families,
+    reduced."""
+    setups = []
+    for n, deg in itertools.product(range(1, 5), range(1, 4)):
+        for exps in itertools.product(range(deg + 1), repeat=n):
+            if sum(exps) == deg:
+                setups.append(FiberSetup.single(Monomial(exps)))
+    families = [parse_family(text) for text in
+                (EX_FAMILY, NESTED_FAMILY, TRIANGLE, CHAIN_FAM.read_text())]
+    rng = random.Random(101)
+    for _ in range(60):
+        families.append(reduce_family(random_principal_borel_family(
+            rng, rng.randint(2, 4), rng.randint(1, 3), 2))[0])
+    setups += [FiberSetup.for_family(family) for family in families]
+    for setup in setups:
+        tvars = setup.tvars
+        assert all(map(operator.gt, tvars, tvars[1:])), setup.blocks
+        ids = _check_quadrics((), setup.n, tvars)[0]
+        assert list(ids.items()) == list(zip(tvars, range(len(tvars))))
+    assert len(setups) == 129, len(setups)
