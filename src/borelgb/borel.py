@@ -37,15 +37,26 @@ def borel_closure(m, support=None):
     """All monomials reachable from m by Borel moves, ascending grevlex.
 
     With `support`, only moves between positions inside `support` are allowed;
-    the other positions keep m's exponents.  The members are the exponent
-    vectors whose suffix sums over the movable positions stay within m's.
-    Walking those positions from last to first, each takes every exponent its
-    suffix cap allows, largest first, and the first movable position takes the
-    remainder: an odometer that lists the closure in ascending grevlex.
+    the other positions keep m's exponents.  The members are those of
+    `closure_exps`, each made once as a `Monomial`.
     """
-    slots, caps = _suffix_caps(m.exps, support)
-    exps = list(m.exps)
-    out = [m]
+    deg = m.deg
+    return tuple(Monomial._of(e, deg) for e in closure_exps(m.exps, support))
+
+
+def closure_exps(exps, support=None):
+    """The exponent tuples of `borel_closure`, in its order, one at a time.
+
+    The members are the exponent vectors whose suffix sums over the movable
+    positions stay within those of `exps`.  Walking those positions from last
+    to first, each takes every exponent its suffix cap allows, largest first,
+    and the first movable position takes the remainder: an odometer that
+    lists the closure in ascending grevlex.  A support outside 1..n raises
+    ValueError in place of the first tuple.
+    """
+    slots, caps = _suffix_caps(exps, support)
+    yield exps
+    exps = list(exps)
     while True:
         # Slots run from the last movable position to the first; the first
         # position only takes the remainder, so it never gives up a unit.
@@ -53,7 +64,7 @@ def borel_closure(m, support=None):
         while r >= 0 and not exps[slots[r]]:
             r -= 1
         if r < 0:
-            return tuple(out)
+            return
         exps[slots[r]] -= 1
         # Slots r + 1 .. -2 are empty, so slots 0 .. r hold all the movable
         # mass but the remainder's, less the unit just taken.
@@ -61,7 +72,7 @@ def borel_closure(m, support=None):
         for u in range(r + 1, len(slots)):
             exps[slots[u]] = caps[u] - taken
             taken = caps[u]
-        out.append(Monomial._of(tuple(exps), m.deg))
+        yield tuple(exps)
 
 
 def borel_member(m, M, k=1):

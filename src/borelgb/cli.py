@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .borel import borel_closure
+from .borel import closure_exps
 from .families import (incidence_matrix, find_lfree_column_order,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        parse_support, reduce_family, serialize_family)
@@ -58,13 +58,33 @@ def _setup_and_quadrics(args):
     return FiberSetup.for_family(family), quadrics_multi(family).all()
 
 
+class _Factors(dict):
+    """The factor texts of one variable by exponent, 'x3' or 'x3^2', each
+    made on first use."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, e):
+        text = self[e] = f"{self.name}^{e}" if e > 1 else self.name
+        return text
+
+
 def cmd_closure(args):
+    """Stream the closure, one line per member, from its exponent tuples.
+    The output itself bounds the run: memory stays that of one member and
+    the factor texts seen, so no budget applies."""
     M = parse_monomial(args.monomial, args.n, args.base)
     support = (None if args.support is None
                else parse_support(args.support, args.n, args.base))
+    names = [_Factors(f"x{p}") for p in range(args.base, args.base + args.n)]
     write = sys.stdout.write  # one line at a time, without print's overhead
-    for m in borel_closure(M, support=support):
-        write(m.text(args.base) + "\n")
+    for exps in closure_exps(M.exps, support):
+        write(("*".join([row[e] for row, e in zip(names, exps) if e]) or "1")
+              + "\n")
     return 0
 
 
@@ -183,9 +203,10 @@ def cmd_quadrics(args):
         raise ParseError("need a family file or --single")
     family = _reduced_family(args.family)
     quads = quadrics_multi(family)
+    write = sys.stdout.write
     for shape in ("symmetric", "fiber_principal", "fiber_biprincipal"):
         for b in getattr(quads, shape):
-            print(f"{shape} {b.text(family.base)}")
+            write(f"{shape} {b.text(family.base)}\n")
     return 0
 
 

@@ -10,7 +10,14 @@ cross-block exchange quadrics trading a move between two blocks that share
 the two positions.  Every lead term produced here is squarefree.
 
 Each call builds one `_Block` per closure, which holds one T-variable per
-member, and finds moved partners by looking up their exponent tuples.
+member, and finds moved partners by looking up their exponent tuples.  The
+quadrics are found, deduped and sorted as tuples of ints: the T-variables
+are numbered largest first, as `FiberSetup.tvars` numbers them, so a side
+T_a T_b is its ids ascending, negated, and compares as its T-product does;
+a symmetric side x_p T_a is (-a, -p), p the 0-based position.  A quadric is
+its lead side followed by its tail side, so the tuples sort as the quadrics
+do, and `_in_order` makes each `Binomial` once, in that order, with every
+check of `Binomial.make`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import operator
 from .borel import borel_closure
 from .monomials import Monomial
 from .sorting import borel_sort
-from .toric import Binomial, TProduct, _Block, sort_binomials
+from .toric import Binomial, TProduct, _Block
 
 
 def _moved(exps, i, j):
@@ -32,52 +39,60 @@ def _moved(exps, i, j):
     return tuple(out)
 
 
-def _pair(unit, a, b):
-    """T_a T_b, its two T-variables ordered without the constructor."""
-    return TProduct._sorted(unit, (a, b) if a >= b else (b, a))
+def _in_order(keys, side):
+    """The quadrics of `keys`, each made once by `Binomial.make`, ascending.
+
+    A key is a quadric's lead side followed by its tail side, each a pair of
+    ints that compares as that side's `TProduct.key` does, so the keys sort
+    as the quadrics do; `side(a, b)` makes the T-product of the side (a, b).
+    """
+    return tuple(Binomial.make(side(a, b), side(c, d))
+                 for a, b, c, d in sorted(keys))
+
+
+def _products(unit, tvars):
+    """The `side` of `_in_order` for sides T_a T_b: T-variable ids negated,
+    the larger first, `tvars` listing the T-variables by id."""
+    return lambda a, b: TProduct._sorted(unit, (tvars[-a], tvars[-b]))
 
 
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
     block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
-    return sort_binomials(_exchanges(block, block, block.support))
+    return _in_order(_exchanges(block, 0, block, 0, block.support),
+                     _products(Monomial.unit(M.n), block.tvars))
 
 
-def _exchanges(va, vb, positions):
-    """The quadrics trading one move between a generator of `va` and one of `vb`.
+def _exchanges(va, a0, vb, b0, positions):
+    """The keys of the quadrics trading one move between a generator of `va`
+    and one of `vb`, whose T-variables have ids from a0 and from b0 on.
 
     For s < t in `positions`, m in `va` with x_s | m and n in `vb` with
     x_t | n: T_m T_n - T_{(x_t/x_s)m} T_{(x_s/x_t)n}, whenever (x_t/x_s)m
     stays in its closure and the two sides differ.  `positions` lie in both
     blocks' supports, so the upward move (x_s/x_t)n never leaves its closure.
     Within one block this one direction is enough: the other starts from the
-    moved pair and gives the same binomial, which is built only once.
+    moved pair and gives the same key, which the set keeps once.  A side is
+    its two ids negated, the larger first, as `_products` reads it.
     """
-    same = va is vb
-    unit = Monomial.unit(va.pivot.n)
-    pairs = set()
+    keys = set()
     for s, t in itertools.combinations(sorted(p - 1 for p in positions), 2):
         moved_a = []
-        for i, m in enumerate(va.exps):
+        for i, m in enumerate(va.exps, a0):
             if m[s]:
                 j = va.index.get(_moved(m, t, s))
                 if j is not None:
-                    moved_a.append((i, j))
-        for k, n in enumerate(vb.exps):
+                    moved_a.append((-i, -a0 - j))
+        for k, n in enumerate(vb.exps, b0):
             if not n[t]:
                 continue
-            l = vb.index[_moved(n, s, t)]
+            k, l = -k, -b0 - vb.index[_moved(n, s, t)]  # negated, as in moved_a
             for i, j in moved_a:
-                # Index pairs name the two sides; within one block a side
-                # is an unordered pair.
-                u, v = (i, k), (j, l)
-                if same:
-                    u, v = (max(u), min(u)), (max(v), min(v))
+                u = (i, k) if i >= k else (k, i)
+                v = (j, l) if j >= l else (l, j)
                 if u != v:
-                    pairs.add(u + v if u > v else v + u)
-    return [Binomial.make(_pair(unit, va.tvars[i], vb.tvars[k]),
-                          _pair(unit, va.tvars[j], vb.tvars[l]))
-            for i, k, j, l in pairs]
+                    keys.add(u + v if u > v else v + u)
+    return keys
 
 
 def quadrics_bs_form(M):
@@ -89,20 +104,20 @@ def quadrics_bs_form(M):
     product, so each product is sorted once.
     """
     block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
-    unit = Monomial.unit(M.n)
+    exps, index = block.exps, block.index
     by_product = {}
-    for a, b in itertools.combinations_with_replacement(block.tvars, 2):
-        mu = tuple(map(operator.add, a.gen.exps, b.gen.exps))
-        by_product.setdefault(mu, []).append((a, b))
-    out = []
+    for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
+        mu = tuple(map(operator.add, exps[i], exps[j]))
+        by_product.setdefault(mu, []).append((-i, -j))
+    keys = []
     for mu, pairs in by_product.items():
-        v = _pair(unit, *(block.tvars[block.index[f.exps]]
-                          for f in borel_sort(M, Monomial(mu), 2)))
-        for a, b in pairs:
-            u = _pair(unit, a, b)
+        f1, f2 = borel_sort(M, Monomial(mu), 2)
+        a, b = index[f1.exps], index[f2.exps]
+        v = (-a, -b) if a <= b else (-b, -a)
+        for u in pairs:
             if u != v:
-                out.append(Binomial.make(u, v))
-    return sort_binomials(out)
+                keys.append(u + v if u > v else v + u)
+    return _in_order(keys, _products(Monomial.unit(M.n), block.tvars))
 
 
 class MultiQuadrics:
@@ -125,30 +140,39 @@ def quadrics_multi(family):
     if not family.is_reduced():
         raise ValueError("quadrics need a reduced family (apply reduce first)")
     n = family.n
-    xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
     blocks = [_Block(i, e.gen, e.support, e.closure())
               for i, e in enumerate(family.entries, start=1)]
+    # The ids number the T-variables largest first, as `FiberSetup.tvars`
+    # does; each block is located by the id of its first.
+    tvars = tuple(t for b in blocks for t in b.tvars)
+    located = list(zip(blocks, itertools.accumulate(
+        (len(b.tvars) for b in blocks), initial=0)))
 
+    # x_s T_m - x_t T_{(x_s/x_t)m}: a side is its T-variable's id and its
+    # 0-based x position, both negated, as the T-product key orders them.
     symmetric = []
-    for vs in blocks:
-        for m in vs.tvars:
+    for vs, o in located:
+        for gi, m in enumerate(vs.exps, o):
             for t in vs.support:
-                if not m.gen.exps[t - 1]:
+                if not m[t - 1]:
                     continue
                 for s in vs.support:
                     if s >= t:
                         break
-                    m2 = vs.tvars[vs.index[_moved(m.gen.exps, s - 1, t - 1)]]
-                    symmetric.append(Binomial.make(
-                        TProduct._sorted(xs[s - 1], (m,)),
-                        TProduct._sorted(xs[t - 1], (m2,))))
+                    u = (-gi, 1 - s)
+                    v = (-o - vs.index[_moved(m, s - 1, t - 1)], 1 - t)
+                    symmetric.append(u + v if u > v else v + u)
+    xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
 
-    fiber_principal = sort_binomials(
-        b for vs in blocks for b in _exchanges(vs, vs, vs.support))
-    fiber_biprincipal = sort_binomials(
-        b for va, vb in itertools.combinations(blocks, 2)
-        for b in _exchanges(va, vb, set(va.support) & set(vb.support)))
+    fiber_principal, fiber_biprincipal = set(), set()
+    for vs, o in located:
+        fiber_principal |= _exchanges(vs, o, vs, o, vs.support)
+    for (va, oa), (vb, ob) in itertools.combinations(located, 2):
+        fiber_biprincipal |= _exchanges(va, oa, vb, ob,
+                                        set(va.support) & set(vb.support))
 
-    return MultiQuadrics(sort_binomials(symmetric), fiber_principal,
-                         fiber_biprincipal)
-
+    products = _products(Monomial.unit(n), tvars)
+    return MultiQuadrics(
+        _in_order(symmetric, lambda a, p: TProduct._sorted(xs[-p], (tvars[-a],))),
+        _in_order(fiber_principal, products),
+        _in_order(fiber_biprincipal, products))

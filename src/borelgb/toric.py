@@ -227,8 +227,12 @@ def _check_image(u, v):
 
 
 def sort_binomials(binomials):
-    """Ascending by lead, then tail, under the term order; duplicates dropped."""
-    return tuple(sorted(set(binomials), key=lambda b: (b.lead.key, b.tail.key)))
+    """Ascending by lead, then tail, under the term order; duplicates dropped.
+    Dropping them keeps the input order, so input already ascending sorts in
+    linear time; distinct binomials never tie, so the order of the input
+    does not change the result."""
+    return tuple(sorted(dict.fromkeys(binomials),
+                        key=lambda b: (b.lead.key, b.tail.key)))
 
 
 class _Block:

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: golden stdout, stderr, and exit codes."""
 
+import contextlib
+import itertools
 import os
 import pathlib
 import re
@@ -13,13 +15,14 @@ import pytest
 import borelgb
 from borelgb import toric
 from borelgb.cli import main
-from borelgb.monomials import parse_monomial
+from borelgb.monomials import Monomial, parse_monomial
 from borelgb.families import parse_family
 from borelgb.quadrics import quadrics_multi, quadrics_single
 from borelgb.toric import (FiberSetup, ResourceLimitError, _Budget,
                            _enumerate, enumerate_fiber)
 
-from helpers import EX_FAMILY, TRIANGLE, lead_table_keys
+from helpers import EX_FAMILY, TRIANGLE, lead_table_keys, monomial_text
+from test_borel import closure_by_moves
 
 # A reduced family whose first ideal is the unit ideal: its block picks the
 # generator 1 any number of times.
@@ -66,6 +69,60 @@ def test_closure(capsys):
     rc, out, _ = run(capsys, "closure", "x2*x4", "-n", "4", "--support", "x3,x4")
     assert rc == 0
     assert out == "x2*x4\nx2*x3\n"
+
+
+def test_closure_prints_the_move_closure(capsys):
+    """Every generator in at most 4 variables of degree at most 3, the unit
+    among them, at both bases, with no support, a support that skips a
+    middle position and the empty support: the lines are the closure found
+    by Borel moves, each member's text rendered afresh.  A support outside
+    the ambient ring exits 2 before any line."""
+    for n in range(1, 5):
+        partial = tuple(p for p in range(1, n + 1) if p != (n + 1) // 2)
+        for exps in itertools.product(range(4), repeat=n):
+            if sum(exps) > 3:
+                continue
+            gen = Monomial(exps)
+            for base in (0, 1):
+                for support in (None, partial, ()):
+                    argv = ["closure", monomial_text(gen, base), "-n", str(n),
+                            "--base", str(base)]
+                    if support is not None:
+                        argv += ["--support",
+                                 ",".join(f"x{p - 1 + base}" for p in support)]
+                    want = "".join(monomial_text(m, base) + "\n"
+                                   for m in closure_by_moves(gen, support))
+                    assert run(capsys, *argv) == (0, want, ""), argv
+    for argv in (("closure", "x2*x3", "-n", "3", "--support", "x0"),
+                 ("closure", "x1*x2", "-n", "3", "--base", "0", "--support", "x3")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_closure_streams_its_output(capsys):
+    """`closure` writes each member as the walk makes it, so its memory is
+    not that of its output: x6^24's 118,755 lines, about 2.8 MB, peak far
+    below that under tracemalloc.  The output itself bounds the run."""
+
+    class Sink:
+        lines = chars = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            self.chars += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            rc = main(["closure", "x6^24", "-n", "6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, sink.lines) == (0, 118755)
+    assert peak < sink.chars // 4, (peak, sink.chars)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_sort_worked_example(capsys):

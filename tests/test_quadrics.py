@@ -334,6 +334,31 @@ def test_symmetric_shape_matches_loops_on_families():
         assert texts(quadrics_multi(fam).symmetric) == texts(symmetric_by_loops(fam))
 
 
+# A family with all three shapes: 100 symmetric, 216 within-block and 246
+# cross-block quadrics.
+THREE_SHAPES = """vars = 5
+ideal A: support = x1,x2,x3,x4,x5 ; generator = x3*x5
+ideal B: support = x2,x3,x4,x5 ; generator = x4*x5^2
+ideal C: support = x1,x2,x3 ; generator = x2*x3
+"""
+
+
+def test_builders_make_large_sets_in_strict_order():
+    """The builders order their quadrics by integer keys and make each one
+    once; on sets too large for the loop oracles each must still ascend
+    strictly under (lead, tail), as `sort_binomials` leaves it."""
+    x6_4 = parse_monomial("x6^4", 6)
+    three = quadrics_multi(parse_family(THREE_SHAPES))
+    sets = [(quadrics_single(x6_4), 20895), (quadrics_bs_form(x6_4), 6714),
+            (three.symmetric, 100), (three.fiber_principal, 216),
+            (three.fiber_biprincipal, 246)]
+    for quads, count in sets:
+        assert len(quads) == count
+        keys = [(b.lead.key, b.tail.key) for b in quads]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert sort_binomials(quads) == quads
+
+
 def test_quadric_sides_must_share_image_and_blocks():
     """`Binomial.make` rejects sides that differ in image or in blocks, each
     with the other agreeing, and a zero binomial."""

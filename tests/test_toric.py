@@ -237,6 +237,18 @@ def test_sort_binomials_dedupes():
     assert sort_binomials([b, b]) == (b,)
 
 
+def test_sort_binomials_matches_the_set_sort_on_shuffled_input():
+    """Deduping in input order changes nothing but speed: equal binomials
+    are interchangeable and distinct ones never tie on (lead, tail)."""
+    rng = random.Random(67)
+    quads = quadrics_single(parse_monomial("x3^2*x5^2", 5))
+    for _ in range(4):
+        mixed = list(quads) + rng.sample(quads, 100)
+        rng.shuffle(mixed)
+        by_set = tuple(sorted(set(mixed), key=lambda b: (b.lead.key, b.tail.key)))
+        assert sort_binomials(mixed) == by_set == quads
+
+
 def test_enumerate_fiber_single():
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
     pts = enumerate_fiber(setup, parse_monomial("x1^2*x2^2", 2), 2)
