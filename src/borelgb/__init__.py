@@ -6,10 +6,10 @@ from .families import (BiAdjacency, FamilyEntry, IdealFamily,
                        find_lfree_column_order, incidence_matrix,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        reduce_family, serialize_family)
-from .monomials import AmbientMismatch, Monomial, ParseError, lcm, parse_monomial
+from .monomials import AmbientMismatch, Monomial, ParseError, parse_monomial
 from .quadrics import (MultiQuadrics, quadrics_bs_form, quadrics_multi,
                        quadrics_single)
-from .sorting import borel_sort, split_monomial
+from .sorting import borel_sort
 from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar,
                     ResourceLimitError, TProduct, enumerate_fiber, fiber_graph,
                     iterate_images, spair_certificate, t_min, to_dot,

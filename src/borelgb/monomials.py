@@ -133,12 +133,6 @@ def _check_ambient(a, b):
         raise AmbientMismatch(f"ambient mismatch: {len(a.exps)} vs {len(b.exps)} variables")
 
 
-def lcm(m1, m2):
-    _check_ambient(m1, m2)
-    exps = tuple(map(max, m1.exps, m2.exps))
-    return Monomial._of(exps, sum(exps))
-
-
 def parse_power_product(text, letter, n, base=1, line=None, column_offset=0):
     """Parse '1' or 'x3*x4^2'-style text into an exponent tuple of length n.
 

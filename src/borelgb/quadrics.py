@@ -3,11 +3,13 @@
 For a single closure Borel(M), the exchange quadrics swap one variable
 between the two chosen factors: T_m T_n - T_{(x_i/x_j)m} T_{(x_j/x_i)n} with
 i < j and all four monomials in the closure.  The sorted-form set instead
-pairs each product with its canonical two-factor sorted factorization.  For a
-reduced family, three shapes appear: symmetric quadrics trading an x variable
-against a move inside one block, within-block exchange quadrics, and
-cross-block exchange quadrics trading a move between two blocks that share
-the two positions.  Every lead term produced here is squarefree.
+pairs each product with its canonical two-factor sorted factorization, its
+least pair in the term order (the lemma criterion C3 checks: a sorted
+factorization is the least point of its fiber).  For a reduced family,
+three shapes appear: symmetric quadrics trading an x variable against a move
+inside one block, within-block exchange quadrics, and cross-block exchange
+quadrics trading a move between two blocks that share the two positions.
+Every lead term produced here is squarefree.
 
 Each call builds one `_Block` per closure, which holds one T-variable per
 member, and finds moved partners by looking up their exponent tuples.  The
@@ -17,7 +19,8 @@ T_a T_b is its ids ascending, negated, and compares as its T-product does;
 a symmetric side x_p T_a is (-a, -p), p the 0-based position.  A quadric is
 its lead side followed by its tail side, so the tuples sort as the quadrics
 do, and `_in_order` makes each `Binomial` once, in that order, with every
-check of `Binomial.make`.
+check of `Binomial.make`.  Equal sides are one `TProduct`, made once, so its
+image is summed and its text written once however many quadrics share it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import operator
 
 from .borel import borel_closure
 from .monomials import Monomial
-from .sorting import borel_sort
 from .toric import Binomial, TProduct, _Block
 
 
@@ -39,14 +41,30 @@ def _moved(exps, i, j):
     return tuple(out)
 
 
+class _Sides(dict):
+    """The T-product of each side (a, b), made by `side(a, b)` on first use."""
+
+    __slots__ = ("side",)
+
+    def __init__(self, side):
+        super().__init__()
+        self.side = side
+
+    def __missing__(self, key):
+        out = self[key] = self.side(*key)
+        return out
+
+
 def _in_order(keys, side):
     """The quadrics of `keys`, each made once by `Binomial.make`, ascending.
 
     A key is a quadric's lead side followed by its tail side, each a pair of
     ints that compares as that side's `TProduct.key` does, so the keys sort
-    as the quadrics do; `side(a, b)` makes the T-product of the side (a, b).
+    as the quadrics do; `side(a, b)` makes the T-product of the side (a, b),
+    once per distinct side.
     """
-    return tuple(Binomial.make(side(a, b), side(c, d))
+    sides = _Sides(side)
+    return tuple(Binomial.make(sides[a, b], sides[c, d])
                  for a, b, c, d in sorted(keys))
 
 
@@ -101,22 +119,21 @@ def quadrics_bs_form(M):
     One binomial T_m T_n - T_{f1} T_{f2} per unordered pair whose sorted
     two-factor factorization (f1, f2) differs from (m, n).  Spans the same
     degree-two relations as `quadrics_single`.  The pairs are grouped by
-    product, so each product is sorted once.
+    product, and no product is sorted: the lemma behind criterion C3
+    (`test_c3_sorted_output_is_fiber_minimum`) makes `borel_sort`'s output
+    the least point of its fiber, and for k = 2 that fiber is the product's
+    group of pairs, so the sorted factorization is the group's least pair.
     """
     block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
-    exps, index = block.exps, block.index
+    exps = block.exps
     by_product = {}
     for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
         mu = tuple(map(operator.add, exps[i], exps[j]))
         by_product.setdefault(mu, []).append((-i, -j))
     keys = []
-    for mu, pairs in by_product.items():
-        f1, f2 = borel_sort(M, Monomial(mu), 2)
-        a, b = index[f1.exps], index[f2.exps]
-        v = (-a, -b) if a <= b else (-b, -a)
-        for u in pairs:
-            if u != v:
-                keys.append(u + v if u > v else v + u)
+    for pairs in by_product.values():
+        v = min(pairs)  # the tail, below every other pair of its product
+        keys.extend(u + v for u in pairs if u != v)
     return _in_order(keys, _products(Monomial.unit(M.n), block.tvars))
 
 

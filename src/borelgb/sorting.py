@@ -6,7 +6,7 @@ factorizations' coordinatewise data; it is the lex-least point of the fiber of
 the k-fold multiplication map over mu.  The recursion splits mu at its largest
 variable x_s: writing the x_s-exponent A = q*k + r, exactly r factors receive
 x_s^(q+1) and k - r receive x_s^q, and the two groups are sorted recursively
-against the truncated pivots of `split_monomial`.  The recursion runs on
+against the truncated pivots of `_split`.  The recursion runs on
 exponent tuples; only the k factors returned become monomials.
 """
 
@@ -18,27 +18,15 @@ from .borel import _least_divisor, _suffix_caps, borel_member
 from .monomials import Monomial
 
 
-def split_monomial(M, s, E):
-    """Truncated pivot for the recursion, with the x_s part already divided out.
-
-    Builds the Borel-least monomial gamma of deg(M) supported on positions
-    <= s with x_s-exponent exactly E, then returns gamma / x_s^E.  Positions
-    below s - 1 keep M's exponents; position s - 1 absorbs sigma_{s-1}(M) - E.
-    Requires s >= 2 and E <= sigma_s(M).
-    """
-    n = M.n
-    if not 2 <= s <= n:
-        raise ValueError(f"split position {s} outside 2..{n}")
-    # caps[u] is sigma_{n-u}(M).
-    _, caps = _suffix_caps(M.exps)
-    if E > caps[n - s]:
-        raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {caps[n - s]}")
-    return Monomial._of(_split(M.exps, caps, s, E), M.deg - E)
-
-
 def _split(P, caps, s, E):
-    """The exponents of `split_monomial` for the pivot exponents P with
-    suffix sums `caps`."""
+    """The truncated pivot for the recursion, with the x_s part divided out.
+
+    For the pivot exponents P of degree d, with suffix sums `caps`, this is
+    the exponent tuple of gamma / x_s^E, gamma the Borel-least monomial of
+    degree d supported on positions <= s with x_s-exponent exactly E:
+    positions below s - 1 keep P's exponents, and position s - 1 absorbs
+    sigma_{s-1}(P) - E.  Requires 2 <= s and E <= sigma_s(P).
+    """
     n = len(P)
     return P[:s - 2] + (caps[n - s + 1] - E,) + (0,) * (n - s + 1)
 

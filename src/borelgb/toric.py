@@ -123,10 +123,12 @@ class TProduct:
     (earlier blocks larger, then the grevlex order on their generators); x
     parts tie-break by pure lexicographic order with x1 largest.  The key
     lists the T variables largest first, then the x exponents, so ascending
-    key is ascending term order.
+    key is ascending term order.  The image exponents and the last term text
+    are kept once computed, so a side shared by many quadrics sums its image
+    and writes its text once.
     """
 
-    __slots__ = ("xpart", "tvars", "key")
+    __slots__ = ("xpart", "tvars", "key", "_image", "_text")
 
     def __init__(self, xpart, tvars):
         tvars = tuple(sorted(tvars, reverse=True))
@@ -136,6 +138,7 @@ class TProduct:
         self.xpart = xpart
         self.tvars = tvars
         self.key = (tvars, xpart.exps)
+        self._image = self._text = None
 
     @classmethod
     def _sorted(cls, xpart, tvars):
@@ -145,21 +148,19 @@ class TProduct:
         out.xpart = xpart
         out.tvars = tvars
         out.key = (tvars, xpart.exps)
+        out._image = out._text = None
         return out
 
-    @property
-    def tdegree(self):
-        return len(self.tvars)
-
     def image_exps(self):
-        """The exponent tuple of the image, summed without building monomials."""
-        exps = self.xpart.exps
-        for t in self.tvars:
-            exps = tuple(map(operator.add, exps, t.gen.exps))
+        """The exponent tuple of the image, summed without building monomials
+        on the first call and kept."""
+        exps = self._image
+        if exps is None:
+            exps = self.xpart.exps
+            for t in self.tvars:
+                exps = tuple(map(operator.add, exps, t.gen.exps))
+            self._image = exps
         return exps
-
-    def image(self):
-        return Monomial(self.image_exps())
 
     def label(self, base=1):
         """Display text: 'x1^2*x2 | t1:x4, t2:x3*x4' (the x part always shown)."""
@@ -169,11 +170,16 @@ class TProduct:
         return head + " | " + ", ".join(t.text(base) for t in self.tvars)
 
     def term_text(self, base=1):
-        """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial)."""
+        """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial).
+        The text is kept with its base until another base is asked for."""
+        if self._text is not None and self._text[0] == base:
+            return self._text[1]
         parts = [t._rendered(base)[1] for t in self.tvars]
         if self.xpart.deg:
             parts.insert(0, self.xpart.text(base))
-        return "*".join(parts) or "1"
+        text = "*".join(parts) or "1"
+        self._text = (base, text)
+        return text
 
     def __eq__(self, other):
         return isinstance(other, TProduct) and self.key == other.key

@@ -13,12 +13,12 @@ import itertools
 import operator
 from collections import Counter
 
-from borelgb.borel import borel_member, min_borel_divisor
+from borelgb.borel import _suffix_caps, borel_member, min_borel_divisor
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
-from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient, lcm
-from borelgb.sorting import borel_sort, split_monomial
+from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
+from borelgb.sorting import _split, borel_sort
 from borelgb.toric import (FiberGraph, GeneratorVar, SpairLimitError,
                            SpairReport, TProduct, _Budget, _check_quadrics,
                            _enumerate, _reader, _too_deep, sort_binomials)
@@ -64,6 +64,43 @@ def apply_move(m, i, j):
     exps = list(m.exps)
     exps[j - 1] -= 1
     exps[i - 1] += 1
+    return Monomial(exps)
+
+
+def lcm(m1, m2):
+    """The least common multiple of two monomials in one ambient ring."""
+    _check_ambient(m1, m2)
+    return Monomial(tuple(map(max, m1.exps, m2.exps)))
+
+
+def split_monomial(M, s, E):
+    """Truncated pivot of the sorting recursion, with the x_s part divided out.
+
+    Builds the Borel-least monomial gamma of deg(M) supported on positions
+    <= s with x_s-exponent exactly E, then returns gamma / x_s^E, as
+    `sorting._split` writes it.  Requires s >= 2 and E <= sigma_s(M).
+    """
+    n = M.n
+    if not 2 <= s <= n:
+        raise ValueError(f"split position {s} outside 2..{n}")
+    # caps[u] is sigma_{n-u}(M).
+    _, caps = _suffix_caps(M.exps)
+    if E > caps[n - s]:
+        raise ValueError(f"x{s}-exponent {E} exceeds sigma_{s}({M}) = {caps[n - s]}")
+    return Monomial(_split(M.exps, caps, s, E))
+
+
+def tdegree(term):
+    """The number of T-variables of a T-product, counted with multiplicity."""
+    return len(term.tvars)
+
+
+def image(term):
+    """The image of a T-product: its x part times its T-variables' generators,
+    summed afresh from those fields (never read from the kept image)."""
+    exps = term.xpart.exps
+    for t in term.tvars:
+        exps = tuple(map(operator.add, exps, t.gen.exps))
     return Monomial(exps)
 
 
@@ -553,7 +590,7 @@ def lead_table_keys(term):
     """The check count `fiber_graph` charges a term: one per lead-table key
     it looks up, each pair of its d atoms (each T-variable, and each
     x-position as often as its exponent but at most twice)."""
-    d = term.tdegree + sum(min(e, 2) for e in term.xpart.exps)
+    d = tdegree(term) + sum(min(e, 2) for e in term.xpart.exps)
     return d * (d - 1) // 2
 
 
@@ -773,7 +810,7 @@ def lead_table_by_atoms(leads, n):
     for i, lead in enumerate(leads):
         if lead.xpart.n != n:
             raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
-        if lead.tdegree + lead.xpart.deg != 2:
+        if tdegree(lead) + lead.xpart.deg != 2:
             raise ValueError(f"lead {lead.term_text()} is not of degree 2")
         table.setdefault(tuple(_atoms(lead)), []).append(i)
     return table
@@ -828,7 +865,7 @@ def _spairs_on_products(quadrics, max_steps):
     for i, held in enumerate(atoms):
         for atom in set(held):
             holders.setdefault(atom, []).append(i)
-    parts = [(g.lead.tvars, held[g.lead.tdegree:]) for g, held in zip(basis, atoms)]
+    parts = [(g.lead.tvars, held[tdegree(g.lead):]) for g, held in zip(basis, atoms)]
     memo = {}
     checked = skipped = steps = 0
     for ai, a in enumerate(basis):

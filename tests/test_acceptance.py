@@ -22,7 +22,7 @@ from borelgb.toric import (FiberSetup, enumerate_fiber, fiber_graph,
 
 from helpers import (apply_move, certify, first_non_squarefree_lead, is_lfree,
                      min_borel_divisor_bruteforce, random_interval_family,
-                     random_principal_borel_family)
+                     random_principal_borel_family, tdegree)
 
 CHAIN_FAMILY = """vars = 4
 ideal I1: support = x4 ; generator = x4
@@ -164,7 +164,7 @@ def test_c6_negative_control_four_ways(capsys):
     cubic = False
     if not sp.passed:
         u, v = sp.normal_form
-        cubic = all(s.tdegree + s.xpart.deg == 3 for s in (u, v))
+        cubic = all(tdegree(s) + s.xpart.deg == 3 for s in (u, v))
     spair_fails_cubic = (not sp.passed) and cubic
 
     elapsed = time.monotonic() - t0

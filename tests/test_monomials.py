@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from borelgb.borel import borel_closure, min_borel_divisor
-from borelgb.monomials import (AmbientMismatch, Monomial, ParseError, lcm,
-                               parse_monomial)
-from borelgb.sorting import borel_sort, split_monomial
+from borelgb.monomials import AmbientMismatch, Monomial, ParseError, parse_monomial
+from borelgb.sorting import borel_sort
 
-from helpers import apply_move, expand, monomial_text, restrict, sigma
+from helpers import (apply_move, expand, lcm, monomial_text, restrict, sigma,
+                     split_monomial)
 
 
 def M(text, n=4, base=1):

@@ -15,8 +15,9 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct,
                            fiber_graph, iterate_images, sort_binomials)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, apply_move, certify,
-                     first_non_squarefree_lead, is_squarefree,
-                     random_interval_family, random_principal_borel_family)
+                     first_non_squarefree_lead, image, is_squarefree,
+                     random_interval_family, random_principal_borel_family,
+                     tdegree, term_text)
 
 
 def test_smallest_nontrivial_closure():
@@ -42,9 +43,9 @@ def test_exchange_quadrics_structure():
     for b in qs:
         for side in (b.lead, b.tail):
             assert side.xpart.is_unit
-            assert side.tdegree == 2
+            assert tdegree(side) == 2
             assert all(t.gen in gset for t in side.tvars)
-        assert b.lead.image() == b.tail.image()
+        assert image(b.lead) == image(b.tail)
         assert b.lead != b.tail
         assert is_squarefree(b.lead)
     assert first_non_squarefree_lead(qs) is None
@@ -57,7 +58,7 @@ def test_sorted_form_tails_are_sorted_factorizations():
     for b in qs:
         tail_factors = sorted((t.gen for t in b.tail.tvars),
                               key=lambda m: m.grevlex_key())
-        expected = sorted(borel_sort(M, b.lead.image(), 2),
+        expected = sorted(borel_sort(M, image(b.lead), 2),
                           key=lambda m: m.grevlex_key())
         assert tail_factors == expected
         assert is_squarefree(b.lead)
@@ -106,22 +107,22 @@ def test_family_quadric_counts_and_structure():
     assert len(q.all()) == 38
     closures = {i: set(e.closure()) for i, e in enumerate(fam.entries, start=1)}
     for b in q.symmetric:
-        assert b.lead.tdegree == b.tail.tdegree == 1
+        assert tdegree(b.lead) == tdegree(b.tail) == 1
         assert b.lead.xpart.deg == b.tail.xpart.deg == 1
-        assert b.lead.image() == b.tail.image()
+        assert image(b.lead) == image(b.tail)
         t = b.lead.tvars[0]
         assert t.gen in closures[t.block]
     for b in q.fiber_principal:
         assert b.lead.xpart.is_unit and b.tail.xpart.is_unit
         blocks = {t.block for t in b.lead.tvars}
         assert len(blocks) == 1
-        assert b.lead.image() == b.tail.image()
+        assert image(b.lead) == image(b.tail)
     for b in q.fiber_biprincipal:
         assert b.lead.xpart.is_unit and b.tail.xpart.is_unit
         blocks = [t.block for t in b.lead.tvars]
         assert len(set(blocks)) == 2
         assert [t.block for t in b.tail.tvars] == sorted(blocks)
-        assert b.lead.image() == b.tail.image()
+        assert image(b.lead) == image(b.tail)
     assert first_non_squarefree_lead(q.all()) is None
 
     nq = quadrics_multi(parse_family(NESTED_FAMILY))
@@ -306,21 +307,27 @@ def symmetric_by_loops(family):
     return sort_binomials(out)
 
 
-LARGER_CLOSURES = ("x3^2*x5^2", "x2*x4*x5", "x2*x3*x5")
+LARGER_CLOSURES = (("x3^2*x5^2", 5), ("x2*x4*x5", 5), ("x2*x3*x5", 5),
+                   ("x6^4", 6))
+
+
+def small_closures(variables):
+    """Every pivot of degree 1 to 3 in each number of `variables`."""
+    return [Monomial(exps) for n in variables
+            for exps in itertools.product(range(4), repeat=n)
+            if 1 <= sum(exps) <= 3]
 
 
 def test_sorted_form_matches_pairs_on_every_small_closure():
-    closures = 0
-    for n in range(1, 5):
-        for exps in itertools.product(range(4), repeat=n):
-            if not 1 <= sum(exps) <= 3:
-                continue
-            M = Monomial(exps)
-            assert texts(quadrics_bs_form(M)) == texts(bs_form_by_pairs(M)), M
-            closures += 1
-    assert closures == 65
-    for text in LARGER_CLOSURES:
-        M = parse_monomial(text, 5)
+    """The builder takes each product's least pair as its tail; the oracle
+    sorts every pair with `borel_sort`.  They must agree on every closure
+    of degree at most 3 in 1 to 4 and in 6 variables, and on larger ones."""
+    pivots = small_closures((1, 2, 3, 4, 6))
+    assert len(pivots) == 65 + 83
+    for M in pivots:
+        assert texts(quadrics_bs_form(M)) == texts(bs_form_by_pairs(M)), M
+    for text, n in LARGER_CLOSURES:
+        M = parse_monomial(text, n)
         assert texts(quadrics_bs_form(M)) == texts(bs_form_by_pairs(M)), text
 
 
@@ -357,6 +364,38 @@ def test_builders_make_large_sets_in_strict_order():
         keys = [(b.lead.key, b.tail.key) for b in quads]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert sort_binomials(quads) == quads
+
+
+def test_equal_sides_are_one_tproduct_with_its_image_and_text_kept():
+    """Within one quadric set, equal sides are one object; its kept image is
+    a fresh sum of its own fields, and its kept text follows the base asked
+    for, back and forth, on both single forms and on the test families."""
+    rng = random.Random(67)
+    sets = [build(M) for M in small_closures((1, 2, 3, 4))
+            for build in (quadrics_single, quadrics_bs_form)]
+    sets += [build(parse_monomial(text, n)) for text, n in LARGER_CLOSURES[:3]
+             for build in (quadrics_single, quadrics_bs_form)]
+    fams = [parse_family(t) for t in (TRIANGLE, EX_FAMILY, NESTED_FAMILY,
+                                      THREE_SHAPES)]
+    for i in range(20):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fams.append(reduce_family(draw(rng, rng.randint(2, 5), rng.randint(1, 4)))[0])
+    sets += [quadrics_multi(fam).all() for fam in fams]
+    distinct = []
+    for quads in sets:
+        made = {}
+        for side in (s for b in quads for s in (b.lead, b.tail)):
+            assert made.setdefault(side.key, side) is side
+            assert Monomial(side.image_exps()) == image(side)
+            assert side.image_exps() is side.image_exps()
+        distinct.append(len(made))
+        for base in (0, 1, 0):
+            assert [b.text(base) for b in quads] == [
+                f"{term_text(b.lead, base)} - {term_text(b.tail, base)}"
+                for b in quads]
+    # The 2,589 exchange quadrics of x3^2*x5^2 have 5,178 sides, 1,386 distinct.
+    at = 2 * len(small_closures((1, 2, 3, 4)))
+    assert (len(sets[at]), distinct[at]) == (2589, 1386)
 
 
 def test_quadric_sides_must_share_image_and_blocks():

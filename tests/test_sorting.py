@@ -7,9 +7,9 @@ import pytest
 
 from borelgb.borel import borel_closure, borel_member
 from borelgb.monomials import Monomial, parse_monomial
-from borelgb.sorting import borel_sort, split_monomial
+from borelgb.sorting import borel_sort
 
-from helpers import borel_sort_by_monomials
+from helpers import borel_sort_by_monomials, split_monomial
 
 
 def M(text, n, base=0):
