@@ -19,7 +19,7 @@ import itertools
 import operator
 import sys
 
-from .borel import _suffix_caps, borel_closure, min_borel_divisor
+from .borel import _suffix_caps, borel_closure, closure_exps, min_borel_divisor
 from .monomials import AmbientMismatch, Monomial
 from .sorting import borel_sort
 
@@ -617,36 +617,53 @@ def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
     return FiberGraph(vertices, tuple(edges), mu, beta)
 
 
-def iterate_images(setup, bound):
-    """The images to examine up to the total T-degree bound, deterministically.
+def _image_groups(setup, bound):
+    """The images to examine up to the total T-degree bound, one group of
+    exponent tuples per block-degree vector beta, in (|beta|, beta) order.
 
     A block's products of k generators are Borel_L(M^k): the closure of its
-    pivot's k-th power over its support, listed once per k in `rows`.
-    Single setup: the images of T-degree k <= `bound` are row k, paired with
-    k.  Multi setup: for every block-degree vector beta with
-    1 <= |beta| <= bound, the products are the exponent sums of one member of
-    row beta_i per block, and the images are their pairwise least common
-    multiples; a binomial of T-degree beta with coprime x parts has exactly
-    such an lcm as its image, so unique sinks on these fibers decide all
-    binomials up to the bound.
+    pivot's k-th power over its support.  Single setup: group (k,), for
+    k <= `bound`, is that closure, streamed by `closure_exps` in ascending
+    grevlex.  Multi setup: for every beta with 1 <= |beta| <= bound, the
+    products are the exponent sums of one member of row beta_i per block,
+    and the group is the set of their pairwise least common multiples; a
+    binomial of T-degree beta with coprime x parts has exactly such an lcm
+    as its image, so unique sinks on these fibers decide all binomials up to
+    the bound.  A family's group is a set, in no particular order.  Each
+    group is made only when the one before it has been read.
     """
-    rows = [[borel_closure(b.pivot.pow(k), support=b.support)
+    block = setup.blocks[0]
+    if block.exact:
+        for k in range(1, bound + 1):
+            yield (k,), closure_exps(block.pivot.pow(k).exps, block.support)
+        return
+    rows = [[tuple(closure_exps(b.pivot.pow(k).exps, b.support))
              for k in range(bound + 1)] for b in setup.blocks]
-    if setup.blocks[0].exact:
-        return tuple((m, k) for k in range(1, bound + 1) for m in rows[0][k])
-    images = []
-    for beta in itertools.product(range(bound + 1), repeat=len(rows)):
-        if not 1 <= sum(beta) <= bound:
-            continue
+    betas = itertools.product(range(bound + 1), repeat=len(rows))
+    # A stable sort: within one |beta|, the product's lexicographic order.
+    for beta in sorted((beta for beta in betas if 1 <= sum(beta) <= bound), key=sum):
         prods = {(0,) * setup.n}
         for row, k in zip(rows, beta):
             if k:
-                prods = {tuple(map(operator.add, p, m.exps))
-                         for p in prods for m in row[k]}
-        merged = {tuple(map(max, a, b)) for a, b in
-                  itertools.combinations_with_replacement(prods, 2)}
-        images.extend((Monomial._of(e, sum(e)), beta) for e in merged)
-    images.sort(key=lambda it: (sum(it[1]), it[1], it[0].grevlex_key()))
+                prods = {tuple(map(operator.add, p, m)) for p in prods for m in row[k]}
+        yield beta, {tuple(map(max, a, b)) for a, b in
+                     itertools.combinations_with_replacement(prods, 2)}
+
+
+def iterate_images(setup, bound):
+    """The images of `_image_groups` as one tuple of (Monomial, T-degree)
+    pairs, deterministically: group by group, each family group sorted
+    ascending in grevlex.  A single closure's T-degree is the integer k, a
+    family's its block-degree vector.  The tuple holds every image at once,
+    so `verify_groebner_by_fibers` reads the groups themselves."""
+    single = setup.blocks[0].exact
+    images = []
+    for beta, group in _image_groups(setup, bound):
+        mons = [Monomial._of(e, sum(e)) for e in group]
+        if not single:
+            mons.sort(key=Monomial.grevlex_key)
+        shown = beta[0] if single else beta
+        images.extend((m, shown) for m in mons)
     return tuple(images)
 
 
@@ -794,7 +811,11 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     mu agrees with p at the x-positions its T-variables forbid and p divides
     mu, the rest of mu being its x part.  A single closure's T-variables
     forbid every position, as its points have no x part.  The walk runs
-    before `iterate_images` lists the images it answers.
+    before the first group of `_image_groups` is made; each group's
+    exponent tuples are answered as they come, so the sweep holds one group
+    of images at a time.  Only an image without exactly one standard point
+    becomes a `Monomial`, and a group's such images are taken in ascending
+    grevlex, the order `iterate_images` lists them in.
     `max_vertices` caps the multisets found and `max_checks` the candidate
     T-variables tried, one per multiset, both over the whole sweep; the walk
     keeps its own stack, so no recursion limit ends it.  A failure and the
@@ -807,27 +828,34 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     partners, positions = _forbidden(setup, table)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
     single = setup.blocks[0].exact
-    images = iterate_images(setup, bound)
-    failures = []
-    for mu, beta in images:
-        e = mu.exps
-        key, shown = ((beta,), None) if single else (beta, beta)
-        points = []
-        for at, table, partial in by_beta.get(key, ()):
-            for found in table.get(at(e), ()):
-                # Off F, p must divide mu; on a full F, p is mu.
-                if not partial or all(map(operator.le, found[0], e)):
-                    points.append(found)
-        # The least fiber point of every image is standard.
-        if not points:
-            raise AssertionError(f"no standard point over {_image_text(mu, shown)}")
-        if len(points) > 1:
+    failures, images = [], 0
+    for beta, group in _image_groups(setup, bound):
+        slots = by_beta.get(beta, ())
+        odd = []
+        for e in group:
+            images += 1
+            points = []
+            for at, table, partial in slots:
+                for found in table.get(at(e), ()):
+                    # Off F, p must divide mu; on a full F, p is mu.
+                    if not partial or all(map(operator.le, found[0], e)):
+                        points.append(found)
+            if len(points) != 1:
+                odd.append((Monomial._of(e, sum(e)), points))
+        odd.sort(key=lambda it: it[0].grevlex_key())
+        shown = None if single else beta
+        for mu, points in odd:
+            # The least fiber point of every image is standard.
+            if not points:
+                raise AssertionError(f"no standard point over {_image_text(mu, shown)}")
+            e = mu.exps
             sinks = [TProduct._sorted(Monomial(tuple(map(operator.sub, e, p))),
                                       _unchain(chain)) for p, chain in points]
             sinks.sort(key=operator.attrgetter("key"))
             failures.append((mu, shown, tuple(sinks)))
+        del group  # for peak memory: the next group is made without this one
     return VerifyReport(not failures, tuple(failures), f"fibers bound={bound}",
-                        len(images))
+                        images)
 
 
 class SpairReport:

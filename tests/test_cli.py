@@ -537,12 +537,12 @@ def test_verify_budgets_bound_the_whole_sweep(capsys, ex_file, jobs):
 
 
 def test_a_tripped_sweep_lists_no_images(capsys, ex_file, monkeypatch):
-    """The sweep's walk runs before the images are listed, so a budget that
-    trips in the walk lists none of them."""
+    """The sweep's walk runs before the first image group is made, so a
+    budget that trips in the walk makes none of them."""
     def listed(*args):
         raise AssertionError("the images were listed before the budget tripped")
 
-    monkeypatch.setattr(toric, "iterate_images", listed)
+    monkeypatch.setattr(toric, "_image_groups", listed)
     assert run(capsys, "verify", ex_file, "--bound", "6", "--max-vertices", "10") == (
         3, "", "error: fiber sweep exceeded 10 vertices\n")
 
