@@ -76,14 +76,13 @@ def closure_exps(exps, support=None):
 
 
 def borel_member(m, M, k=1):
-    """Whether m lies in Borel(M^k), the products of k members of Borel(M)."""
+    """Whether m lies in Borel(M^k), the products of k members of Borel(M):
+    of the right degree, it is exactly when it is its own least divisor."""
     if m.n != M.n:
         raise ValueError("ambient mismatch in membership test")
     if m.deg != k * M.deg:
         return False
-    _, caps = _suffix_caps(M.exps)
-    return all(a <= k * c for a, c in
-               zip(itertools.accumulate(reversed(m.exps)), caps))
+    return _least_divisor(*_suffix_caps(M.exps), k, m.exps) == m.exps
 
 
 def min_borel_divisor(M, k, mu, support=None):

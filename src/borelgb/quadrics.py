@@ -18,9 +18,9 @@ are numbered largest first, as `FiberSetup.tvars` numbers them, so a side
 T_a T_b is its ids ascending, negated, and compares as its T-product does;
 a symmetric side x_p T_a is (-a, -p), p the 0-based position.  A quadric is
 its lead side followed by its tail side, so the tuples sort as the quadrics
-do, and `_in_order` makes each `Binomial` once, in that order, with every
-check of `Binomial.make`.  Equal sides are one `TProduct`, made once, so its
-image is summed and its text written once however many quadrics share it.
+do, and `_in_order` makes each `Binomial` once, in that order, and so checks
+it once.  Equal sides are one `TProduct`, made once, so its image is summed
+and its text written once however many quadrics share it.
 """
 
 from __future__ import annotations
@@ -56,15 +56,16 @@ class _Sides(dict):
 
 
 def _in_order(keys, side):
-    """The quadrics of `keys`, each made once by `Binomial.make`, ascending.
+    """The quadrics of `keys`, each made once as a `Binomial`, ascending.
 
     A key is a quadric's lead side followed by its tail side, each a pair of
     ints that compares as that side's `TProduct.key` does, so the keys sort
     as the quadrics do; `side(a, b)` makes the T-product of the side (a, b),
-    once per distinct side.
+    once per distinct side.  A key with its tail side first is refused as
+    `Binomial` refuses a lead below its tail.
     """
     sides = _Sides(side)
-    return tuple(Binomial.make(sides[a, b], sides[c, d])
+    return tuple(Binomial(sides[a, b], sides[c, d])
                  for a, b, c, d in sorted(keys))
 
 

@@ -19,7 +19,8 @@ import itertools
 import operator
 import sys
 
-from .borel import _suffix_caps, borel_closure, closure_exps, min_borel_divisor
+from .borel import (_least_divisor, _suffix_caps, borel_closure, closure_exps,
+                    min_borel_divisor)
 from .monomials import AmbientMismatch, Monomial
 from .sorting import borel_sort
 
@@ -192,20 +193,35 @@ class TProduct:
 
 
 class Binomial:
-    """A pure difference lead - tail of two T-products with equal image."""
+    """A toric binomial lead - tail, checked once, when it is made: the tail
+    in the lead's ring (else `AmbientMismatch`), the lead above the tail, and
+    one image and one block list on both sides (else ValueError)."""
 
     __slots__ = ("lead", "tail")
 
     def __init__(self, lead, tail):
+        n = lead.xpart.n
+        if tail.xpart.n != n:
+            raise AmbientMismatch(f"quadric {lead.term_text()} - {tail.term_text()} has "
+                                  f"its tail in {tail.xpart.n} variables, its lead in {n}")
+        if lead.key <= tail.key:
+            raise ValueError(f"quadric {lead.term_text()} - {tail.term_text()} "
+                             "has its lead below its tail")
+        # Both sides keep their T-variables in descending order, whose keys
+        # start with the negated block, so their block lists compare as
+        # multisets.
+        if (lead.image_exps() != tail.image_exps()
+                or [t.block for t in lead.tvars] != [t.block for t in tail.tvars]):
+            raise ValueError(
+                f"sides have different images: {lead.label()} vs {tail.label()}")
         self.lead = lead
         self.tail = tail
 
     @classmethod
     def make(cls, u, v):
-        """Orient u - v by the term order; rejects zero or inhomogeneous input."""
+        """Orient u - v by the term order; a zero binomial is refused."""
         if u == v:
             raise ValueError("zero binomial")
-        _check_image(u, v)
         return cls(u, v) if u.key > v.key else cls(v, u)
 
     def text(self, base=1):
@@ -220,16 +236,6 @@ class Binomial:
 
     def __repr__(self):
         return f"Binomial({self.text()!r})"
-
-
-def _check_image(u, v):
-    """Raise unless u and v have one image and one block list, so that u - v
-    is in the toric ideal.  Both sides keep their T-variables in descending
-    order, whose keys start with the negated block, so their block lists
-    compare as multisets."""
-    if (u.image_exps() != v.image_exps()
-            or [t.block for t in u.tvars] != [t.block for t in v.tvars]):
-        raise ValueError(f"sides have different images: {u.label()} vs {v.label()}")
 
 
 def sort_binomials(binomials):
@@ -316,22 +322,14 @@ class _Block:
 
     def fits(self, rem, q):
         """Whether rem more generators can still divide the exponent tuple q:
-        the greedy of `min_borel_divisor` over the support finds a divisor.
+        `_least_divisor`, the greedy of `min_borel_divisor`, finds one.
         An exact block also needs deg q = rem * deg(pivot), which makes that
         divisor q itself exactly when q is in Borel(pivot^rem)."""
-        caps = self.caps
-        if not rem or not caps:
+        if not rem:
             return True
-        total = rem * caps[-1]
-        if self.exact and sum(q) != total:
+        if self.exact and sum(q) != rem * self.caps[-1]:
             return False
-        taken = 0
-        for i, c in zip(self.slots, caps):
-            taken += q[i]
-            c *= rem
-            if taken > c:
-                taken = c
-        return taken == total
+        return _least_divisor(self.slots, self.caps, rem, q) is not None
 
 
 class FiberSetup:
@@ -545,15 +543,14 @@ def _apply(code, lead, tail):
 
 
 def _check_quadrics(quadrics, n, tvars):
-    """(ids, table) for a set of toric quadrics, after rejecting any quadric
-    that could rewrite a term out of its fiber or up the order.  `ids`
-    numbers the T-variables `tvars`, given in descending order, for
-    `_encode`; `table` maps each lead's code to the ascending indices of the
-    quadrics with that lead.  A lead of degree 2 divides a term exactly when
-    its code is a pair of the term's code.  Every lead must be in n
-    variables and of degree 2; then each quadric in turn needs its tail in
-    n variables, its T-variables among `tvars`, its lead above its tail and
-    one image and block list on both sides."""
+    """(ids, table) for a set of quadrics used in n variables with the
+    T-variables `tvars`, given in descending order.  Every `Binomial` is a
+    toric binomial with its lead on top, checked when it was made; the gate
+    checks what depends on the setup: every lead in n variables and of
+    degree 2, then each quadric's T-variables among `tvars`.  `ids` numbers
+    `tvars` for `_encode`; `table` maps each lead's code to the ascending
+    indices of the quadrics with that lead.  A lead of degree 2 divides a
+    term exactly when its code is a pair of the term's code."""
     for q in quadrics:
         lead = q.lead
         if lead.xpart.n != n:
@@ -563,16 +560,10 @@ def _check_quadrics(quadrics, n, tvars):
     ids = {t: i for i, t in enumerate(tvars)}
     known, table = set(tvars), {}
     for i, q in enumerate(quadrics):
-        lead, tail = q.lead, q.tail
-        if tail.xpart.n != n:
-            raise AmbientMismatch(f"quadric {q.text()} has its tail in "
-                                  f"{tail.xpart.n} variables, its lead in {n}")
-        if not known.issuperset(lead.tvars + tail.tvars):
+        lead = q.lead
+        if not known.issuperset(lead.tvars + q.tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
                              "a generator of its block")
-        if lead.key <= tail.key:
-            raise ValueError(f"quadric {q.text()} has its lead below its tail")
-        _check_image(lead, tail)
         table.setdefault(_encode(lead, ids), []).append(i)
     return ids, table
 
@@ -580,14 +571,14 @@ def _check_quadrics(quadrics, n, tvars):
 def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
                 max_checks=MAX_CHECKS, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable
-    quadric.  Only toric quadrics of the setup pass `_check_quadrics`, so
-    every edge stays in the fiber and goes down the order.  Each vertex is
-    encoded once, by the gate's ids for `setup.tvars`, and rewritten on its
-    code (`_apply`).  `max_vertices` caps the points `enumerate_fiber`
-    finds, and `max_checks` its candidate generators plus the lead-table
-    keys each point looks up: each pair of its d atoms, an x-position
-    counted at most twice, d(d - 1)/2 in all.  Given `vertices`, the fiber
-    is not enumerated again."""
+    quadric.  Every `Binomial` is toric with its lead on top, and only the
+    setup's pass `_check_quadrics`, so every edge stays in the fiber and goes
+    down the order.  Each vertex is encoded once, by the gate's ids for
+    `setup.tvars`, and rewritten on its code (`_apply`).  `max_vertices`
+    caps the points `enumerate_fiber` finds, and `max_checks` its candidate
+    generators plus the lead-table keys each point looks up: each pair of
+    its d atoms, an x-position counted at most twice, d(d - 1)/2 in all.
+    Given `vertices`, the fiber is not enumerated again."""
     budget = _Budget(max_vertices, max_checks)
     beta = setup.beta_tuple(beta)
     ids, table = _check_quadrics(quadrics, setup.n, setup.tvars)
@@ -900,9 +891,9 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     being reduced.  Each term's rewrite is kept for the run, as pairs that
     share a fiber meet the same terms; a step makes at most one new term, so
     the step budget bounds what is kept.  Independent of the fiber-graph
-    route.  Only a set of toric quadrics passes `_check_quadrics`, in basis
-    order and in the ambient ring of the first lead, up front; the set has
-    no setup, so its own T-variables are the ones it is checked against.
+    route.  The set passes `_check_quadrics` up front, in basis order and
+    in the ambient ring of the first lead; it has no setup, so its own
+    T-variables are the ones it is checked against.
 
     The run writes each term as its atom ids ascending (`_encode`), with
     the ids the gate gives the basis's T-variables sorted largest first,

@@ -3,15 +3,17 @@ the three shapes for a reduced family, and squarefreeness of every lead."""
 
 import itertools
 import random
+import types
 
 import pytest
 
 from borelgb.borel import borel_closure
 from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import Monomial, parse_monomial
-from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
+from borelgb.quadrics import (_exchanges, _in_order, _products, quadrics_bs_form,
+                              quadrics_multi, quadrics_single)
 from borelgb.sorting import borel_sort
-from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct,
+from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct, _Block,
                            fiber_graph, iterate_images, sort_binomials)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, apply_move, certify,
@@ -145,14 +147,32 @@ def test_random_interval_families_have_squarefree_leads():
 
 
 def test_first_non_squarefree_lead_detects():
+    """The oracle reads only each quadric's lead, so a stand-in holds the
+    square lead: T[x1*x2]^2 is the tail of the one quadric of Borel(x2^2)
+    and cannot be a `Binomial`'s lead."""
     n = 2
     g = GeneratorVar(0, parse_monomial("x1*x2", n))
     sq = TProduct(parse_monomial("1", n), (g, g))
     other = TProduct(parse_monomial("1", n),
                      (GeneratorVar(0, parse_monomial("x1^2", n)),
                       GeneratorVar(0, parse_monomial("x2^2", n))))
-    bad = Binomial(sq, other)
+    bad = types.SimpleNamespace(lead=sq, tail=other)
     assert first_non_squarefree_lead([bad]) is bad
+
+
+def test_in_order_refuses_a_key_with_its_tail_side_first():
+    """`_in_order` makes each quadric as `Binomial(lead side, tail side)`
+    straight from its key, so a key with the tail side first is refused,
+    not flipped."""
+    M = parse_monomial("x2^2", 2)
+    block = _Block(0, M, (1, 2), borel_closure(M))
+    side = _products(Monomial.unit(2), block.tvars)
+    (key,) = _exchanges(block, 0, block, 0, block.support)
+    assert _in_order([key], side) == quadrics_single(M)
+    with pytest.raises(ValueError) as caught:
+        _in_order([key[2:] + key[:2]], side)
+    assert str(caught.value) == ("quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] "
+                                 "has its lead below its tail")
 
 
 # Oracles for the exchange quadrics: one hand-written loop per shape, each

@@ -227,6 +227,20 @@ def test_binomial_make_orients_and_validates():
         Binomial.make(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))
     with pytest.raises(ValueError):  # same image, different block counts
         Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")))
+    # The constructor refuses a lead below its tail, sides of two images
+    # and sides in two rings, also when `make` has oriented them.
+    assert _rejection(lambda: Binomial(small, big)) == (
+        ValueError, "quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] has its lead "
+                    "below its tail")
+    assert _rejection(lambda: Binomial(big, tp("1", 2, (0, "x1*x2"), (0, "x2^2")))) == (
+        ValueError, "sides have different images: 1 | x1^2, x2^2 vs 1 | x1*x2, x2^2")
+    wide = tp("1", 3, (0, "x1*x2"), (0, "x1*x2"))
+    assert _rejection(lambda: Binomial(big, wide)) == (
+        AmbientMismatch, "quadric T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2] has its tail "
+                         "in 3 variables, its lead in 2")
+    assert _rejection(lambda: Binomial.make(big, wide)) == (
+        AmbientMismatch, "quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] has its tail "
+                         "in 2 variables, its lead in 3")
     b = Binomial(big, small)
     assert b.text() == "T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2]"
 
@@ -723,26 +737,24 @@ def test_verify_rejects_bad_quadrics():
 
 
 def test_spair_route_rejects_mis_oriented_quadrics():
-    """A quadric written tail first, or with equal sides, is refused by the
-    S-pair route with the fiber route's message; with one flipped quadric
-    among the others, that one is named."""
+    """A quadric written tail first, or with equal sides, is refused when it
+    is made, with the message both routes gave it, so no route meets one;
+    the first and the last quadric flipped are named exactly."""
     M3 = parse_monomial("x2*x3", 3)
     quads = quadrics_single(M3)
-    flipped = [Binomial(q.tail, q.lead) for q in quads]
-    named = ("quadric T[x2^2]*T[x1*x3] - T[x1*x2]*T[x2*x3] has its lead "
-             "below its tail")
-    with pytest.raises(ValueError) as spairs:
-        spair_certificate(flipped)
-    with pytest.raises(ValueError) as fibers:
-        verify_groebner_by_fibers(FiberSetup.single(M3), flipped, 2)
-    assert str(spairs.value) == str(fibers.value) == named
-    last = quads[-1]
+    for q in quads:
+        for lead, tail in ((q.tail, q.lead), (q.lead, q.lead)):
+            with pytest.raises(ValueError, match="has its lead below its tail$"):
+                Binomial(lead, tail)
+    first, last = quads[0], quads[-1]
     with pytest.raises(ValueError) as one:
-        spair_certificate(quads[:-1] + (Binomial(last.tail, last.lead),))
+        Binomial(first.tail, first.lead)
+    assert str(one.value) == ("quadric T[x2^2]*T[x1*x3] - T[x1*x2]*T[x2*x3] has "
+                              "its lead below its tail")
+    with pytest.raises(ValueError) as one:
+        Binomial(last.tail, last.lead)
     assert str(one.value) == (f"quadric {last.tail.term_text()} - "
                               f"{last.lead.term_text()} has its lead below its tail")
-    with pytest.raises(ValueError, match="lead below its tail"):
-        spair_certificate([Binomial(last.lead, last.lead)])
     assert spair_certificate(quads).passed
 
 
@@ -805,27 +817,36 @@ def _rejection(call):
     return type(caught.value), str(caught.value)
 
 
+def _relabelled(term, shift):
+    """The term with each T-variable moved `shift` blocks up: its image and
+    its place in the term order against other terms moved alike stay."""
+    return TProduct(term.xpart, [GeneratorVar(t.block + shift, t.gen)
+                                 for t in term.tvars])
+
+
 def test_every_consumer_rejects_the_same_broken_quadrics():
-    """The fiber sweep, the fiber graph and the S-pair run refuse a set with
-    one broken quadric with the same exception class and message: flipped,
-    with a tail of another image but the same block list, with equal sides,
-    with a tail in one more variable, or with a T-variable of another setup.
-    The S-pair run has no setup to hold T-variables against, so it refuses
-    the last by the image that the foreign T-variable changes.  The first
-    input is a lone quadric with sides of different images."""
+    """A broken quadric is refused with the exception class and message
+    that the fiber sweep, the fiber graph and the S-pair run all gave it.
+    Flipped, with a tail of another image but the same block list, with
+    equal sides, with a tail in one more variable, or with a T-variable of
+    another setup that changes its image, it is refused when the `Binomial`
+    is made.  Relabelled onto blocks its setup lacks, it keeps its image,
+    its blocks and its orientation, and the fiber sweep and the fiber graph
+    refuse it by its T-variables; the S-pair run has no setup to hold them
+    against.  The first input is a lone quadric with sides of different
+    images."""
     rng = random.Random(97)
-    x2sq = FiberSetup.single(parse_monomial("x2^2", 2))
-    lone = Binomial(tp("1", 2, (0, "x1^2"), (0, "x1^2")),
-                    tp("1", 2, (0, "x1*x2"), (0, "x2^2")))
-    cases = [("lone", x2sq, (lone,), parse_monomial("x1^2*x2^2", 2), 2, lone,
-              (ValueError, "sides have different images: 1 | x1^2, x1^2 vs "
-                           "1 | x1*x2, x2^2"), None)]
+    lone = (tp("1", 2, (0, "x1^2"), (0, "x1^2")),
+            tp("1", 2, (0, "x1*x2"), (0, "x2^2")))
+    made = [("lone", *lone, (ValueError, "sides have different images: "
+                             "1 | x1^2, x1^2 vs 1 | x1*x2, x2^2"))]
+    used = []
     for label, setup, quads, mu, beta in _gate_inputs():
         n = setup.n
-        for kind in ("flip", "image", "equal", "ambient", "foreign"):
+        for kind in ("flip", "image", "equal", "ambient", "foreign", "relabel"):
             i = rng.randrange(len(quads))
             q = quads[i]
-            lead, tail, spairs = q.lead, q.tail, None
+            lead, tail = q.lead, q.tail
             if kind == "flip":
                 lead, tail = tail, lead
             elif kind == "image":
@@ -834,32 +855,39 @@ def test_every_consumer_rejects_the_same_broken_quadrics():
                 tail = lead
             elif kind == "ambient":
                 tail = _lifted(tail)
-            else:
+            elif kind == "foreign":
                 t = lead.tvars[0]
                 lead = TProduct(lead.xpart, (GeneratorVar(
                     t.block, Monomial.variable(n, n).pow(t.gen.deg + 1)),
                     *lead.tvars[1:]))
-            bad = Binomial(lead, tail)
+            else:
+                shift = len(setup.blocks)
+                bad = Binomial(_relabelled(lead, shift), _relabelled(tail, shift))
+                used.append((f"{label} {kind} q{i}", setup,
+                             quads[:i] + (bad,) + quads[i + 1:], mu, beta, bad))
+                continue
+            text = f"quadric {lead.term_text()} - {tail.term_text()}"
             if kind in ("flip", "equal"):
-                want = (ValueError, f"quadric {bad.text()} has its lead below its tail")
+                want = (ValueError, f"{text} has its lead below its tail")
             elif kind == "ambient":
-                want = (AmbientMismatch, f"quadric {bad.text()} has its tail in "
-                                         f"{n + 1} variables, its lead in {n}")
+                want = (AmbientMismatch, f"{text} has its tail in {n + 1} "
+                                         f"variables, its lead in {n}")
             else:
                 want = (ValueError, f"sides have different images: "
                                     f"{lead.label()} vs {tail.label()}")
-            if kind == "foreign":
-                spairs, want = want, (ValueError, f"quadric {bad.text()} uses a "
-                                      "T-variable that is not a generator of its block")
-            cases.append((f"{label} {kind} q{i}", setup,
-                          quads[:i] + (bad,) + quads[i + 1:], mu, beta, bad, want,
-                          spairs))
-    for label, setup, qs, mu, beta, bad, want, spairs in cases:
+            made.append((f"{label} {kind} q{i}", lead, tail, want))
+    checks = 0
+    for label, lead, tail, want in made:
+        assert _rejection(lambda: Binomial(lead, tail)) == want, label
+        checks += 1
+    for label, setup, qs, mu, beta, bad in used:
         assert qs.count(bad) == 1, label
+        want = (ValueError, f"quadric {bad.text()} uses a T-variable that is "
+                            "not a generator of its block")
         assert _rejection(lambda: verify_groebner_by_fibers(setup, qs, 2)) == want, label
         assert _rejection(lambda: fiber_graph(setup, mu, beta, qs)) == want, label
-        assert _rejection(lambda: spair_certificate(qs)) == (spairs or want), label
-    assert len(cases) == 361
+        checks += 2
+    assert checks == 505
 
 
 def test_verify_pass_single():
@@ -1566,32 +1594,35 @@ def test_lead_table_matches_divides_oracle():
 
 
 def test_lead_table_rejects_other_degrees_and_ambients():
-    """Leads of degree 0, 1 and 3 are refused by the gate before its table
-    is built, and so by both routes; a degree-1 lead such as T[x1^2] of
-    T[x1^2] - x1*T[x1], a toric binomial, too."""
+    """Leads of degree 1 and 3 with real tails are refused by the gate
+    before its table is built, and so by both routes: T[x1^2] of
+    T[x1^2] - x1*T[x1], a toric binomial, too.  Leads of degree 0 and pure
+    x leads have no other term of their image, so no quadric has one."""
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
-    ok = Binomial(tp("x1", 2, (0, "x2^2")), tp("x2", 2, (0, "x1^2")))
-    for bad in (tp("1", 2), tp("x1", 2), tp("1", 2, (0, "x2^2")),
-                tp("x1^3", 2), tp("x1*x2^2", 2),
-                tp("x1^2", 2, (0, "x2^2")), tp("x2", 2, (0, "x2^2"), (0, "x1^2")),
-                tp("1", 2, (0, "x2^2"), (0, "x1*x2"), (0, "x1^2"))):
-        with pytest.raises(ValueError, match="not of degree 2$"):
-            _check_quadrics([ok, Binomial(bad, bad)], 2, setup.tvars)
-        with pytest.raises(ValueError, match="not of degree 2$"):
-            spair_certificate([ok, Binomial(bad, bad)])
+    mu = parse_monomial("x1^2*x2^2", 2)
+    ok = Binomial(tp("x2", 2, (0, "x1*x2")), tp("x1", 2, (0, "x2^2")))
+    for bad in (tp("1", 2), tp("x1", 2), tp("x1^3", 2), tp("x1*x2^2", 2)):
+        with pytest.raises(ValueError, match="has its lead below its tail$"):
+            Binomial(bad, bad)
+    for bad in (Binomial(tp("1", 2, (0, "x1^2")), tp("x1", 2, (0, "x1"))),
+                Binomial(tp("1", 2, (0, "x2^2")), tp("x2", 2, (0, "x2"))),
+                Binomial(tp("x1", 2, (0, "x1^2"), (0, "x2^2")),
+                         tp("x1", 2, (0, "x1*x2"), (0, "x1*x2"))),
+                Binomial(tp("1", 2, (0, "x1^2"), (0, "x1*x2"), (0, "x2^2")),
+                         tp("1", 2, (0, "x1*x2"), (0, "x1*x2"), (0, "x1*x2")))):
+        want = (ValueError, f"lead {bad.lead.term_text()} is not of degree 2")
+        assert _rejection(lambda: _check_quadrics([ok, bad], 2, setup.tvars)) == want
+        assert _rejection(lambda: spair_certificate([ok, bad])) == want
+        assert _rejection(lambda: fiber_graph(setup, mu, 2, [ok, bad])) == want
     one = parse_monomial("x1", 1)
     square = TProduct(Monomial.unit(1), [GeneratorVar(0, one.pow(2))])
     with pytest.raises(ValueError, match=r"^lead T\[x1\^2\] is not of degree 2$"):
         spair_certificate([Binomial(square, TProduct(one, [GeneratorVar(0, one)]))])
-    with pytest.raises(ValueError, match="not of degree 2$"):
-        fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
-                    [Binomial(tp("x1", 2, (0, "x2^2"), (0, "x1^2")), ok.lead)])
-    with pytest.raises(AmbientMismatch):
-        _check_quadrics([ok, Binomial(tp("x1", 3), tp("x1", 3))], 2, setup.tvars)
     other = quadrics_single(parse_monomial("x2*x3", 3))
     with pytest.raises(AmbientMismatch):
-        fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2,
-                    quadrics_single(parse_monomial("x2^2", 2)) + other)
+        _check_quadrics([ok, other[0]], 2, setup.tvars)
+    with pytest.raises(AmbientMismatch):
+        fiber_graph(setup, mu, 2, quadrics_single(parse_monomial("x2^2", 2)) + other)
     with pytest.raises(AmbientMismatch):
         spair_certificate(other + quadrics_single(parse_monomial("x2^2", 2)))
 
@@ -1693,33 +1724,37 @@ def test_spair_sides_match_lcm_oracle():
     """The closed-form sides of every pair with non-coprime leads, built on
     atom-id codes and decoded, are the lcm-completions of the tails,
     lcm / lead * tail with the T-variables counted: on every input of the oracle corpus (T-pair and x*T leads) and
-    on random sets with leads of every shape of degree 2 and tails of degree
-    0 to 2."""
+    on random (lead, tail) pairs with leads of every shape of degree 2 and
+    tails of degree 0 to 2.  Random pairs are no binomials, so they are
+    held as pairs, ordered and deduped as `sort_binomials` orders a basis."""
     rng = random.Random(89)
     drawn = []
     for n, pool in _tvar_pools():
         for _ in range(30):
             few = rng.sample(pool, min(4, len(pool)))
-            drawn.append(("drawn", [
-                Binomial(_draw_term(rng, n, few),
-                         _draw_term(rng, n, pool, rng.randint(0, 2)))
-                for _ in range(8)]))
+            pairs = {(_draw_term(rng, n, few),
+                      _draw_term(rng, n, pool, rng.randint(0, 2)))
+                     for _ in range(8)}
+            drawn.append(("drawn", sorted(pairs, key=lambda p: (p[0].key, p[1].key))))
+    corpus = ((label, [(g.lead, g.tail) for g in sort_binomials(quads)])
+              for label, quads in _spair_inputs())
     shapes = Counter()
-    for label, quads in itertools.chain(_spair_inputs(), drawn):
-        basis = sort_binomials(quads)
+    for label, basis in itertools.chain(corpus, drawn):
         if not basis:
             continue
-        n, tvars = basis[0].lead.xpart.n, _numbered_tvars(basis)
+        n = basis[0][0].xpart.n
+        tvars = tuple(sorted({t for side in basis for term in side for t in term.tvars},
+                             reverse=True))
         ids = {t: i for i, t in enumerate(tvars)}
-        codes = [(_encode(g.lead, ids), _encode(g.tail, ids)) for g in basis]
+        codes = [(_encode(lead, ids), _encode(tail, ids)) for lead, tail in basis]
         for (a, ca), (b, cb) in itertools.combinations(zip(basis, codes), 2):
-            top = _counter_lcm(a.lead, b.lead)
-            if top == times_by_sorting(a.lead, b.lead):
+            top = _counter_lcm(a[0], b[0])
+            if top == times_by_sorting(a[0], b[0]):
                 continue
-            for g, (lead, tail), (theirs, _) in ((a, ca, cb), (b, cb, ca)):
-                want = times_by_sorting(counter_quotient(top, g.lead), g.tail)
-                assert _decode(_side_ids(tail, theirs, lead), tvars, n) == want, label
-                shapes[_shape(g.lead)] += 1
+            for (lead, tail), (lc, tc), (theirs, _) in ((a, ca, cb), (b, cb, ca)):
+                want = times_by_sorting(counter_quotient(top, lead), tail)
+                assert _decode(_side_ids(tc, theirs, lc), tvars, n) == want, label
+                shapes[_shape(lead)] += 1
     assert set(shapes) == LEAD_SHAPES and min(shapes.values()) > 50, shapes
 
 
