@@ -48,31 +48,122 @@ def closure_exps(exps, support=None):
     """The exponent tuples of `borel_closure`, in its order, one at a time.
 
     The members are the exponent vectors whose suffix sums over the movable
-    positions stay within those of `exps`.  Walking those positions from last
-    to first, each takes every exponent its suffix cap allows, largest first,
-    and the first movable position takes the remainder: an odometer that
-    lists the closure in ascending grevlex.  A support outside 1..n raises
-    ValueError in place of the first tuple.
+    positions stay within those of `exps`.  `_columns` walks them with one
+    odometer step per column: a column fixes every movable position but the
+    first two, and its members put e at the second, for e from the column's
+    top down to 0, and the rest of the column's mass at the first.  A
+    support outside 1..n raises ValueError in place of the first tuple.
     """
     slots, caps = _suffix_caps(exps, support)
-    yield exps
-    exps = list(exps)
+    if len(slots) < 2:
+        yield exps
+        return
+    b, a = slots[-1], slots[-2]
+    low = exps[b]  # every column's first member has the pivot's exponent at b
+    walk = list(exps)
+    for _, _, top in _columns(slots, caps, walk):
+        rem = low + top
+        for e in range(top, -1, -1):
+            walk[b] = rem - e
+            walk[a] = e
+            yield tuple(walk)
+
+
+def closure_texts(exps, support, names):
+    """The lines of the closure of `exps`, in `closure_exps` order, as one
+    text block per column.
+
+    `names[i]` is the text of the variable at 0-based position i.  A line
+    joins its factors with '*' and a zero exponent prints nothing; the empty
+    line prints '1'.  Each line is its two varying factors joined onto the
+    text of everything above the second movable position, which the column's
+    lines share.  That text is kept per movable level and rebuilt only from
+    the first level the column walk changed; the fixed positions' text is
+    made once.  A support outside 1..n raises ValueError before the first
+    block.
+    """
+    slots, caps = _suffix_caps(exps, support)
+    if len(slots) < 2 or not any(exps):  # one member
+        yield ("*".join(_power(names[i], e) for i, e in enumerate(exps) if e)
+               or "1") + "\n"
+        return
+    # Every text here is starred: empty, or '*' before each factor.  The
+    # fixed positions between two movable ones are the lower one's tail.
+    tails = ["".join("*" + _power(names[i], exps[i])
+                     for i in range(s + 1, hi) if exps[i])
+             for s, hi in zip(slots, (len(exps),) + slots)]
+
+    def piece(u, e):
+        """Level u's text with exponent e, then its tail."""
+        return ("*" + _power(names[slots[u]], e) if e else "") + tails[u]
+
+    # Level u takes each exponent up to its cap in some column.
+    pieces = [[piece(u, e) for e in range(c + 1)] for u, c in enumerate(caps[:-2])]
+    under = "".join("*" + _power(names[i], exps[i])
+                    for i in range(slots[-1]) if exps[i])
+    # Past `tailed` no level has a tail, so an empty level adds nothing.
+    tailed = max((u + 1 for u, tail in enumerate(tails[:-2]) if tail), default=0)
+    suffix = [""] * (len(slots) - 1)  # suffix[u + 1]: the text of levels 0..u
+    # heads[i]: the line's start with pivot exponent + i at the first movable
+    # position, its star dropped; ends[e]: e at the second, and its tail.
+    heads, ends = [], []
+    low = exps[slots[-1]]
+    walk = list(exps)
+    add = str.__add__
+    for level, stop, top in _columns(slots, caps, walk):
+        stop = max(stop, tailed)
+        for u in range(level, stop):
+            suffix[u + 1] = pieces[u][walk[slots[u]]] + suffix[u]
+        while len(ends) <= top:
+            heads.append((under + piece(-1, low + len(heads)))[1:])
+            ends.append(piece(-2, len(ends)))
+        shared = suffix[stop] + "\n"
+        block = shared.join(map(add, heads[:top + 1], ends[top::-1])) + shared
+        # Only a line with nothing below its second movable position starts
+        # with a star, and only the first line of a column can.
+        yield block if heads[0] else block[1:]
+
+
+def _power(name, e):
+    """The factor 'name^e', or 'name' for e = 1."""
+    return f"{name}^{e}" if e > 1 else name
+
+
+def _columns(slots, caps, exps):
+    """Walk a closure one column at a time, one odometer step per column.
+
+    Level u is the movable position slots[u].  A column fixes every level
+    but the last two, the first two movable positions, which its members
+    vary.  The walk updates the list `exps`, the pivot's exponents at the
+    start, in place and yields (level, stop, top) per column: levels
+    `level` .. stop - 1 may have changed since the last column, those from
+    `stop` on hold 0, and `top` is the most the second movable position
+    may take.  Each step takes a unit from the deepest non-empty fixed
+    level and refills the fixed levels after it to their suffix caps, so
+    the columns come in ascending grevlex.
+    """
+    last = len(slots) - 3
+    # Past the deepest level the pivot fills, a refill writes only zeros,
+    # which those levels already hold; so no step reads or writes them.
+    deep = max((u for u in range(last + 1) if exps[slots[u]]), default=-1)
+    taken = caps[last] if last >= 0 else 0  # mass at levels 0..last
+    r, stop = 0, deep + 1
     while True:
-        # Slots run from the last movable position to the first; the first
-        # position only takes the remainder, so it never gives up a unit.
-        r = len(slots) - 2
+        yield r, stop, caps[-2] - taken
+        r = stop - 1
         while r >= 0 and not exps[slots[r]]:
             r -= 1
         if r < 0:
             return
         exps[slots[r]] -= 1
-        # Slots r + 1 .. -2 are empty, so slots 0 .. r hold all the movable
-        # mass but the remainder's, less the unit just taken.
-        taken = caps[-1] - exps[slots[-1]] - 1
-        for u in range(r + 1, len(slots)):
-            exps[slots[u]] = caps[u] - taken
-            taken = caps[u]
-        yield tuple(exps)
+        taken -= 1
+        if r < last:
+            stop = r + 2 if r >= deep else deep + 1
+            for u in range(r + 1, stop):
+                exps[slots[u]] = caps[u] - taken
+                taken = caps[u]
+        else:
+            stop = r + 1
 
 
 def borel_member(m, M, k=1):

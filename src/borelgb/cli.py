@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .borel import closure_exps
+from .borel import closure_texts
 from .families import (incidence_matrix, find_lfree_column_order,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        parse_support, reduce_family, serialize_family)
@@ -58,33 +58,17 @@ def _setup_and_quadrics(args):
     return FiberSetup.for_family(family), quadrics_multi(family).all()
 
 
-class _Factors(dict):
-    """The factor texts of one variable by exponent, 'x3' or 'x3^2', each
-    made on first use."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        super().__init__()
-        self.name = name
-
-    def __missing__(self, e):
-        text = self[e] = f"{self.name}^{e}" if e > 1 else self.name
-        return text
-
-
 def cmd_closure(args):
-    """Stream the closure, one line per member, from its exponent tuples.
-    The output itself bounds the run: memory stays that of one member and
-    the factor texts seen, so no budget applies."""
+    """Stream the closure, one text block per column of its walk.  The
+    output itself bounds the run: memory stays that of one column and of
+    each position's factor texts, so no budget applies."""
     M = parse_monomial(args.monomial, args.n, args.base)
     support = (None if args.support is None
                else parse_support(args.support, args.n, args.base))
-    names = [_Factors(f"x{p}") for p in range(args.base, args.base + args.n)]
-    write = sys.stdout.write  # one line at a time, without print's overhead
-    for exps in closure_exps(M.exps, support):
-        write(("*".join([row[e] for row, e in zip(names, exps) if e]) or "1")
-              + "\n")
+    names = [f"x{p}" for p in range(args.base, args.base + args.n)]
+    write = sys.stdout.write
+    for block in closure_texts(M.exps, support, names):
+        write(block)
     return 0
 
 

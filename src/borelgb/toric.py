@@ -542,26 +542,34 @@ def _apply(code, lead, tail):
     return tuple(rest)
 
 
-def _check_quadrics(quadrics, n, tvars):
+def _check_quadrics(quadrics, n, tvars=None):
     """(ids, table) for a set of quadrics used in n variables with the
     T-variables `tvars`, given in descending order.  Every `Binomial` is a
     toric binomial with its lead on top, checked when it was made; the gate
     checks what depends on the setup: every lead in n variables and of
-    degree 2, then each quadric's T-variables among `tvars`.  `ids` numbers
-    `tvars` for `_encode`; `table` maps each lead's code to the ascending
-    indices of the quadrics with that lead.  A lead of degree 2 divides a
-    term exactly when its code is a pair of the term's code."""
+    degree 2, then each quadric's T-variables among `tvars`.  Without a
+    setup's `tvars` the quadrics' own are numbered, descending, and that
+    last test, which cannot fail, is skipped.  `ids` numbers the T-variables
+    for `_encode`, in that order; `table` maps each lead's code to the
+    ascending indices of the quadrics with that lead.  A lead of degree 2
+    divides a term exactly when its code is a pair of the term's code."""
     for q in quadrics:
         lead = q.lead
         if lead.xpart.n != n:
             raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
         if len(lead.tvars) + lead.xpart.deg != 2:
             raise ValueError(f"lead {lead.term_text()} is not of degree 2")
+    if tvars is None:
+        known = None
+        tvars = sorted({t for q in quadrics for side in (q.lead, q.tail)
+                        for t in side.tvars}, reverse=True)
+    else:
+        known = set(tvars)
     ids = {t: i for i, t in enumerate(tvars)}
-    known, table = set(tvars), {}
+    table = {}
     for i, q in enumerate(quadrics):
         lead = q.lead
-        if not known.issuperset(lead.tvars + q.tail.tvars):
+        if known is not None and not known.issuperset(lead.tvars + q.tail.tvars):
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
                              "a generator of its block")
         table.setdefault(_encode(lead, ids), []).append(i)
@@ -892,8 +900,8 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     share a fiber meet the same terms; a step makes at most one new term, so
     the step budget bounds what is kept.  Independent of the fiber-graph
     route.  The set passes `_check_quadrics` up front, in basis order and
-    in the ambient ring of the first lead; it has no setup, so its own
-    T-variables are the ones it is checked against.
+    in the ambient ring of the first lead; it has no setup, so the gate
+    numbers the set's own T-variables.
 
     The run writes each term as its atom ids ascending (`_encode`), with
     the ids the gate gives the basis's T-variables sorted largest first,
@@ -905,9 +913,8 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     """
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    tvars = tuple(sorted({t for g in basis for t in g.lead.tvars + g.tail.tvars},
-                         reverse=True))
-    ids, table = _check_quadrics(basis, n, tvars)
+    ids, table = _check_quadrics(basis, n)
+    tvars = tuple(ids)
     tails = [_encode(g.tail, ids) for g in basis]
     # Leads are coprime exactly when their codes share no id.
     leads, holders = [None] * len(basis), {}

@@ -165,6 +165,39 @@ def t_min_compressed(family, mu, beta):
     return TProduct(quotient, tvars)
 
 
+def closure_exps_by_members(exps, support=None):
+    """Oracle for `closure_exps`: an odometer that takes one step per member.
+
+    Walking the movable positions from last to first, each takes every
+    exponent its suffix cap allows, largest first, and the first movable
+    position takes the remainder; each step takes a unit from the deepest
+    non-empty position but the first and refills every position after it."""
+    slots, caps = _suffix_caps(exps, support)
+    yield exps
+    exps = list(exps)
+    while True:
+        r = len(slots) - 2
+        while r >= 0 and not exps[slots[r]]:
+            r -= 1
+        if r < 0:
+            return
+        exps[slots[r]] -= 1
+        taken = caps[-1] - exps[slots[-1]] - 1
+        for u in range(r + 1, len(slots)):
+            exps[slots[u]] = caps[u] - taken
+            taken = caps[u]
+        yield tuple(exps)
+
+
+def closure_lines_by_members(exps, support, names):
+    """Oracle for `closure_texts`: each member of `closure_exps_by_members`
+    joined afresh from its factors, '1' for the empty one, one line each."""
+    return "".join(
+        ("*".join(f"{name}^{e}" if e > 1 else name
+                  for name, e in zip(names, member) if e) or "1") + "\n"
+        for member in closure_exps_by_members(exps, support))
+
+
 def borel_compare(m1, m2):
     """Compare in the Borel order: 'less' means m2 is reachable upward from m1.
 
@@ -852,8 +885,7 @@ def _spairs_on_products(quadrics, max_steps):
     Returns (SpairReport, rewrite steps of the run)."""
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    _check_quadrics(basis, n, sorted(
-        {t for g in basis for t in g.lead.tvars + g.tail.tvars}, reverse=True))
+    _check_quadrics(basis, n)
     table = lead_table_by_atoms([g.lead for g in basis], n)
     # A lead of degree 2 is exactly its atoms, its key in the lead table;
     # leads are coprime exactly when they share no atom.

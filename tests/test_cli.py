@@ -101,9 +101,10 @@ def test_closure_prints_the_move_closure(capsys):
 
 
 def test_closure_streams_its_output(capsys):
-    """`closure` writes each member as the walk makes it, so its memory is
-    not that of its output: x6^24's 118,755 lines, about 2.8 MB, peak far
-    below that under tracemalloc.  The output itself bounds the run."""
+    """`closure` writes its lines one column at a time, as the walk makes
+    them, so its memory is not that of its output: x6^24's 118,755 lines,
+    about 2.8 MB, peak far below that under tracemalloc.  The output itself
+    bounds the run."""
 
     class Sink:
         lines = chars = 0
@@ -403,7 +404,9 @@ def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
     """A fiber too deep for Python's recursion limit is a budget trip in
     `fiber-graph`: exit 3 with one line that names its T-degree, on either
     path.  The sweep of `verify` keeps its own stack, so a single closure
-    or a family that deep gets its verdict, with or without --jobs."""
+    or a family that deep gets its verdict, with or without --jobs; and
+    `closure` walks the 1,100 positions of x1100 with its odometer's own
+    state, printing x1100 down to x1."""
     fam = tmp_path / "unit.fam"
     fam.write_text(UNIT_BLOCK)
     assert parse_family(UNIT_BLOCK).is_reduced()
@@ -415,6 +418,8 @@ def test_deep_fibers_exit_3_naming_the_t_degree(capsys, tmp_path):
         passed = (0, f"PASS\ncertificate: fibers bound={sweep[-1]}\n", "")
         assert run(capsys, *sweep) == passed, sweep
         assert run(capsys, *sweep, "--jobs", "2") == passed, sweep
+    lines = "".join(f"x{p}\n" for p in range(1100, 0, -1))
+    assert run(capsys, "closure", "x1100", "-n", "1100") == (0, lines, "")
     cases = [(("fiber-graph", "--single", "x1", "-n", "1",
                "--mu", "x1^5000", "-k", "5000"), 5000),
              (("fiber-graph", str(fam), "x1", "t1^5000"), 5000)]

@@ -489,19 +489,31 @@ def test_fiber_graph_and_certify():
     assert not connected and len(sinks) == 2
 
 
-def test_fiber_graph_rejects_bad_quadrics():
-    """Quadrics that would rewrite up the order or out of the fiber are
-    refused before the fiber is built, as by the fiber sweep."""
-    setup = FiberSetup.single(parse_monomial("x2^2", 2))
-    mu = parse_monomial("x1^2*x2^2", 2)
+def _flipped_and_off_image():
+    """Two quadrics of Borel(x2^2) that cannot be made, with the constructor's
+    refusal of each: one that would rewrite up the order, one that would
+    rewrite out of the fiber."""
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
-    with pytest.raises(ValueError, match="lead below its tail"):
-        fiber_graph(setup, mu, 2, [Binomial(small, big)])
-    with pytest.raises(ValueError, match="different images"):
-        fiber_graph(setup, mu, 2,
-                    [Binomial(tp("1", 2, (0, "x1^2"), (0, "x1^2")),
-                              tp("1", 2, (0, "x1*x2"), (0, "x1*x2")))])
+    return (((small, big), "quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] has "
+             "its lead below its tail"),
+            ((tp("1", 2, (0, "x1^2"), (0, "x1^2")), small),
+             "sides have different images: 1 | x1^2, x1^2 vs 1 | x1*x2, x1*x2"))
+
+
+def test_fiber_graph_rejects_bad_quadrics():
+    """A quadric that would rewrite up the order or out of the fiber cannot
+    be made: `Binomial` refuses it.  `fiber_graph` refuses a toric quadric
+    over T-variables its setup lacks before the fiber is built, as the
+    fiber sweep does: Borel(x2^2)'s quadric against Borel(x1*x2)."""
+    for sides, message in _flipped_and_off_image():
+        assert _rejection(lambda: Binomial(*sides)) == (ValueError, message)
+    setup = FiberSetup.single(parse_monomial("x1*x2", 2))
+    mu = parse_monomial("x1^2*x2^2", 2)
+    quads = quadrics_single(parse_monomial("x2^2", 2))
+    assert _rejection(lambda: fiber_graph(setup, mu, 2, quads)) == (
+        ValueError, "quadric T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2] uses a "
+        "T-variable that is not a generator of its block")
 
 
 def test_mixed_ambients_are_rejected():
@@ -715,15 +727,12 @@ def test_fiber_graph_matches_scanning_oracle():
 
 
 def test_verify_rejects_bad_quadrics():
+    """The flipped and the off-image quadric cannot be made, so no sweep
+    meets them; the sweep itself refuses T-variables its setup lacks and a
+    bound below 1."""
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
-    big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
-    small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
-    with pytest.raises(ValueError, match="lead below its tail"):
-        verify_groebner_by_fibers(setup, [Binomial(small, big)], 2)
-    with pytest.raises(ValueError, match="different images"):
-        verify_groebner_by_fibers(setup, [Binomial(
-            tp("1", 2, (0, "x1^2"), (0, "x1^2")),
-            tp("1", 2, (0, "x1*x2"), (0, "x1*x2")))], 2)
+    for sides, message in _flipped_and_off_image():
+        assert _rejection(lambda: Binomial(*sides)) == (ValueError, message)
     # quadrics of Borel(x2^2) use x2^2, which Borel(x1*x2) lacks
     other = FiberSetup.single(parse_monomial("x1*x2", 2))
     with pytest.raises(ValueError, match="not a generator of its block"):
@@ -759,16 +768,24 @@ def test_spair_route_rejects_mis_oriented_quadrics():
 
 
 def test_spair_route_rejects_a_tail_in_another_ambient():
-    """A tail in another ambient ring than the leads is refused up front:
-    also when its lead shares no atom with any other lead, so that no side
-    or rewrite step ever meets the tail.  So is a tail of another image in
-    the leads' ring."""
-    quads = quadrics_single(parse_monomial("x2^2", 2))
+    """A tail in another ambient ring than its lead cannot be made:
+    `Binomial` refuses it with AmbientMismatch, and a tail of another image
+    in the lead's ring with ValueError.  The S-pair run refuses a quadric in
+    another ring than the first lead up front, by its lead: also when that
+    lead shares no atom with any other, so that no side or rewrite step
+    would ever meet it."""
     for lead in (tp("x1^2", 2), tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))):
-        with pytest.raises(AmbientMismatch, match="has its tail in 3 variables"):
-            spair_certificate(quads + (Binomial(lead, tp("1", 3)),))
-    with pytest.raises(ValueError, match="sides have different images: x1\\^2 vs 1"):
-        spair_certificate(quads + (Binomial(tp("x1^2", 2), tp("1", 2)),))
+        with pytest.raises(AmbientMismatch) as caught:
+            Binomial(lead, tp("1", 3))
+        assert str(caught.value) == (f"quadric {lead.term_text()} - 1 has its "
+                                     "tail in 3 variables, its lead in 2")
+    assert _rejection(lambda: Binomial(tp("x1^2", 2), tp("1", 2))) == (
+        ValueError, "sides have different images: x1^2 vs 1")
+    quads = quadrics_single(parse_monomial("x2^2", 2))
+    other = quadrics_single(parse_monomial("x2*x3", 3))
+    with pytest.raises(AmbientMismatch) as caught:
+        spair_certificate(quads + other)
+    assert str(caught.value) == "lead T[x1*x2]*T[x2*x3] is not in 2 variables"
 
 
 def _gate_inputs():
@@ -1478,8 +1495,9 @@ def test_merge_arithmetic_matches_counter_oracles():
     T-variables, non-divisors and T-parts that divide over x parts that do
     not.  Rewriting by lead - 1 is the quotient, by 1 - tail the product,
     and a lead that does not divide raises ValueError.  A code carries no
-    ambient ring: a lead or tail in another one is refused by the gate, with
-    AmbientMismatch, before any code is made."""
+    ambient ring: a quadric whose tail lies in another ring than its lead
+    cannot be made, and the gate refuses a lead in another ring than its
+    own, both with AmbientMismatch, before any code is made."""
     rng = random.Random(79)
     cases = Counter()
 
@@ -1499,8 +1517,16 @@ def test_merge_arithmetic_matches_counter_oracles():
         foreign = TProduct(Monomial.unit(n + 1), ())
         square = TProduct(Monomial.unit(n), [pool[0], pool[0]])
         for lead, tail in ((foreign, one), (square, foreign)):
-            with pytest.raises(AmbientMismatch):
-                _check_quadrics([Binomial(lead, tail)], n, tvars)
+            with pytest.raises(AmbientMismatch) as caught:
+                Binomial(lead, tail)
+            assert str(caught.value) == (
+                f"quadric {lead.term_text()} - 1 has its tail in "
+                f"{tail.xpart.n} variables, its lead in {lead.xpart.n}")
+        wider = quadrics_single(Monomial.variable(2, n + 1).pow(2))[0]
+        with pytest.raises(AmbientMismatch) as caught:
+            _check_quadrics([wider], n, tvars)
+        assert str(caught.value) == (f"lead {wider.lead.term_text()} is not "
+                                     f"in {n} variables")
         for _ in range(400):
             a = draw(n, pool, 3)
             kind = rng.randrange(3)
