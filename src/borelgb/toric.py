@@ -15,6 +15,7 @@ support-restricted closures (fiber points carry an x cofactor).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import sys
@@ -396,18 +397,39 @@ def enumerate_fiber(setup, mu, beta, *, max_vertices=MAX_VERTICES,
     points are choices of beta_i block-i generators whose product divides mu,
     with the leftover of mu as x part.
 
-    The search picks one generator per step.  Each distinct step (block,
-    first generator, picks left, quotient) is searched once and charges one
-    check per generator it tries, those from its first one on that divide
-    the quotient.  It goes on only with the generators whose quotient still
-    fits the picks left, read off the block's suffix-sum bitsets
-    (`_Block.candidates`); a block's first quotient must pass
-    `_Block.fits`.  Every point counts one vertex when it is found, also
-    below a step reached again.  `max_vertices` caps the points found and
-    `max_checks` the candidate generators tried.
+    The search picks one generator per step, each at or after the one picked
+    before it.  A pick step is (block, first generator, picks left,
+    quotient); each (block, picks left, quotient) is searched once, and the
+    steps that share it read a suffix of its picks.  Every distinct step
+    charges one check per generator it tries, those from its first one on
+    that divide the quotient, the first time it is reached.  The search
+    goes on only with the generators whose quotient still fits the picks
+    left, read off the block's suffix-sum bitsets (`_Block.candidates`); a
+    block's first quotient must pass `_Block.fits`.  Every point counts one
+    vertex when it is found, also below a step reached again.
+    `max_vertices` caps the points found and `max_checks` the candidate
+    generators tried.
     """
     budget = _Budget(max_vertices, max_checks)
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
+
+
+class _Pick:
+    """A node of the points DAG `_enumerate` builds: the picks of one
+    (block, picks left, quotient), read from some first generator on.
+    Entry j picks generator `gis[j]`, a T-variable of `tvars`, with
+    `kids[j]` below it: a node, or past the last block the leftover as a
+    Monomial.  `gis` ascends, `counts[j]` is the number of points of the
+    entries from j on, and `counts[-1]` is 0.  Below a pick with picks left
+    in its block (`same`) the child is read from the generator picked; the
+    first pick of the next block reads it from 0."""
+
+    __slots__ = ("tvars", "same", "gis", "kids", "counts")
+
+    def __init__(self, tvars, same):
+        self.tvars = tvars
+        self.same = same
+        self.gis, self.kids, self.counts = [], [], [0]
 
 
 def _enumerate(setup, mu, beta, budget):
@@ -417,15 +439,18 @@ def _enumerate(setup, mu, beta, budget):
     exact = blocks[0].exact
     if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
         return ()  # no room for the factors
-    # The points below a search node form a DAG: a node is a list of
-    # (T-variable, child) pairs, a child is a node or, past the last block,
-    # the leftover as a Monomial, and None stands for no points.  A pick step
-    # depends only on (bi, start, rem, q), so `memo` keeps each one's node
-    # with the points below it.  Equal leftovers share one Monomial in
-    # `leaves`.
-    memo, leaves = {}, {}
+    # `state` maps each (bi, rem, q) reached to its search: [lo, divisors,
+    # fitting, starts, node].  Its node holds the picks from generator lo
+    # on; a step reached with a first generator below lo adds the picks
+    # between, and a step's points are those of the node's entries from
+    # its first generator on.  `starts` holds the first generators seen from
+    # lo on, below which nothing has been seen.  The nodes do not point back
+    # to `state`, so clearing it leaves the DAG alone.  Equal leftovers share
+    # one Monomial in `leaves`.
+    state, leaves = {}, {}
 
     def rec_block(bi, q):
+        """(child, points) of the picks of blocks bi on, from quotient q."""
         if bi == len(blocks):
             if exact and any(q):
                 raise AssertionError("exact enumeration left a remainder")
@@ -433,56 +458,77 @@ def _enumerate(setup, mu, beta, budget):
             leaf = leaves.get(q)
             if leaf is None:
                 leaf = leaves[q] = Monomial(q)
-            return leaf
-        block = blocks[bi]
-        if not block.fits(beta[bi], q):
-            return None
-        exps, tvars, candidates = block.exps, block.tvars, block.candidates
+            return leaf, 1
+        if not blocks[bi].fits(beta[bi], q):
+            return None, 0
+        return rec_pick(bi, beta[bi], q, 0)
 
-        def rec_pick(start, rem, q):
-            if rem == 0:
-                return rec_block(bi + 1, q)
-            # A step reached again is not searched again; only its points
-            # are counted.
-            key = (bi, start, rem, q)
-            hit = memo.get(key)
-            if hit is not None:
-                budget.count_vertex(hit[1])
-                return hit[0]
-            found = budget.vertices
+    def rec_pick(bi, rem, q, start):
+        """(node, points from generator start on) of the step."""
+        if rem == 0:
+            return rec_block(bi + 1, q)
+        key = (bi, rem, q)
+        search = state.get(key)
+        if search is None:
+            block = blocks[bi]
+            divisors, fitting = block.candidates(0, rem, q)
+            search = state[key] = [len(block.exps), divisors, fitting, set(),
+                                   _Pick(block.tvars, rem > 1)]
+        lo, divisors, fitting, starts, node = search
+        if start < lo or start not in starts:
             # One check per generator tried: those that divide q.
-            divisors, cands = candidates(start, rem, q)
-            budget.count_check(divisors.bit_count())
-            node = []
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                gi = low.bit_length() - 1
-                child = rec_pick(gi, rem - 1, tuple(map(operator.sub, q, exps[gi])))
-                if child is not None:
-                    node.append((tvars[gi], child))
-            node = node or None
-            memo[key] = (node, budget.vertices - found)
-            return node
+            starts.add(start)
+            budget.count_check((divisors >> start << start).bit_count())
+        if start >= lo:
+            # Every pick is known: only the points are counted.
+            found = node.counts[bisect.bisect_left(node.gis, start)]
+            if found:
+                budget.count_vertex(found)
+            return node, found
+        exps = blocks[bi].exps
+        gis, kids, counts = [], [], []
+        cands = fitting >> start << start & ~(-1 << lo)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            gi = low.bit_length() - 1
+            kid, found = rec_pick(bi, rem - 1,
+                                  tuple(map(operator.sub, q, exps[gi])), gi)
+            if found:
+                gis.append(gi)
+                kids.append(kid)
+                counts.append(found)
+        search[0] = start
+        # The picks from lo on follow, and their points are counted at once.
+        below = node.counts[0]
+        if below:
+            budget.count_vertex(below)
+        # Each new entry counts its own points and those of the entries
+        # after it, `below` among them.
+        suffix = list(itertools.accumulate(reversed(counts), initial=below))
+        node.gis = gis + node.gis
+        node.kids = kids + node.kids
+        node.counts = suffix[:0:-1] + node.counts
+        return node, node.counts[0]
 
-        return rec_pick(0, beta[bi], q)
-
-    def walk(child, chosen):
-        if child.__class__ is list:
-            for tvar, below in child:
-                chosen.append(tvar)
-                walk(below, chosen)
+    def walk(child, start, chosen):
+        if child.__class__ is _Pick:
+            tvars, gis, kids = child.tvars, child.gis, child.kids
+            for j in range(bisect.bisect_left(gis, start), len(gis)):
+                gi = gis[j]
+                chosen.append(tvars[gi])
+                walk(kids[j], gi if child.same else 0, chosen)
                 chosen.pop()
         else:
             out.append(TProduct._sorted(child, tuple(chosen)))
 
     # Both the search and the walk recurse once per pick.
     try:
-        root = rec_block(0, mu.exps)
-        memo.clear()  # for peak memory: building the points needs only the DAG
+        root, found = rec_block(0, mu.exps)
+        state.clear()  # for peak memory: building the points needs only the DAG
         out = []
-        if root is not None:
-            walk(root, [])
+        if found:
+            walk(root, 0, [])
     except RecursionError:
         raise _too_deep(sum(beta)) from None
     del root  # for peak memory: the points need no DAG

@@ -627,6 +627,82 @@ def lead_table_keys(term):
     return d * (d - 1) // 2
 
 
+def enumerate_by_steps(setup, mu, beta, budget, steps=None):
+    """Oracle for `toric._enumerate`: the pick search with one memo entry
+    per pick step (block, first generator, picks left, quotient), so steps
+    that share a quotient each try its candidates.  The distinct steps are
+    appended to `steps`, if given, in the order they are searched."""
+    if mu.n != setup.n:
+        raise ValueError("ambient mismatch between image and setup")
+    blocks = setup.blocks
+    exact = blocks[0].exact
+    if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
+        return ()
+    # A node is a list of (T-variable, child) pairs, a child is a node or,
+    # past the last block, the leftover as a Monomial, and None stands for
+    # no points.  `memo` keeps each step's node with the points below it.
+    memo, leaves = {}, {}
+
+    def rec_block(bi, q):
+        if bi == len(blocks):
+            if exact and any(q):
+                raise AssertionError("exact enumeration left a remainder")
+            budget.count_vertex()
+            leaf = leaves.get(q)
+            if leaf is None:
+                leaf = leaves[q] = Monomial(q)
+            return leaf
+        block = blocks[bi]
+        if not block.fits(beta[bi], q):
+            return None
+        exps, tvars, candidates = block.exps, block.tvars, block.candidates
+
+        def rec_pick(start, rem, q):
+            if rem == 0:
+                return rec_block(bi + 1, q)
+            key = (bi, start, rem, q)
+            hit = memo.get(key)
+            if hit is not None:
+                budget.count_vertex(hit[1])
+                return hit[0]
+            if steps is not None:
+                steps.append(key)
+            found = budget.vertices
+            divisors, cands = candidates(start, rem, q)
+            budget.count_check(divisors.bit_count())
+            node = []
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                gi = low.bit_length() - 1
+                child = rec_pick(gi, rem - 1, tuple(map(operator.sub, q, exps[gi])))
+                if child is not None:
+                    node.append((tvars[gi], child))
+            node = node or None
+            memo[key] = (node, budget.vertices - found)
+            return node
+
+        return rec_pick(0, beta[bi], q)
+
+    def walk(child, chosen):
+        if child.__class__ is list:
+            for tvar, below in child:
+                chosen.append(tvar)
+                walk(below, chosen)
+                chosen.pop()
+        else:
+            out.append(TProduct._sorted(child, tuple(chosen)))
+
+    try:
+        root = rec_block(0, mu.exps)
+        out = []
+        if root is not None:
+            walk(root, [])
+    except RecursionError:
+        raise _too_deep(sum(beta)) from None
+    return tuple(reversed(out))
+
+
 def fiber_graph_by_scanning(setup, mu, beta, quadrics, vertices=None, **caps):
     """Oracle for `fiber_graph`: every quadric's lead is tested against every
     vertex in turn, and each vertex is charged its `lead_table_keys`."""

@@ -2,6 +2,7 @@
 independent certification routes (unique sinks and S-pair reduction)."""
 
 import functools
+import gc
 import itertools
 import operator
 import pathlib
@@ -27,7 +28,7 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
                            verify_groebner_by_fibers)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
-                     certify, counter_quotient, divides,
+                     certify, counter_quotient, divides, enumerate_by_steps,
                      examine_image_by_scanning, fiber_graph_by_scanning,
                      image, images_by_multiplying, is_squarefree, lcm,
                      lead_table_keys,
@@ -1454,6 +1455,102 @@ def test_memo_hits_replay_the_budget():
     assert tripped["checks", "checks"] and tripped["vertices", "vertices"]
     assert tripped["both", "checks"] and tripped["both", "vertices"]
     assert tripped["inside a step reached again"], tripped
+
+
+def _downward_extensions(steps):
+    """How many distinct pick steps, in search order, reach their (block,
+    picks left, quotient) with a first generator below every one it was
+    reached with before: the steps that add picks to a node already
+    searched."""
+    low, extended = {}, 0
+    for bi, start, rem, q in steps:
+        key = (bi, rem, q)
+        if key in low:
+            extended += start < low[key]
+            start = min(start, low[key])
+        low[key] = start
+    return extended
+
+
+def _seeded_family_fibers():
+    """(label, setup, mu, beta): seeded fibers of the chain and nested
+    families, each image a random product of its blocks' generators times
+    an x part."""
+    rng = random.Random(35)
+    for name, text in (("chain", EX_FAMILY), ("nested", NESTED_FAMILY)):
+        setup = FiberSetup.for_family(parse_family(text))
+        for _ in range(30):
+            beta = tuple(rng.randint(0, 2) for _ in setup.blocks)
+            exps = [rng.randint(0, 2) for _ in range(setup.n)]
+            for block, k in zip(setup.blocks, beta):
+                for _ in range(k):
+                    exps = list(map(operator.add, exps, rng.choice(block.exps)))
+            yield name, setup, Monomial(exps), beta
+
+
+def test_search_matches_the_step_oracle():
+    """Searching each (block, picks left, quotient) once gives what one
+    search per pick step gave: the same points in the same order, the same
+    check and vertex totals, and the same outcome at fractions of either
+    total.  The seeded family fibers reach nodes first from a larger first
+    generator and later from a smaller one."""
+    extended = Counter()
+    for label, setup, mu, beta in itertools.chain(
+            _fiber_inputs(), _seeded_family_fibers()):
+        want_budget, got_budget, steps = _Budget(), _Budget(), []
+        want = enumerate_by_steps(setup, mu, beta, want_budget, steps)
+        assert _enumerate(setup, mu, beta, got_budget) == want, (label, mu, beta)
+        assert ((got_budget.checks, got_budget.vertices)
+                == (want_budget.checks, want_budget.vertices)), (label, mu, beta)
+        extended[label] += _downward_extensions(steps)
+        for f in (0.1, 0.4, 0.7):
+            checks = int(f * want_budget.checks)
+            vertices, others = (int(g * want_budget.vertices) for g in (f, 1 - f))
+            for caps in ({"max_checks": checks}, {"max_vertices": vertices},
+                         {"max_vertices": others, "max_checks": checks}):
+                assert (_outcome(_enumerate, setup, mu, beta, _Budget(**caps))
+                        == _outcome(enumerate_by_steps, setup, mu, beta,
+                                    _Budget(**caps))), (label, mu, beta, caps)
+    assert extended["chain"] and extended["nested"] and extended["C2"], extended
+
+
+def test_search_tries_each_quotient_once(monkeypatch):
+    """On the C2 fiber the 5,040 distinct pick steps share 625 (picks left,
+    quotient) nodes: the candidates are read once per node, and the check
+    and vertex totals are those of the steps."""
+    calls = Counter()
+    candidates = toric._Block.candidates
+
+    def counted(block, start, rem, q):
+        calls[start] += 1
+        return candidates(block, start, rem, q)
+
+    monkeypatch.setattr(toric._Block, "candidates", counted)
+    budget = _Budget()
+    C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
+    _enumerate(FiberSetup.single(C2, base=0),
+               parse_monomial("x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0), (6,), budget)
+    assert calls == {0: 625}
+    assert (budget.checks, budget.vertices) == (28_544, 4_742)
+
+
+def test_search_leaves_no_reference_cycles():
+    """The search state is cleared before the walk and the nodes form a
+    DAG, so a C2 enumeration leaves the cycle collector almost nothing:
+    only the cells of its nested functions."""
+    C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
+    setup = FiberSetup.single(C2, base=0)
+    mu = parse_monomial("x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        points = _enumerate(setup, mu, (6,), _Budget())
+        assert len(points) == 4_742
+        assert gc.collect() < 100
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- The S-pair route before its indexes, kept as an oracle -------------------
