@@ -20,7 +20,7 @@ import itertools
 import operator
 import sys
 
-from .borel import (_least_divisor, _suffix_caps, borel_closure, closure_exps,
+from .borel import (_columns, _least_divisor, _suffix_caps, borel_closure,
                     min_borel_divisor)
 from .monomials import AmbientMismatch, Monomial
 from .sorting import borel_sort
@@ -662,37 +662,146 @@ def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
     return FiberGraph(vertices, tuple(edges), mu, beta)
 
 
+def _width(setup, bound):
+    """The field width of the sweep's packed exponent codes at `bound`.
+
+    Every exponent of an image, a product or a standard point up to the
+    bound is at most bound times the largest pivot degree, as a product of
+    at most `bound` generators; its bit length plus one guard bit is the
+    width, so every field keeps its top bit, the guard bit, clear."""
+    return (bound * max(b.pivot.deg for b in setup.blocks)).bit_length() + 1
+
+
+def _pack(exps, width):
+    """The exponent tuple as one int: exps[i] in the `width` bits from bit
+    i * width on."""
+    code = 0
+    for e in reversed(exps):
+        code = code << width | e
+    return code
+
+
+def _unpack(code, n, width):
+    """The exponent tuple of a `_pack` code in n variables."""
+    field = (1 << width) - 1
+    return tuple(code >> i * width & field for i in range(n))
+
+
+def _field_mask(forbid, n, width):
+    """The mask of the fields of the 0-based positions in the bitset
+    `forbid`: a code ANDed with it reads the code at those positions."""
+    field = (1 << width) - 1
+    return _pack([field if forbid >> i & 1 else 0 for i in range(n)], width)
+
+
+def _guard(n, width):
+    """The guard bits of n fields: the top bit of each."""
+    return _pack((1 << width - 1,) * n, width)
+
+
+def _lcms(codes, guard, width):
+    """The set of the pairwise least common multiples of the codes, each
+    code with itself among them, by the guard-bit max of `_image_groups`."""
+    shift = width - 1
+    codes = list(codes)
+    out = set(codes)
+    for i, a in enumerate(codes):
+        room = a | guard
+        out.update([a & m | b & ~m for b in codes[i + 1:]
+                    for t in [(room - b) & guard] for m in [t | (t - (t >> shift))]])
+    return out
+
+
+def _points(mu, slots, guard):
+    """The standard points (p, P) over the image code mu among the
+    `_standard_points` slots of its block degrees, one mask and one lookup
+    each; off a full F, p must pass the borrow test of
+    `verify_groebner_by_fibers`."""
+    points = []
+    room = mu | guard
+    for mask, table, partial in slots:
+        found = table.get(mu & mask)
+        if found:
+            if partial:
+                for it in found:
+                    if (room - it[0]) & guard == guard:
+                        points.append(it)
+            else:
+                points += found
+    return points
+
+
+def _closure_codes(exps, support, width):
+    """The members of `closure_exps(exps, support)`, in its order, packed
+    at `width`, as one descending range per `_columns` column.  A column's
+    members put e at its second movable position a and the rest of its mass
+    at the first, b, for e from its top down to 0; so they step down by
+    2^(a * width) - 2^(b * width), positive as a > b.  The code of a
+    column's other positions is kept per movable level and rebuilt only
+    from the first level the column walk changed."""
+    slots, caps = _suffix_caps(exps, support)
+    if len(slots) < 2:
+        yield (_pack(exps, width),)
+        return
+    b, a = slots[-1], slots[-2]
+    step = (1 << a * width) - (1 << b * width)
+    low = exps[b]  # every column's first member has the pivot's exponent at b
+    # above[u]: the code of the positions that never move and of levels 0..u - 1.
+    above = [_pack(exps, width) - sum(exps[s] << s * width for s in slots)]
+    above += [0] * (len(slots) - 2)
+    walk = list(exps)
+    for level, stop, top in _columns(slots, caps, walk):
+        for u in range(level, stop):
+            above[u + 1] = above[u] + (walk[slots[u]] << slots[u] * width)
+        least = above[stop] + (low + top << b * width)  # e = 0
+        yield range(least + top * step, least - 1, -step)
+
+
 def _image_groups(setup, bound):
     """The images to examine up to the total T-degree bound, one group of
-    exponent tuples per block-degree vector beta, in (|beta|, beta) order.
+    packed exponent codes (`_pack` at `_width(setup, bound)`) per
+    block-degree vector beta, in (|beta|, beta) order.
 
     A block's products of k generators are Borel_L(M^k): the closure of its
-    pivot's k-th power over its support.  Single setup: group (k,), for
-    k <= `bound`, is that closure, streamed by `closure_exps` in ascending
-    grevlex.  Multi setup: for every beta with 1 <= |beta| <= bound, the
-    products are the exponent sums of one member of row beta_i per block,
-    and the group is the set of their pairwise least common multiples; a
-    binomial of T-degree beta with coprime x parts has exactly such an lcm
-    as its image, so unique sinks on these fibers decide all binomials up to
-    the bound.  A family's group is a set, in no particular order.  Each
-    group is made only when the one before it has been read.
+    pivot's k-th power over its support, read as codes off its columns
+    (`_closure_codes`).  Single setup: group (k,), for k <= `bound`, is that
+    closure in ascending grevlex.  Multi setup: for every beta with
+    1 <= |beta| <= bound, the products are the sums of one member of row
+    beta_i per block, and the group is the set of their pairwise least
+    common multiples (`_lcms`); a binomial of T-degree beta with coprime x
+    parts has exactly such an lcm as its image, so unique sinks on these
+    fibers decide all binomials up to the bound.  A family's group is a
+    set, in no particular order.  Each group is made only when the one
+    before it has been read.
+
+    Every field of a product or an lcm is at most bound times the largest
+    pivot degree (`_width`), so it stays below its guard bit: a sum of codes
+    carries into no other field, and the max is exact.  A field of
+    (a | guard) - b is 2^(width - 1) + a_i - b_i, between 1 and
+    2^width - 1, so no field borrows from the next and its guard bit is set
+    exactly when a_i >= b_i.  With t those guard bits,
+    m = t | (t - (t >> (width - 1))) fills each such field, and
+    (a & m) | (b & ~m) takes a's field where a_i >= b_i and b's elsewhere.
     """
+    width = _width(setup, bound)
     block = setup.blocks[0]
     if block.exact:
         for k in range(1, bound + 1):
-            yield (k,), closure_exps(block.pivot.pow(k).exps, block.support)
+            yield (k,), itertools.chain.from_iterable(
+                _closure_codes(block.pivot.pow(k).exps, block.support, width))
         return
-    rows = [[tuple(closure_exps(b.pivot.pow(k).exps, b.support))
+    guard = _guard(setup.n, width)
+    rows = [[tuple(itertools.chain.from_iterable(
+                _closure_codes(b.pivot.pow(k).exps, b.support, width)))
              for k in range(bound + 1)] for b in setup.blocks]
     betas = itertools.product(range(bound + 1), repeat=len(rows))
     # A stable sort: within one |beta|, the product's lexicographic order.
     for beta in sorted((beta for beta in betas if 1 <= sum(beta) <= bound), key=sum):
-        prods = {(0,) * setup.n}
+        prods = {0}
         for row, k in zip(rows, beta):
             if k:
-                prods = {tuple(map(operator.add, p, m)) for p in prods for m in row[k]}
-        yield beta, {tuple(map(max, a, b)) for a, b in
-                     itertools.combinations_with_replacement(prods, 2)}
+                prods = {p + m for p in prods for m in row[k]}
+        yield beta, _lcms(prods, guard, width)
 
 
 def iterate_images(setup, bound):
@@ -702,9 +811,10 @@ def iterate_images(setup, bound):
     family's its block-degree vector.  The tuple holds every image at once,
     so `verify_groebner_by_fibers` reads the groups themselves."""
     single = setup.blocks[0].exact
+    n, width = setup.n, _width(setup, bound)
     images = []
     for beta, group in _image_groups(setup, bound):
-        mons = [Monomial._of(e, sum(e)) for e in group]
+        mons = [Monomial._of(e, sum(e)) for e in (_unpack(c, n, width) for c in group)]
         if not single:
             mons.sort(key=Monomial.grevlex_key)
         shown = beta[0] if single else beta
@@ -782,29 +892,40 @@ def _standard_points(setup, partners, positions, bound, budget):
     part.  P is filed under its block degrees beta and the bitset F of
     x-positions its T-variables forbid, and there under p read at F.  The
     walk carries both in one int, F in its low n bits and above them beta's
-    digits in base bound + 1.  The result maps beta to a list of
-    (reader at F, {p at F: [(p, P)]}, whether F misses a position), P held
-    as a chain (last T-variable, rest) for `_unchain`.  The walk keeps its
-    own stack, so no recursion limit bounds |P|, and runs in pre-order: a
-    popped P is filed, charged a check and a vertex per T-variable that may
-    extend it, and its extensions are pushed largest first."""
+    digits in base bound + 1.  p is a packed code (`_pack` at
+    `_width(setup, bound)`): a sum of at most `bound` generators, each of
+    its fields stays below the guard bit, so adding a generator's code
+    carries into no other field.  Read at F, p is p ANDed with F's field
+    mask; a full F reads p itself.  The result maps beta to a
+    list of (F's field mask, {p at F: [(p, P)]}, whether F misses a
+    position), P held as a chain (last T-variable, rest) for `_unchain`.
+    The walk keeps its own stack, so no recursion limit bounds |P|, and runs
+    in pre-order: a popped P is filed, charged a check and a vertex per
+    T-variable that may extend it, and its extensions are pushed largest
+    first."""
     n, tvars = setup.n, setup.tvars
+    width = _width(setup, bound)
     full = (1 << n) - 1
-    exps = tuple(t.gen.exps for t in tvars)
+    codes = tuple(_pack(t.gen.exps, width) for t in tvars)
     steps = tuple((bound + 1) ** bi << n for bi, block in enumerate(setup.blocks)
                   for _ in block.tvars)
-    slots = {}
+    slots, masks = {}, {}  # one mask per F, shared by the slots that read at F
     # (number of P's last T-variable, those that may follow it, code, p,
     # chain, |P|), from the empty P.
-    stack = [(0, (1 << len(tvars)) - 1, 0, (0,) * n, None, 0)]
+    stack = [(0, (1 << len(tvars)) - 1, 0, 0, None, 0)]
     while stack:
         gi, allowed, c, point, chain, size = stack.pop()
         if chain is not None:
             slot = slots.get(c)
             if slot is None:
                 f = c & full
-                slot = slots[c] = (_reader(f, n), {}, f != full)
-            slot[1].setdefault(slot[0](point), []).append((point, chain))
+                mask = masks.get(f)
+                if mask is None:
+                    mask = masks[f] = _field_mask(f, n, width)
+                slot = slots[c] = (mask, {}, f != full)
+            mask, table, partial = slot
+            table.setdefault(point & mask if partial else point, []).append(
+                (point, chain))
         if size == bound:
             continue
         found = allowed >> gi << gi
@@ -815,8 +936,7 @@ def _standard_points(setup, partners, positions, bound, budget):
             gi = found.bit_length() - 1
             found ^= 1 << gi
             stack.append((gi, allowed & ~partners[gi], c + steps[gi] | positions[gi],
-                          tuple(map(operator.add, point, exps[gi])),
-                          (tvars[gi], chain), size + 1))
+                          point + codes[gi], (tvars[gi], chain), size + 1))
     by_beta = {}
     for c, slot in slots.items():
         beta = tuple((c >> n) // (bound + 1) ** bi % (bound + 1)
@@ -834,14 +954,6 @@ def _unchain(chain):
     return tuple(reversed(out))
 
 
-def _reader(forbid, n):
-    """A function reading an exponent tuple at the positions in `forbid`."""
-    if forbid == (1 << n) - 1:
-        return tuple
-    at = [i for i in range(n) if forbid >> i & 1]
-    return operator.itemgetter(*at) if at else operator.itemgetter(slice(0))
-
-
 def verify_groebner_by_fibers(setup, quadrics, bound, *,
                               max_vertices=MAX_VERTICES, max_checks=MAX_CHECKS):
     """Certify the quadrics by unique standard points on every fiber up to
@@ -856,11 +968,18 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     mu agrees with p at the x-positions its T-variables forbid and p divides
     mu, the rest of mu being its x part.  A single closure's T-variables
     forbid every position, as its points have no x part.  The walk runs
-    before the first group of `_image_groups` is made; each group's
-    exponent tuples are answered as they come, so the sweep holds one group
-    of images at a time.  Only an image without exactly one standard point
-    becomes a `Monomial`, and a group's such images are taken in ascending
-    grevlex, the order `iterate_images` lists them in.
+    before the first group of `_image_groups` is made; each group's packed
+    codes are answered as they come, so the sweep holds one group of images
+    at a time.  An image is answered slot by slot, with one mask and one
+    lookup each (`_points`): mu ANDed with the slot's field mask is mu read
+    at its F.  Off a full F, each p found must divide mu.  Every field of
+    both is below its guard bit, so a field of (mu | guard) - p is
+    2^(width - 1) + mu_i - p_i, between 1 and 2^width - 1: no field borrows
+    from the next, and p divides mu exactly when every guard bit survives,
+    ((mu | guard) - p) & guard == guard.  Only an image without exactly one
+    standard point is decoded into a `Monomial`, with its sinks, and a
+    group's such images are taken in ascending grevlex, the order
+    `iterate_images` lists them in.
     `max_vertices` caps the multisets found and `max_checks` the candidate
     T-variables tried, one per multiset, both over the whole sweep; the walk
     keeps its own stack, so no recursion limit ends it.  A failure and the
@@ -872,6 +991,8 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     budget = _Budget(max_vertices, max_checks, "fiber sweep")
     partners, positions = _forbidden(setup, table)
     by_beta = _standard_points(setup, partners, positions, bound, budget)
+    n, width = setup.n, _width(setup, bound)
+    guard = _guard(n, width)
     single = setup.blocks[0].exact
     failures, images = [], 0
     for beta, group in _image_groups(setup, bound):
@@ -879,22 +1000,17 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
         odd = []
         for e in group:
             images += 1
-            points = []
-            for at, table, partial in slots:
-                for found in table.get(at(e), ()):
-                    # Off F, p must divide mu; on a full F, p is mu.
-                    if not partial or all(map(operator.le, found[0], e)):
-                        points.append(found)
+            points = _points(e, slots, guard)
             if len(points) != 1:
-                odd.append((Monomial._of(e, sum(e)), points))
+                exps = _unpack(e, n, width)
+                odd.append((Monomial._of(exps, sum(exps)), e, points))
         odd.sort(key=lambda it: it[0].grevlex_key())
         shown = None if single else beta
-        for mu, points in odd:
+        for mu, e, points in odd:
             # The least fiber point of every image is standard.
             if not points:
                 raise AssertionError(f"no standard point over {_image_text(mu, shown)}")
-            e = mu.exps
-            sinks = [TProduct._sorted(Monomial(tuple(map(operator.sub, e, p))),
+            sinks = [TProduct._sorted(Monomial(_unpack(e - p, n, width)),
                                       _unchain(chain)) for p, chain in points]
             sinks.sort(key=operator.attrgetter("key"))
             failures.append((mu, shown, tuple(sinks)))

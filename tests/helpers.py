@@ -13,15 +13,17 @@ import itertools
 import operator
 from collections import Counter
 
-from borelgb.borel import _suffix_caps, borel_member, min_borel_divisor
+from borelgb.borel import (_suffix_caps, borel_member, closure_exps,
+                           min_borel_divisor)
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
                               FamilyEntry, IdealFamily,
                               _column_masks, _ordered_pair_ok, lfree_witness)
 from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
 from borelgb.sorting import _split, borel_sort
-from borelgb.toric import (FiberGraph, GeneratorVar, SpairLimitError,
-                           SpairReport, TProduct, _Budget, _check_quadrics,
-                           _enumerate, _reader, _too_deep, sort_binomials)
+from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
+                           SpairLimitError, SpairReport, TProduct, VerifyReport,
+                           _Budget, _check_quadrics, _enumerate, _forbidden,
+                           _image_text, _too_deep, sort_binomials)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -538,6 +540,22 @@ def random_interval_family(rng, n, r, max_deg=3):
     return IdealFamily(n, entries)
 
 
+def random_subset_family(rng, n, r, max_deg=2):
+    """A random reduced family whose supports are random nonempty subsets
+    of 1..n.  Each generator puts one unit at its support's top position
+    and the rest of its degree anywhere on its support, so the family is
+    reduced."""
+    entries = []
+    for idx in range(1, r + 1):
+        support = rng.sample(range(1, n + 1), rng.randint(1, n))
+        exps = [0] * n
+        exps[max(support) - 1] = 1
+        for _ in range(rng.randint(0, max_deg - 1)):
+            exps[rng.choice(support) - 1] += 1
+        entries.append(FamilyEntry(f"I{idx}", support, Monomial(exps)))
+    return IdealFamily(n, entries)
+
+
 def certify(graph):
     """(connected, sinks): sinks have no outgoing edge; listed ascending."""
     n = len(graph.vertices)
@@ -849,6 +867,78 @@ def standard_points_by_recursion(setup, partners, positions, bound, budget):
                      for bi in range(len(setup.blocks)))
         by_beta.setdefault(beta, []).append(slot)
     return by_beta
+
+
+def _reader(forbid, n):
+    """A function reading an exponent tuple at the positions in `forbid`."""
+    if forbid == (1 << n) - 1:
+        return tuple
+    at = [i for i in range(n) if forbid >> i & 1]
+    return operator.itemgetter(*at) if at else operator.itemgetter(slice(0))
+
+
+def image_groups_on_tuples(setup, bound):
+    """Oracle for `toric._image_groups`, on exponent tuples: one group per
+    block-degree vector beta, in (|beta|, beta) order.  Single setup: group
+    (k,) streams the closure of the pivot's k-th power.  Multi setup: the
+    set of pairwise lcms of the sums of one member of row beta_i per
+    block, row k of a block being the closure of its pivot's k-th power
+    over its support."""
+    block = setup.blocks[0]
+    if block.exact:
+        for k in range(1, bound + 1):
+            yield (k,), closure_exps(block.pivot.pow(k).exps, block.support)
+        return
+    rows = [[tuple(closure_exps(b.pivot.pow(k).exps, b.support))
+             for k in range(bound + 1)] for b in setup.blocks]
+    betas = itertools.product(range(bound + 1), repeat=len(rows))
+    for beta in sorted((beta for beta in betas if 1 <= sum(beta) <= bound), key=sum):
+        prods = {(0,) * setup.n}
+        for row, k in zip(rows, beta):
+            if k:
+                prods = {tuple(map(operator.add, p, m)) for p in prods for m in row[k]}
+        yield beta, {tuple(map(max, a, b)) for a, b in
+                     itertools.combinations_with_replacement(prods, 2)}
+
+
+def sweep_on_tuples(setup, quadrics, bound, *, max_vertices=MAX_VERTICES,
+                    max_checks=MAX_CHECKS):
+    """Oracle for `verify_groebner_by_fibers`: the same sweep on exponent
+    tuples.  The recursive walk files each lead-free multiset under (beta,
+    F, p read at F); each image of `image_groups_on_tuples` is read at each
+    slot's F, and off a full F every p found must divide it position by
+    position.  A group's images without exactly one standard point are
+    taken in ascending grevlex."""
+    if bound < 1:
+        raise ValueError(f"need a T-degree bound of at least 1, got {bound}")
+    table = _check_quadrics(quadrics, setup.n, setup.tvars)[1]
+    budget = _Budget(max_vertices, max_checks, "fiber sweep")
+    partners, positions = _forbidden(setup, table)
+    by_beta = standard_points_by_recursion(setup, partners, positions, bound, budget)
+    single = setup.blocks[0].exact
+    failures, images = [], 0
+    for beta, group in image_groups_on_tuples(setup, bound):
+        odd = []
+        for e in group:
+            images += 1
+            points = []
+            for at, found, partial in by_beta.get(beta, ()):
+                for p, chosen in found.get(at(e), ()):
+                    if not partial or all(map(operator.le, p, e)):
+                        points.append((p, chosen))
+            if len(points) != 1:
+                odd.append((Monomial(e), points))
+        odd.sort(key=lambda it: it[0].grevlex_key())
+        shown = None if single else beta
+        for mu, points in odd:
+            if not points:
+                raise AssertionError(f"no standard point over {_image_text(mu, shown)}")
+            sinks = sorted((TProduct._sorted(
+                Monomial(tuple(map(operator.sub, mu.exps, p))), chosen)
+                for p, chosen in points), key=operator.attrgetter("key"))
+            failures.append((mu, shown, tuple(sinks)))
+    return VerifyReport(not failures, tuple(failures), f"fibers bound={bound}",
+                        images)
 
 
 def images_by_multiplying(setup, bound):

@@ -213,6 +213,13 @@ def test_verify_multi_pass(capsys, ex_file):
     assert (rc, out) == (0, "PASS\ncertificate: fibers bound=2\n")
 
 
+def test_verify_past_a_machine_word(capsys):
+    """x1^(2^65)*x2 at bound 2 packs its sweep's exponents in fields wider
+    than 64 bits and passes, as on exponent tuples."""
+    assert run(capsys, "verify", "--single", "x1^36893488147419103232*x2", "-n", "2",
+               "--bound", "2") == (0, "PASS\ncertificate: fibers bound=2\n", "")
+
+
 def test_verify_jobs_identical(capsys):
     rc1, out1, _ = run(capsys, "verify", "--single", "x2^2*x4", "-n", "4",
                        "--bound", "2", "--jobs", "1")

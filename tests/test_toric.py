@@ -28,13 +28,16 @@ from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
                            verify_groebner_by_fibers)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
-                     certify, counter_quotient, divides, enumerate_by_steps,
+                     _reader, certify, counter_quotient, divides,
+                     enumerate_by_steps,
                      examine_image_by_scanning, fiber_graph_by_scanning,
-                     image, images_by_multiplying, is_squarefree, lcm,
-                     lead_table_keys,
+                     image, image_groups_on_tuples, images_by_multiplying,
+                     is_squarefree, lcm, lead_table_keys,
                      random_interval_family, random_principal_borel_family,
+                     random_subset_family,
                      min_borel_divisor_compressed, _spairs_on_products,
-                     standard_points_by_recursion, t_min_compressed,
+                     standard_points_by_recursion, sweep_on_tuples,
+                     t_min_compressed,
                      tdegree, term_text, times_by_sorting, tvar_text)
 
 
@@ -981,6 +984,23 @@ def _filed(by_beta, spell):
             for beta, slots in by_beta.items()]
 
 
+def _unpacked(by_beta, setup, bound):
+    """A packed filing of `toric._standard_points` at `bound` on tuples:
+    each slot's F read off its field mask, each key decoded and read at F
+    and each p decoded, as the recursive walk files them."""
+    n, width = setup.n, toric._width(setup, bound)
+    field = (1 << width) - 1
+    out = {}
+    for beta, slots in by_beta.items():
+        for mask, table, partial in slots:
+            at = _reader(sum(1 << i for i in range(n) if mask >> i * width & field), n)
+            out.setdefault(beta, []).append((at, {
+                at(toric._unpack(key, n, width)):
+                    [(toric._unpack(p, n, width), P) for p, P in found]
+                for key, found in table.items()}, partial))
+    return out
+
+
 def _walk_outcome(walk, setup, partners, positions, caps):
     """The trip message, or None, and the checks and vertices charged under
     the caps (max_vertices, max_checks)."""
@@ -995,11 +1015,11 @@ def _walk_outcome(walk, setup, partners, positions, caps):
 def test_stack_walk_matches_the_recursive_walk():
     """At bound 3 the stack walk files the multisets the recursive walk it
     replaced filed, under the same (beta, F, p read at F) and in the same
-    order, and charges the same checks and vertices.  Caps around each
-    total trip with the same message at the same counts, also when one
-    multiset's charge passes both caps at once, as the triangle's does at
-    21 checks and 20 vertices: checks are charged first, so the checks cap
-    names the trip."""
+    order, once its packed codes are decoded, and charges the same checks
+    and vertices.  Caps around each total trip with the same message at
+    the same counts, also when one multiset's charge passes both caps at
+    once, as the triangle's does at 21 checks and 20 vertices: checks are
+    charged first, so the checks cap names the trip."""
     setups = crossed = 0
     for setup, quads in _walk_inputs():
         partners, positions = _forbidden(setup, quads)
@@ -1007,7 +1027,8 @@ def test_stack_walk_matches_the_recursive_walk():
         want = standard_points_by_recursion(setup, partners, positions, 3,
                                             want_budget)
         got = toric._standard_points(setup, partners, positions, 3, got_budget)
-        assert _filed(got, toric._unchain) == _filed(want, tuple), setup.blocks
+        assert (_filed(_unpacked(got, setup, 3), toric._unchain)
+                == _filed(want, tuple)), setup.blocks
         total = want_budget.checks
         assert (got_budget.checks, got_budget.vertices) == (total, total)
         caps = {0, 1, total // 4, total // 2, total - 1, total, total + 1}
@@ -1030,6 +1051,135 @@ def test_stack_walk_matches_the_recursive_walk():
     assert (_walk_outcome(toric._standard_points, tri, *forbidden, (20, 21))
             == _walk_outcome(standard_points_by_recursion, tri, *forbidden, (20, 21))
             == ("fiber sweep exceeded 21 divisibility checks", 23, 18))
+
+
+def _dropped(rng, quads):
+    """The quadrics with one seeded quadric left out."""
+    drop = rng.randrange(len(quads))
+    return quads[:drop] + quads[drop + 1:]
+
+
+def _tuple_sweep_inputs():
+    """(setup, quadrics): every single closure with n <= 4 and degree <= 3
+    in both quadric forms, the chain, nested and triangle families, then
+    seeded interval and random-subset-support families, each full and with
+    one seeded quadric dropped."""
+    rng = random.Random(3606)
+    families = [parse_family(text) for text in (EX_FAMILY, NESTED_FAMILY, TRIANGLE)]
+    for i in range(24):
+        maker = random_interval_family if i % 2 else random_subset_family
+        families.append(reduce_family(maker(rng, rng.randint(2, 4), rng.randint(1, 3)))[0])
+    sets = [(FiberSetup.single(M), quads) for M, quads in (
+        (M, make(M)) for M in map(Monomial, (
+            exps for n, deg in itertools.product(range(1, 5), range(1, 4))
+            for exps in itertools.product(range(deg + 1), repeat=n)
+            if sum(exps) == deg))
+        for make in (quadrics_single, quadrics_bs_form))]
+    sets += [(FiberSetup.for_family(f), tuple(quadrics_multi(f).all()))
+             for f in families]
+    for setup, quads in sets:
+        yield setup, quads
+        if quads:
+            yield setup, _dropped(rng, quads)
+
+
+def _sweep_outcome(sweep, setup, quads, bound, **caps):
+    """(lines, images checked), or the trip message, of one sweep."""
+    try:
+        report = sweep(setup, quads, bound, **caps)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return report.lines(), report.images_checked
+
+
+def test_packed_sweep_matches_the_tuple_sweep():
+    """At bounds 1 to 3 the sweep on packed codes prints the lines and
+    counts the images that the sweep on exponent tuples, its oracle, gives,
+    and a budget at 0.1, 0.4 and 0.7 of the walk's total checks or vertices
+    trips both with the same message."""
+    sets = failing = tripped = 0
+    for setup, quads in _tuple_sweep_inputs():
+        table = _check_quadrics(quads, setup.n, setup.tvars)[1]
+        partners, positions = toric._forbidden(setup, table)
+        for bound in (1, 2, 3):
+            want = _sweep_outcome(sweep_on_tuples, setup, quads, bound)
+            assert _sweep_outcome(verify_groebner_by_fibers, setup, quads,
+                                  bound) == want, (setup.blocks, quads, bound)
+            failing += want[0][0] != "PASS"
+            budget = _Budget()
+            standard_points_by_recursion(setup, partners, positions, bound, budget)
+            for share in (0.1, 0.4, 0.7):
+                cap = int(share * budget.checks)
+                for caps in ({"max_checks": cap}, {"max_vertices": cap}):
+                    outcome = _sweep_outcome(sweep_on_tuples, setup, quads, bound, **caps)
+                    assert outcome == _sweep_outcome(
+                        verify_groebner_by_fibers, setup, quads, bound, **caps)
+                    tripped += isinstance(outcome, str)
+            sets += 1
+    assert sets == 720 and failing >= 150 and tripped == 6 * sets, (sets, failing, tripped)
+
+
+def test_packed_codes_match_tuple_arithmetic():
+    """The codec of the sweep against the tuple operations it replaces, on
+    seeded vectors with every field at the largest value below its guard
+    bit among them, at widths 1, 8, 63, 64, 65 and 100: decoding, the lcm
+    by the guard-bit max, the reads at F by the field masks, and the
+    divisibility of the points found by the borrow test."""
+    rng = random.Random(3607)
+    for width in (1, 8, 63, 64, 65, 100):
+        top = (1 << width - 1) - 1
+        for n in (1, 2, 3, 5):
+            guard = toric._guard(n, width)
+            vectors = [(top,) * n, (0,) * n] + [
+                tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(n))
+                for _ in range(14)]
+            codes = [toric._pack(v, width) for v in vectors]
+            assert [toric._unpack(c, n, width) for c in codes] == vectors
+            assert all(c & guard == 0 for c in codes)
+            assert ({toric._unpack(c, n, width) for c in toric._lcms(codes, guard, width)}
+                    == {tuple(map(max, a, b)) for a, b in
+                        itertools.combinations_with_replacement(vectors, 2)})
+            for forbid in range(1 << n):
+                at, mask = _reader(forbid, n), toric._field_mask(forbid, n, width)
+                reads = [at(v) for v in vectors]
+                assert ([reads.index(r) for r in reads]
+                        == [[c & mask for c in codes].index(c & mask) for c in codes])
+            found = {0: [(c, i) for i, c in enumerate(codes)]}
+            for mu, code in zip(vectors, codes):
+                want = [(c, i) for i, (v, c) in enumerate(zip(vectors, codes))
+                        if all(map(operator.le, v, mu))]
+                assert toric._points(code, [(0, found, True)], guard) == want
+                assert toric._points(code, [(-1, {code: want}, False)], guard) == want
+
+
+def test_a_family_wider_than_a_machine_word_sweeps_as_on_tuples():
+    """A block pivot of degree 2^70 makes every field 73 bits wide; the
+    family's sweep matches the tuple sweep, full and with a quadric
+    dropped."""
+    family = IdealFamily(3, [
+        FamilyEntry("I1", (1,), Monomial((1 << 70, 0, 0))),
+        FamilyEntry("I2", (1, 2), Monomial((0, 1, 0))),
+        FamilyEntry("I3", (1, 2, 3), Monomial((0, 1, 1)))])
+    setup, quads = FiberSetup.for_family(family), tuple(quadrics_multi(family).all())
+    assert toric._width(setup, 2) == 73
+    for qs in (quads, quads[1:]):
+        for bound in (1, 2):
+            assert (_sweep_outcome(verify_groebner_by_fibers, setup, qs, bound)
+                    == _sweep_outcome(sweep_on_tuples, setup, qs, bound))
+
+
+def test_packed_image_groups_decode_to_the_tuple_groups():
+    """Each group of `_image_groups`, decoded, is the oracle's group: a
+    single closure's in its order, a family's as a set."""
+    for setup, _ in _tuple_sweep_inputs():
+        n, width = setup.n, toric._width(setup, 3)
+        got = [(beta, [toric._unpack(c, n, width) for c in group])
+               for beta, group in toric._image_groups(setup, 3)]
+        want = [(beta, list(group)) for beta, group in image_groups_on_tuples(setup, 3)]
+        if not setup.blocks[0].exact:
+            got = [(beta, set(group)) for beta, group in got]
+            want = [(beta, set(group)) for beta, group in want]
+        assert got == want
 
 
 def test_a_missing_standard_point_names_its_image(monkeypatch):
