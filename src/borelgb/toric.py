@@ -594,7 +594,8 @@ def _check_quadrics(quadrics, n, tvars=None):
     toric binomial with its lead on top, checked when it was made; the gate
     checks what depends on the setup: every lead in n variables and of
     degree 2, then each quadric's T-variables among `tvars`.  Without a
-    setup's `tvars` the quadrics' own are numbered, descending, and that
+    setup's `tvars`, as on the S-pair route, every tail must have degree 2
+    too, the quadrics' own T-variables are numbered, descending, and that
     last test, which cannot fail, is skipped.  `ids` numbers the T-variables
     for `_encode`, in that order; `table` maps each lead's code to the
     ascending indices of the quadrics with that lead.  A lead of degree 2
@@ -606,6 +607,9 @@ def _check_quadrics(quadrics, n, tvars=None):
         if len(lead.tvars) + lead.xpart.deg != 2:
             raise ValueError(f"lead {lead.term_text()} is not of degree 2")
     if tvars is None:
+        for q in quadrics:
+            if len(q.tail.tvars) + q.tail.xpart.deg != 2:
+                raise ValueError(f"tail {q.tail.term_text()} is not of degree 2")
         known = None
         tvars = sorted({t for q in quadrics for side in (q.lead, q.tail)
                         for t in side.tvars}, reverse=True)
@@ -1072,6 +1076,13 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     same T-degree and the same image, so two distinct terms differ first in
     their T-variables: the smaller tuple is the larger term.  Only a
     failure's normal forms are decoded back to T-products.
+
+    The gate admits only leads and tails of two atoms, so every term the
+    run meets has three atoms, or two when the leads are equal.  Two
+    distinct leads that share an atom differ in one, so a side is a tail
+    with the one atom the other lead adds; a rewrite takes out a pair of
+    the term's atoms and puts in a tail, keeping the third atom.  Both are
+    an insertion into a sorted pair.
     """
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
@@ -1092,13 +1103,24 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     for ai, mine in enumerate(leads):
         partners = sorted({bi for atom in mine for bi in holders[atom]
                            if bi > ai})
+        m0, m1 = mine
+        a0, a1 = tail = tails[ai]
         for pos, bi in enumerate(partners):
             theirs = leads[bi]
             checked += 1
+            # u is a's tail with the atom b's lead adds to a's, v is b's
+            # tail with the atom a's lead adds to b's.
+            if theirs == mine:
+                u, v = tail, tails[bi]
+            else:
+                p, q = theirs
+                c = q if p == m0 or p == m1 else p
+                u = (c, a0, a1) if c <= a0 else (a0, c, a1) if c <= a1 else (a0, a1, c)
+                c = m1 if m0 == p or m0 == q else m0
+                b0, b1 = tails[bi]
+                v = (c, b0, b1) if c <= b0 else (b0, c, b1) if c <= b1 else (b0, b1, c)
             # Rewrite the larger side of u - v, the smaller tuple, until the
             # sides meet or neither rewrites.
-            u = _side_ids(tails[ai], theirs, mine)
-            v = _side_ids(tails[bi], mine, theirs)
             while u != v:
                 if u > v:
                     u, v = v, u
@@ -1107,13 +1129,13 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
                     raise SpairLimitError(max_steps, (basis[ai], basis[bi]))
                 step = memo.get(u)
                 if step is None:
-                    step = memo[u] = _rewrite_ids(u, table, leads, tails)
+                    step = memo[u] = _rewrite_ids(u, table, tails)
                 if step:
                     u = step
                     continue
                 step = memo.get(v)
                 if step is None:
-                    step = memo[v] = _rewrite_ids(v, table, leads, tails)
+                    step = memo[v] = _rewrite_ids(v, table, tails)
                 if step:
                     v = step
                     continue
@@ -1126,25 +1148,23 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     return SpairReport(True, None, None, checked, skipped)
 
 
-def _side_ids(tail, theirs, mine):
-    """The code of `tail` times the atom that the lead `theirs` adds to the
-    lead `mine`, tail * lcm / mine: none when the leads are equal.  Two
-    distinct leads of degree 2 that share an atom differ in one."""
-    if theirs == mine:
-        return tail
-    p, q = theirs
-    return tuple(sorted(tail + ((q,) if p in mine else (p,))))
-
-
-def _rewrite_ids(term, table, leads, tails):
+def _rewrite_ids(term, table, tails):
     """The code of term / lead * tail for the first basis element whose lead
     divides the term, found in the gate's code `table`, or () when none
-    does."""
-    best = min((table[k][0] for k in itertools.combinations(term, 2) if k in table),
-               default=None)
+    does; for a term of two or three atoms and tails of two."""
+    if len(term) == 2:
+        held = table.get(term)
+        return tails[held[0]] if held else ()
+    a, b, c = term
+    best = keep = None
+    for pair, atom in (((a, b), c), ((a, c), b), ((b, c), a)):
+        held = table.get(pair)
+        if held and (best is None or held[0] < best):
+            best, keep = held[0], atom
     if best is None:
         return ()
-    return _apply(term, leads[best], tails[best])
+    t0, t1 = tails[best]
+    return (keep, t0, t1) if keep <= t0 else (t0, keep, t1) if keep <= t1 else (t0, t1, keep)
 
 
 def t_min(family, mu, beta):

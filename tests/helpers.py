@@ -22,8 +22,9 @@ from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
 from borelgb.sorting import _split, borel_sort
 from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
                            SpairLimitError, SpairReport, TProduct, VerifyReport,
-                           _Budget, _check_quadrics, _enumerate, _forbidden,
-                           _image_text, _too_deep, sort_binomials)
+                           _apply, _Budget, _check_quadrics, _decode, _encode,
+                           _enumerate, _forbidden, _image_text, _too_deep,
+                           sort_binomials)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -1134,3 +1135,77 @@ def _rewrite_once(term, basis, table):
     if best is None:
         return None
     return merge_rewrite(term, basis[best])
+
+
+def spairs_on_codes(quadrics, max_steps):
+    """Oracle for `spair_certificate`: its pair loop, step rule, budget and
+    memo on atom-id codes of any length, each side built by `_side_ids` and
+    each term's rewrite by `_rewrite_on_codes`, through the general
+    `_apply`.  Returns (SpairReport, rewrite steps of the run)."""
+    basis = sort_binomials(quadrics)
+    n = basis[0].lead.xpart.n if basis else None
+    ids, table = _check_quadrics(basis, n)
+    tvars = tuple(ids)
+    tails = [_encode(g.tail, ids) for g in basis]
+    leads, holders = [None] * len(basis), {}
+    for lead, held in table.items():
+        for i in held:
+            leads[i] = lead
+        for atom in set(lead):
+            holders.setdefault(atom, []).extend(held)
+    memo = {}
+    checked = skipped = steps = 0
+    for ai, mine in enumerate(leads):
+        partners = sorted({bi for atom in mine for bi in holders[atom]
+                           if bi > ai})
+        for pos, bi in enumerate(partners):
+            theirs = leads[bi]
+            checked += 1
+            u = _side_ids(tails[ai], theirs, mine)
+            v = _side_ids(tails[bi], mine, theirs)
+            while u != v:
+                if u > v:
+                    u, v = v, u
+                steps += 1
+                if steps > max_steps:
+                    raise SpairLimitError(max_steps, (basis[ai], basis[bi]))
+                step = memo.get(u)
+                if step is None:
+                    step = memo[u] = _rewrite_on_codes(u, table, leads, tails)
+                if step:
+                    u = step
+                    continue
+                step = memo.get(v)
+                if step is None:
+                    step = memo[v] = _rewrite_on_codes(v, table, leads, tails)
+                if step:
+                    v = step
+                    continue
+                skipped += bi - ai - 1 - pos
+                report = SpairReport(False, (basis[ai], basis[bi]),
+                                     (_decode(u, tvars, n), _decode(v, tvars, n)),
+                                     checked, skipped)
+                return report, steps
+        skipped += len(basis) - 1 - ai - len(partners)
+    return SpairReport(True, None, None, checked, skipped), steps
+
+
+def _side_ids(tail, theirs, mine):
+    """The code of `tail` times the atom that the lead `theirs` adds to the
+    lead `mine`, tail * lcm / mine: none when the leads are equal.  Two
+    distinct leads of degree 2 that share an atom differ in one."""
+    if theirs == mine:
+        return tail
+    p, q = theirs
+    return tuple(sorted(tail + ((q,) if p in mine else (p,))))
+
+
+def _rewrite_on_codes(term, table, leads, tails):
+    """The code of term / lead * tail for the first basis element whose lead
+    divides the term, looked up over every pair of the term's atoms, or ()
+    when none does."""
+    best = min((table[k][0] for k in itertools.combinations(term, 2) if k in table),
+               default=None)
+    if best is None:
+        return ()
+    return _apply(term, leads[best], tails[best])

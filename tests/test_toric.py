@@ -22,7 +22,7 @@ from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
                            ResourceLimitError, SpairLimitError, SpairReport,
                            TProduct, _apply, _Budget, _check_quadrics, _decode,
-                           _encode, _enumerate, _side_ids, enumerate_fiber,
+                           _encode, _enumerate, enumerate_fiber,
                            fiber_graph, iterate_images, sort_binomials,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
@@ -35,8 +35,8 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      is_squarefree, lcm, lead_table_keys,
                      random_interval_family, random_principal_borel_family,
                      random_subset_family,
-                     min_borel_divisor_compressed, _spairs_on_products,
-                     standard_points_by_recursion, sweep_on_tuples,
+                     min_borel_divisor_compressed, _side_ids, _spairs_on_products,
+                     spairs_on_codes, standard_points_by_recursion, sweep_on_tuples,
                      t_min_compressed,
                      tdegree, term_text, times_by_sorting, tvar_text)
 
@@ -1299,9 +1299,9 @@ def test_spair_rewrites_each_term_once(monkeypatch):
     rewritten, scanned = [], set()
     rewrite_ids, scan = toric._rewrite_ids, _rewrite_by_scanning
 
-    def counted(term, table, leads, tails):
+    def counted(term, table, tails):
         rewritten.append(term)
-        return rewrite_ids(term, table, leads, tails)
+        return rewrite_ids(term, table, tails)
 
     def scanned_too(term, basis):
         scanned.add(term.key)
@@ -1900,6 +1900,24 @@ def test_lead_table_rejects_other_degrees_and_ambients():
         spair_certificate(other + quadrics_single(parse_monomial("x2^2", 2)))
 
 
+def test_spair_gate_refuses_a_tail_not_of_degree_2():
+    """The S-pair run reads every term as three atoms, or two, so its gate
+    refuses a tail not of degree 2 by name, alone or among good quadrics.
+    x1*T[x1*x2] - x1*x2*T[x1] is toric with its lead on top; the fiber
+    routes refuse it as before, by its T-variable that is no generator."""
+    bad = Binomial(tp("x1", 2, (0, "x1*x2")), tp("x1*x2", 2, (0, "x1")))
+    ok = quadrics_single(parse_monomial("x2^2", 2))
+    for qs in ([bad], ok + (bad,)):
+        assert _rejection(lambda: spair_certificate(qs)) == (
+            ValueError, "tail x1*x2*T[x1] is not of degree 2")
+    setup = FiberSetup.single(parse_monomial("x1*x2", 2))
+    want = (ValueError, "quadric x1*T[x1*x2] - x1*x2*T[x1] uses a T-variable "
+                        "that is not a generator of its block")
+    assert _rejection(lambda: verify_groebner_by_fibers(setup, [bad], 2)) == want
+    assert _rejection(lambda: fiber_graph(
+        setup, parse_monomial("x1^2*x2", 2), 1, [bad])) == want
+
+
 def test_routes_without_quadrics():
     assert _report_fields(spair_certificate([])) == (True, None, None, 0, 0)
     setup = FiberSetup.single(parse_monomial("x2^2", 2))
@@ -1996,9 +2014,10 @@ def _spair_inputs():
 def test_spair_sides_match_lcm_oracle():
     """The closed-form sides of every pair with non-coprime leads, built on
     atom-id codes and decoded, are the lcm-completions of the tails,
-    lcm / lead * tail with the T-variables counted: on every input of the oracle corpus (T-pair and x*T leads) and
-    on random (lead, tail) pairs with leads of every shape of degree 2 and
-    tails of degree 0 to 2.  Random pairs are no binomials, so they are
+    lcm / lead * tail with the T-variables counted: on every input of the
+    oracle corpus (T-pair and x*T leads) and on random (lead, tail) pairs
+    with leads and tails of every shape of degree 2, the only degree the
+    S-pair gate admits.  Random pairs are no binomials, so they are
     held as pairs, ordered and deduped as `sort_binomials` orders a basis."""
     rng = random.Random(89)
     drawn = []
@@ -2006,7 +2025,7 @@ def test_spair_sides_match_lcm_oracle():
         for _ in range(30):
             few = rng.sample(pool, min(4, len(pool)))
             pairs = {(_draw_term(rng, n, few),
-                      _draw_term(rng, n, pool, rng.randint(0, 2)))
+                      _draw_term(rng, n, pool))
                      for _ in range(8)}
             drawn.append(("drawn", sorted(pairs, key=lambda p: (p[0].key, p[1].key))))
     corpus = ((label, [(g.lead, g.tail) for g in sort_binomials(quads)])
@@ -2059,18 +2078,18 @@ def test_spair_route_matches_scanning_oracle():
     assert compared > 200 and failing > 40 and tripped > 100
 
 
-def test_spair_route_matches_the_product_loop():
-    """The run on atom-id codes gives the report and the step total of the
-    same loop on `TProduct` terms, and one step short trips at the same
-    pair: on every input and on every passing input with one quadric
-    dropped, so FAIL paths are compared too."""
-    rng = random.Random(71)
+def _matches_spair_oracle(oracle, inputs, rng):
+    """Compare `spair_certificate` with `oracle(quadrics, max_steps)`, which
+    returns (report, steps), on each input and on each input that passes
+    with one quadric dropped, drawn from `rng`: the same report at the
+    oracle's step total, and one step short both trip at the same pair.
+    Returns the counts of sets compared, failing and tripped."""
     compared = failing = tripped = 0
-    for label, quads in _spair_inputs():
+    for label, quads in inputs:
         pending = [quads]
         while pending:
             qs = pending.pop()
-            want, steps = _spairs_on_products(qs, 10 ** 9)
+            want, steps = oracle(qs, 10 ** 9)
             if qs is quads and want.passed and len(quads) > 1:
                 drop = rng.randrange(len(quads))
                 pending.append(quads[:drop] + quads[drop + 1:])
@@ -2080,13 +2099,39 @@ def test_spair_route_matches_the_product_loop():
             failing += not want.passed
             if steps == 0:
                 continue
-            with pytest.raises(SpairLimitError) as oracle:
-                _spairs_on_products(qs, steps - 1)
+            with pytest.raises(SpairLimitError) as expected:
+                oracle(qs, steps - 1)
             with pytest.raises(SpairLimitError) as trip:
                 spair_certificate(qs, max_steps=steps - 1)
-            assert trip.value.pair == oracle.value.pair, label
+            assert trip.value.pair == expected.value.pair, label
             tripped += 1
+    return compared, failing, tripped
+
+
+def test_spair_route_matches_the_product_loop():
+    """The run on atom-id codes gives the report and the step total of the
+    same loop on `TProduct` terms, and one step short trips at the same
+    pair: on every input and on every passing input with one quadric
+    dropped, so FAIL paths are compared too."""
+    compared, failing, tripped = _matches_spair_oracle(
+        _spairs_on_products, _spair_inputs(), random.Random(71))
     assert compared > 200 and failing > 40 and tripped > 100
+
+
+def test_spair_route_matches_the_code_loop():
+    """The run on three-atom terms gives the report and the step total of
+    the general loop on codes of any length, `spairs_on_codes`, and one
+    step short trips at the same pair: on every input, on seeded random
+    families on random supports (x*T leads), and on each of these that
+    passes with one seeded quadric dropped, so FAIL paths are compared
+    too."""
+    rng = random.Random(103)
+    drawn = [(f"subset family {i}", quadrics_multi(random_subset_family(
+        rng, rng.randint(2, 4), rng.randint(1, 3))).all()) for i in range(60)]
+    counts = _matches_spair_oracle(spairs_on_codes,
+                                   itertools.chain(_spair_inputs(), drawn), rng)
+    compared, failing, tripped = counts
+    assert compared > 300 and failing > 80 and tripped > 200, counts
 
 
 def test_atom_id_codes_decode_and_reverse_the_term_order():
