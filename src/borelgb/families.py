@@ -138,13 +138,6 @@ class BiAdjacency:
         return [f"x{i - 1 + base}: " + " ".join(str(v) for v in self.rows[i - 1])
                 for i in range(1, self.n + 1)]
 
-    def __eq__(self, other):
-        return (isinstance(other, BiAdjacency) and self.rows == other.rows
-                and self.col_names == other.col_names)
-
-    def __hash__(self):
-        return hash((self.col_names, self.rows))
-
 
 def incidence_matrix(family):
     """Incidence of variables (rows, in position order) vs entries (columns, in family order)."""

@@ -25,6 +25,7 @@ and its text written once however many quadrics share it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -41,20 +42,6 @@ def _moved(exps, i, j):
     return tuple(out)
 
 
-class _Sides(dict):
-    """The T-product of each side (a, b), made by `side(a, b)` on first use."""
-
-    __slots__ = ("side",)
-
-    def __init__(self, side):
-        super().__init__()
-        self.side = side
-
-    def __missing__(self, key):
-        out = self[key] = self.side(*key)
-        return out
-
-
 def _in_order(keys, side):
     """The quadrics of `keys`, each made once as a `Binomial`, ascending.
 
@@ -64,9 +51,8 @@ def _in_order(keys, side):
     once per distinct side.  A key with its tail side first is refused as
     `Binomial` refuses a lead below its tail.
     """
-    sides = _Sides(side)
-    return tuple(Binomial(sides[a, b], sides[c, d])
-                 for a, b, c, d in sorted(keys))
+    side = functools.cache(side)
+    return tuple(Binomial(side(a, b), side(c, d)) for a, b, c, d in sorted(keys))
 
 
 def _products(unit, tvars):

@@ -16,6 +16,7 @@ support-restricted closures (fiber points carry an x cofactor).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import sys
@@ -299,16 +300,16 @@ class _Block:
             self._tables = masks, tuple(reversed(reach))
         return self._tables
 
-    def candidates(self, start, rem, q):
-        """(divisors, fitting): the bitsets of the generators from `start` on
-        that divide the exponent tuple q, and of those g among them with
+    def candidates(self, rem, q):
+        """(divisors, fitting): the bitsets of the generators that divide the
+        exponent tuple q, and of those g among them with
         `fits(rem - 1, q - g)`, for a q that fits rem.  The greedy of `fits`
         is a min-plus chain, so q - g fits exactly when at every slot u but
         the last g's suffix sum reaches rem * caps[-1] - (rem - 1) * caps[u]
         less q's mass on the slots after u.  As q fits rem, that is at most
         caps[u], and at the last slot every generator's sum is caps[-1]."""
         masks, reach = self.tables()
-        divisors = (1 << len(self.exps)) - 1 >> start << start
+        divisors = (1 << len(self.exps)) - 1
         for e, m in zip(q, masks):
             if e < len(m):
                 divisors &= m[e]
@@ -399,30 +400,32 @@ def enumerate_fiber(setup, mu, beta, *, max_vertices=MAX_VERTICES,
 
     The search picks one generator per step, each at or after the one picked
     before it.  A pick step is (block, first generator, picks left,
-    quotient); each (block, picks left, quotient) is searched once, and the
-    steps that share it read a suffix of its picks.  Every distinct step
-    charges one check per generator it tries, those from its first one on
-    that divide the quotient, the first time it is reached.  The search
-    goes on only with the generators whose quotient still fits the picks
-    left, read off the block's suffix-sum bitsets (`_Block.candidates`); a
-    block's first quotient must pass `_Block.fits`.  Every point counts one
-    vertex when it is found, also below a step reached again.
-    `max_vertices` caps the points found and `max_checks` the candidate
-    generators tried.
+    quotient); each (block, picks left, quotient) is searched once, as one
+    node of a DAG (`_Pick`), and the steps that share it read a suffix of its
+    picks.  A node holds the picks from the least first generator `lo` it
+    was reached with on: entry j picks generator `gis[j]`, `gis` ascending,
+    with `kids[j]` below it, a node or, past the last block, the leftover as
+    a Monomial, and `counts[j]` is the number of points of the entries from
+    j on, `counts[-1]` being 0.  A step reached with a first generator below
+    `lo` searches only the picks between.  Below a pick with picks left in
+    its block the child is read from the generator picked; the first pick
+    of the next block reads it from 0.  Every distinct step charges one
+    check per generator it tries, those from its first one on that divide
+    the quotient, the first time it is reached.  The search goes on only
+    with the generators whose quotient still fits the picks left, read off
+    the block's suffix-sum bitsets (`_Block.candidates`); a block's first
+    quotient must pass `_Block.fits`.  Every point counts one vertex when it
+    is found, also below a step reached again.  `max_vertices` caps the
+    points found and `max_checks` the candidate generators tried.
     """
     budget = _Budget(max_vertices, max_checks)
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
 
 
 class _Pick:
-    """A node of the points DAG `_enumerate` builds: the picks of one
-    (block, picks left, quotient), read from some first generator on.
-    Entry j picks generator `gis[j]`, a T-variable of `tvars`, with
-    `kids[j]` below it: a node, or past the last block the leftover as a
-    Monomial.  `gis` ascends, `counts[j]` is the number of points of the
-    entries from j on, and `counts[-1]` is 0.  Below a pick with picks left
-    in its block (`same`) the child is read from the generator picked; the
-    first pick of the next block reads it from 0."""
+    """A node of the points DAG `_enumerate` builds, as `enumerate_fiber`
+    describes it: `gis` indexes the block's T-variables `tvars`, and `same`
+    tells whether its picks leave picks in their block."""
 
     __slots__ = ("tvars", "same", "gis", "kids", "counts")
 
@@ -440,13 +443,9 @@ def _enumerate(setup, mu, beta, budget):
     if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
         return ()  # no room for the factors
     # `state` maps each (bi, rem, q) reached to its search: [lo, divisors,
-    # fitting, starts, node].  Its node holds the picks from generator lo
-    # on; a step reached with a first generator below lo adds the picks
-    # between, and a step's points are those of the node's entries from
-    # its first generator on.  `starts` holds the first generators seen from
-    # lo on, below which nothing has been seen.  The nodes do not point back
-    # to `state`, so clearing it leaves the DAG alone.  Equal leftovers share
-    # one Monomial in `leaves`.
+    # fitting, starts, node], `starts` the first generators seen, lo the
+    # least of them.  The nodes do not point back to `state`, so clearing it
+    # leaves the DAG alone.  Equal leftovers share one Monomial in `leaves`.
     state, leaves = {}, {}
 
     def rec_block(bi, q):
@@ -471,11 +470,11 @@ def _enumerate(setup, mu, beta, budget):
         search = state.get(key)
         if search is None:
             block = blocks[bi]
-            divisors, fitting = block.candidates(0, rem, q)
+            divisors, fitting = block.candidates(rem, q)
             search = state[key] = [len(block.exps), divisors, fitting, set(),
                                    _Pick(block.tvars, rem > 1)]
         lo, divisors, fitting, starts, node = search
-        if start < lo or start not in starts:
+        if start not in starts:
             # One check per generator tried: those that divide q.
             starts.add(start)
             budget.count_check((divisors >> start << start).bit_count())
@@ -672,7 +671,16 @@ def _width(setup, bound):
     Every exponent of an image, a product or a standard point up to the
     bound is at most bound times the largest pivot degree, as a product of
     at most `bound` generators; its bit length plus one guard bit is the
-    width, so every field keeps its top bit, the guard bit, clear."""
+    width, so every field keeps its top bit, the guard bit, clear.  So a
+    sum of codes carries into no other field.  With `guard` the guard bits
+    (`_guard`), a field of (a | guard) - b is 2^(width - 1) + a_i - b_i,
+    between 1 and 2^width - 1: no field borrows from the next, and its
+    guard bit is set exactly when a_i >= b_i.  So b divides a exactly when
+    every guard bit survives, ((a | guard) - b) & guard == guard (the
+    borrow test).  With t those guard bits, m = t | (t - (t >> (width - 1)))
+    fills each such field, and (a & m) | (b & ~m) takes a's field where
+    a_i >= b_i and b's elsewhere: the max of a and b, their lcm, is exact.
+    """
     return (bound * max(b.pivot.deg for b in setup.blocks)).bit_length() + 1
 
 
@@ -705,7 +713,7 @@ def _guard(n, width):
 
 def _lcms(codes, guard, width):
     """The set of the pairwise least common multiples of the codes, each
-    code with itself among them, by the guard-bit max of `_image_groups`."""
+    code with itself among them, by the guard-bit max of `_width`."""
     shift = width - 1
     codes = list(codes)
     out = set(codes)
@@ -719,19 +727,16 @@ def _lcms(codes, guard, width):
 def _points(mu, slots, guard):
     """The standard points (p, P) over the image code mu among the
     `_standard_points` slots of its block degrees, one mask and one lookup
-    each; off a full F, p must pass the borrow test of
-    `verify_groebner_by_fibers`."""
+    each; p must pass the borrow test of `_width`, which a full F's p, read
+    at F as itself, passes by equalling mu."""
     points = []
     room = mu | guard
-    for mask, table, partial in slots:
+    for mask, table in slots:
         found = table.get(mu & mask)
         if found:
-            if partial:
-                for it in found:
-                    if (room - it[0]) & guard == guard:
-                        points.append(it)
-            else:
-                points += found
+            for it in found:
+                if (room - it[0]) & guard == guard:
+                    points.append(it)
     return points
 
 
@@ -740,24 +745,18 @@ def _closure_codes(exps, support, width):
     at `width`, as one descending range per `_columns` column.  A column's
     members put e at its second movable position a and the rest of its mass
     at the first, b, for e from its top down to 0; so they step down by
-    2^(a * width) - 2^(b * width), positive as a > b.  The code of a
-    column's other positions is kept per movable level and rebuilt only
-    from the first level the column walk changed."""
+    2^(a * width) - 2^(b * width), positive as a > b."""
     slots, caps = _suffix_caps(exps, support)
     if len(slots) < 2:
         yield (_pack(exps, width),)
         return
     b, a = slots[-1], slots[-2]
     step = (1 << a * width) - (1 << b * width)
-    low = exps[b]  # every column's first member has the pivot's exponent at b
-    # above[u]: the code of the positions that never move and of levels 0..u - 1.
-    above = [_pack(exps, width) - sum(exps[s] << s * width for s in slots)]
-    above += [0] * (len(slots) - 2)
     walk = list(exps)
-    for level, stop, top in _columns(slots, caps, walk):
-        for u in range(level, stop):
-            above[u + 1] = above[u] + (walk[slots[u]] << slots[u] * width)
-        least = above[stop] + (low + top << b * width)  # e = 0
+    for _, _, top in _columns(slots, caps, walk):
+        # Its least member, e = 0: the column's whole mass, exps[b] + top, at b.
+        walk[a], walk[b] = 0, exps[b] + top
+        least = _pack(walk, width)
         yield range(least + top * step, least - 1, -step)
 
 
@@ -772,20 +771,11 @@ def _image_groups(setup, bound):
     closure in ascending grevlex.  Multi setup: for every beta with
     1 <= |beta| <= bound, the products are the sums of one member of row
     beta_i per block, and the group is the set of their pairwise least
-    common multiples (`_lcms`); a binomial of T-degree beta with coprime x
-    parts has exactly such an lcm as its image, so unique sinks on these
-    fibers decide all binomials up to the bound.  A family's group is a
-    set, in no particular order.  Each group is made only when the one
-    before it has been read.
-
-    Every field of a product or an lcm is at most bound times the largest
-    pivot degree (`_width`), so it stays below its guard bit: a sum of codes
-    carries into no other field, and the max is exact.  A field of
-    (a | guard) - b is 2^(width - 1) + a_i - b_i, between 1 and
-    2^width - 1, so no field borrows from the next and its guard bit is set
-    exactly when a_i >= b_i.  With t those guard bits,
-    m = t | (t - (t >> (width - 1))) fills each such field, and
-    (a & m) | (b & ~m) takes a's field where a_i >= b_i and b's elsewhere.
+    common multiples (`_lcms`), both exact on codes (`_width`); a binomial
+    of T-degree beta with coprime x parts has exactly such an lcm as its
+    image, so unique sinks on these fibers decide all binomials up to the
+    bound.  A family's group is a set, in no particular order.  Each group
+    is made only when the one before it has been read.
     """
     width = _width(setup, bound)
     block = setup.blocks[0]
@@ -897,23 +887,23 @@ def _standard_points(setup, partners, positions, bound, budget):
     x-positions its T-variables forbid, and there under p read at F.  The
     walk carries both in one int, F in its low n bits and above them beta's
     digits in base bound + 1.  p is a packed code (`_pack` at
-    `_width(setup, bound)`): a sum of at most `bound` generators, each of
-    its fields stays below the guard bit, so adding a generator's code
-    carries into no other field.  Read at F, p is p ANDed with F's field
-    mask; a full F reads p itself.  The result maps beta to a
-    list of (F's field mask, {p at F: [(p, P)]}, whether F misses a
-    position), P held as a chain (last T-variable, rest) for `_unchain`.
-    The walk keeps its own stack, so no recursion limit bounds |P|, and runs
-    in pre-order: a popped P is filed, charged a check and a vertex per
-    T-variable that may extend it, and its extensions are pushed largest
-    first."""
+    `_width(setup, bound)`), the sum of its T-variables' codes.  Read at F,
+    p is p ANDed with F's field mask; a full F's mask reads the whole code.
+    The result maps beta to a list of slots (F's field mask,
+    {p at F: [(p, P)]}), P held as a chain (last T-variable, rest) for
+    `_unchain`.  The walk keeps its own stack, so no recursion limit bounds
+    |P|, and runs in pre-order: a popped P is filed, charged a check and a
+    vertex per T-variable that may extend it, and its extensions are pushed
+    largest first."""
     n, tvars = setup.n, setup.tvars
     width = _width(setup, bound)
     full = (1 << n) - 1
     codes = tuple(_pack(t.gen.exps, width) for t in tvars)
     steps = tuple((bound + 1) ** bi << n for bi, block in enumerate(setup.blocks)
                   for _ in block.tvars)
-    slots, masks = {}, {}  # one mask per F, shared by the slots that read at F
+    slots = {}
+    # One mask per F, shared by the slots that read at F.
+    mask_of = functools.cache(lambda f: _field_mask(f, n, width))
     # (number of P's last T-variable, those that may follow it, code, p,
     # chain, |P|), from the empty P.
     stack = [(0, (1 << len(tvars)) - 1, 0, 0, None, 0)]
@@ -922,14 +912,9 @@ def _standard_points(setup, partners, positions, bound, budget):
         if chain is not None:
             slot = slots.get(c)
             if slot is None:
-                f = c & full
-                mask = masks.get(f)
-                if mask is None:
-                    mask = masks[f] = _field_mask(f, n, width)
-                slot = slots[c] = (mask, {}, f != full)
-            mask, table, partial = slot
-            table.setdefault(point & mask if partial else point, []).append(
-                (point, chain))
+                slot = slots[c] = (mask_of(c & full), {})
+            mask, table = slot
+            table.setdefault(point & mask, []).append((point, chain))
         if size == bound:
             continue
         found = allowed >> gi << gi
@@ -976,14 +961,10 @@ def verify_groebner_by_fibers(setup, quadrics, bound, *,
     codes are answered as they come, so the sweep holds one group of images
     at a time.  An image is answered slot by slot, with one mask and one
     lookup each (`_points`): mu ANDed with the slot's field mask is mu read
-    at its F.  Off a full F, each p found must divide mu.  Every field of
-    both is below its guard bit, so a field of (mu | guard) - p is
-    2^(width - 1) + mu_i - p_i, between 1 and 2^width - 1: no field borrows
-    from the next, and p divides mu exactly when every guard bit survives,
-    ((mu | guard) - p) & guard == guard.  Only an image without exactly one
-    standard point is decoded into a `Monomial`, with its sinks, and a
-    group's such images are taken in ascending grevlex, the order
-    `iterate_images` lists them in.
+    at its F, and each p found must divide mu, by the borrow test of
+    `_width`.  Only an image without exactly one standard point is decoded
+    into a `Monomial`, with its sinks, and a group's such images are taken
+    in ascending grevlex, the order `iterate_images` lists them in.
     `max_vertices` caps the multisets found and `max_checks` the candidate
     T-variables tried, one per multiset, both over the whole sweep; the walk
     keeps its own stack, so no recursion limit ends it.  A failure and the
@@ -1056,18 +1037,18 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     that b's lead adds to a's, and b's tail times those a's lead adds to
     b's.  It reduces to zero iff rewriting larger sides by matching leads
     reaches equality.  Pairs with coprime leads are skipped (their
-    S-binomials always reduce to zero): they are counted but never formed.
-    Pairs run in basis order, (a, b) with a before b, and each rewrite uses
-    the first basis element whose lead divides the term, so the first
-    survivor and the step count do not depend on the indexes used to find
-    them.  `max_steps` caps the rewrite steps of the whole run, all pairs
-    together; a run that needs more raises `SpairLimitError` naming the pair
-    being reduced.  Each term's rewrite is kept for the run, as pairs that
-    share a fiber meet the same terms; a step makes at most one new term, so
-    the step budget bounds what is kept.  Independent of the fiber-graph
-    route.  The set passes `_check_quadrics` up front, in basis order and
-    in the ambient ring of the first lead; it has no setup, so the gate
-    numbers the set's own T-variables.
+    S-binomials always reduce to zero), never formed: `pairs_skipped` is the
+    pairs passed less those checked.  Pairs run in basis order, (a, b) with
+    a before b, and each rewrite uses the first basis element whose lead
+    divides the term, so the first survivor and the step count do not depend
+    on the indexes used to find them.  `max_steps` caps the rewrite steps of
+    the whole run, all pairs together; a run that needs more raises
+    `SpairLimitError` naming the pair being reduced.  Each term's rewrite is
+    kept for the run, as pairs that share a fiber meet the same terms; a
+    step makes at most one new term, so the step budget bounds what is kept.
+    Independent of the fiber-graph route.  The set passes `_check_quadrics`
+    up front, in basis order and in the ambient ring of the first lead; it
+    has no setup, so the gate numbers the set's own T-variables.
 
     The run writes each term as its atom ids ascending (`_encode`), with
     the ids the gate gives the basis's T-variables sorted largest first,
@@ -1099,13 +1080,13 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     # `memo` maps each term met so far to its `_rewrite_ids`, () when no
     # lead divides it; each step is still counted.
     memo = {}
-    checked = skipped = steps = 0
+    checked = steps = 0
     for ai, mine in enumerate(leads):
         partners = sorted({bi for atom in mine for bi in holders[atom]
                            if bi > ai})
         m0, m1 = mine
         a0, a1 = tail = tails[ai]
-        for pos, bi in enumerate(partners):
+        for bi in partners:
             theirs = leads[bi]
             checked += 1
             # u is a's tail with the atom b's lead adds to a's, v is b's
@@ -1139,13 +1120,13 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
                 if step:
                     v = step
                     continue
-                # The coprime pairs before b in a's row were skipped too.
-                skipped += bi - ai - 1 - pos
+                # The pairs passed: every row before a's, and a's up to b.
+                passed = ai * (2 * len(basis) - ai - 1) // 2 + bi - ai
                 return SpairReport(False, (basis[ai], basis[bi]),
                                    (_decode(u, tvars, n), _decode(v, tvars, n)),
-                                   checked, skipped)
-        skipped += len(basis) - 1 - ai - len(partners)
-    return SpairReport(True, None, None, checked, skipped)
+                                   checked, passed - checked)
+    return SpairReport(True, None, None, checked,
+                       len(basis) * (len(basis) - 1) // 2 - checked)
 
 
 def _rewrite_ids(term, table, tails):

@@ -687,7 +687,7 @@ def enumerate_by_steps(setup, mu, beta, budget, steps=None):
             if steps is not None:
                 steps.append(key)
             found = budget.vertices
-            divisors, cands = candidates(start, rem, q)
+            divisors, cands = (m >> start << start for m in candidates(rem, q))
             budget.count_check(divisors.bit_count())
             node = []
             while cands:

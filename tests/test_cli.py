@@ -14,6 +14,7 @@ import pytest
 
 import borelgb
 from borelgb import toric
+from borelgb.borel import borel_member
 from borelgb.cli import main
 from borelgb.monomials import Monomial, parse_monomial
 from borelgb.families import parse_family
@@ -138,6 +139,34 @@ def test_sort_infeasible(capsys):
     rc, out, err = run(capsys, "sort", "x1*x2", "x2^4", "2", "-n", "2")
     assert (rc, out) == (2, "")
     assert err == "error: x2^4 is not a product of 2 members of Borel(x1*x2)\n"
+
+
+def test_sort_and_tmin_run_past_the_recursion_limit(capsys, tmp_path):
+    """`sort` and `tmin` split once per distinct variable of mu, here 1,200
+    of them, more than the recursion limit allows: both exit 0 with one
+    line.  For k = 1 the answer is mu itself; for k = 2 the factors
+    multiply to mu, descend in grevlex and lie in Borel(M)."""
+    n, M = 1201, "x1201^1200"
+    gen = parse_monomial(M, n)
+    fam = tmp_path / "deep.fam"
+    fam.write_text(f"vars = {n}\nideal I1: support = "
+                   + ",".join(f"x{i}" for i in range(1, n + 1))
+                   + f" ; generator = {M}\n")
+    mu = "*".join(f"x{i}" for i in range(1, n))
+    assert sys.getrecursionlimit() < n
+    assert run(capsys, "sort", M, mu, "1", "-n", str(n)) == (0, mu + "\n", "")
+    assert run(capsys, "tmin", str(fam), mu, "t1") == (0, f"1 | t1:{mu}\n", "")
+    mu = parse_monomial("x1^2*" + "*".join(f"x{i}" for i in range(2, n))
+                        + "*x1201^1199", n)
+    rc, out, err = run(capsys, "sort", M, mu.text(), "2", "-n", str(n))
+    assert (rc, err) == (0, "")
+    factors = [parse_monomial(line, n) for line in out.splitlines()]
+    assert len(factors) == 2 and factors[0] * factors[1] == mu
+    assert factors[0].grevlex_key() >= factors[1].grevlex_key()
+    assert all(borel_member(f, gen) for f in factors)
+    rc, out, err = run(capsys, "tmin", str(fam), mu.text(), "t1^2")
+    assert (rc, err) == (0, "")
+    assert out == "1 | " + ", ".join(f"t1:{f.text()}" for f in factors) + "\n"
 
 
 def test_tmin(capsys, ex_file, tri_file):

@@ -15,8 +15,8 @@ import pytest
 
 from borelgb import toric
 from borelgb.borel import borel_closure, borel_member, min_borel_divisor
-from borelgb.families import (FamilyEntry, IdealFamily, parse_family,
-                              reduce_family)
+from borelgb.families import (FamilyEntry, IdealFamily, find_lfree_column_order,
+                              incidence_matrix, parse_family, reduce_family)
 from borelgb.monomials import AmbientMismatch, Monomial, parse_monomial
 from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
@@ -388,9 +388,9 @@ def _bits(mask):
 
 
 def test_pick_candidates_match_the_fit_oracle():
-    """A pick step's divisors are the generators from `start` on that divide
-    q, and its fitting ones those g among them with fits(rem - 1, q - g),
-    tested one by one, for rem 1..3 and random q that fit rem."""
+    """A pick node's divisors are the generators that divide q, and its
+    fitting ones those g among them with fits(rem - 1, q - g), tested one
+    by one, for rem 1..3 and random q that fit rem."""
     rng = random.Random(27)
     seen = Counter()
     blocks = _random_blocks(rng)
@@ -411,14 +411,13 @@ def test_pick_candidates_match_the_fit_oracle():
             if not block.fits(rem, q):
                 seen["q does not fit"] += 1
                 continue
-            start = rng.randrange(len(exps))
-            divisors, fitting = block.candidates(start, rem, q)
-            want = {gi for gi in range(start, len(exps))
+            divisors, fitting = block.candidates(rem, q)
+            want = {gi for gi in range(len(exps))
                     if all(map(operator.le, exps[gi], q))}
-            assert _bits(divisors) == want, (block.pivot, block.support, q, start)
+            assert _bits(divisors) == want, (block.pivot, block.support, q)
             want = {gi for gi in want
                     if block.fits(rem - 1, tuple(map(operator.sub, q, exps[gi])))}
-            assert _bits(fitting) == want, (block.pivot, block.support, rem, q, start)
+            assert _bits(fitting) == want, (block.pivot, block.support, rem, q)
             seen["nodes"] += 1
             seen["exact" if block.exact else "family"] += 1
             seen["dropped", block.exact] += divisors != fitting
@@ -992,12 +991,13 @@ def _unpacked(by_beta, setup, bound):
     field = (1 << width) - 1
     out = {}
     for beta, slots in by_beta.items():
-        for mask, table, partial in slots:
-            at = _reader(sum(1 << i for i in range(n) if mask >> i * width & field), n)
+        for mask, table in slots:
+            forbid = sum(1 << i for i in range(n) if mask >> i * width & field)
+            at = _reader(forbid, n)
             out.setdefault(beta, []).append((at, {
                 at(toric._unpack(key, n, width)):
                     [(toric._unpack(p, n, width), P) for p, P in found]
-                for key, found in table.items()}, partial))
+                for key, found in table.items()}, forbid != (1 << n) - 1))
     return out
 
 
@@ -1148,8 +1148,8 @@ def test_packed_codes_match_tuple_arithmetic():
             for mu, code in zip(vectors, codes):
                 want = [(c, i) for i, (v, c) in enumerate(zip(vectors, codes))
                         if all(map(operator.le, v, mu))]
-                assert toric._points(code, [(0, found, True)], guard) == want
-                assert toric._points(code, [(-1, {code: want}, False)], guard) == want
+                assert toric._points(code, [(0, found)], guard) == want
+                assert toric._points(code, [(-1, {code: want})], guard) == want
 
 
 def test_a_family_wider_than_a_machine_word_sweeps_as_on_tuples():
@@ -1671,16 +1671,16 @@ def test_search_tries_each_quotient_once(monkeypatch):
     calls = Counter()
     candidates = toric._Block.candidates
 
-    def counted(block, start, rem, q):
-        calls[start] += 1
-        return candidates(block, start, rem, q)
+    def counted(block, rem, q):
+        calls[rem, q] += 1
+        return candidates(block, rem, q)
 
     monkeypatch.setattr(toric._Block, "candidates", counted)
     budget = _Budget()
     C2 = parse_monomial("x1*x3^2*x4^2", 5, base=0)
     _enumerate(FiberSetup.single(C2, base=0),
                parse_monomial("x0^2*x1^5*x2^13*x3^7*x4^3", 5, base=0), (6,), budget)
-    assert calls == {0: 625}
+    assert sum(calls.values()) == len(calls) == 625
     assert (budget.checks, budget.vertices) == (28_544, 4_742)
 
 
@@ -2132,6 +2132,43 @@ def test_spair_route_matches_the_code_loop():
                                    itertools.chain(_spair_inputs(), drawn), rng)
     compared, failing, tripped = counts
     assert compared > 300 and failing > 80 and tripped > 200, counts
+
+
+def test_lfree_families_pass_both_routes_and_spair_fails_imply_sweep_fails():
+    """The paper's theorem as a seeded property of both routes, on 150
+    random-subset families (n 2..5, r 2..4, generator degree <= 2).  A
+    family with an L-free column order, taken in that order, passes the
+    fiber sweep at bound 3 and the S-pair run.  On every full set, and on
+    each passing set with one seeded quadric dropped, an S-pair FAIL forces
+    a sweep FAIL at bound 3: a failing S-pair's normal forms are two
+    standard points of one fiber of T-degree at most 3."""
+    rng = random.Random(2020)
+    sets = []
+    for _ in range(150):
+        family = random_subset_family(rng, rng.randint(2, 5), rng.randint(2, 4))
+        sets.append((family, False))
+        order = find_lfree_column_order(incidence_matrix(family))
+        if order is not None:
+            sets.append((IdealFamily(family.n, [family.entries[j] for j in order]),
+                         True))
+    counts = Counter()
+    for family, lfree in sets:
+        setup, quads = FiberSetup.for_family(family), quadrics_multi(family).all()
+        spairs = spair_certificate(quads).passed
+        sweep = verify_groebner_by_fibers(setup, quads, 3).passed
+        if lfree:
+            assert spairs and sweep, family.entries
+            counts["lfree"] += 1
+        assert spairs or not sweep, family.entries
+        counts["full", spairs] += 1
+        if spairs and quads:
+            dropped = _dropped(rng, quads)
+            if not spair_certificate(dropped).passed:
+                assert not verify_groebner_by_fibers(setup, dropped, 3).passed, (
+                    family.entries)
+                counts["dropped fails"] += 1
+    assert (counts["lfree"] > 100 and counts["full", False] > 30
+            and counts["dropped fails"] > 100), counts
 
 
 def test_atom_id_codes_decode_and_reverse_the_term_order():
