@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .monomials import Monomial
+from .monomials import Monomial, _factor_text
 
 
 def _suffix_caps(exps, support=None):
@@ -69,37 +69,36 @@ def closure_exps(exps, support=None):
             yield tuple(walk)
 
 
-def closure_texts(exps, support, names):
+def closure_texts(exps, support, base):
     """The lines of the closure of `exps`, in `closure_exps` order, as one
     text block per column.
 
-    `names[i]` is the text of the variable at 0-based position i.  A line
-    joins its factors with '*' and a zero exponent prints nothing; the empty
-    line prints '1'.  Each line is its two varying factors joined onto the
-    text of everything above the second movable position, which the column's
-    lines share.  That text is kept per movable level and rebuilt only from
-    the first level the column walk changed; the fixed positions' text is
-    made once.  A support outside 1..n raises ValueError before the first
-    block.
+    Variables are named from x{base} on.  A line joins its factors with '*'
+    and a zero exponent prints nothing; the empty line prints '1'.  Each
+    line is its two varying factors joined onto the text of everything above
+    the second movable position, which the column's lines share.  That text
+    is kept per movable level and rebuilt only from the first level the
+    column walk changed; the fixed positions' text is made once.  A support
+    outside 1..n raises ValueError before the first block.
     """
     slots, caps = _suffix_caps(exps, support)
     if len(slots) < 2 or not any(exps):  # one member
-        yield ("*".join(_power(names[i], e) for i, e in enumerate(exps) if e)
-               or "1") + "\n"
+        yield ("*".join(_factor_text("x", i, e)
+                        for i, e in enumerate(exps, base) if e) or "1") + "\n"
         return
     # Every text here is starred: empty, or '*' before each factor.  The
     # fixed positions between two movable ones are the lower one's tail.
-    tails = ["".join("*" + _power(names[i], exps[i])
+    tails = ["".join("*" + _factor_text("x", i + base, exps[i])
                      for i in range(s + 1, hi) if exps[i])
              for s, hi in zip(slots, (len(exps),) + slots)]
 
     def piece(u, e):
         """Level u's text with exponent e, then its tail."""
-        return ("*" + _power(names[slots[u]], e) if e else "") + tails[u]
+        return ("*" + _factor_text("x", slots[u] + base, e) if e else "") + tails[u]
 
     # Level u takes each exponent up to its cap in some column.
     pieces = [[piece(u, e) for e in range(c + 1)] for u, c in enumerate(caps[:-2])]
-    under = "".join("*" + _power(names[i], exps[i])
+    under = "".join("*" + _factor_text("x", i + base, exps[i])
                     for i in range(slots[-1]) if exps[i])
     # Past `tailed` no level has a tail, so an empty level adds nothing.
     tailed = max((u + 1 for u, tail in enumerate(tails[:-2]) if tail), default=0)
@@ -122,11 +121,6 @@ def closure_texts(exps, support, names):
         # Only a line with nothing below its second movable position starts
         # with a star, and only the first line of a column can.
         yield block if heads[0] else block[1:]
-
-
-def _power(name, e):
-    """The factor 'name^e', or 'name' for e = 1."""
-    return f"{name}^{e}" if e > 1 else name
 
 
 def _columns(slots, caps, exps):

@@ -65,9 +65,8 @@ def cmd_closure(args):
     M = parse_monomial(args.monomial, args.n, args.base)
     support = (None if args.support is None
                else parse_support(args.support, args.n, args.base))
-    names = [f"x{p}" for p in range(args.base, args.base + args.n)]
     write = sys.stdout.write
-    for block in closure_texts(M.exps, support, names):
+    for block in closure_texts(M.exps, support, args.base):
         write(block)
     return 0
 

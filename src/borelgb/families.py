@@ -10,6 +10,7 @@ bipartiteness) govern when the family's toric relations behave well.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .borel import borel_closure
@@ -126,14 +127,6 @@ class BiAdjacency:
     def r(self):
         return len(self.col_names)
 
-    def permute_columns(self, order):
-        order = tuple(order)
-        if sorted(order) != list(range(self.r)):
-            raise ValueError("not a column permutation")
-        return BiAdjacency(self.n,
-                           tuple(self.col_names[j] for j in order),
-                           tuple(tuple(row[j] for j in order) for row in self.rows))
-
     def to_lines(self, base=1):
         return [f"x{i - 1 + base}: " + " ".join(str(v) for v in self.rows[i - 1])
                 for i in range(1, self.n + 1)]
@@ -147,46 +140,40 @@ def incidence_matrix(family):
     return BiAdjacency(family.n, tuple(e.name for e in family.entries), rows)
 
 
+def _column_masks(rows, cols):
+    """Each column of `cols`, in that order, as a bitmask over `rows`: the
+    k-th row is bit k, so the top row is bit 0."""
+    return [sum(row[j] << k for k, row in enumerate(rows)) for j in cols]
+
+
+def _l_rows(cu, cv):
+    """The 1-based rows (h, j) of the first L-configuration of column u
+    before column v, given as bitmasks, or None when they form none.
+
+    An L is rows h < j with h in u but not in v and j in both.  h is the
+    top row in u only, and j the top row below it in both: a lower u-only
+    row has fewer shared rows below it, so when the top one has none, no
+    u-only row has one.
+    """
+    top = cu & ~cv
+    top &= -top
+    below = cu & cv & -(top << 1)
+    if not below:
+        return None
+    return top.bit_length(), (below & -below).bit_length()
+
+
 def lfree_witness(matrix):
-    """First L-configuration (h, j, u, v) in scan order, or None when L-free.
+    """The least L-configuration (h, j, u, v), or None when L-free.
 
-    The forbidden configuration is rows h < j and columns u < v with entries
-    a[h][u] = 1, a[h][v] = 0, a[j][u] = 1, a[j][v] = 1 (all 1-based indices).
+    The configuration is rows h < j and columns u < v with entries
+    a[h][u] = 1, a[h][v] = 0, a[j][u] = 1, a[j][v] = 1 (all 1-based indices);
+    `_l_rows` gives each column pair's least (h, j).
     """
-    rows = matrix.rows
-    for h in range(matrix.n):
-        for j in range(h + 1, matrix.n):
-            for u in range(matrix.r):
-                if rows[h][u] and rows[j][u]:
-                    for v in range(u + 1, matrix.r):
-                        if not rows[h][v] and rows[j][v]:
-                            return (h + 1, j + 1, u + 1, v + 1)
-    return None
-
-
-def _column_masks(matrix):
-    """Each column as a bitmask over rows (row i -> bit i, top row = bit 0)."""
-    masks = []
-    for j in range(matrix.r):
-        mask = 0
-        for i in range(matrix.n):
-            if matrix.rows[i][j]:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
-def _ordered_pair_ok(cu, cv):
-    """Whether columns (u before v) avoid the L-configuration, as bitmasks.
-
-    An L needs a row in u-only above a row shared by both, so the pair is
-    fine exactly when the lowest u-only row sits at or below every shared row.
-    """
-    only_u = cu & ~cv
-    both = cu & cv
-    if not only_u or not both:
-        return True
-    return (only_u & -only_u).bit_length() >= both.bit_length()
+    masks = _column_masks(matrix.rows, range(matrix.r))
+    return min(((*hj, u + 1, v + 1)
+                for (u, cu), (v, cv) in itertools.combinations(enumerate(masks), 2)
+                if (hj := _l_rows(cu, cv))), default=None)
 
 
 # Size caps on the two staircase decisions.  Neither needs them any more;
@@ -208,12 +195,12 @@ def find_lfree_column_order(matrix):
     r = matrix.r
     if r > ORDER_SEARCH_CAP:
         raise ValueError(f"column count {r} exceeds search cap {ORDER_SEARCH_CAP}")
-    masks = _column_masks(matrix)
+    masks = _column_masks(matrix.rows, range(r))
     left = list(range(r))
     order = []
     while left:
         for c in left:
-            if all(_ordered_pair_ok(masks[c], masks[d]) for d in left if d != c):
+            if not any(_l_rows(masks[c], masks[d]) for d in left if d != c):
                 break
         else:
             return None
@@ -245,8 +232,8 @@ def is_chordal_bipartite(matrix):
         if new_rows == rows and new_cols == cols:
             break
         rows, cols = new_rows, new_cols
-    ordered = BiAdjacency(matrix.n, matrix.col_names, [a[i] for i in rows])
-    return lfree_witness(ordered.permute_columns(reversed(cols))) is None
+    masks = _column_masks([a[i] for i in rows], reversed(cols))
+    return not any(_l_rows(cu, cv) for cu, cv in itertools.combinations(masks, 2))
 
 
 _VARS_RE = re.compile(r"vars\s*=\s*(\d+)\s*\Z")

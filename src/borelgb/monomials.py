@@ -8,7 +8,6 @@ stored as dense tuples of nonnegative exponents.  Variables are addressed by
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 
@@ -107,7 +106,7 @@ class Monomial:
         """Canonical text: '1' or '*'-joined factors in ascending position."""
         if self.deg == 0:
             return "1"
-        return "*".join([_factor_text(i, e) for i, e in enumerate(self.exps, base) if e])
+        return "*".join([_factor_text("x", i, e) for i, e in enumerate(self.exps, base) if e])
 
     def __str__(self):
         return self.text()
@@ -122,10 +121,9 @@ class Monomial:
         return hash(self.exps)
 
 
-@functools.lru_cache(maxsize=1024)
-def _factor_text(index, e):
-    """The factor 'x{index}^{e}', or 'x{index}' for e = 1."""
-    return f"x{index}^{e}" if e > 1 else f"x{index}"
+def _factor_text(letter, index, e):
+    """The factor '{letter}{index}^{e}', or '{letter}{index}' for e = 1."""
+    return f"{letter}{index}^{e}" if e > 1 else f"{letter}{index}"
 
 
 def _check_ambient(a, b):

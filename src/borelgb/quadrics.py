@@ -29,7 +29,6 @@ import functools
 import itertools
 import operator
 
-from .borel import borel_closure
 from .monomials import Monomial
 from .toric import Binomial, TProduct, _Block
 
@@ -63,7 +62,7 @@ def _products(unit, tvars):
 
 def quadrics_single(M):
     """The exchange quadrics of Borel(M), ascending by lead term."""
-    block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
+    block = _Block.single(M)
     return _in_order(_exchanges(block, 0, block, 0, block.support),
                      _products(Monomial.unit(M.n), block.tvars))
 
@@ -111,7 +110,7 @@ def quadrics_bs_form(M):
     the least point of its fiber, and for k = 2 that fiber is the product's
     group of pairs, so the sorted factorization is the group's least pair.
     """
-    block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
+    block = _Block.single(M)
     exps = block.exps
     by_product = {}
     for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
@@ -144,8 +143,7 @@ def quadrics_multi(family):
     if not family.is_reduced():
         raise ValueError("quadrics need a reduced family (apply reduce first)")
     n = family.n
-    blocks = [_Block(i, e.gen, e.support, e.closure())
-              for i, e in enumerate(family.entries, start=1)]
+    blocks = _Block.family(family)
     # The ids number the T-variables largest first, as `FiberSetup.tvars`
     # does; each block is located by the id of its first.
     tvars = tuple(t for b in blocks for t in b.tvars)

@@ -23,7 +23,7 @@ import sys
 
 from .borel import (_columns, _least_divisor, _suffix_caps, borel_closure,
                     min_borel_divisor)
-from .monomials import AmbientMismatch, Monomial
+from .monomials import AmbientMismatch, Monomial, _factor_text
 from .sorting import borel_sort
 
 
@@ -252,30 +252,39 @@ def sort_binomials(binomials):
 class _Block:
     """One block: a generator list closed under its moves, and its T-variables.
 
-    Generators are numbered by their index in `gens_desc`; `index` maps an
-    exponent tuple to its number.  `support` is the sorted tuple of 1-based
-    positions the moves use, and `slots` and `caps` are the pivot's
-    `_suffix_caps` over it: the 0-based positions listed last first and the
-    pivot's suffix sums over them.  Block 0, a single closure, is `exact`:
-    its fiber points factor the image with nothing left over.  The bitsets
-    a fiber search reads are built by `tables` on its first call, so a block
-    that no fiber search uses never builds them.
+    Generators are numbered by their index in `tvars`, largest first;
+    `index` maps an exponent tuple to its number.  `support` is the sorted
+    tuple of 1-based positions the moves use, and `slots` and `caps` are the
+    pivot's `_suffix_caps` over it: the 0-based positions listed last first
+    and the pivot's suffix sums over them.  Block 0, a single closure, is
+    `exact`: its fiber points factor the image with nothing left over.  The
+    bitsets a fiber search reads are built by `tables` on its first call, so
+    a block that no fiber search uses never builds them.
     """
 
-    __slots__ = ("block_id", "pivot", "support", "exact", "gens_desc", "tvars",
-                 "exps", "index", "slots", "caps", "_tables")
+    __slots__ = ("pivot", "support", "exact", "tvars", "exps", "index",
+                 "slots", "caps", "_tables")
 
-    def __init__(self, block_id, pivot, support, gens_asc):
-        self.block_id = block_id
+    def __init__(self, block, pivot, support, gens_asc):
         self.pivot = pivot
         self.support = support
-        self.exact = block_id == 0
-        self.gens_desc = tuple(reversed(gens_asc))
-        self.tvars = tuple(GeneratorVar(block_id, g) for g in self.gens_desc)
-        self.exps = tuple(g.exps for g in self.gens_desc)
+        self.exact = block == 0
+        self.tvars = tuple(GeneratorVar(block, g) for g in reversed(gens_asc))
+        self.exps = tuple(t.gen.exps for t in self.tvars)
         self.index = {e: i for i, e in enumerate(self.exps)}
         self.slots, self.caps = _suffix_caps(pivot.exps, support)
         self._tables = None
+
+    @classmethod
+    def single(cls, M):
+        """Block 0: the closure of M, every position movable."""
+        return cls(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
+
+    @classmethod
+    def family(cls, family):
+        """Blocks 1..r: the closures of a family's entries, in order."""
+        return tuple(cls(i, e.gen, e.support, e.closure())
+                     for i, e in enumerate(family.entries, start=1))
 
     def tables(self):
         """(masks, reach), built on the first call.  `masks[i][e]` is the
@@ -355,8 +364,7 @@ class FiberSetup:
     def single(cls, M, base=1):
         if M.is_unit:
             raise ValueError("need a nonunit generator")
-        block = _Block(0, M, tuple(range(1, M.n + 1)), borel_closure(M))
-        return cls(M.n, (block,), base)
+        return cls(M.n, (_Block.single(M),), base)
 
     @classmethod
     def for_family(cls, family):
@@ -364,9 +372,7 @@ class FiberSetup:
             raise ValueError("setup needs a reduced family (apply reduce first)")
         if not family.entries:
             raise ValueError("setup needs a family with at least one ideal")
-        blocks = tuple(_Block(i, e.gen, e.support, e.closure())
-                       for i, e in enumerate(family.entries, start=1))
-        return cls(family.n, blocks, family.base)
+        return cls(family.n, _Block.family(family), family.base)
 
     def beta_tuple(self, beta):
         if self.blocks[0].exact:
@@ -532,7 +538,7 @@ def _enumerate(setup, mu, beta, budget):
         raise _too_deep(sum(beta)) from None
     del root  # for peak memory: the points need no DAG
     # The walk emits the points in descending key order: picks run in
-    # ascending `gens_desc` index, which is descending T-variable order, blocks
+    # ascending `tvars` index, which is descending T-variable order, blocks
     # are walked in order, and a point's leftover is fixed by its T-variables.
     return tuple(reversed(out))
 
@@ -847,13 +853,7 @@ def _image_text(mu, beta, base=1):
 
 
 def _beta_text(beta):
-    parts = []
-    for i, c in enumerate(beta, start=1):
-        if c == 1:
-            parts.append(f"t{i}")
-        elif c >= 2:
-            parts.append(f"t{i}^{c}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(_factor_text("t", i, c) for i, c in enumerate(beta, 1) if c) or "1"
 
 
 def _forbidden(setup, table):

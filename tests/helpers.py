@@ -16,8 +16,7 @@ from collections import Counter
 from borelgb.borel import (_suffix_caps, borel_member, closure_exps,
                            min_borel_divisor)
 from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
-                              FamilyEntry, IdealFamily,
-                              _column_masks, _ordered_pair_ok, lfree_witness)
+                              BiAdjacency, FamilyEntry, IdealFamily)
 from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
 from borelgb.sorting import _split, borel_sort
 from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
@@ -351,8 +350,57 @@ def borel_sort_by_monomials(M, mu, k):
             for f in borel_sort_by_monomials(M_left, mu / xs.pow(A), k)]
 
 
+def permute_columns(matrix, order):
+    """The matrix with its columns, names and entries alike, in `order`."""
+    order = tuple(order)
+    if sorted(order) != list(range(matrix.r)):
+        raise ValueError("not a column permutation")
+    return BiAdjacency(matrix.n, tuple(matrix.col_names[j] for j in order),
+                       tuple(tuple(row[j] for j in order) for row in matrix.rows))
+
+
+def lfree_witness_by_scan(matrix):
+    """Oracle for `lfree_witness`: the first L-configuration (h, j, u, v) of
+    a scan over rows h < j, then columns u < v, or None when L-free."""
+    rows = matrix.rows
+    for h in range(matrix.n):
+        for j in range(h + 1, matrix.n):
+            for u in range(matrix.r):
+                if rows[h][u] and rows[j][u]:
+                    for v in range(u + 1, matrix.r):
+                        if not rows[h][v] and rows[j][v]:
+                            return (h + 1, j + 1, u + 1, v + 1)
+    return None
+
+
 def is_lfree(matrix):
-    return lfree_witness(matrix) is None
+    return lfree_witness_by_scan(matrix) is None
+
+
+def _column_masks(matrix):
+    """Each column as a bitmask over rows (row i -> bit i, top row = bit 0)."""
+    masks = []
+    for j in range(matrix.r):
+        mask = 0
+        for i in range(matrix.n):
+            if matrix.rows[i][j]:
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+def _ordered_pair_ok(cu, cv):
+    """Whether columns (u before v) avoid the L-configuration, as bitmasks.
+
+    An L needs a row in u-only above a row shared by both, so the pair is
+    fine exactly when the topmost u-only row (its lowest bit) sits below
+    every shared row.
+    """
+    only_u = cu & ~cv
+    both = cu & cv
+    if not only_u or not both:
+        return True
+    return (only_u & -only_u).bit_length() >= both.bit_length()
 
 
 def _bits(mask):
@@ -445,6 +493,9 @@ def is_chordal_bipartite_by_search(matrix):
                     edges.add((b, a))
         return edges
 
+    forced = {(u, c): forced_edges(masks[u], masks[c])
+              for u in range(r) for c in range(r) if u != c}
+
     def extend():
         if len(prefix) == r:
             return True
@@ -453,7 +504,7 @@ def is_chordal_bipartite_by_search(matrix):
                 continue
             new_edges = set(edge_stack[-1])
             for u in prefix:
-                new_edges |= forced_edges(masks[u], masks[c])
+                new_edges |= forced[u, c]
             if not _acyclic(nodes, new_edges):
                 continue
             used[c] = True
@@ -949,7 +1000,7 @@ def images_by_multiplying(setup, bound):
     block-degree vector beta with 1 <= |beta| <= bound, every lcm of two
     products of beta-many generators, paired with beta."""
     if setup.blocks[0].exact:
-        gens = setup.blocks[0].gens_desc
+        gens = [t.gen for t in setup.blocks[0].tvars]
         images = []
         for k in range(1, bound + 1):
             prods = set()
@@ -969,7 +1020,7 @@ def images_by_multiplying(setup, bound):
         prods = set()
         for combo_per_block in itertools.product(*(
                 itertools.combinations_with_replacement(
-                    setup.blocks[i].gens_desc, beta[i])
+                    [t.gen for t in setup.blocks[i].tvars], beta[i])
                 for i in range(r))):
             p = Monomial.unit(setup.n)
             for group in combo_per_block:

@@ -3,7 +3,7 @@
 import inspect
 
 import borelgb
-from borelgb import monomials, sorting, toric
+from borelgb import borel, families, monomials, sorting, toric
 
 PUBLIC = {
     "AmbientMismatch", "BiAdjacency", "Binomial", "FamilyEntry", "FiberGraph",
@@ -33,7 +33,10 @@ def test_test_only_api_stays_out_of_the_library():
     on atom-id codes, so the atom-keyed lead table and the T-product
     rewrite are the product-loop oracle's own.  A T-product's image monomial
     and T-degree, the monomial lcm and the sorting recursion's truncated
-    pivot as a monomial are test helpers too."""
+    pivot as a monomial are test helpers too.  The staircase decisions read
+    one L test on column bitmasks, so the matrix's column permutation and
+    the old pair test are test helpers, and every factor prints through
+    `monomials._factor_text`."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
     assert not hasattr(monomials, "restrict")
@@ -50,6 +53,9 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.TProduct, "tdegree")
     assert not hasattr(monomials, "lcm")
     assert not hasattr(sorting, "split_monomial")
+    assert not hasattr(borelgb.BiAdjacency, "permute_columns")
+    assert not hasattr(families, "_ordered_pair_ok")
+    assert not hasattr(borel, "_power")
     for name in ("_atoms", "_divisor_keys", "_lead_table"):
         assert not hasattr(toric, name), name
 

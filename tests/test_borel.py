@@ -84,7 +84,7 @@ def test_column_walk_matches_the_member_odometer():
         names = [f"x{p}" for p in range(base, base + len(exps))]
         assert list(closure_exps(exps, support)) == \
             list(closure_exps_by_members(exps, support)), (exps, support)
-        blocks = list(closure_texts(exps, support, names))
+        blocks = list(closure_texts(exps, support, base))
         assert all(block.endswith("\n") for block in blocks)
         assert "".join(blocks) == \
             closure_lines_by_members(exps, support, names), (exps, support)

@@ -17,6 +17,7 @@ from borelgb.monomials import Monomial, ParseError, parse_monomial
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE,
                      find_lfree_column_order_by_search, has_long_induced_cycle,
                      is_chordal_bipartite_by_search, is_lfree,
+                     lfree_witness_by_scan, permute_columns,
                      random_interval_family, random_principal_borel_family)
 
 
@@ -156,7 +157,7 @@ def test_prefix_columns_are_lfree_in_any_order():
         fam = random_principal_borel_family(rng, n, r)
         mat = incidence_matrix(fam)
         for perm in itertools.permutations(range(mat.r)):
-            assert is_lfree(mat.permute_columns(perm))
+            assert is_lfree(permute_columns(mat, perm))
 
 
 def test_find_lfree_column_order():
@@ -178,10 +179,10 @@ def test_find_lfree_column_order_on_shuffled_interval_families():
         assert is_lfree(mat)  # construction guarantees the given order works
         perm = list(range(mat.r))
         rng.shuffle(perm)
-        shuffled = mat.permute_columns(perm)
+        shuffled = permute_columns(mat, perm)
         order = find_lfree_column_order(shuffled)
         assert order is not None
-        assert is_lfree(shuffled.permute_columns(order))
+        assert is_lfree(permute_columns(shuffled, order))
         found += 1
     assert found == 100
 
@@ -230,7 +231,7 @@ def test_staircase_decisions_match_oracles_exhaustively():
             assert order == find_lfree_column_order_by_search(mat)
             assert order == next(
                 (p for p in itertools.permutations(range(r))
-                 if is_lfree(mat.permute_columns(p))), None)
+                 if is_lfree(permute_columns(mat, p))), None)
             chordal = is_chordal_bipartite(mat)
             assert chordal == is_chordal_bipartite_by_search(mat)
             assert chordal == (not has_long_induced_cycle(mat))
@@ -248,7 +249,7 @@ def _shuffled_interval_matrix(rng, n, r, shuffle_rows):
         rng.shuffle(rows)
     perm = list(range(r))
     rng.shuffle(perm)
-    return BiAdjacency(n, mat.col_names, rows).permute_columns(perm)
+    return permute_columns(BiAdjacency(n, mat.col_names, rows), perm)
 
 
 def _random_matrix(rng, n, r):
@@ -279,6 +280,29 @@ def test_staircase_decisions_match_oracles_at_the_caps():
             assert order == find_lfree_column_order_by_search(mat)
             found.add(order is not None)
     assert verdicts == found == {False, True}
+
+
+def test_staircase_decisions_match_oracles_on_a_seeded_corpus():
+    """2,000 seeded matrices, 1 to 8 rows by 0 to 8 columns, each column
+    empty, full or of a random density: the witness, the column order and
+    the chordal answer, all read off one L test on column bitmasks, equal
+    the scan's and the backtracking searches'."""
+    rng = random.Random(397)
+    kinds = set()
+    for _ in range(2000):
+        n, r = rng.randint(1, 8), rng.randint(0, 8)
+        cols = []
+        for _ in range(r):
+            kind = rng.choice(("empty", "full", "random"))
+            density = {"empty": 0.0, "full": 1.0}.get(kind, rng.random())
+            cols.append([int(rng.random() < density) for _ in range(n)])
+            kinds.add(kind)
+        mat = BiAdjacency(n, [f"c{j}" for j in range(r)],
+                          [tuple(col[i] for col in cols) for i in range(n)])
+        assert lfree_witness(mat) == lfree_witness_by_scan(mat)
+        assert find_lfree_column_order(mat) == find_lfree_column_order_by_search(mat)
+        assert is_chordal_bipartite(mat) == is_chordal_bipartite_by_search(mat)
+    assert kinds == {"empty", "full", "random"}
 
 
 def test_family_file_round_trip():

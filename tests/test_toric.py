@@ -814,7 +814,7 @@ def _other_image_tails(setup, q):
     """Every term below q's lead, of q's tail's block list and x-degree, over
     the setup's T-variables, whose image is not q's."""
     tail, n = q.tail, setup.n
-    block_tvars = {b.block_id: b.tvars for b in setup.blocks}
+    block_tvars = {b.tvars[0].block: b.tvars for b in setup.blocks}
     image = q.lead.image_exps()
     xparts = [Monomial(tuple(map(pos.count, range(n))))
               for pos in itertools.combinations_with_replacement(
@@ -1471,7 +1471,7 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
         block = setup.blocks[bi]
         if not _fits_by_scanning(block, beta[bi], quotient, exact):
             return
-        gens = block.gens_desc
+        gens = [t.gen for t in block.tvars]
 
         def rec_pick(start, rem, quotient):
             if rem == 0:
