@@ -137,8 +137,6 @@ def cmd_lfree(args):
     family = _read_family(args.family)
     matrix = incidence_matrix(family)
     witness = lfree_witness(matrix)
-    # The searches can reject an oversized matrix, so they run before
-    # anything is printed.
     order = find_lfree_column_order(matrix) if args.find_order else None
     chordal = is_chordal_bipartite(matrix) if args.chordal else None
     for line in matrix.to_lines(family.base):

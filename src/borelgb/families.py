@@ -176,25 +176,15 @@ def lfree_witness(matrix):
                 if (hj := _l_rows(cu, cv))), default=None)
 
 
-# Size caps on the two staircase decisions.  Neither needs them any more;
-# they stay so that an oversized matrix still exits 2 with the same message,
-# and lifting them would change the CLI's exit codes.
-ORDER_SEARCH_CAP = 10
-CHORDAL_SEARCH_CAP = 8
-
-
 def find_lfree_column_order(matrix):
     """Lexicographically first column permutation making the matrix L-free, or None.
 
     Greedy: the next column is the least unplaced one that forms no
     L-configuration with any other unplaced column.  Dropping a column from
     a valid order leaves a valid order, so any column that qualifies starts a
-    completion whenever one exists.  Column count is capped at
-    `ORDER_SEARCH_CAP`.
+    completion whenever one exists.
     """
     r = matrix.r
-    if r > ORDER_SEARCH_CAP:
-        raise ValueError(f"column count {r} exceeds search cap {ORDER_SEARCH_CAP}")
     masks = _column_masks(matrix.rows, range(r))
     left = list(range(r))
     order = []
@@ -218,11 +208,8 @@ def is_chordal_bipartite(matrix):
     from sorting rows and columns in turn, each descending by its entries in
     the other's current order, until neither sort moves anything; each sort
     that moves something makes the column-major reading strictly larger, so
-    this ends.  Rows and columns are capped at `CHORDAL_SEARCH_CAP`.
+    this ends.
     """
-    if max(matrix.n, matrix.r) > CHORDAL_SEARCH_CAP:
-        raise ValueError(f"matrix {matrix.n}x{matrix.r} exceeds search cap "
-                         f"{CHORDAL_SEARCH_CAP}")
     a = matrix.rows
     rows, cols = list(range(matrix.n)), list(range(matrix.r))
     while True:

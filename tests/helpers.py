@@ -15,8 +15,7 @@ from collections import Counter
 
 from borelgb.borel import (_suffix_caps, borel_member, closure_exps,
                            min_borel_divisor)
-from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
-                              BiAdjacency, FamilyEntry, IdealFamily)
+from borelgb.families import BiAdjacency, FamilyEntry, IdealFamily
 from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
 from borelgb.sorting import _split, borel_sort
 from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
@@ -408,6 +407,12 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# Size caps on the two backtracking oracles below, which take exponential
+# time; the library's decisions have none.
+ORDER_SEARCH_CAP = 10
+CHORDAL_SEARCH_CAP = 8
 
 
 def find_lfree_column_order_by_search(matrix):

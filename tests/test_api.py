@@ -36,7 +36,8 @@ def test_test_only_api_stays_out_of_the_library():
     pivot as a monomial are test helpers too.  The staircase decisions read
     one L test on column bitmasks, so the matrix's column permutation and
     the old pair test are test helpers, and every factor prints through
-    `monomials._factor_text`."""
+    `monomials._factor_text`.  Neither staircase decision has a size cap;
+    the two caps belong to the backtracking oracles in the helpers."""
     assert not hasattr(monomials, "compare")
     assert not hasattr(monomials, "apply_move")
     assert not hasattr(monomials, "restrict")
@@ -55,6 +56,8 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(sorting, "split_monomial")
     assert not hasattr(borelgb.BiAdjacency, "permute_columns")
     assert not hasattr(families, "_ordered_pair_ok")
+    assert not hasattr(families, "ORDER_SEARCH_CAP")
+    assert not hasattr(families, "CHORDAL_SEARCH_CAP")
     assert not hasattr(borel, "_power")
     for name in ("_atoms", "_divisor_keys", "_lead_table"):
         assert not hasattr(toric, name), name

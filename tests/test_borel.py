@@ -138,6 +138,14 @@ def test_closure_with_support():
     assert borel_closure(M("x4"), support=(1, 2)) == (M("x4"),)
 
 
+def test_membership_and_least_divisor_refuse_another_ambient():
+    other = parse_monomial("x1", 3)
+    with pytest.raises(ValueError, match="ambient mismatch in membership test"):
+        borel_member(other, M("x2"))
+    with pytest.raises(ValueError, match="ambient mismatch in minimal divisor"):
+        min_borel_divisor(M("x2"), 1, other)
+
+
 def test_member_matches_bfs_closure_exhaustively():
     for n in (1, 2, 3):
         for deg in range(0, 5):

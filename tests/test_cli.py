@@ -278,18 +278,21 @@ def test_lfree(capsys, tri_file, ex_file):
                    "CHORDAL-BIPARTITE\n")
 
 
-def test_lfree_over_a_search_cap_prints_nothing(capsys, tmp_path):
-    """A matrix too large for a search is rejected before any output."""
+def test_lfree_answers_past_the_old_search_caps(capsys, tmp_path):
+    """Neither staircase decision has a size limit: 11 columns get an order
+    and 9 rows a chordal answer, where both once exited 2."""
     wide = tmp_path / "wide.fam"
     wide.write_text("vars = 1\n" + "".join(
         f"ideal I{j}: support = x1 ; generator = x1\n" for j in range(1, 12)))
+    names = ",".join(f"I{j}" for j in range(1, 12))
     assert run(capsys, "lfree", str(wide), "--find-order") == \
-        (2, "", "error: column count 11 exceeds search cap 10\n")
+        (0, "x1:" + " 1" * 11 + f"\nLFREE\norder: {names}\n", "")
     tall = tmp_path / "tall.fam"
     support = ",".join(f"x{p}" for p in range(1, 10))
     tall.write_text(f"vars = 9\nideal I1: support = {support} ; generator = x9\n")
     assert run(capsys, "lfree", str(tall), "--chordal") == \
-        (2, "", "error: matrix 9x1 exceeds search cap 8\n")
+        (0, "".join(f"x{p}: 1\n" for p in range(1, 10))
+         + "LFREE\nCHORDAL-BIPARTITE\n", "")
 
 
 def test_reduce(capsys, tmp_path):
@@ -358,6 +361,28 @@ def test_family_support_errors_name_their_column(capsys, tmp_path):
                           ("x1, x7", "column 24: support variable x7 outside x1..x2")):
         p.write_text(f"vars = 2\nideal A: support = {support} ; generator = x1\n")
         assert run(capsys, "verify", str(p)) == (2, "", f"error: line 2, {want}\n")
+
+
+def test_family_file_line_errors_exit_2(capsys, tmp_path):
+    p = tmp_path / "bad.fam"
+    for text, want in (
+            ("vars = 0\n", "line 1, column 1: vars must be at least 1"),
+            ("vars = 2\nfoo\n", "line 2, column 1: expected 'ideal NAME: "
+             "support = ... ; generator = ...'"),
+            ("vars = 2\nideal A: supp = x1 ; generator = x1\n",
+             "line 2, column 1: missing 'support =' clause"),
+            ("vars = 2\nideal A: support = x1 ; gen = x1\n",
+             "line 2, column 1: missing 'generator =' clause")):
+        p.write_text(text)
+        assert run(capsys, "lfree", str(p)) == (2, "", f"error: {want}\n")
+
+
+def test_commands_without_their_input_exit_2(capsys):
+    for argv, want in ((("verify",), "need a family file or --single"),
+                       (("quadrics",), "need a family file or --single"),
+                       (("fiber-graph", "--single", "x1", "-n", "1", "--mu", "x1"),
+                        "single mode needs --mu and -k")):
+        assert run(capsys, *argv) == (2, "", f"error: {want}\n")
 
 
 def test_family_name_with_a_semicolon(capsys, tmp_path):

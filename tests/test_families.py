@@ -7,14 +7,14 @@ import random
 import pytest
 
 from borelgb.borel import borel_closure
-from borelgb.families import (CHORDAL_SEARCH_CAP, ORDER_SEARCH_CAP,
-                              BiAdjacency, FamilyEntry, IdealFamily,
+from borelgb.families import (BiAdjacency, FamilyEntry, IdealFamily,
                               find_lfree_column_order, incidence_matrix,
                               is_chordal_bipartite, lfree_witness,
                               parse_family, reduce_family, serialize_family)
 from borelgb.monomials import Monomial, ParseError, parse_monomial
 
-from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE,
+from helpers import (CHORDAL_SEARCH_CAP, EX_FAMILY, NESTED_FAMILY,
+                     ORDER_SEARCH_CAP, TRIANGLE,
                      find_lfree_column_order_by_search, has_long_induced_cycle,
                      is_chordal_bipartite_by_search, is_lfree,
                      lfree_witness_by_scan, permute_columns,
@@ -166,8 +166,9 @@ def test_find_lfree_column_order():
     assert find_lfree_column_order(mat) == (0, 1, 2, 3, 4)  # identity when valid
     tri = incidence_matrix(parse_family(TRIANGLE))
     assert find_lfree_column_order(tri) is None
-    with pytest.raises(ValueError):
-        find_lfree_column_order(BiAdjacency(1, ["c"] * 11, [(1,) * 11]))
+    # 11 equal columns, past the oracle's cap: no pair forms an L
+    assert find_lfree_column_order(BiAdjacency(1, ["c"] * 11, [(1,) * 11])) == \
+        tuple(range(11))
 
 
 def test_find_lfree_column_order_on_shuffled_interval_families():
@@ -192,8 +193,8 @@ def test_chordal_bipartite_goldens():
     tri = incidence_matrix(parse_family(TRIANGLE))
     assert not is_chordal_bipartite(tri)
     assert has_long_induced_cycle(tri)
-    with pytest.raises(ValueError):
-        is_chordal_bipartite(BiAdjacency(9, ["c"], [(1,)] * 9))
+    # 9 rows, past the oracle's cap: one column is never part of an L
+    assert is_chordal_bipartite(BiAdjacency(9, ["c"], [(1,)] * 9))
 
 
 def test_chordal_bipartite_matches_induced_cycle_definition():
@@ -282,6 +283,37 @@ def test_staircase_decisions_match_oracles_at_the_caps():
     assert verdicts == found == {False, True}
 
 
+def test_staircase_decisions_past_the_oracles_caps():
+    """300 seeded matrices, 9 to 30 rows by 11 to 30 columns, half shuffled
+    interval matrices and half of random density, where the backtracking
+    oracles cannot run.  The chordal answer survives a shuffle of rows and
+    columns and a transpose; a returned column order leaves no L by the
+    scan, and an order implies chordality."""
+    rng = random.Random(4040)
+    counts = {"order": 0, "chordal": 0}
+    for k in range(300):
+        n, r = rng.randint(9, 30), rng.randint(11, 30)
+        if k % 2:
+            mat = _shuffled_interval_matrix(rng, n, r, rng.random() < 0.5)
+        else:
+            mat = _random_matrix(rng, n, r)
+        chordal = is_chordal_bipartite(mat)
+        rows = list(mat.rows)
+        rng.shuffle(rows)
+        perm = list(range(r))
+        rng.shuffle(perm)
+        shuffled = permute_columns(BiAdjacency(n, mat.col_names, rows), perm)
+        assert is_chordal_bipartite(shuffled) == chordal
+        assert is_chordal_bipartite(_matrix(tuple(zip(*mat.rows)))) == chordal
+        order = find_lfree_column_order(mat)
+        if order is not None:
+            assert lfree_witness_by_scan(permute_columns(mat, order)) is None
+            assert chordal
+            counts["order"] += 1
+        counts["chordal"] += chordal
+    assert 0 < counts["order"] <= counts["chordal"] < 300
+
+
 def test_staircase_decisions_match_oracles_on_a_seeded_corpus():
     """2,000 seeded matrices, 1 to 8 rows by 0 to 8 columns, each column
     empty, full or of a random density: the witness, the column order and
@@ -303,6 +335,17 @@ def test_staircase_decisions_match_oracles_on_a_seeded_corpus():
         assert find_lfree_column_order(mat) == find_lfree_column_order_by_search(mat)
         assert is_chordal_bipartite(mat) == is_chordal_bipartite_by_search(mat)
     assert kinds == {"empty", "full", "random"}
+
+
+def test_family_and_matrix_constructors_refuse_bad_shapes():
+    with pytest.raises(ValueError, match="ambient needs at least one variable"):
+        IdealFamily(0, [])
+    with pytest.raises(ValueError, match="base must be 0 or 1"):
+        IdealFamily(1, [], base=2)
+    with pytest.raises(ValueError, match="matrix shape does not match labels"):
+        BiAdjacency(2, ["c"], [(1,)])
+    with pytest.raises(ValueError, match="matrix shape does not match labels"):
+        BiAdjacency(1, ["c"], [(1, 0)])
 
 
 def test_family_file_round_trip():

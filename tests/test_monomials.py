@@ -70,6 +70,10 @@ def test_mul_div_divides():
     with pytest.raises(AmbientMismatch):
         a * parse_monomial("x1", 3)
     assert M("x2").pow(3).text() == "x2^3"
+    with pytest.raises(ValueError, match="negative power"):
+        M("x2").pow(-1)
+    with pytest.raises(ValueError, match=r"variable position 3 outside 1\.\.2"):
+        Monomial.variable(3, 2)
     assert lcm(a, b).text() == "x1*x2*x3"
 
 

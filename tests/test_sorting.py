@@ -74,6 +74,8 @@ def test_borel_sort_rejects_infeasible():
         borel_sort(parse_monomial("x2", 2), parse_monomial("x1", 2), 2)
     with pytest.raises(ValueError):
         borel_sort(parse_monomial("x2", 2), parse_monomial("x1", 2), 0)
+    with pytest.raises(ValueError, match="ambient mismatch in sorted factorization"):
+        borel_sort(parse_monomial("x2", 2), parse_monomial("x1", 3), 1)
 
 
 def all_monomials(n, deg):

@@ -1334,6 +1334,9 @@ def test_t_min_goldens():
         t_min(fam, M("x4"), (1, 0))
     with pytest.raises(ValueError):
         t_min(fam, parse_monomial("x1", 1), (0, 0, 0, 0, 0))
+    unreduced = IdealFamily(2, [FamilyEntry("A", (1, 2), parse_monomial("x1", 2))])
+    with pytest.raises(ValueError, match=r"t_min needs a reduced family"):
+        t_min(unreduced, parse_monomial("x1", 2), (1,))
 
 
 def test_t_min_is_least_fiber_point():
