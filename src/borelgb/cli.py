@@ -47,15 +47,19 @@ def _single_quadrics(M, form):
     return quadrics_single(M) if form == "exchange" else quadrics_bs_form(M)
 
 
-def _setup_and_quadrics(args):
-    """(setup, quadrics) of a single-closure or a family command."""
+def _read_input(args):
+    """(base, quadrics, build_setup) of a single-closure or family command."""
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
-        return FiberSetup.single(M, args.base), _single_quadrics(M, args.form)
+        return (args.base, _single_quadrics(M, args.form),
+                functools.partial(FiberSetup.single, M, args.base))
     if args.family is None:
         raise ParseError("need a family file or --single")
     family = _reduced_family(args.family)
-    return FiberSetup.for_family(family), quadrics_multi(family).all()
+    if not family.entries:  # no route may PASS having examined nothing
+        raise ParseError("setup needs a family with at least one ideal")
+    return (family.base, quadrics_multi(family).all(),
+            functools.partial(FiberSetup.for_family, family))
 
 
 def cmd_closure(args):
@@ -98,8 +102,8 @@ def cmd_fiber_graph(args):
     if not single and (args.family is None or args.mu_arg is None
                        or args.tdegrees is None):
         raise ParseError("need FAMILY IMAGE TDEGREES, or --single with --mu/-k")
-    setup, quads = _setup_and_quadrics(args)
-    base = setup.base
+    base, quads, build_setup = _read_input(args)
+    setup = build_setup()
     mu = parse_monomial(args.mu if single else args.mu_arg, setup.n, base)
     beta = args.k if single else _parse_beta(args.tdegrees, len(setup.blocks))
     graph = fiber_graph(setup, mu, beta, quads, max_vertices=args.max_vertices,
@@ -118,17 +122,17 @@ def cmd_fiber_graph(args):
 
 
 def cmd_verify(args):
-    setup, quads = _setup_and_quadrics(args)
+    base, quads, build_setup = _read_input(args)
     if args.method == "fibers":
-        report = verify_groebner_by_fibers(setup, quads, args.bound,
+        report = verify_groebner_by_fibers(build_setup(), quads, args.bound,
                                            max_vertices=args.max_vertices,
                                            max_checks=args.max_checks)
     else:
         try:
             report = spair_certificate(quads, max_steps=args.max_steps)
         except SpairLimitError as exc:  # name the pair as the FAIL line would
-            raise ResourceLimitError(exc.text(setup.base)) from None
-    for line in report.lines(setup.base):
+            raise ResourceLimitError(exc.text(base)) from None
+    for line in report.lines(base):
         print(line)
     return 0 if report.passed else 1
 

@@ -362,8 +362,6 @@ class FiberSetup:
 
     @classmethod
     def single(cls, M, base=1):
-        if M.is_unit:
-            raise ValueError("need a nonunit generator")
         return cls(M.n, (_Block.single(M),), base)
 
     @classmethod
@@ -546,13 +544,11 @@ def _enumerate(setup, mu, beta, budget):
 class FiberGraph:
     """The rewriting graph of one fiber: vertices ascending, edges lead-to-tail."""
 
-    __slots__ = ("vertices", "edges", "mu", "beta")
+    __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices, edges, mu, beta):
+    def __init__(self, vertices, edges):
         self.vertices = vertices
         self.edges = edges  # (from_index, to_index, quadric_index)
-        self.mu = mu
-        self.beta = beta
 
     def sinks(self):
         """The vertices with no outgoing edge, listed ascending."""
@@ -668,7 +664,7 @@ def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
             if vi >= ui:
                 raise AssertionError("rewrite did not decrease the term order")
             edges.append((ui, vi, qi))
-    return FiberGraph(vertices, tuple(edges), mu, beta)
+    return FiberGraph(vertices, tuple(edges))
 
 
 def _width(setup, bound):

@@ -799,7 +799,7 @@ def fiber_graph_by_scanning(setup, mu, beta, quadrics, vertices=None, **caps):
                 if vi >= ui:
                     raise AssertionError("rewrite did not decrease the term order")
                 edges.append((ui, vi, qi))
-    return FiberGraph(vertices, tuple(edges), mu, beta)
+    return FiberGraph(vertices, tuple(edges))
 
 
 def examine_image_by_scanning(setup, quadrics, mu, beta):

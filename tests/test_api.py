@@ -63,6 +63,12 @@ def test_test_only_api_stays_out_of_the_library():
         assert not hasattr(toric, name), name
 
 
+def test_fiber_graph_keeps_only_what_is_read():
+    """A fiber graph is its vertices and edges; the image and T-degrees it
+    was built for stay with the caller."""
+    assert borelgb.FiberGraph.__slots__ == ("vertices", "edges")
+
+
 def test_display_methods_take_only_the_base():
     """A T-variable's block decides its tag, so no display call takes one."""
     for method in (borelgb.GeneratorVar.text, borelgb.TProduct.label,

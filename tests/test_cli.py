@@ -408,6 +408,47 @@ def test_family_without_ideals_exits_2(capsys, tmp_path):
         assert err == "error: setup needs a family with at least one ideal\n"
 
 
+def test_spair_route_builds_no_fiber_setup(capsys, monkeypatch, ex_file,
+                                           tri_file):
+    """The S-pair route reads only its quadric set: with both `FiberSetup`
+    constructors raising, it prints the bytes it printed when it built one."""
+    def refuse(*args):
+        raise AssertionError("a FiberSetup was built")
+    monkeypatch.setattr(FiberSetup, "single", refuse)
+    monkeypatch.setattr(FiberSetup, "for_family", refuse)
+    with pytest.raises(AssertionError):  # the fiber route still builds one
+        main(["verify", ex_file])
+    passed = (0, "PASS\ncertificate: spairs\n", "")
+    assert run(capsys, "verify", "--single", "x2*x4*x5", "-n", "5", "--form",
+               "sorted", "--method", "spairs") == passed
+    assert run(capsys, "verify", ex_file, "--method", "spairs") == passed
+    assert run(capsys, "verify", tri_file, "--method", "spairs") == (
+        1, "FAIL spair [x3*T[t3:x2] - x2*T[t3:x3]] [x3*T[t2:x1] - x1*T[t2:x3]] "
+           "normal-form: x2*T[t2:x1]*T[t3:x3] - x1*T[t2:x3]*T[t3:x2]\n"
+           "certificate: spairs\n", "")
+
+
+def test_unit_generator_passes_both_routes(capsys):
+    """A unit generator is accepted, as a family's `generator = 1` is: its
+    closure is {1}, so it has no quadric and each fiber has one point."""
+    for method, cert in (("fibers", "fibers bound=3"), ("spairs", "spairs")):
+        assert run(capsys, "verify", "--single", "1", "-n", "2", "--method",
+                   method) == (0, f"PASS\ncertificate: {cert}\n", "")
+    assert run(capsys, "fiber-graph", "--single", "1", "-n", "2", "--mu", "1",
+               "-k", "3") == (0, "v0: 1 | 1, 1, 1\nsinks: v0\n", "")
+
+
+def test_empty_lists_print_their_label_and_a_space(capsys, tmp_path):
+    """An empty fiber prints `sinks: ` and a family with no ideal has empty
+    matrix rows and an empty column order, each label keeping its space."""
+    assert run(capsys, "fiber-graph", "--single", "x1", "-n", "1", "--mu", "1",
+               "-k", "1") == (0, "sinks: \n", "")
+    p = tmp_path / "empty.fam"
+    p.write_text("vars = 2\n")
+    assert run(capsys, "lfree", str(p), "--find-order", "--chordal") == (
+        0, "x1: \nx2: \nLFREE\norder: \nCHORDAL-BIPARTITE\n", "")
+
+
 def test_quadrics_and_tmin_need_no_fiber_setup(capsys, tmp_path):
     """Neither command builds blocks, so a reduced family with no ideal has
     no quadrics and its least fiber point over T-degree 1 is the image."""

@@ -275,8 +275,11 @@ def test_enumerate_fiber_single():
         "1 | x1*x2, x1*x2", "1 | x1^2, x2^2"]
     assert all(image(p) == parse_monomial("x1^2*x2^2", 2) for p in pts)
     assert enumerate_fiber(setup, parse_monomial("x1^3*x2", 2), 1) == ()
-    with pytest.raises(ValueError):
-        FiberSetup.single(Monomial.unit(2))
+    # A unit generator is a closure of one member, 1, as a family accepts.
+    unit = FiberSetup.single(Monomial.unit(2))
+    assert [p.label() for p in enumerate_fiber(unit, Monomial.unit(2), 3)] == [
+        "1 | 1, 1, 1"]
+    assert enumerate_fiber(unit, parse_monomial("x1", 2), 3) == ()
     with pytest.raises(ValueError):
         enumerate_fiber(setup, parse_monomial("x1", 1), 1)
     with pytest.raises(ValueError):
@@ -476,7 +479,8 @@ def test_fiber_graph_and_certify():
     qs = quadrics_single(parse_monomial("x2^2", 2))
     g = fiber_graph(setup, mu, 2, qs)
     assert g.edges == ((1, 0, 0),)
-    assert g.beta == (2,)
+    with pytest.raises(ValueError, match="at least one factor"):
+        fiber_graph(setup, mu, 0, qs, vertices=g.vertices)  # beta still checked
     connected, sinks = certify(g)
     assert g.sinks() == sinks
     assert connected and [s.label() for s in sinks] == [
@@ -708,8 +712,8 @@ def test_fiber_graph_matches_scanning_oracle():
         for mu, beta in iterate_images(setup, bound):
             want = fiber_graph_by_scanning(setup, mu, beta, quads)
             got = fiber_graph(setup, mu, beta, quads)
-            assert (got.vertices, got.edges, got.beta) == (
-                want.vertices, want.edges, want.beta), (mu, beta)
+            assert (got.vertices, got.edges) == (
+                want.vertices, want.edges), (mu, beta)
             compared += 1
             edged += bool(want.edges)
             if len(want.vertices) < 2:
