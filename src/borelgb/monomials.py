@@ -68,10 +68,6 @@ class Monomial:
     def n(self):
         return len(self.exps)
 
-    @property
-    def is_unit(self):
-        return self.deg == 0
-
     def support(self):
         """1-based positions of the variables that divide this monomial."""
         return tuple(p for p, e in enumerate(self.exps, start=1) if e)

@@ -352,17 +352,17 @@ class FiberSetup:
     the T-variables of all blocks in block order.
     """
 
-    __slots__ = ("n", "blocks", "base", "tvars")
+    __slots__ = ("n", "blocks", "tvars")
 
-    def __init__(self, n, blocks, base=1):
+    def __init__(self, n, blocks):
         self.n = n
         self.blocks = blocks
-        self.base = base
         self.tvars = tuple(t for b in blocks for t in b.tvars)
 
     @classmethod
     def single(cls, M, base=1):
-        return cls(M.n, (_Block.single(M),), base)
+        # `base` is unread; callers pass their display base along.
+        return cls(M.n, (_Block.single(M),))
 
     @classmethod
     def for_family(cls, family):
@@ -370,7 +370,7 @@ class FiberSetup:
             raise ValueError("setup needs a reduced family (apply reduce first)")
         if not family.entries:
             raise ValueError("setup needs a family with at least one ideal")
-        return cls(family.n, _Block.family(family), family.base)
+        return cls(family.n, _Block.family(family))
 
     def beta_tuple(self, beta):
         if self.blocks[0].exact:
@@ -589,42 +589,36 @@ def _apply(code, lead, tail):
     return tuple(rest)
 
 
-def _check_quadrics(quadrics, n, tvars=None):
-    """(ids, table) for a set of quadrics used in n variables with the
-    T-variables `tvars`, given in descending order.  Every `Binomial` is a
-    toric binomial with its lead on top, checked when it was made; the gate
-    checks what depends on the setup: every lead in n variables and of
-    degree 2, then each quadric's T-variables among `tvars`.  Without a
-    setup's `tvars`, as on the S-pair route, every tail must have degree 2
-    too, the quadrics' own T-variables are numbered, descending, and that
-    last test, which cannot fail, is skipped.  `ids` numbers the T-variables
-    for `_encode`, in that order; `table` maps each lead's code to the
-    ascending indices of the quadrics with that lead.  A lead of degree 2
-    divides a term exactly when its code is a pair of the term's code."""
+def _check_quadrics(quadrics, n, tvars):
+    """(ids, table, tails) for quadrics used in n variables with the
+    T-variables `tvars`, descending: a setup's, or on the S-pair route the
+    set's own.  Every `Binomial` is toric with its lead on top, checked when
+    it was made; the gate checks every lead in n variables and of degree 2,
+    then each quadric's T-variables among `tvars` and its tail of degree 2,
+    a test no fiber route fails, as a block's generators share one degree.
+    `ids` numbers the T-variables for `_encode`, in that order; `table` maps
+    each lead's code to the ascending indices of the quadrics with that
+    lead, and `tails` lists the tails' codes.  A lead of degree 2 divides a
+    term exactly when its code is a pair of the term's code."""
     for q in quadrics:
         lead = q.lead
         if lead.xpart.n != n:
             raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
         if len(lead.tvars) + lead.xpart.deg != 2:
             raise ValueError(f"lead {lead.term_text()} is not of degree 2")
-    if tvars is None:
-        for q in quadrics:
-            if len(q.tail.tvars) + q.tail.xpart.deg != 2:
-                raise ValueError(f"tail {q.tail.term_text()} is not of degree 2")
-        known = None
-        tvars = sorted({t for q in quadrics for side in (q.lead, q.tail)
-                        for t in side.tvars}, reverse=True)
-    else:
-        known = set(tvars)
     ids = {t: i for i, t in enumerate(tvars)}
-    table = {}
+    table, tails = {}, []
     for i, q in enumerate(quadrics):
-        lead = q.lead
-        if known is not None and not known.issuperset(lead.tvars + q.tail.tvars):
+        try:
+            lead, tail = _encode(q.lead, ids), _encode(q.tail, ids)
+        except KeyError:
             raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
-                             "a generator of its block")
-        table.setdefault(_encode(lead, ids), []).append(i)
-    return ids, table
+                             "a generator of its block") from None
+        if len(tail) != 2:
+            raise ValueError(f"tail {q.tail.term_text()} is not of degree 2")
+        table.setdefault(lead, []).append(i)
+        tails.append(tail)
+    return ids, table, tails
 
 
 def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
@@ -632,19 +626,18 @@ def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
     """Build the fiber and connect u -> u / lead * tail for every applicable
     quadric.  Every `Binomial` is toric with its lead on top, and only the
     setup's pass `_check_quadrics`, so every edge stays in the fiber and goes
-    down the order.  Each vertex is encoded once, by the gate's ids for
-    `setup.tvars`, and rewritten on its code (`_apply`).  `max_vertices`
+    down the order.  Each vertex is encoded once, by the gate's ids, and
+    rewritten on its code by the gate's lead and tail codes.  `max_vertices`
     caps the points `enumerate_fiber` finds, and `max_checks` its candidate
     generators plus the lead-table keys each point looks up: each pair of
     its d atoms, an x-position counted at most twice, d(d - 1)/2 in all.
     Given `vertices`, the fiber is not enumerated again."""
     budget = _Budget(max_vertices, max_checks)
     beta = setup.beta_tuple(beta)
-    ids, table = _check_quadrics(quadrics, setup.n, setup.tvars)
+    ids, table, tails = _check_quadrics(quadrics, setup.n, setup.tvars)
     if vertices is None:
         vertices = _enumerate(setup, mu, beta, budget)
     nt = len(ids)
-    tails = [_encode(q.tail, ids) for q in quadrics]
     codes = [_encode(v, ids) for v in vertices]
     index = {c: i for i, c in enumerate(codes)}
     edges = []
@@ -1043,16 +1036,16 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     kept for the run, as pairs that share a fiber meet the same terms; a
     step makes at most one new term, so the step budget bounds what is kept.
     Independent of the fiber-graph route.  The set passes `_check_quadrics`
-    up front, in basis order and in the ambient ring of the first lead; it
-    has no setup, so the gate numbers the set's own T-variables.
+    up front, in basis order and in the ambient ring of the first lead,
+    numbered by the set's own T-variables, sorted largest first.
 
-    The run writes each term as its atom ids ascending (`_encode`), with
-    the ids the gate gives the basis's T-variables sorted largest first,
-    and reads each lead in the gate's code table.  The gate puts a pair's
-    sides and all their rewrites in one fiber, where every term has the
-    same T-degree and the same image, so two distinct terms differ first in
-    their T-variables: the smaller tuple is the larger term.  Only a
-    failure's normal forms are decoded back to T-products.
+    The run writes each term as its atom ids ascending (`_encode`), by the
+    gate's ids, and reads each lead in the gate's code table and each tail
+    in its tail codes.  The gate puts a pair's sides and all their rewrites
+    in one fiber, where every term has the same T-degree and the same
+    image, so two distinct terms differ first in their T-variables: the
+    smaller tuple is the larger term.  Only a failure's normal forms are
+    decoded back to T-products.
 
     The gate admits only leads and tails of two atoms, so every term the
     run meets has three atoms, or two when the leads are equal.  Two
@@ -1063,9 +1056,9 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     """
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    ids, table = _check_quadrics(basis, n)
-    tvars = tuple(ids)
-    tails = [_encode(g.tail, ids) for g in basis]
+    tvars = sorted({t for g in basis for side in (g.lead, g.tail)
+                    for t in side.tvars}, reverse=True)
+    table, tails = _check_quadrics(basis, n, tvars)[1:]
     # Leads are coprime exactly when their codes share no id.
     leads, holders = [None] * len(basis), {}
     for lead, held in table.items():

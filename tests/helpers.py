@@ -20,7 +20,7 @@ from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
 from borelgb.sorting import _split, borel_sort
 from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
                            SpairLimitError, SpairReport, TProduct, VerifyReport,
-                           _apply, _Budget, _check_quadrics, _decode, _encode,
+                           _apply, _Budget, _check_quadrics, _decode,
                            _enumerate, _forbidden, _image_text, _too_deep,
                            sort_binomials)
 
@@ -657,7 +657,7 @@ def tvar_text(t, base=1):
 def term_text(term, base=1):
     """Oracle for `TProduct.term_text`, built from the two oracles above."""
     parts = []
-    if not term.xpart.is_unit:
+    if term.xpart.deg:
         parts.append(monomial_text(term.xpart, base))
     parts.extend(f"T[{tvar_text(t, base)}]" for t in term.tvars)
     return "*".join(parts) if parts else "1"
@@ -1099,6 +1099,13 @@ def merge_rewrite(term, binomial):
     return TProduct._sorted(xpart, tuple(out + add))
 
 
+def own_tvars(quadrics):
+    """The T-variables of the quadrics' sides, largest first: the numbering
+    `spair_certificate` hands the gate, with no setup to number them."""
+    return sorted({t for q in quadrics for side in (q.lead, q.tail)
+                   for t in side.tvars}, reverse=True)
+
+
 def _spairs_on_products(quadrics, max_steps):
     """Oracle for `spair_certificate`: the same pair loop, step rule and
     budget on `TProduct` terms.  The set passes `_check_quadrics` first;
@@ -1108,7 +1115,7 @@ def _spairs_on_products(quadrics, max_steps):
     Returns (SpairReport, rewrite steps of the run)."""
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    _check_quadrics(basis, n)
+    _check_quadrics(basis, n, own_tvars(basis))
     table = lead_table_by_atoms([g.lead for g in basis], n)
     # A lead of degree 2 is exactly its atoms, its key in the lead table;
     # leads are coprime exactly when they share no atom.
@@ -1200,9 +1207,8 @@ def spairs_on_codes(quadrics, max_steps):
     `_apply`.  Returns (SpairReport, rewrite steps of the run)."""
     basis = sort_binomials(quadrics)
     n = basis[0].lead.xpart.n if basis else None
-    ids, table = _check_quadrics(basis, n)
-    tvars = tuple(ids)
-    tails = [_encode(g.tail, ids) for g in basis]
+    tvars = own_tvars(basis)
+    table, tails = _check_quadrics(basis, n, tvars)[1:]
     leads, holders = [None] * len(basis), {}
     for lead, held in table.items():
         for i in held:

@@ -49,6 +49,7 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.TProduct, "is_squarefree")
     assert not hasattr(borelgb.TProduct, "lcm_with")
     assert not hasattr(borelgb.Monomial, "max_var")
+    assert not hasattr(borelgb.Monomial, "is_unit")
     assert not hasattr(borelgb.TProduct, "rewrite")
     assert not hasattr(borelgb.TProduct, "image")
     assert not hasattr(borelgb.TProduct, "tdegree")

@@ -88,7 +88,7 @@ def test_reduce_family_strips_inert_mass():
     assert red.entries[2].support == (1, 2, 3)
     # idempotent
     red2, stripped2 = reduce_family(red)
-    assert all(m.is_unit for m in stripped2)
+    assert all(m.deg == 0 for m in stripped2)
     assert serialize_family(red2) == serialize_family(red)
 
 
@@ -97,7 +97,7 @@ def test_reduce_keeps_reduced_families_intact():
     assert fam.is_reduced()
     red, stripped = reduce_family(fam)
     assert serialize_family(red) == EX_FAMILY
-    assert all(m.is_unit for m in stripped)
+    assert all(m.deg == 0 for m in stripped)
 
 
 def test_incidence_matrix_goldens():

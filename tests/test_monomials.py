@@ -56,7 +56,7 @@ def test_degree_sigma_support():
     assert m.deg == 4
     assert sigma(m) == (4, 2, 2, 1)
     assert m.support() == (1, 3, 4)
-    assert M("1").is_unit
+    assert M("1").deg == 0
 
 
 def test_mul_div_divides():

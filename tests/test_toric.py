@@ -35,8 +35,9 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      is_squarefree, lcm, lead_table_keys,
                      random_interval_family, random_principal_borel_family,
                      random_subset_family,
-                     min_borel_divisor_compressed, _side_ids, _spairs_on_products,
-                     spairs_on_codes, standard_points_by_recursion, sweep_on_tuples,
+                     min_borel_divisor_compressed, own_tvars, _side_ids,
+                     _spairs_on_products, spairs_on_codes,
+                     standard_points_by_recursion, sweep_on_tuples,
                      t_min_compressed,
                      tdegree, term_text, times_by_sorting, tvar_text)
 
@@ -337,7 +338,7 @@ def test_exact_block_fit_is_borel_membership():
     for _ in range(300):
         n = rng.randint(1, 4)
         pivot = Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
-        if pivot.is_unit:
+        if pivot.deg == 0:
             continue
         block = FiberSetup.single(pivot).blocks[0]
         rem = rng.randint(1, 3)
@@ -376,7 +377,7 @@ def _random_blocks(rng):
     while True:
         n = rng.randint(1, 5)
         gen = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
-        if gen.is_unit:
+        if gen.deg == 0:
             continue
         if rng.random() < 0.5:
             yield FiberSetup.single(gen).blocks[0]
@@ -1471,7 +1472,7 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
 
     def rec_block(bi, quotient):
         if bi == len(setup.blocks):
-            assert not exact or quotient.is_unit
+            assert not exact or quotient.deg == 0
             budget.count_vertex()
             out.append(TProduct(quotient, tuple(chosen)))
             return
@@ -1841,13 +1842,21 @@ def test_lead_table_matches_divides_oracle():
     with repeated T-variables and x exponents up to 3.  The leads are filed
     by code as the gate files them, since x*x leads never pass the gate:
     on every quadric set of `_gate_inputs` its table maps each lead's code
-    to the ascending indices of the quadrics with that lead."""
+    to the ascending indices of the quadrics with that lead, and its tails
+    are the tails' codes.  Numbered by the set's own T-variables, as on the
+    S-pair route, it files the same indices under the same leads."""
     for label, setup, quads, _, _ in _gate_inputs():
-        ids, table = _check_quadrics(quads, setup.n, setup.tvars)
+        ids, table, tails = _check_quadrics(quads, setup.n, setup.tvars)
         filed = {}
         for i, q in enumerate(quads):
             filed.setdefault(_encode(q.lead, ids), []).append(i)
         assert table == filed, label
+        assert tails == [_encode(q.tail, ids) for q in quads], label
+        own_ids, own_table, _ = _check_quadrics(quads, setup.n, own_tvars(quads))
+        back = {own_ids[t]: ids[t] for t in own_ids}
+        back.update((len(own_ids) + i, len(ids) + i) for i in range(setup.n))
+        assert {tuple(sorted(map(back.get, code))): held
+                for code, held in own_table.items()} == table, label
     rng = random.Random(83)
     shapes, hits = Counter(), Counter()
     for n, pool in _tvar_pools():
