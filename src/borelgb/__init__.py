@@ -7,8 +7,8 @@ from .families import (BiAdjacency, FamilyEntry, IdealFamily,
                        is_chordal_bipartite, lfree_witness, parse_family,
                        reduce_family, serialize_family)
 from .monomials import AmbientMismatch, Monomial, ParseError, parse_monomial
-from .quadrics import (MultiQuadrics, quadrics_bs_form, quadrics_multi,
-                       quadrics_single)
+from .quadrics import (MultiQuadrics, QuadricSet, quadrics_bs_form,
+                       quadrics_multi, quadrics_single)
 from .sorting import borel_sort
 from .toric import (Binomial, FiberGraph, FiberSetup, GeneratorVar,
                     ResourceLimitError, TProduct, enumerate_fiber, fiber_graph,

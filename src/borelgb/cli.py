@@ -181,8 +181,8 @@ def cmd_quadrics(args):
     if args.single is not None:
         M = parse_monomial(args.single, args.n, args.base)
         write = sys.stdout.write
-        for b in _single_quadrics(M, args.form):
-            write(b.text(args.base) + "\n")
+        for text in _single_quadrics(M, args.form).texts(args.base):
+            write(text + "\n")
         return 0
     if args.family is None:
         raise ParseError("need a family file or --single")
@@ -190,8 +190,8 @@ def cmd_quadrics(args):
     quads = quadrics_multi(family)
     write = sys.stdout.write
     for shape in ("symmetric", "fiber_principal", "fiber_biprincipal"):
-        for b in getattr(quads, shape):
-            write(f"{shape} {b.text(family.base)}\n")
+        for text in getattr(quads, shape).texts(family.base):
+            write(f"{shape} {text}\n")
     return 0
 
 

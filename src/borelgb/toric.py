@@ -220,6 +220,15 @@ class Binomial:
         self.tail = tail
 
     @classmethod
+    def _of(cls, lead, tail):
+        """A binomial from sides already checked, as `QuadricSet` checks
+        its codes."""
+        out = cls.__new__(cls)
+        out.lead = lead
+        out.tail = tail
+        return out
+
+    @classmethod
     def make(cls, u, v):
         """Orient u - v by the term order; a zero binomial is refused."""
         if u == v:
@@ -568,14 +577,15 @@ def _encode(term, ids):
 
 def _decode(code, tvars, n):
     """The T-product in n variables of an `_encode` code, `tvars` listing
-    the T-variables by id."""
-    held, exps = [], [0] * n
-    for atom in code:
-        if atom < len(tvars):
-            held.append(tvars[atom])
-        else:
-            exps[atom - len(tvars)] += 1
-    return TProduct._sorted(Monomial(exps), tuple(held))
+    the T-variables by id: the atoms below len(tvars) are its T-variables,
+    in descending order, and the rest its x part."""
+    nt = len(tvars)
+    k = bisect.bisect_left(code, nt)
+    exps = [0] * n
+    for atom in code[k:]:
+        exps[atom - nt] += 1
+    return TProduct._sorted(Monomial._of(tuple(exps), len(code) - k),
+                            tuple([tvars[atom] for atom in code[:k]]))
 
 
 def _apply(code, lead, tail):
@@ -592,14 +602,21 @@ def _apply(code, lead, tail):
 def _check_quadrics(quadrics, n, tvars):
     """(ids, table, tails) for quadrics used in n variables with the
     T-variables `tvars`, descending: a setup's, or on the S-pair route the
-    set's own.  Every `Binomial` is toric with its lead on top, checked when
-    it was made; the gate checks every lead in n variables and of degree 2,
-    then each quadric's T-variables among `tvars` and its tail of degree 2,
-    a test no fiber route fails, as a block's generators share one degree.
-    `ids` numbers the T-variables for `_encode`, in that order; `table` maps
-    each lead's code to the ascending indices of the quadrics with that
-    lead, and `tails` lists the tails' codes.  A lead of degree 2 divides a
-    term exactly when its code is a pair of the term's code."""
+    set's own.  A `QuadricSet` in that numbering passes through, its
+    quadrics checked when it was made.  Any other sequence is of
+    `Binomial`s, each toric with its lead on top, checked when it was made;
+    the gate checks every lead in n variables and of degree 2, then each
+    quadric's T-variables among `tvars` and its tail of degree 2, a test no
+    fiber route fails, as a block's generators share one degree.  `ids`
+    numbers the T-variables for `_encode`, in that order; `table` maps each
+    lead's code to the ascending indices of the quadrics with that lead,
+    and `tails` lists the tails' codes.  A lead of degree 2 divides a term
+    exactly when its code is a pair of the term's code."""
+    from .quadrics import QuadricSet  # the builders' module imports this one
+    if (isinstance(quadrics, QuadricSet) and quadrics.n == n
+            and quadrics.tvars == tvars):
+        return ({t: i for i, t in enumerate(tvars)}, quadrics._lead_table(),
+                quadrics._tails)
     for q in quadrics:
         lead = q.lead
         if lead.xpart.n != n:
@@ -624,7 +641,7 @@ def _check_quadrics(quadrics, n, tvars):
 def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
                 max_checks=MAX_CHECKS, vertices=None):
     """Build the fiber and connect u -> u / lead * tail for every applicable
-    quadric.  Every `Binomial` is toric with its lead on top, and only the
+    quadric.  Every quadric is toric with its lead on top, and only the
     setup's pass `_check_quadrics`, so every edge stays in the fiber and goes
     down the order.  Each vertex is encoded once, by the gate's ids, and
     rewritten on its code by the gate's lead and tail codes.  `max_vertices`
@@ -1036,8 +1053,10 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     kept for the run, as pairs that share a fiber meet the same terms; a
     step makes at most one new term, so the step budget bounds what is kept.
     Independent of the fiber-graph route.  The set passes `_check_quadrics`
-    up front, in basis order and in the ambient ring of the first lead,
-    numbered by the set's own T-variables, sorted largest first.
+    up front, in basis order: a `QuadricSet` in its own ring and numbering,
+    any other sequence in the ambient ring of the first lead, numbered by
+    the set's own T-variables, sorted largest first.  Both numberings order
+    the T-variables alike, so the run takes the same steps on either.
 
     The run writes each term as its atom ids ascending (`_encode`), by the
     gate's ids, and reads each lead in the gate's code table and each tail
@@ -1054,10 +1073,15 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     the term's atoms and puts in a tail, keeping the third atom.  Both are
     an insertion into a sorted pair.
     """
-    basis = sort_binomials(quadrics)
-    n = basis[0].lead.xpart.n if basis else None
-    tvars = sorted({t for g in basis for side in (g.lead, g.tail)
-                    for t in side.tvars}, reverse=True)
+    from .quadrics import QuadricSet  # the builders' module imports this one
+    if isinstance(quadrics, QuadricSet):
+        basis = quadrics._basis()
+        n, tvars = basis.n, basis.tvars
+    else:
+        basis = sort_binomials(quadrics)
+        n = basis[0].lead.xpart.n if basis else None
+        tvars = sorted({t for g in basis for side in (g.lead, g.tail)
+                        for t in side.tvars}, reverse=True)
     table, tails = _check_quadrics(basis, n, tvars)[1:]
     # Leads are coprime exactly when their codes share no id.
     leads, holders = [None] * len(basis), {}

@@ -9,6 +9,7 @@ feed the property tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -17,12 +18,13 @@ from borelgb.borel import (_suffix_caps, borel_member, closure_exps,
                            min_borel_divisor)
 from borelgb.families import BiAdjacency, FamilyEntry, IdealFamily
 from borelgb.monomials import AmbientMismatch, Monomial, _check_ambient
+from borelgb.quadrics import _moved
 from borelgb.sorting import _split, borel_sort
-from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, FiberGraph, GeneratorVar,
-                           SpairLimitError, SpairReport, TProduct, VerifyReport,
-                           _apply, _Budget, _check_quadrics, _decode,
-                           _enumerate, _forbidden, _image_text, _too_deep,
-                           sort_binomials)
+from borelgb.toric import (MAX_CHECKS, MAX_VERTICES, Binomial, FiberGraph,
+                           GeneratorVar, SpairLimitError, SpairReport, TProduct,
+                           VerifyReport, _apply, _Block, _Budget,
+                           _check_quadrics, _decode, _enumerate, _forbidden,
+                           _image_text, _too_deep, sort_binomials)
 
 # Family files shared by the tests: a five-ideal chain that is L-free and
 # passes, a nested family, and the triangle that both routes reject.
@@ -117,6 +119,99 @@ def first_non_squarefree_lead(binomials):
         if not is_squarefree(b.lead):
             return b
     return None
+
+
+# The quadric builders as they were before quadric sets held codes: each
+# quadric made once as a checked `Binomial`, from the same keys, with each
+# distinct side one `TProduct`.  A symmetric side's key is (-a, -p) here, p
+# its 0-based x position.
+
+def _exchanges(va, a0, vb, b0, positions):
+    """The keys `quadrics._exchanges` finds, each side written as its two
+    ids negated, the larger first."""
+    keys = set()
+    for s, t in itertools.combinations(sorted(p - 1 for p in positions), 2):
+        moved_a = []
+        for i, m in enumerate(va.exps, a0):
+            if m[s]:
+                j = va.index.get(_moved(m, t, s))
+                if j is not None:
+                    moved_a.append((-i, -a0 - j))
+        for k, n in enumerate(vb.exps, b0):
+            if not n[t]:
+                continue
+            k, l = -k, -b0 - vb.index[_moved(n, s, t)]
+            for i, j in moved_a:
+                u = (i, k) if i >= k else (k, i)
+                v = (j, l) if j >= l else (l, j)
+                if u != v:
+                    keys.add(u + v if u > v else v + u)
+    return keys
+
+
+def _in_order(keys, side):
+    """The quadrics of `keys`, each made once as a `Binomial`, ascending;
+    `side(a, b)` makes the T-product of the side (a, b), once per side."""
+    side = functools.cache(side)
+    return tuple(Binomial(side(a, b), side(c, d)) for a, b, c, d in sorted(keys))
+
+
+def _products(unit, tvars):
+    """The `side` of `_in_order` for sides T_a T_b: T-variable ids negated,
+    the larger first, `tvars` listing the T-variables by id."""
+    return lambda a, b: TProduct._sorted(unit, (tvars[-a], tvars[-b]))
+
+
+def quadrics_single_by_binomials(M):
+    block = _Block.single(M)
+    return _in_order(_exchanges(block, 0, block, 0, block.support),
+                     _products(Monomial.unit(M.n), block.tvars))
+
+
+def quadrics_bs_form_by_binomials(M):
+    block = _Block.single(M)
+    exps = block.exps
+    by_product = {}
+    for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
+        mu = tuple(map(operator.add, exps[i], exps[j]))
+        by_product.setdefault(mu, []).append((-i, -j))
+    keys = []
+    for pairs in by_product.values():
+        v = min(pairs)
+        keys.extend(u + v for u in pairs if u != v)
+    return _in_order(keys, _products(Monomial.unit(M.n), block.tvars))
+
+
+def quadrics_multi_by_binomials(family):
+    """(symmetric, within-block, cross-block), each a tuple of `Binomial`s."""
+    n = family.n
+    blocks = _Block.family(family)
+    tvars = tuple(t for b in blocks for t in b.tvars)
+    located = list(zip(blocks, itertools.accumulate(
+        (len(b.tvars) for b in blocks), initial=0)))
+    symmetric = []
+    for vs, o in located:
+        for gi, m in enumerate(vs.exps, o):
+            for t in vs.support:
+                if not m[t - 1]:
+                    continue
+                for s in vs.support:
+                    if s >= t:
+                        break
+                    u = (-gi, 1 - s)
+                    v = (-o - vs.index[_moved(m, s - 1, t - 1)], 1 - t)
+                    symmetric.append(u + v if u > v else v + u)
+    xs = [Monomial.variable(p, n) for p in range(1, n + 1)]
+    fiber_principal, fiber_biprincipal = set(), set()
+    for vs, o in located:
+        fiber_principal |= _exchanges(vs, o, vs, o, vs.support)
+    for (va, oa), (vb, ob) in itertools.combinations(located, 2):
+        fiber_biprincipal |= _exchanges(va, oa, vb, ob,
+                                        set(va.support) & set(vb.support))
+    products = _products(Monomial.unit(n), tvars)
+    return (_in_order(symmetric, lambda a, p: TProduct._sorted(xs[-p], (tvars[-a],))),
+            _in_order(fiber_principal, products),
+            _in_order(fiber_biprincipal, products))
 
 
 def sigma(m):

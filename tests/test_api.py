@@ -8,7 +8,8 @@ from borelgb import borel, families, monomials, sorting, toric
 PUBLIC = {
     "AmbientMismatch", "BiAdjacency", "Binomial", "FamilyEntry", "FiberGraph",
     "FiberSetup", "GeneratorVar", "IdealFamily", "Monomial",
-    "MultiQuadrics", "ParseError", "ResourceLimitError", "TProduct",
+    "MultiQuadrics", "ParseError", "QuadricSet", "ResourceLimitError",
+    "TProduct",
     "borel_closure", "borel_member", "borel_sort",
     "enumerate_fiber", "fiber_graph", "find_lfree_column_order",
     "incidence_matrix", "is_chordal_bipartite", "iterate_images",

@@ -1,6 +1,7 @@
 """The quadratic generating sets: exchange and sorted forms for one closure,
 the three shapes for a reduced family, and squarefreeness of every lead."""
 
+import functools
 import itertools
 import random
 import types
@@ -10,16 +11,18 @@ import pytest
 from borelgb.borel import borel_closure
 from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import Monomial, parse_monomial
-from borelgb.quadrics import (_exchanges, _in_order, _products, quadrics_bs_form,
-                              quadrics_multi, quadrics_single)
+from borelgb.quadrics import (QuadricSet, _exchanges, _quadric_set,
+                              quadrics_bs_form, quadrics_multi, quadrics_single)
 from borelgb.sorting import borel_sort
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct, _Block,
-                           fiber_graph, iterate_images, sort_binomials)
+                           _check_quadrics, _decode, _unpack, fiber_graph,
+                           iterate_images, sort_binomials)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, apply_move, certify,
                      first_non_squarefree_lead, image, is_squarefree,
                      random_interval_family, random_principal_borel_family,
-                     tdegree, term_text)
+                     quadrics_bs_form_by_binomials, quadrics_multi_by_binomials,
+                     quadrics_single_by_binomials, tdegree, term_text)
 
 
 def test_smallest_nontrivial_closure():
@@ -33,8 +36,8 @@ def test_smallest_nontrivial_closure():
 
 def test_closure_without_relations():
     M = parse_monomial("x1*x2", 2)
-    assert quadrics_single(M) == ()
-    assert quadrics_bs_form(M) == ()
+    assert len(quadrics_single(M)) == 0
+    assert len(quadrics_bs_form(M)) == 0
 
 
 def test_exchange_quadrics_structure():
@@ -160,17 +163,15 @@ def test_first_non_squarefree_lead_detects():
     assert first_non_squarefree_lead([bad]) is bad
 
 
-def test_in_order_refuses_a_key_with_its_tail_side_first():
-    """`_in_order` makes each quadric as `Binomial(lead side, tail side)`
-    straight from its key, so a key with the tail side first is refused,
-    not flipped."""
+def test_quadric_set_refuses_a_key_with_its_tail_side_first():
+    """`_quadric_set` reads each key as its lead side, then its tail side,
+    so a key with the tail side first is refused, not flipped."""
     M = parse_monomial("x2^2", 2)
     block = _Block(0, M, (1, 2), borel_closure(M))
-    side = _products(Monomial.unit(2), block.tvars)
     (key,) = _exchanges(block, 0, block, 0, block.support)
-    assert _in_order([key], side) == quadrics_single(M)
+    assert _quadric_set(2, block.tvars, [key]) == quadrics_single(M)
     with pytest.raises(ValueError) as caught:
-        _in_order([key[2:] + key[:2]], side)
+        _quadric_set(2, block.tvars, [key[2:] + key[:2]])
     assert str(caught.value) == ("quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] "
                                  "has its lead below its tail")
 
@@ -383,7 +384,7 @@ def test_builders_make_large_sets_in_strict_order():
         assert len(quads) == count
         keys = [(b.lead.key, b.tail.key) for b in quads]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert sort_binomials(quads) == quads
+        assert sort_binomials(quads) == tuple(quads)
 
 
 def test_equal_sides_are_one_tproduct_with_its_image_and_text_kept():
@@ -447,3 +448,124 @@ def test_quadric_sides_must_share_image_and_blocks():
         Binomial(x_lead, side("x1", (1, "x3")))
     with pytest.raises(ValueError, match="zero binomial"):
         Binomial.make(lead, side("1", (0, "x2^2"), (0, "x1^2")))
+
+
+def _oracle_corpus():
+    """(label, quadric set, the same quadrics made as `Binomial`s by the
+    builders' former code): every closure of degree at most 3 in 1 to 4
+    variables and x3^2*x5^2, in both forms, and each shape and the whole
+    set of the test families and of seeded random families."""
+    pivots = small_closures((1, 2, 3, 4)) + [parse_monomial("x3^2*x5^2", 5)]
+    for M in pivots:
+        yield f"{M} exchange", quadrics_single(M), quadrics_single_by_binomials(M)
+        yield f"{M} sorted", quadrics_bs_form(M), quadrics_bs_form_by_binomials(M)
+    rng = random.Random(71)
+    fams = [parse_family(t) for t in (TRIANGLE, EX_FAMILY, NESTED_FAMILY,
+                                      THREE_SHAPES)]
+    for i in range(30):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        fams.append(reduce_family(draw(rng, rng.randint(2, 5), rng.randint(1, 4)))[0])
+    for k, fam in enumerate(fams):
+        q = quadrics_multi(fam)
+        shapes = quadrics_multi_by_binomials(fam)
+        for shape, want in zip(("symmetric", "fiber_principal",
+                                "fiber_biprincipal"), shapes):
+            yield f"family {k} {shape}", getattr(q, shape), want
+        yield f"family {k} all", q.all(), sum(shapes, ())
+
+
+def test_quadric_sets_match_the_binomial_builders():
+    """Each set decodes to the `Binomial`s the former builders made, in
+    their order, renders their text at both bases, holds the lead table and
+    tail codes the gate encodes from them, and puts its quadrics in the
+    basis order and dedup of `sort_binomials`.  The check's sum for every
+    side is a fresh sum of its image and its blocks."""
+    sets = 0
+    for label, qs, want in _oracle_corpus():
+        assert tuple(qs) == want, label
+        assert len(qs) == len(want) and list(qs[1:3]) == list(want[1:3]), label
+        for base in (0, 1):
+            assert list(qs.texts(base)) == [b.text(base) for b in want], label
+        _, table, tails = _check_quadrics(want, qs.n, list(qs.tvars))
+        assert qs._lead_table() == table and qs._tails == tails, label
+        assert tuple(qs._basis()) == sort_binomials(want), label
+        doubled = QuadricSet._joined((qs, qs))
+        assert tuple(doubled._basis()) == sort_binomials(tuple(doubled)), label
+        width, ints = QuadricSet._atom_ints(qs.n, qs.tvars)
+        blocks = max((t.block for t in qs.tvars), default=0) + 1
+        for code in set(qs._leads) | set(qs._tails):
+            side = _decode(code, qs.tvars, qs.n)
+            counts = [0] * blocks
+            for t in side.tvars:
+                counts[t.block] += 1
+            fresh = image(side).exps + tuple(counts)
+            assert _unpack(sum(ints[a] for a in code), qs.n + blocks, width) == fresh
+        sets += 1
+    assert sets == 2 * (65 + 1) + 4 * 34
+
+
+def _corrupted(qs, i, lead=None, tail=None):
+    """The set's (lead, tail) code pairs with quadric i's lead or tail
+    replaced."""
+    pairs = list(zip(qs._leads, qs._tails))
+    old_lead, old_tail = pairs[i]
+    pairs[i] = (old_lead if lead is None else lead, old_tail if tail is None else tail)
+    return pairs
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+def test_a_corrupted_quadric_set_is_refused_with_the_binomial_and_gate_messages():
+    """One quadric corrupted on its codes is refused when the set is made,
+    with the message `Binomial` or the gate gives the same quadric: a tail
+    of another image, a lead below its tail, a tail with another block list
+    but the same image, a tail not of degree 2, and an atom outside the
+    numbering, which is named by its codes, as no T-variable holds it."""
+    qs = quadrics_single(parse_monomial("x2*x3", 3))
+    n, tvars, nt = qs.n, qs.tvars, len(qs.tvars)
+    make = functools.partial(QuadricSet._checked, n, tvars)
+    # The last quadric has the largest lead; a tail of another quadric is
+    # below it but of another image.
+    last = len(qs) - 1
+    lead, tail = qs._leads[last], qs._tails[last]
+    other = next(t for t in qs._tails if t > lead and
+                 image(qs._side(t)) != image(qs._side(lead)))
+    want = _refusal(lambda: Binomial(qs._side(lead), qs._side(other)))
+    assert want.startswith("sides have different images: ")
+    assert _refusal(lambda: make(_corrupted(qs, last, tail=other))) == want
+    want = _refusal(lambda: Binomial(qs._side(tail), qs._side(lead)))
+    assert want.endswith("has its lead below its tail")
+    assert _refusal(lambda: make(_corrupted(qs, last, lead=tail, tail=lead))) == want
+    longer = tuple(sorted(tail + (nt,)))
+    assert _refusal(lambda: make(_corrupted(qs, last, tail=longer))) == \
+        f"tail {_decode(longer, tvars, n).term_text()} is not of degree 2"
+    outside = (tail[0], nt + n)
+    assert _refusal(lambda: make(_corrupted(qs, last, tail=outside))) == (
+        f"quadric {lead} - {outside} uses a T-variable that is not a "
+        "generator of its block")
+    # Another block list: a T-variable of the tail swapped for the same
+    # generator in another block, so the image stays.
+    fam = quadrics_multi(parse_family(EX_FAMILY)).all()
+    tvars, ids = fam.tvars, {t: i for i, t in enumerate(fam.tvars)}
+    found = 0
+    for i, (lead, tail) in enumerate(zip(fam._leads, fam._tails)):
+        for j, atom in enumerate(tail):
+            if atom >= len(tvars):
+                continue
+            for t in tvars:
+                if t.gen == tvars[atom].gen and t.block != tvars[atom].block:
+                    moved = tuple(sorted(tail[:j] + (ids[t],) + tail[j + 1:]))
+                    if moved <= lead:
+                        continue
+                    sides = fam._side(lead), _decode(moved, tvars, fam.n)
+                    assert image(sides[0]) == image(sides[1])
+                    want = _refusal(lambda: Binomial(*sides))
+                    assert want.startswith("sides have different images: ")
+                    assert _refusal(lambda: QuadricSet._checked(
+                        fam.n, tvars, _corrupted(fam, i, tail=moved))) == want
+                    found += 1
+    assert found > 5

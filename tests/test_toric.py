@@ -97,7 +97,7 @@ def test_cached_text_matches_the_definition_renderers():
         blocks = (FiberSetup.for_family(family).blocks
                   + FiberSetup.single(pivot).blocks)
         tvars = [t for block in blocks for t in block.tvars]
-        terms = [term for q in quadrics_multi(family).all() + quadrics_single(pivot)
+        terms = [term for q in (*quadrics_multi(family).all(), *quadrics_single(pivot))
                  for term in (q.lead, q.tail)]
         assert len(tvars) == 16 + 53 and len(terms) > 1000
         for base in bases:
@@ -266,7 +266,7 @@ def test_sort_binomials_matches_the_set_sort_on_shuffled_input():
         mixed = list(quads) + rng.sample(quads, 100)
         rng.shuffle(mixed)
         by_set = tuple(sorted(set(mixed), key=lambda b: (b.lead.key, b.tail.key)))
-        assert sort_binomials(mixed) == by_set == quads
+        assert sort_binomials(mixed) == by_set == tuple(quads)
 
 
 def test_enumerate_fiber_single():
@@ -532,7 +532,7 @@ def test_mixed_ambients_are_rejected():
     with pytest.raises(AmbientMismatch):
         fiber_graph(setup, parse_monomial("x1^2*x2^2", 2), 2, other)
     with pytest.raises(AmbientMismatch):
-        spair_certificate(quadrics_single(parse_monomial("x2^2", 2)) + other)
+        spair_certificate((*quadrics_single(parse_monomial("x2^2", 2)), *other))
 
 
 def test_to_dot_golden():
@@ -792,7 +792,7 @@ def test_spair_route_rejects_a_tail_in_another_ambient():
     quads = quadrics_single(parse_monomial("x2^2", 2))
     other = quadrics_single(parse_monomial("x2*x3", 3))
     with pytest.raises(AmbientMismatch) as caught:
-        spair_certificate(quads + other)
+        spair_certificate((*quads, *other))
     assert str(caught.value) == "lead T[x1*x2]*T[x2*x3] is not in 2 variables"
 
 
@@ -1911,9 +1911,9 @@ def test_lead_table_rejects_other_degrees_and_ambients():
     with pytest.raises(AmbientMismatch):
         _check_quadrics([ok, other[0]], 2, setup.tvars)
     with pytest.raises(AmbientMismatch):
-        fiber_graph(setup, mu, 2, quadrics_single(parse_monomial("x2^2", 2)) + other)
+        fiber_graph(setup, mu, 2, (*quadrics_single(parse_monomial("x2^2", 2)), *other))
     with pytest.raises(AmbientMismatch):
-        spair_certificate(other + quadrics_single(parse_monomial("x2^2", 2)))
+        spair_certificate((*other, *quadrics_single(parse_monomial("x2^2", 2))))
 
 
 def test_spair_gate_refuses_a_tail_not_of_degree_2():
@@ -1923,7 +1923,7 @@ def test_spair_gate_refuses_a_tail_not_of_degree_2():
     routes refuse it as before, by its T-variable that is no generator."""
     bad = Binomial(tp("x1", 2, (0, "x1*x2")), tp("x1*x2", 2, (0, "x1")))
     ok = quadrics_single(parse_monomial("x2^2", 2))
-    for qs in ([bad], ok + (bad,)):
+    for qs in ([bad], (*ok, bad)):
         assert _rejection(lambda: spair_certificate(qs)) == (
             ValueError, "tail x1*x2*T[x1] is not of degree 2")
     setup = FiberSetup.single(parse_monomial("x1*x2", 2))
