@@ -45,7 +45,7 @@ class QuadricSet(Sequence):
     in the term order, as `sort_binomials` leaves them, when their (lead,
     tail) codes descend.  An item is a `Binomial`, decoded when read, and a
     slice a tuple of them; each distinct side is decoded once, into one
-    `TProduct` that keeps its image and its text.  The builders below make
+    `TProduct` that every item with that side shares.  The builders below make
     every set through `_checked`, so every quadric is checked once, on its
     codes, when it is made.
     """

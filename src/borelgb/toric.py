@@ -126,12 +126,10 @@ class TProduct:
     (earlier blocks larger, then the grevlex order on their generators); x
     parts tie-break by pure lexicographic order with x1 largest.  The key
     lists the T variables largest first, then the x exponents, so ascending
-    key is ascending term order.  The image exponents and the last term text
-    are kept once computed, so a side shared by many quadrics sums its image
-    and writes its text once.
+    key is ascending term order.
     """
 
-    __slots__ = ("xpart", "tvars", "key", "_image", "_text")
+    __slots__ = ("xpart", "tvars", "key")
 
     def __init__(self, xpart, tvars):
         tvars = tuple(sorted(tvars, reverse=True))
@@ -141,7 +139,6 @@ class TProduct:
         self.xpart = xpart
         self.tvars = tvars
         self.key = (tvars, xpart.exps)
-        self._image = self._text = None
 
     @classmethod
     def _sorted(cls, xpart, tvars):
@@ -151,18 +148,13 @@ class TProduct:
         out.xpart = xpart
         out.tvars = tvars
         out.key = (tvars, xpart.exps)
-        out._image = out._text = None
         return out
 
     def image_exps(self):
-        """The exponent tuple of the image, summed without building monomials
-        on the first call and kept."""
-        exps = self._image
-        if exps is None:
-            exps = self.xpart.exps
-            for t in self.tvars:
-                exps = tuple(map(operator.add, exps, t.gen.exps))
-            self._image = exps
+        """The exponent tuple of the image, summed without building monomials."""
+        exps = self.xpart.exps
+        for t in self.tvars:
+            exps = tuple(map(operator.add, exps, t.gen.exps))
         return exps
 
     def label(self, base=1):
@@ -173,16 +165,11 @@ class TProduct:
         return head + " | " + ", ".join(t.text(base) for t in self.tvars)
 
     def term_text(self, base=1):
-        """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial).
-        The text is kept with its base until another base is asked for."""
-        if self._text is not None and self._text[0] == base:
-            return self._text[1]
+        """Term text: 'x3*T[t1:x4]' (unit x part omitted; '1' when trivial)."""
         parts = [t._rendered(base)[1] for t in self.tvars]
         if self.xpart.deg:
             parts.insert(0, self.xpart.text(base))
-        text = "*".join(parts) or "1"
-        self._text = (base, text)
-        return text
+        return "*".join(parts) or "1"
 
     def __eq__(self, other):
         return isinstance(other, TProduct) and self.key == other.key
