@@ -13,15 +13,11 @@ Every lead term produced here is squarefree.
 
 Each call builds one `_Block` per closure, which holds one T-variable per
 member, and finds moved partners by looking up their exponent tuples.  The
-quadrics are found, deduped and sorted as tuples of ints, and make one
-`QuadricSet` with no `Binomial`: the T-variables are numbered largest first,
-as `FiberSetup.tvars` numbers them, and a side is its code as `_encode`
-writes it, so a side T_a T_b is its ids ascending and a symmetric side
-x_p T_a is (a, len(tvars) + p), p the 0-based position.  A quadric is its
-lead's code followed by its tail's.  Every side has two atoms, so its code
-ascends as its T-product descends, and the tuples sorted descending list
-the quadrics ascending; `_quadric_set` checks each quadric once, in that
-order, on its codes.
+quadrics are found, deduped and sorted as tuples of ints, each a lead's
+code followed by its tail's as a `QuadricSet` holds them: a side T_a T_b
+is its ids ascending, and a symmetric side x_p T_a is (a, len(tvars) + p),
+p the 0-based position.  No `Binomial` is made: `_quadric_set` checks each
+quadric once, in order, on its codes.
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ class QuadricSet(Sequence):
         for lead, tail in quadrics:
             try:
                 (a, b), (c, d) = lead, tail
-                moved = atoms[a] + atoms[b] - atoms[c] - atoms[d]
+                apart = atoms[a] + atoms[b] - atoms[c] - atoms[d]
             except (KeyError, ValueError):
                 if not all(atom in atoms for atom in lead + tail):
                     raise ValueError(f"quadric {lead} - {tail} uses a T-variable "
@@ -100,7 +96,7 @@ class QuadricSet(Sequence):
             if lead >= tail:
                 raise ValueError(f"quadric {text(lead)} - {text(tail)} "
                                  "has its lead below its tail")
-            if moved:
+            if apart:
                 raise ValueError(f"sides have different images: "
                                  f"{out._side(lead).label()} vs {out._side(tail).label()}")
             leads.append(lead)
@@ -179,11 +175,7 @@ class QuadricSet(Sequence):
             yield Binomial._of(side(lead), side(tail))
 
     def __eq__(self, other):
-        if not isinstance(other, QuadricSet):
-            return NotImplemented
-        if self.n == other.n and self.tvars == other.tvars:
-            return self._leads == other._leads and self._tails == other._tails
-        return tuple(self) == tuple(other)
+        return isinstance(other, QuadricSet) and tuple(self) == tuple(other)
 
     __hash__ = None
 

@@ -564,15 +564,14 @@ def _encode(term, ids):
 
 def _decode(code, tvars, n):
     """The T-product in n variables of an `_encode` code, `tvars` listing
-    the T-variables by id: the atoms below len(tvars) are its T-variables,
-    in descending order, and the rest its x part."""
-    nt = len(tvars)
-    k = bisect.bisect_left(code, nt)
-    exps = [0] * n
-    for atom in code[k:]:
-        exps[atom - nt] += 1
-    return TProduct._sorted(Monomial._of(tuple(exps), len(code) - k),
-                            tuple([tvars[atom] for atom in code[:k]]))
+    the T-variables by id."""
+    held, exps = [], [0] * n
+    for atom in code:
+        if atom < len(tvars):
+            held.append(tvars[atom])
+        else:
+            exps[atom - len(tvars)] += 1
+    return TProduct._sorted(Monomial(exps), tuple(held))
 
 
 def _apply(code, lead, tail):

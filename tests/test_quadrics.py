@@ -568,3 +568,27 @@ def test_a_corrupted_quadric_set_is_refused_with_the_binomial_and_gate_messages(
                         fam.n, tvars, _corrupted(fam, i, tail=moved))) == want
                     found += 1
     assert found > 5
+
+
+def test_the_gate_passes_a_set_in_the_setups_numbering_through():
+    """A set numbered as its setup numbers the T-variables, by equal but
+    distinct objects, passes the gate with its own lead table and tail
+    codes.  In another setup's numbering it is encoded quadric by quadric:
+    Borel(x4*x5^3) holds every T-variable of Borel(x3^2*x5^2), and
+    Borel(x1*x5^3) lacks some, which the gate refuses."""
+    M = parse_monomial("x3^2*x5^2", 5)
+    family = parse_family(EX_FAMILY)
+    for setup, qs in ((FiberSetup.single(M), quadrics_single(M)),
+                      (FiberSetup.single(M), quadrics_bs_form(M)),
+                      (FiberSetup.for_family(family), quadrics_multi(family).all())):
+        assert setup.tvars == qs.tvars and setup.tvars is not qs.tvars
+        ids, table, tails = _check_quadrics(qs, setup.n, setup.tvars)
+        assert table is qs._lead_table() and tails is qs._tails
+        assert ids == {t: i for i, t in enumerate(setup.tvars)}
+    larger = FiberSetup.single(parse_monomial("x4*x5^3", 5))
+    qs = quadrics_single(M)
+    ids, table, tails = _check_quadrics(qs, larger.n, larger.tvars)
+    assert tails != qs._tails and len(tails) == len(qs)
+    other = FiberSetup.single(parse_monomial("x1*x5^3", 5))
+    with pytest.raises(ValueError, match="not a generator of its block"):
+        _check_quadrics(qs, other.n, other.tvars)
