@@ -293,6 +293,7 @@ def quadrics_multi(family):
     """All three quadric shapes for a reduced family."""
     if not family.is_reduced():
         raise ValueError("quadrics need a reduced family (apply reduce first)")
+    n = family.n
     blocks = _Block.family(family)
     # The ids number the T-variables largest first, as `FiberSetup.tvars`
     # does; each block is located by the id of its first.
@@ -323,7 +324,6 @@ def quadrics_multi(family):
         fiber_biprincipal |= _exchanges(va, oa, vb, ob,
                                         set(va.support) & set(vb.support))
 
-    n = family.n
     return MultiQuadrics(_quadric_set(n, tvars, symmetric),
                          _quadric_set(n, tvars, fiber_principal),
                          _quadric_set(n, tvars, fiber_biprincipal))

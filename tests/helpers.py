@@ -121,10 +121,9 @@ def first_non_squarefree_lead(binomials):
     return None
 
 
-# The quadric builders as they were before quadric sets held codes: each
-# quadric made once as a checked `Binomial`, from the same keys, with each
-# distinct side one `TProduct`.  A symmetric side's key is (-a, -p) here, p
-# its 0-based x position.
+# Oracles for the quadric-set builders: the same quadrics, each made once as
+# a checked `Binomial` from a key of negated ids, each distinct side one
+# `TProduct`.  A symmetric side's key is (-a, -p), p its 0-based x position.
 
 def _exchanges(va, a0, vb, b0, positions):
     """The keys `quadrics._exchanges` finds, each side written as its two
