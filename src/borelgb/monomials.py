@@ -72,10 +72,6 @@ class Monomial:
         """1-based positions of the variables that divide this monomial."""
         return tuple(p for p, e in enumerate(self.exps, start=1) if e)
 
-    def divides(self, other):
-        _check_ambient(self, other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
     def __mul__(self, other):
         _check_ambient(self, other)
         return Monomial._of(tuple(map(operator.add, self.exps, other.exps)),

@@ -22,13 +22,12 @@ quadric once, in order, on its codes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections.abc import Sequence
 
-from .monomials import Monomial
-from .toric import Binomial, TProduct, _Block, _decode, _pack
+from .monomials import AmbientMismatch
+from .toric import Binomial, _Block, _decode, _encode, _pack
 
 
 class QuadricSet(Sequence):
@@ -38,12 +37,12 @@ class QuadricSet(Sequence):
     numbers a setup's, and each quadric is its lead's code and its tail's,
     as `_encode` writes them by that numbering.  Every side has two atoms,
     so its code ascends exactly as its term descends: the quadrics ascend
-    in the term order, as `sort_binomials` leaves them, when their (lead,
-    tail) codes descend.  An item is a `Binomial`, decoded when read, and a
-    slice a tuple of them; each distinct side is decoded once, into one
-    `TProduct` that every item with that side shares.  The builders below make
-    every set through `_checked`, so every quadric is checked once, on its
-    codes, when it is made.
+    in the term order, by lead and then by tail, when their (lead, tail)
+    codes descend.  An item is a `Binomial`, decoded when read, and a slice
+    a tuple of them; each distinct side is decoded once, into one
+    `TProduct` that every item with that side shares.  The builders below
+    make every set through `_checked`, and `_encoded` makes one of
+    `Binomial`s, so every quadric is checked once, when it is made.
     """
 
     __slots__ = ("n", "tvars", "_leads", "_tails", "_sides", "_table")
@@ -76,7 +75,7 @@ class QuadricSet(Sequence):
     def _checked(cls, n, tvars, quadrics):
         """The set of the (lead code, tail code) pairs `quadrics`, each
         checked once, in order: its atoms within the numbering and two on
-        each side (else the gate's messages), then the lead above the tail
+        each side (else `_encoded`'s messages), then the lead above the tail
         and one image and one block list on both sides, summed as
         `_atom_ints` (else `Binomial`'s messages)."""
         atoms = cls._atom_ints(n, tvars)[1]
@@ -104,29 +103,47 @@ class QuadricSet(Sequence):
         return out
 
     @classmethod
+    def _encoded(cls, binomials, n, tvars):
+        """The set of the `Binomial`s `binomials` in n variables, numbered
+        by `tvars`, largest first: the one conversion of a sequence that is
+        not a set in the caller's numbering.  Each `Binomial` was checked
+        when it was made; what depends on the numbering is checked here:
+        every lead in n variables and of degree 2, then, quadric by quadric,
+        its T-variables among `tvars` and its tail of degree 2, a test no
+        fiber route fails, as a block's generators share one degree."""
+        binomials = tuple(binomials)
+        for q in binomials:
+            lead = q.lead
+            if lead.xpart.n != n:
+                raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
+            if len(lead.tvars) + lead.xpart.deg != 2:
+                raise ValueError(f"lead {lead.term_text()} is not of degree 2")
+        ids = {t: i for i, t in enumerate(tvars)}
+        leads, tails = [], []
+        for q in binomials:
+            try:
+                lead, tail = _encode(q.lead, ids), _encode(q.tail, ids)
+            except KeyError:
+                raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
+                                 "a generator of its block") from None
+            if len(tail) != 2:
+                raise ValueError(f"tail {q.tail.term_text()} is not of degree 2")
+            leads.append(lead)
+            tails.append(tail)
+        return cls(n, tvars, leads, tails)
+
+    @classmethod
     def _joined(cls, sets):
         """One set of the quadrics of `sets` in turn, all in one numbering."""
         first = sets[0]
         return cls(first.n, first.tvars, [c for s in sets for c in s._leads],
                    [c for s in sets for c in s._tails])
 
-    def _decoded(self, code):
-        """The `TProduct` of a side's code.  A side of two T-variables, or
-        of one and one x, shares its x part through `_x_parts`."""
-        tvars, nt = self.tvars, len(self.tvars)
-        if len(code) == 2:
-            a, b = code
-            if b < nt:
-                return TProduct._sorted(_x_parts(self.n)[0], (tvars[a], tvars[b]))
-            if a < nt:
-                return TProduct._sorted(_x_parts(self.n)[b - nt + 1], (tvars[a],))
-        return _decode(code, tvars, self.n)
-
     def _side(self, code):
         """The `TProduct` of a side's code, decoded once."""
         side = self._sides.get(code)
         if side is None:
-            side = self._sides[code] = self._decoded(code)
+            side = self._sides[code] = _decode(code, self.tvars, self.n)
         return side
 
     def _text(self, code):
@@ -142,8 +159,8 @@ class QuadricSet(Sequence):
         return self._table
 
     def _basis(self):
-        """The set in basis order, the order of `sort_binomials`: ascending
-        by lead, then by tail, duplicates dropped, so its codes descend."""
+        """The set in basis order: ascending by lead, then by tail,
+        duplicates dropped, so its codes descend."""
         pairs = sorted(dict.fromkeys(zip(self._leads, self._tails)), reverse=True)
         return QuadricSet(self.n, self.tvars, [lead for lead, _ in pairs],
                           [tail for _, tail in pairs])
@@ -151,14 +168,14 @@ class QuadricSet(Sequence):
     def texts(self, base=1):
         """Each quadric's text, 'lead - tail', at `base`, in order, with no
         `Binomial`: each distinct side is decoded and rendered once."""
-        shown, decoded = {}, self._decoded
+        shown, tvars, n = {}, self.tvars, self.n
         for lead, tail in zip(self._leads, self._tails):
             a = shown.get(lead)
             if a is None:
-                a = shown[lead] = decoded(lead).term_text(base)
+                a = shown[lead] = _decode(lead, tvars, n).term_text(base)
             b = shown.get(tail)
             if b is None:
-                b = shown[tail] = decoded(tail).term_text(base)
+                b = shown[tail] = _decode(tail, tvars, n).term_text(base)
             yield f"{a} - {b}"
 
     def __len__(self):
@@ -181,13 +198,6 @@ class QuadricSet(Sequence):
 
     def __repr__(self):
         return f"QuadricSet({len(self)} quadrics in {self.n} variables)"
-
-
-@functools.cache
-def _x_parts(n):
-    """The x parts of degree at most 1 in n variables, one object each: the
-    unit, then x_1, ..., x_n."""
-    return (Monomial.unit(n), *(Monomial.variable(p, n) for p in range(1, n + 1)))
 
 
 def _moved(exps, i, j):

@@ -215,13 +215,6 @@ class Binomial:
         out.tail = tail
         return out
 
-    @classmethod
-    def make(cls, u, v):
-        """Orient u - v by the term order; a zero binomial is refused."""
-        if u == v:
-            raise ValueError("zero binomial")
-        return cls(u, v) if u.key > v.key else cls(v, u)
-
     def text(self, base=1):
         return f"{self.lead.term_text(base)} - {self.tail.term_text(base)}"
 
@@ -234,15 +227,6 @@ class Binomial:
 
     def __repr__(self):
         return f"Binomial({self.text()!r})"
-
-
-def sort_binomials(binomials):
-    """Ascending by lead, then tail, under the term order; duplicates dropped.
-    Dropping them keeps the input order, so input already ascending sorts in
-    linear time; distinct binomials never tie, so the order of the input
-    does not change the result."""
-    return tuple(sorted(dict.fromkeys(binomials),
-                        key=lambda b: (b.lead.key, b.tail.key)))
 
 
 class _Block:
@@ -562,15 +546,30 @@ def _encode(term, ids):
     return tuple(code)
 
 
+@functools.cache
+def _x_parts(n):
+    """The x parts of degree at most 1 in n variables, one object each: the
+    unit, then x_1, ..., x_n."""
+    return (Monomial.unit(n), *(Monomial.variable(p, n) for p in range(1, n + 1)))
+
+
 def _decode(code, tvars, n):
     """The T-product in n variables of an `_encode` code, `tvars` listing
-    the T-variables by id."""
+    the T-variables by id.  A code of two T-variables, or of one and one x,
+    shares its x part through `_x_parts`."""
+    nt = len(tvars)
+    if len(code) == 2:
+        a, b = code
+        if b < nt:
+            return TProduct._sorted(_x_parts(n)[0], (tvars[a], tvars[b]))
+        if a < nt:
+            return TProduct._sorted(_x_parts(n)[b - nt + 1], (tvars[a],))
     held, exps = [], [0] * n
     for atom in code:
-        if atom < len(tvars):
+        if atom < nt:
             held.append(tvars[atom])
         else:
-            exps[atom - len(tvars)] += 1
+            exps[atom - nt] += 1
     return TProduct._sorted(Monomial(exps), tuple(held))
 
 
@@ -587,41 +586,21 @@ def _apply(code, lead, tail):
 
 def _check_quadrics(quadrics, n, tvars):
     """(ids, table, tails) for quadrics used in n variables with the
-    T-variables `tvars`, descending: a setup's, or on the S-pair route the
-    set's own.  A `QuadricSet` in that numbering passes through, its
-    quadrics checked when it was made.  Any other sequence is of
-    `Binomial`s, each toric with its lead on top, checked when it was made;
-    the gate checks every lead in n variables and of degree 2, then each
-    quadric's T-variables among `tvars` and its tail of degree 2, a test no
-    fiber route fails, as a block's generators share one degree.  `ids`
-    numbers the T-variables for `_encode`, in that order; `table` maps each
-    lead's code to the ascending indices of the quadrics with that lead,
-    and `tails` lists the tails' codes.  A lead of degree 2 divides a term
+    T-variables `tvars`, descending: a setup's.  A `QuadricSet` in that
+    numbering passes through, its quadrics checked when it was made; any
+    other sequence, of `Binomial`s or a set in another numbering, is
+    encoded once into a set in it (`QuadricSet._encoded`), which checks
+    what depends on the numbering.  `ids` numbers the T-variables for
+    `_encode`, in that order; `table` maps each lead's code to the
+    ascending indices of the quadrics with that lead, and `tails` lists the
+    tails' codes, both read off the set.  A lead of degree 2 divides a term
     exactly when its code is a pair of the term's code."""
     from .quadrics import QuadricSet  # the builders' module imports this one
-    if (isinstance(quadrics, QuadricSet) and quadrics.n == n
+    if not (isinstance(quadrics, QuadricSet) and quadrics.n == n
             and quadrics.tvars == tvars):
-        return ({t: i for i, t in enumerate(tvars)}, quadrics._lead_table(),
-                quadrics._tails)
-    for q in quadrics:
-        lead = q.lead
-        if lead.xpart.n != n:
-            raise AmbientMismatch(f"lead {lead.term_text()} is not in {n} variables")
-        if len(lead.tvars) + lead.xpart.deg != 2:
-            raise ValueError(f"lead {lead.term_text()} is not of degree 2")
-    ids = {t: i for i, t in enumerate(tvars)}
-    table, tails = {}, []
-    for i, q in enumerate(quadrics):
-        try:
-            lead, tail = _encode(q.lead, ids), _encode(q.tail, ids)
-        except KeyError:
-            raise ValueError(f"quadric {q.text()} uses a T-variable that is not "
-                             "a generator of its block") from None
-        if len(tail) != 2:
-            raise ValueError(f"tail {q.tail.term_text()} is not of degree 2")
-        table.setdefault(lead, []).append(i)
-        tails.append(tail)
-    return ids, table, tails
+        quadrics = QuadricSet._encoded(quadrics, n, tvars)
+    return ({t: i for i, t in enumerate(tvars)}, quadrics._lead_table(),
+            quadrics._tails)
 
 
 def fiber_graph(setup, mu, beta, quadrics, *, max_vertices=MAX_VERTICES,
@@ -850,7 +829,7 @@ def _beta_text(beta):
 
 def _forbidden(setup, table):
     """Two bitsets for each T-variable of the setup, numbered as in
-    `setup.tvars`, from the code table `_check_quadrics` builds for those
+    `setup.tvars`, from the code table `_check_quadrics` returns for those
     T-variables: the T-variables it forms a lead with (itself too when its
     square is a lead), and the 0-based x-positions it forms a lead with.
     Toric quadrics have only T*T and x*T leads, so each lead's code is
@@ -1038,21 +1017,22 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     `SpairLimitError` naming the pair being reduced.  Each term's rewrite is
     kept for the run, as pairs that share a fiber meet the same terms; a
     step makes at most one new term, so the step budget bounds what is kept.
-    Independent of the fiber-graph route.  The set passes `_check_quadrics`
-    up front, in basis order: a `QuadricSet` in its own ring and numbering,
-    any other sequence in the ambient ring of the first lead, numbered by
-    the set's own T-variables, sorted largest first.  Both numberings order
-    the T-variables alike, so the run takes the same steps on either.
+    Independent of the fiber-graph route.  A `QuadricSet` is read in its
+    own ring and numbering.  Any other sequence is encoded once into a set
+    (`QuadricSet._encoded`, the gate's checks) in the ambient ring of its
+    first lead, numbered by its own T-variables, largest first.  Both
+    numberings order the T-variables alike, so the run takes the same steps
+    on either.  The run reads the set in basis order (`QuadricSet._basis`).
 
     The run writes each term as its atom ids ascending (`_encode`), by the
-    gate's ids, and reads each lead in the gate's code table and each tail
-    in its tail codes.  The gate puts a pair's sides and all their rewrites
-    in one fiber, where every term has the same T-degree and the same
-    image, so two distinct terms differ first in their T-variables: the
-    smaller tuple is the larger term.  Only a failure's normal forms are
-    decoded back to T-products.
+    set's numbering, and reads each lead in the set's code table and each
+    tail in its tail codes.  Every quadric is toric, so a pair's sides and
+    all their rewrites lie in one fiber, where every term has the same
+    T-degree and the same image, so two distinct terms differ first in
+    their T-variables: the smaller tuple is the larger term.  Only a
+    failure's normal forms are decoded back to T-products.
 
-    The gate admits only leads and tails of two atoms, so every term the
+    A set holds only leads and tails of two atoms, so every term the
     run meets has three atoms, or two when the leads are equal.  Two
     distinct leads that share an atom differ in one, so a side is a tail
     with the one atom the other lead adds; a rewrite takes out a pair of
@@ -1060,15 +1040,14 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
     an insertion into a sorted pair.
     """
     from .quadrics import QuadricSet  # the builders' module imports this one
-    if isinstance(quadrics, QuadricSet):
-        basis = quadrics._basis()
-        n, tvars = basis.n, basis.tvars
-    else:
-        basis = sort_binomials(quadrics)
-        n = basis[0].lead.xpart.n if basis else None
-        tvars = sorted({t for g in basis for side in (g.lead, g.tail)
-                        for t in side.tvars}, reverse=True)
-    table, tails = _check_quadrics(basis, n, tvars)[1:]
+    if not isinstance(quadrics, QuadricSet):
+        quadrics = tuple(quadrics)
+        n = quadrics[0].lead.xpart.n if quadrics else None
+        tvars = {t for g in quadrics for side in (g.lead, g.tail) for t in side.tvars}
+        quadrics = QuadricSet._encoded(quadrics, n, tuple(sorted(tvars, reverse=True)))
+    basis = quadrics._basis()
+    n, tvars = basis.n, basis.tvars
+    table, tails = basis._lead_table(), basis._tails
     # Leads are coprime exactly when their codes share no id.
     leads, holders = [None] * len(basis), {}
     for lead, held in table.items():
@@ -1130,7 +1109,7 @@ def spair_certificate(quadrics, *, max_steps=MAX_STEPS):
 
 def _rewrite_ids(term, table, tails):
     """The code of term / lead * tail for the first basis element whose lead
-    divides the term, found in the gate's code `table`, or () when none
+    divides the term, found in the set's code `table`, or () when none
     does; for a term of two or three atoms and tails of two."""
     if len(term) == 2:
         held = table.get(term)

@@ -34,7 +34,10 @@ def test_test_only_api_stays_out_of_the_library():
     on atom-id codes, so the atom-keyed lead table and the T-product
     rewrite are the product-loop oracle's own.  A T-product's image monomial
     and T-degree, the monomial lcm and the sorting recursion's truncated
-    pivot as a monomial are test helpers too.  The staircase decisions read
+    pivot as a monomial are test helpers too, and so are monomial
+    divisibility, orienting u - v by the term order and sorting a
+    `Binomial` sequence into basis order: the S-pair route sorts a
+    `QuadricSet` on its codes.  The staircase decisions read
     one L test on column bitmasks, so the matrix's column permutation and
     the old pair test are test helpers, and every factor prints through
     `monomials._factor_text`.  Neither staircase decision has a size cap;
@@ -56,6 +59,9 @@ def test_test_only_api_stays_out_of_the_library():
     assert not hasattr(borelgb.TProduct, "tdegree")
     assert not hasattr(monomials, "lcm")
     assert not hasattr(sorting, "split_monomial")
+    assert not hasattr(borelgb.Binomial, "make")
+    assert not hasattr(borelgb.Monomial, "divides")
+    assert not hasattr(toric, "sort_binomials")
     assert not hasattr(borelgb.BiAdjacency, "permute_columns")
     assert not hasattr(families, "_ordered_pair_ok")
     assert not hasattr(families, "ORDER_SEARCH_CAP")

@@ -16,13 +16,14 @@ from borelgb.quadrics import (QuadricSet, _exchanges, _quadric_set,
 from borelgb.sorting import borel_sort
 from borelgb.toric import (Binomial, FiberSetup, GeneratorVar, TProduct, _Block,
                            _check_quadrics, _decode, _unpack, fiber_graph,
-                           iterate_images, sort_binomials)
+                           iterate_images)
 
 from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, apply_move, certify,
                      first_non_squarefree_lead, image, is_squarefree,
-                     random_interval_family, random_principal_borel_family,
-                     quadrics_bs_form_by_binomials, quadrics_multi_by_binomials,
-                     quadrics_single_by_binomials, tdegree, term_text)
+                     make_binomial, random_interval_family,
+                     random_principal_borel_family, quadrics_bs_form_by_binomials, quadrics_multi_by_binomials,
+                     quadrics_single_by_binomials, sort_binomials, tdegree,
+                     term_text)
 
 
 def test_smallest_nontrivial_closure():
@@ -198,7 +199,7 @@ def exchanges_single_by_loops(M):
                     v = TProduct(unit, (GeneratorVar(0, m2), GeneratorVar(0, n2)))
                     if u == v:
                         continue
-                    out.add(Binomial.make(u, v))
+                    out.add(make_binomial(u, v))
     return sort_binomials(out)
 
 
@@ -229,7 +230,7 @@ def exchanges_multi_by_loops(family):
                                             GeneratorVar(idx, n2)))
                         if u == v:
                             continue
-                        fiber_principal.add(Binomial.make(u, v))
+                        fiber_principal.add(make_binomial(u, v))
 
     fiber_biprincipal = set()
     for ia, ib in itertools.combinations(range(1, family.r + 1), 2):
@@ -253,7 +254,7 @@ def exchanges_multi_by_loops(family):
                     v = TProduct(unit, (GeneratorVar(ia, m2), GeneratorVar(ib, n2)))
                     if u == v:
                         continue
-                    fiber_biprincipal.add(Binomial.make(u, v))
+                    fiber_biprincipal.add(make_binomial(u, v))
     return sort_binomials(fiber_principal), sort_binomials(fiber_biprincipal)
 
 
@@ -292,10 +293,10 @@ def test_family_exchanges_match_loops_on_random_families():
 
 # Oracles for the sorted form and the symmetric shape: the per-pair and
 # per-move loops, each side built by the generic constructors and oriented
-# by `Binomial.make`.
+# by `make_binomial`.
 
 def bs_form_by_pairs(M):
-    """One `borel_sort` and one `Binomial.make` per unordered pair."""
+    """One `borel_sort` and one `make_binomial` per unordered pair."""
     gens = borel_closure(M)
     unit = Monomial.unit(M.n)
     out = set()
@@ -305,7 +306,7 @@ def bs_form_by_pairs(M):
         v = TProduct(unit, (GeneratorVar(0, f1), GeneratorVar(0, f2)))
         if u == v:
             continue
-        out.add(Binomial.make(u, v))
+        out.add(make_binomial(u, v))
     return sort_binomials(out)
 
 
@@ -324,7 +325,7 @@ def symmetric_by_loops(family):
                     u = TProduct(Monomial.variable(s, n), (GeneratorVar(idx, m),))
                     v = TProduct(Monomial.variable(t, n),
                                  (GeneratorVar(idx, apply_move(m, s, t)),))
-                    out.add(Binomial.make(u, v))
+                    out.add(make_binomial(u, v))
     return sort_binomials(out)
 
 
@@ -419,7 +420,7 @@ def test_equal_sides_are_one_tproduct():
 
 
 def test_quadric_sides_must_share_image_and_blocks():
-    """`Binomial.make` rejects sides that differ in image or in blocks, each
+    """`make_binomial` rejects sides that differ in image or in blocks, each
     with the other agreeing, and a zero binomial."""
     n = 3
 
@@ -428,25 +429,25 @@ def test_quadric_sides_must_share_image_and_blocks():
                         [GeneratorVar(b, parse_monomial(g, n)) for b, g in pairs])
 
     lead = side("1", (0, "x1^2"), (0, "x2^2"))
-    assert Binomial.make(side("1", (0, "x1*x2"), (0, "x1*x2")), lead) == \
+    assert make_binomial(side("1", (0, "x1*x2"), (0, "x1*x2")), lead) == \
         Binomial(lead, side("1", (0, "x1*x2"), (0, "x1*x2")))
     other_image = side("1", (0, "x1*x2"), (0, "x1*x3"))
     other_blocks = side("1", (1, "x1*x2"), (0, "x1*x2"))
     for bad in (other_image, other_blocks):
         with pytest.raises(ValueError, match="different images"):
-            Binomial.make(lead, bad)
+            make_binomial(lead, bad)
         with pytest.raises(ValueError, match="different images"):
-            Binomial.make(bad, lead)
+            make_binomial(bad, lead)
     # One T-variable with an x part, as in the symmetric shape.
     x_lead = side("x3", (1, "x1"))
     with pytest.raises(ValueError, match="different images"):
-        Binomial.make(x_lead, side("x2", (1, "x1")))
+        make_binomial(x_lead, side("x2", (1, "x1")))
     with pytest.raises(ValueError, match="different images"):
-        Binomial.make(x_lead, side("x1", (2, "x3")))
-    assert Binomial.make(side("x1", (1, "x3")), x_lead) == \
+        make_binomial(x_lead, side("x1", (2, "x3")))
+    assert make_binomial(side("x1", (1, "x3")), x_lead) == \
         Binomial(x_lead, side("x1", (1, "x3")))
     with pytest.raises(ValueError, match="zero binomial"):
-        Binomial.make(lead, side("1", (0, "x2^2"), (0, "x1^2")))
+        make_binomial(lead, side("1", (0, "x2^2"), (0, "x1^2")))
 
 
 def _oracle_corpus():

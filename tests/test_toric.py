@@ -18,12 +18,13 @@ from borelgb.borel import borel_closure, borel_member, min_borel_divisor
 from borelgb.families import (FamilyEntry, IdealFamily, find_lfree_column_order,
                               incidence_matrix, parse_family, reduce_family)
 from borelgb.monomials import AmbientMismatch, Monomial, parse_monomial
-from borelgb.quadrics import quadrics_bs_form, quadrics_multi, quadrics_single
-from borelgb.toric import (Binomial, FiberSetup, GeneratorVar,
+from borelgb.quadrics import (QuadricSet, quadrics_bs_form, quadrics_multi,
+                              quadrics_single)
+from borelgb.toric import (MAX_STEPS, Binomial, FiberSetup, GeneratorVar,
                            ResourceLimitError, SpairLimitError, SpairReport,
                            TProduct, _apply, _Budget, _check_quadrics, _decode,
                            _encode, _enumerate, enumerate_fiber,
-                           fiber_graph, iterate_images, sort_binomials,
+                           fiber_graph, iterate_images,
                            spair_certificate, t_min, to_dot,
                            verify_groebner_by_fibers)
 
@@ -32,9 +33,10 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      enumerate_by_steps,
                      examine_image_by_scanning, fiber_graph_by_scanning,
                      image, image_groups_on_tuples, images_by_multiplying,
-                     is_squarefree, lcm, lead_table_keys,
-                     random_interval_family, random_principal_borel_family,
-                     random_subset_family,
+                     is_squarefree, lcm, lead_table_keys, make_binomial,
+                     monomial_divides, random_interval_family,
+                     random_principal_borel_family, random_subset_family,
+                     sort_binomials,
                      min_borel_divisor_compressed, own_tvars, _side_ids,
                      _spairs_on_products, spairs_on_codes,
                      standard_points_by_recursion, sweep_on_tuples,
@@ -224,14 +226,14 @@ def test_term_order_key_matches_rank_comparator():
 def test_binomial_make_orients_and_validates():
     big = tp("1", 2, (0, "x1^2"), (0, "x2^2"))
     small = tp("1", 2, (0, "x1*x2"), (0, "x1*x2"))
-    assert Binomial.make(small, big) == Binomial(big, small)
-    assert Binomial.make(big, small) == Binomial(big, small)
+    assert make_binomial(small, big) == Binomial(big, small)
+    assert make_binomial(big, small) == Binomial(big, small)
     with pytest.raises(ValueError):
-        Binomial.make(big, big)
+        make_binomial(big, big)
     with pytest.raises(ValueError):  # images differ
-        Binomial.make(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))
+        make_binomial(tp("1", 2, (0, "x1^2")), tp("1", 2, (0, "x1*x2")))
     with pytest.raises(ValueError):  # same image, different block counts
-        Binomial.make(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")))
+        make_binomial(tp("1", 4, (1, "x3*x4")), tp("1", 4, (2, "x3*x4")))
     # The constructor refuses a lead below its tail, sides of two images
     # and sides in two rings, also when `make` has oriented them.
     assert _rejection(lambda: Binomial(small, big)) == (
@@ -243,7 +245,7 @@ def test_binomial_make_orients_and_validates():
     assert _rejection(lambda: Binomial(big, wide)) == (
         AmbientMismatch, "quadric T[x1^2]*T[x2^2] - T[x1*x2]*T[x1*x2] has its tail "
                          "in 3 variables, its lead in 2")
-    assert _rejection(lambda: Binomial.make(big, wide)) == (
+    assert _rejection(lambda: make_binomial(big, wide)) == (
         AmbientMismatch, "quadric T[x1*x2]*T[x1*x2] - T[x1^2]*T[x2^2] has its tail "
                          "in 2 variables, its lead in 3")
     b = Binomial(big, small)
@@ -915,6 +917,24 @@ def test_every_consumer_rejects_the_same_broken_quadrics():
     assert checks == 505
 
 
+def test_every_consumer_names_the_first_broken_lead_in_input_order():
+    """Two leads not of degree 2, given against the term order: each
+    consumer names the first of them in input order, as the one conversion
+    into a set checks every lead, in input order, before the S-pair run
+    sorts the set."""
+    setup = FiberSetup.single(parse_monomial("x2^2", 2))
+    mu = parse_monomial("x1^2*x2^2", 2)
+    high = Binomial(tp("1", 2, (0, "x1^2")), tp("x1", 2, (0, "x1")))
+    low = Binomial(tp("1", 2, (0, "x2^2")), tp("x2", 2, (0, "x2")))
+    assert sort_binomials([high, low]) == (low, high)
+    want = (ValueError, "lead T[x1^2] is not of degree 2")
+    for quads in ([high, low],
+                  [*quadrics_single(parse_monomial("x2^2", 2)), high, low]):
+        assert _rejection(lambda: spair_certificate(quads)) == want
+        assert _rejection(lambda: verify_groebner_by_fibers(setup, quads, 2)) == want
+        assert _rejection(lambda: fiber_graph(setup, mu, 2, quads)) == want
+
+
 def test_verify_pass_single():
     M4 = parse_monomial("x2^2*x4", 4)
     setup = FiberSetup.single(M4)
@@ -1487,7 +1507,7 @@ def _enumerate_by_scanning(setup, mu, beta, budget):
                 return
             budget.scanned += len(gens) - start
             divisors = [gi for gi in range(start, len(gens))
-                        if gens[gi].divides(quotient)]
+                        if monomial_divides(gens[gi], quotient)]
             step = (bi, start, rem, quotient.exps)
             if step not in searched:
                 searched.add(step)
@@ -1719,7 +1739,7 @@ def test_search_leaves_no_reference_cycles():
 
 
 def _counter_divides(a, b):
-    if not a.xpart.divides(b.xpart):
+    if not monomial_divides(a.xpart, b.xpart):
         return False
     have = Counter(b.tvars)
     for t in a.tvars:
@@ -2010,6 +2030,16 @@ def _report_fields(rep):
             rep.pairs_skipped)
 
 
+def _seeded_families():
+    """(label, family): 40 seeded random families, reduced, with n 2..4,
+    r 1..3 and generators of degree at most 2."""
+    rng = random.Random(67)
+    for i in range(40):
+        draw = random_interval_family if i % 2 else random_principal_borel_family
+        yield (f"family draw {i}",
+               reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))[0])
+
+
 def _spair_inputs():
     """Quadric sets: every single closure with n <= 4, deg <= 3 in both
     forms, seeded random families, and the triangle and chain families."""
@@ -2018,11 +2048,8 @@ def _spair_inputs():
             for M in borel_closure(Monomial((0,) * (n - 1) + (deg,))):
                 yield f"{M} exchange", quadrics_single(M)
                 yield f"{M} sorted", quadrics_bs_form(M)
-    rng = random.Random(67)
-    for i in range(40):
-        draw = random_interval_family if i % 2 else random_principal_borel_family
-        fam, _ = reduce_family(draw(rng, rng.randint(2, 4), rng.randint(1, 3), 2))
-        yield f"family draw {i}", quadrics_multi(fam).all()
+    for label, fam in _seeded_families():
+        yield label, quadrics_multi(fam).all()
     yield "triangle", quadrics_multi(parse_family(TRIANGLE)).all()
     yield "chain", quadrics_multi(parse_family(EX_FAMILY)).all()
 
@@ -2148,6 +2175,72 @@ def test_spair_route_matches_the_code_loop():
                                    itertools.chain(_spair_inputs(), drawn), rng)
     compared, failing, tripped = counts
     assert compared > 300 and failing > 80 and tripped > 200, counts
+
+
+def _one_path_inputs(rng):
+    """(label, setup, quadric set, image, T-degree): the sets of
+    `_gate_inputs`, then those of `_seeded_families`, each on the fiber of
+    T-degree 2 in its first block over the product of that block's largest
+    and least generators, and each set of more than one quadric also with
+    one quadric, drawn from `rng`, dropped, so FAIL paths are compared too."""
+    sets = [(label, setup, qs) for label, setup, qs, _, _ in _gate_inputs()]
+    sets += [(label, FiberSetup.for_family(fam), quadrics_multi(fam).all())
+             for label, fam in _seeded_families()]
+    for label, setup, qs in sets:
+        first = setup.blocks[0]
+        mu = first.tvars[0].gen * first.tvars[-1].gen
+        beta = 2 if first.exact else (2,) + (0,) * (len(setup.blocks) - 1)
+        yield label, setup, qs, mu, beta
+        if len(qs) > 1:
+            i = rng.randrange(len(qs))
+            dropped = QuadricSet(qs.n, qs.tvars, qs._leads[:i] + qs._leads[i + 1:],
+                                 qs._tails[:i] + qs._tails[i + 1:])
+            yield f"{label} without q{i}", setup, dropped, mu, beta
+
+
+def _spair_answer(quadrics, max_steps=MAX_STEPS):
+    """What an S-pair run shows: its verdict, its FAIL pair's texts, its
+    normal forms and its pair counts, or its step trip's text."""
+    try:
+        rep = spair_certificate(quadrics, max_steps=max_steps)
+    except SpairLimitError as trip:
+        return str(trip)
+    pair = rep.pair and tuple(q.text() for q in rep.pair)
+    return rep.passed, pair, rep.normal_form, rep.pairs_checked, rep.pairs_skipped
+
+
+def test_a_set_and_its_binomials_give_the_same_answers():
+    """Every consumer answers a quadric set and the tuple of its
+    `Binomial`s alike: the tuple is encoded once into a set and runs the
+    same path.  The S-pair run also answers a seeded shuffle of the tuple
+    with duplicates alike, under the default cap and one step short of its
+    step total; the fiber routes are not shuffled, as an edge's label is
+    the quadric's index in the input."""
+    rng = random.Random(107)
+    sets = failing = tripped = edged = 0
+    for label, setup, qs, mu, beta in _one_path_inputs(rng):
+        binomials = tuple(qs)
+        shuffled = [*binomials, *rng.choices(binomials, k=(len(binomials) + 1) // 2)]
+        rng.shuffle(shuffled)
+        steps = spairs_on_codes(qs, 10 ** 9)[1]
+        caps = (MAX_STEPS, steps - 1) if steps else (MAX_STEPS,)
+        for max_steps in caps:
+            want = _spair_answer(qs, max_steps)
+            assert _spair_answer(binomials, max_steps) == want, label
+            assert _spair_answer(shuffled, max_steps) == want, label
+            failing += want[0] is False
+            tripped += isinstance(want, str)
+        want = verify_groebner_by_fibers(setup, qs, 2)
+        got = verify_groebner_by_fibers(setup, binomials, 2)
+        assert (got.passed, got.failures, got.images_checked, got.lines()) == (
+            want.passed, want.failures, want.images_checked, want.lines()), label
+        want = fiber_graph(setup, mu, beta, qs)
+        got = fiber_graph(setup, mu, beta, binomials)
+        assert (got.vertices, got.edges) == (want.vertices, want.edges), label
+        edged += bool(want.edges)
+        sets += 1
+    assert sets > 180 and failing > 40 and tripped > 120 and edged > 100, (
+        sets, failing, tripped, edged)
 
 
 def test_lfree_families_pass_both_routes_and_spair_fails_imply_sweep_fails():
