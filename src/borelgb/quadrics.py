@@ -23,7 +23,6 @@ quadric once, in order, on its codes.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Sequence
 
 from .monomials import AmbientMismatch
@@ -167,16 +166,18 @@ class QuadricSet(Sequence):
 
     def texts(self, base=1):
         """Each quadric's text, 'lead - tail', at `base`, in order, with no
-        `Binomial`: each distinct side is decoded and rendered once."""
-        shown, tvars, n = {}, self.tvars, self.n
-        for lead, tail in zip(self._leads, self._tails):
-            a = shown.get(lead)
-            if a is None:
-                a = shown[lead] = _decode(lead, tvars, n).term_text(base)
-            b = shown.get(tail)
-            if b is None:
-                b = shown[tail] = _decode(tail, tvars, n).term_text(base)
-            yield f"{a} - {b}"
+        `Binomial` and no `_decode`: each atom is rendered once, a
+        T-variable as its term piece and x position p as x{p + base}.
+        Every side holds a T-variable, as its two sides share a block list
+        and a lead differs from its tail, so a side of two atoms is 'T*T',
+        or its x atom and then its T-variable, as `term_text` writes it."""
+        nt = len(self.tvars)
+        atoms = [t._rendered(base)[1] for t in self.tvars]
+        atoms += [f"x{p}" for p in range(base, base + self.n)]
+        for (a, b), (c, d) in zip(self._leads, self._tails):
+            lead = f"{atoms[a]}*{atoms[b]}" if b < nt else f"{atoms[b]}*{atoms[a]}"
+            tail = f"{atoms[c]}*{atoms[d]}" if d < nt else f"{atoms[d]}*{atoms[c]}"
+            yield f"{lead} - {tail}"
 
     def __len__(self):
         return len(self._leads)
@@ -270,11 +271,16 @@ def quadrics_bs_form(M):
     group of pairs, so the sorted factorization is the group's least pair.
     """
     block = _Block.single(M)
-    exps = block.exps
+    # Each product's exponents are at most 2 deg(M), so its `_pack` code at
+    # that width is the sum of its factors' codes.  The pairs share the int
+    # objects of `ids`, where a range would make each index above 256 anew.
+    width = (2 * M.deg).bit_length()
+    codes = [_pack(e, width) for e in block.exps]
+    ids = list(range(len(codes)))
     by_product = {}
-    for i, j in itertools.combinations_with_replacement(range(len(exps)), 2):
-        mu = tuple(map(operator.add, exps[i], exps[j]))
-        by_product.setdefault(mu, []).append((i, j))
+    for i, a in zip(ids, codes):
+        for j, b in zip(ids[i:], codes[i:]):
+            by_product.setdefault(a + b, []).append((i, j))
     keys = []
     for pairs in by_product.values():
         v = max(pairs)  # the tail, below every other pair of its product

@@ -384,23 +384,25 @@ def enumerate_fiber(setup, mu, beta, *, max_vertices=MAX_VERTICES,
 
     The search picks one generator per step, each at or after the one picked
     before it.  A pick step is (block, first generator, picks left,
-    quotient); each (block, picks left, quotient) is searched once, as one
-    node of a DAG (`_Pick`), and the steps that share it read a suffix of its
-    picks.  A node holds the picks from the least first generator `lo` it
-    was reached with on: entry j picks generator `gis[j]`, `gis` ascending,
-    with `kids[j]` below it, a node or, past the last block, the leftover as
-    a Monomial, and `counts[j]` is the number of points of the entries from
-    j on, `counts[-1]` being 0.  A step reached with a first generator below
-    `lo` searches only the picks between.  Below a pick with picks left in
-    its block the child is read from the generator picked; the first pick
-    of the next block reads it from 0.  Every distinct step charges one
-    check per generator it tries, those from its first one on that divide
-    the quotient, the first time it is reached.  The search goes on only
-    with the generators whose quotient still fits the picks left, read off
-    the block's suffix-sum bitsets (`_Block.candidates`); a block's first
-    quotient must pass `_Block.fits`.  Every point counts one vertex when it
-    is found, also below a step reached again.  `max_vertices` caps the
-    points found and `max_checks` the candidate generators tried.
+    quotient), the quotient one `_pack` code, so that a pick subtracts the
+    generator's code (`_width`); each (block, picks left, quotient) is
+    searched once, as one node of a DAG (`_Pick`), and the steps that share
+    it read a suffix of its picks.  A node holds the picks from the least
+    first generator `lo` it was reached with on: entry j picks generator
+    `gis[j]`, `gis` ascending, with `kids[j]` below it, a node or, past the
+    last block, the leftover as a Monomial, and `counts[j]` is the number of
+    points of the entries from j on, `counts[-1]` being 0.  A step reached
+    with a first generator below `lo` searches only the picks between.
+    Below a pick with picks left in its block the child is read from the
+    generator picked; the first pick of the next block reads it from 0.
+    Every distinct step charges one check per generator it tries, those
+    from its first one on that divide the quotient, the first time it is
+    reached.  The search goes on only with the generators whose quotient
+    still fits the picks left, read off the block's suffix-sum bitsets
+    (`_Block.candidates`); a block's first quotient must pass
+    `_Block.fits`.  Every point counts one vertex when it is found, also
+    below a step reached again.  `max_vertices` caps the points found and
+    `max_checks` the candidate generators tried.
     """
     budget = _Budget(max_vertices, max_checks)
     return _enumerate(setup, mu, setup.beta_tuple(beta), budget)
@@ -422,27 +424,33 @@ class _Pick:
 def _enumerate(setup, mu, beta, budget):
     if mu.n != setup.n:
         raise ValueError("ambient mismatch between image and setup")
-    blocks = setup.blocks
+    blocks, n = setup.blocks, setup.n
     exact = blocks[0].exact
     if sum(k * b.pivot.deg for b, k in zip(blocks, beta)) > mu.deg:
         return ()  # no room for the factors
-    # `state` maps each (bi, rem, q) reached to its search: [lo, divisors,
-    # fitting, starts, node], `starts` the first generators seen, lo the
-    # least of them.  The nodes do not point back to `state`, so clearing it
-    # leaves the DAG alone.  Equal leftovers share one Monomial in `leaves`.
-    state, leaves = {}, {}
+    # Each quotient divides mu: its code is packed at the width of mu's
+    # largest exponent, and a child's is its code less the generator's
+    # (`_width`).  `state[bi]` maps each (rem, q) reached, as the one int
+    # q << shift | rem, to its search: [lo, divisors, fitting, starts,
+    # node], `starts` the first generators seen, lo the least of them.  The
+    # nodes do not point back to `state`, so clearing it leaves the DAG
+    # alone.  Equal leftovers share one Monomial in `leaves`.
+    width = max(mu.exps, default=0).bit_length()
+    codes = [[_pack(e, width) for e in b.exps] for b in blocks]
+    shift = max(beta, default=0).bit_length()
+    state, leaves = [{} for _ in blocks], {}
 
     def rec_block(bi, q):
         """(child, points) of the picks of blocks bi on, from quotient q."""
         if bi == len(blocks):
-            if exact and any(q):
+            if exact and q:
                 raise AssertionError("exact enumeration left a remainder")
             budget.count_vertex()
             leaf = leaves.get(q)
             if leaf is None:
-                leaf = leaves[q] = Monomial(q)
+                leaf = leaves[q] = Monomial(_unpack(q, n, width))
             return leaf, 1
-        if not blocks[bi].fits(beta[bi], q):
+        if not blocks[bi].fits(beta[bi], _unpack(q, n, width)):
             return None, 0
         return rec_pick(bi, beta[bi], q, 0)
 
@@ -450,13 +458,13 @@ def _enumerate(setup, mu, beta, budget):
         """(node, points from generator start on) of the step."""
         if rem == 0:
             return rec_block(bi + 1, q)
-        key = (bi, rem, q)
-        search = state.get(key)
+        searches, key = state[bi], q << shift | rem
+        search = searches.get(key)
         if search is None:
             block = blocks[bi]
-            divisors, fitting = block.candidates(rem, q)
-            search = state[key] = [len(block.exps), divisors, fitting, set(),
-                                   _Pick(block.tvars, rem > 1)]
+            divisors, fitting = block.candidates(rem, _unpack(q, n, width))
+            search = searches[key] = [len(block.exps), divisors, fitting,
+                                      set(), _Pick(block.tvars, rem > 1)]
         lo, divisors, fitting, starts, node = search
         if start not in starts:
             # One check per generator tried: those that divide q.
@@ -468,15 +476,14 @@ def _enumerate(setup, mu, beta, budget):
             if found:
                 budget.count_vertex(found)
             return node, found
-        exps = blocks[bi].exps
+        code = codes[bi]
         gis, kids, counts = [], [], []
         cands = fitting >> start << start & ~(-1 << lo)
         while cands:
             low = cands & -cands
             cands ^= low
             gi = low.bit_length() - 1
-            kid, found = rec_pick(bi, rem - 1,
-                                  tuple(map(operator.sub, q, exps[gi])), gi)
+            kid, found = rec_pick(bi, rem - 1, q - code[gi], gi)
             if found:
                 gis.append(gi)
                 kids.append(kid)
@@ -507,7 +514,7 @@ def _enumerate(setup, mu, beta, budget):
 
     # Both the search and the walk recurse once per pick.
     try:
-        root, found = rec_block(0, mu.exps)
+        root, found = rec_block(0, _pack(mu.exps, width))
         state.clear()  # for peak memory: building the points needs only the DAG
         out = []
         if found:
@@ -657,6 +664,12 @@ def _width(setup, bound):
     borrow test).  With t those guard bits, m = t | (t - (t >> (width - 1)))
     fills each such field, and (a & m) | (b & ~m) takes a's field where
     a_i >= b_i and b's elsewhere: the max of a and b, their lcm, is exact.
+
+    `_enumerate` packs its quotients by the same argument with no guard
+    bit, at the bit length of the image's largest exponent, the most a
+    quotient holds: it subtracts from a quotient only the code of a
+    generator that divides it, so no field borrows, and a generator wider
+    than a field never divides.
     """
     return (bound * max(b.pivot.deg for b in setup.blocks)).bit_length() + 1
 

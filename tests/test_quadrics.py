@@ -8,6 +8,7 @@ import types
 
 import pytest
 
+from borelgb import quadrics as quadrics_module
 from borelgb.borel import borel_closure
 from borelgb.families import parse_family, reduce_family
 from borelgb.monomials import Monomial, parse_monomial
@@ -593,3 +594,25 @@ def test_the_gate_passes_a_set_in_the_setups_numbering_through():
     other = FiberSetup.single(parse_monomial("x1*x5^3", 5))
     with pytest.raises(ValueError, match="not a generator of its block"):
         _check_quadrics(qs, other.n, other.tvars)
+
+
+def test_texts_join_atom_texts_and_decode_nothing(monkeypatch):
+    """`texts` at bases 0 and 1 prints each quadric's `Binomial` text
+    with `_decode` made to raise: on both forms of x3^2*x5^2, on the
+    exchange set of x1^2*x3, and on each shape of the three-shape family,
+    whose symmetric shape puts an x atom beside a T-variable."""
+    x35 = parse_monomial("x3^2*x5^2", 5)
+    three = quadrics_multi(parse_family(THREE_SHAPES))
+    sets = [quadrics_single(x35), quadrics_bs_form(x35),
+            quadrics_single(parse_monomial("x1^2*x3", 4)),
+            three.symmetric, three.fiber_principal, three.fiber_biprincipal]
+    want = [[[b.text(base) for b in qs] for base in (0, 1)] for qs in sets]
+    assert all(text.startswith("x") for text in want[3][1])
+    fresh = [QuadricSet(qs.n, qs.tvars, qs._leads, qs._tails) for qs in sets]
+
+    def refuse(*args):
+        raise AssertionError("texts decoded a side")
+
+    monkeypatch.setattr(quadrics_module, "_decode", refuse)
+    for qs, texts in zip(fresh, want):
+        assert [list(qs.texts(base)) for base in (0, 1)] == texts

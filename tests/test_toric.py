@@ -34,6 +34,7 @@ from helpers import (EX_FAMILY, NESTED_FAMILY, TRIANGLE, _family_points,
                      examine_image_by_scanning, fiber_graph_by_scanning,
                      image, image_groups_on_tuples, images_by_multiplying,
                      is_squarefree, lcm, lead_table_keys, make_binomial,
+                     quadrics_bs_form_by_binomials,
                      monomial_divides, random_interval_family,
                      random_principal_borel_family, random_subset_family,
                      sort_binomials,
@@ -1585,6 +1586,89 @@ def test_enumeration_matches_scanning_oracle():
                     == _trip(_enumerate_by_scanning, setup, mu, beta, caps)), label
             tripped += 1
     assert compared > 4000 and multi > 2500 and tripped > 12000
+
+
+def _packed_boundary_inputs():
+    """(label, setup, mu, beta) at the edges of `_enumerate`'s packed
+    quotients, whose field width is the bit length of the image's largest
+    exponent: an exponent of exactly 2^w - 1, the most its field holds,
+    beside nonzero fields, for w = 1 to 5; block generators with an
+    exponent above the image's largest, so wider than a field; family
+    fibers with a zero block degree and their leftover in the top field;
+    and all-zero images, packed at width 0.  Every fiber leaves room for
+    its factors, as the search charges nothing when it does not."""
+    for label, setup, mu, beta in _packed_boundary_fibers():
+        if sum(k * b.pivot.deg for b, k in zip(setup.blocks, beta)) <= mu.deg:
+            yield label, setup, mu, beta
+
+
+def _packed_boundary_fibers():
+    single = FiberSetup.single(M("x2*x3", 3))
+    chain = FiberSetup.for_family(parse_family(EX_FAMILY))
+    nested = FiberSetup.for_family(parse_family(NESTED_FAMILY))
+    for w in range(1, 6):
+        top = (1 << w) - 1
+        for exps in ((top, 3, 2), (2, top, 3), (3, 2, top)):
+            yield f"x2*x3 {exps}", single, Monomial(exps), ((top + 5) // 2,)
+        for exps in ((top, 1, 2, 1), (1, top, 1, 2), (2, 1, top, 1), (1, 2, 1, top)):
+            for beta in itertools.product((0, 1), repeat=len(chain.blocks)):
+                yield f"chain {exps} {beta}", chain, Monomial(exps), beta
+    for text, n, exps in (("x3^4", 3, (3, 3, 2)), ("x3^4", 3, (2, 3, 3)),
+                          ("x4^4", 4, (3, 3, 3, 3)), ("x2^3", 2, (2, 1))):
+        pivot = M(text, n)
+        yield (f"{text} {exps}", FiberSetup.single(pivot), Monomial(exps),
+               (sum(exps) // pivot.deg,))
+    for setup in (chain, nested):
+        for beta in itertools.product((0, 1), repeat=len(setup.blocks)):
+            yield f"{beta} over x1*x2*x3*x4", setup, Monomial((1, 1, 1, 1)), beta
+    rng = random.Random(45)
+    for name, setup in (("chain", chain), ("nested", nested)):
+        for _ in range(40):
+            beta = tuple(rng.choice((0, 0, 1, 2)) for _ in setup.blocks)
+            if 0 not in beta:
+                continue
+            exps = [0] * setup.n
+            for block, k in zip(setup.blocks, beta):
+                for _ in range(k):
+                    exps = list(map(operator.add, exps, rng.choice(block.exps)))
+            # The leftover fills the top field to the most it holds.
+            exps[-1] = (1 << max(exps[-1], 1).bit_length()) - 1
+            yield f"{name} {exps} {beta}", setup, Monomial(exps), beta
+    unit = FiberSetup.for_family(parse_family(
+        "vars = 2\nideal I1: support = ; generator = 1\n"
+        "ideal I2: support = x1,x2 ; generator = x2\n"))
+    for k in (1, 2, 3):
+        yield f"1 k={k}", FiberSetup.single(Monomial.unit(2)), Monomial.unit(2), (k,)
+        yield f"1 ({k}, 0)", unit, Monomial.unit(2), (k, 0)
+    yield "chain 1", chain, Monomial.unit(4), (0,) * len(chain.blocks)
+
+
+def test_packed_quotients_match_the_scanning_oracle_at_their_bounds():
+    """At the edges of the packed quotients (`_packed_boundary_inputs`) the
+    search gives the oracle's points in its order, its check and vertex
+    totals, and its trips one short of either total; and the sorted-form
+    products of x4^4 and x2^8, which reach 2 deg = 2^k in one field, group
+    the pairs as the exponent-tuple builder does."""
+    compared = multi = tripped = 0
+    for label, setup, mu, beta in _packed_boundary_inputs():
+        want_budget, got_budget = _ScanBudget(), _Budget()
+        want = _enumerate_by_scanning(setup, mu, beta, want_budget)
+        assert _enumerate(setup, mu, beta, got_budget) == want, label
+        assert ((got_budget.checks, got_budget.vertices)
+                == (want_budget.checks, want_budget.vertices)), label
+        compared += 1
+        multi += len(want) > 1
+        for caps in ({"max_checks": want_budget.checks - 1},
+                     {"max_vertices": want_budget.vertices - 1}):
+            if min(caps.values()) < 0:
+                continue
+            assert (_trip(_enumerate, setup, mu, beta, caps)
+                    == _trip(_enumerate_by_scanning, setup, mu, beta, caps)), label
+            tripped += 1
+    assert compared > 500 and multi > 100 and tripped > 500, (compared, multi, tripped)
+    for text, n in (("x4^4", 4), ("x2^8", 2)):
+        pivot = M(text, n)
+        assert tuple(quadrics_bs_form(pivot)) == quadrics_bs_form_by_binomials(pivot)
 
 
 def _outcome(route, setup, mu, beta, budget):
